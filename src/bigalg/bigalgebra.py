@@ -61,10 +61,6 @@ def restrict_to_section(elem, coords_c, ring_c):
     return elem.mat.subs(ring_c, mapping)
 
 
-def evaluate_at(op, cvals):
-    return op.evaluate(cvals)
-
-
 class BigGenerators:
     """The calibrated generator family of one representation."""
 
@@ -483,10 +479,6 @@ def derive_relations(rep, gens, max_degree):
             }
         )
     return [r for r, _ in relations], info
-
-
-def relation_degree(rr_weights, rel):
-    return rel.weighted_degree(rr_weights)
 
 
 def ideal_graded_dims(rep, gens, relations, max_degree):

@@ -57,8 +57,8 @@ def emit(args, payload):
 
 
 def _cache_dir(args):
-    # the environment variable takes precedence over the flag
-    return os.environ.get("BIGALG_CACHE") or args.cache or None
+    # an explicit flag wins over the environment variable
+    return args.cache or os.environ.get("BIGALG_CACHE") or None
 
 
 def _load(args):

@@ -122,13 +122,6 @@ class TypeA:
             raise ValueError("matrix has nonzero trace")
         return coords
 
-    def matrix_of(self, coords):
-        m = QMatrix.zeros(self.n, self.n)
-        for c, b in zip(coords, self.basis):
-            if c:
-                m = m + b * c
-        return m
-
     def bracket_coords(self, x, y):
         """Coordinates of [x, y] from the structure constants."""
         out = [ZERO] * self.dim
@@ -306,9 +299,6 @@ class RootData:
         """Class of the weight in P/Q = Z/n."""
         return sum((k + 1) * c for k, c in enumerate(lam)) % self.n
 
-    def in_root_lattice(self, lam):
-        return self.weight_lattice_class(lam) == 0
-
     def root_coords_rational(self, lam):
         """Simple-root coordinates as Fractions."""
         v = [Fraction(0)] * self.rank
@@ -357,15 +347,6 @@ class RootData:
 
         rec(0, [0] * self.rank)
         out.sort(reverse=True)
-        return out
-
-    def weights_below(self, mu):
-        """All weights of V^mu: Weyl orbits of the dominant ones."""
-        out = set()
-        weyl = weyl_group(self.n)
-        for lam in self.dominant_weights_leq(mu):
-            for perm, _ in weyl:
-                out.add(weyl_act(self, perm, lam))
         return out
 
 

@@ -1,14 +1,34 @@
 """Dense exact linear algebra over the rationals.
 
+Matrix entries are stored as ``Fraction``s, but products run on integer
+numerators over one common denominator per operand and skip zero entries.
 Row reduction for rank/kernel questions goes through fraction-free
-Bareiss elimination on integerized rows; subspace bookkeeping uses a
+Bareiss elimination on the same integer rows; subspace bookkeeping uses a
 reduced echelon structure with smallest-index pivots so every derived
 basis is deterministic.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
 from .multipoly import rat, ZERO, ONE
+
+
+def _int_rows(a):
+    """Integer rows and one positive denominator d with a == rows / d."""
+    den = lcm(*{x.denominator for row in a for x in row})
+    if den == 1:
+        return [[x.numerator for x in row] for row in a], 1
+    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
+
+
+def _fractions(ints, den):
+    """The row ints / den as Fractions, sharing ZERO for zero entries."""
+    if den == 1:
+        return [Fraction(v) if v else ZERO for v in ints]
+    return [Fraction(v, den) if v else ZERO for v in ints]
 
 
 class QMatrix:
@@ -30,7 +50,9 @@ class QMatrix:
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls([[ZERO] * cols for _ in range(rows)], _trusted=True)
+        m = cls([[ZERO] * cols for _ in range(rows)], _trusted=True)
+        m.cols = cols  # kept when rows == 0
+        return m
 
     @classmethod
     def identity(cls, n):
@@ -71,9 +93,6 @@ class QMatrix:
     def columns(self):
         return [self.col(j) for j in range(self.cols)]
 
-    def copy(self):
-        return QMatrix([row[:] for row in self.a], _trusted=True)
-
     # ---------- arithmetic ----------
 
     def __add__(self, other):
@@ -101,12 +120,23 @@ class QMatrix:
         if isinstance(other, QMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
-            bt = list(zip(*other.a))
-            out = [
-                [sum((x * y for x, y in zip(row, col)), ZERO) for col in bt]
-                for row in self.a
-            ]
-            return QMatrix(out, _trusted=True)
+            a, da = _int_rows(self.a)
+            b, db = _int_rows(other.a)
+            den = da * db
+            width = other.cols
+            # row k of b as its nonzero (j, value) pairs
+            sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+            out = []
+            for row in a:
+                acc = [0] * width
+                for x, brow in zip(row, sparse_b):
+                    if x:
+                        for j, y in brow:
+                            acc[j] += x * y
+                out.append(_fractions(acc, den))
+            prod = QMatrix(out, _trusted=True)
+            prod.cols = width
+            return prod
         if isinstance(other, (list, tuple)):
             return self.mul_vec(other)
         c = rat(other)
@@ -119,7 +149,12 @@ class QMatrix:
     def mul_vec(self, v):
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return [sum((x * y for x, y in zip(row, v)), ZERO) for row in self.a]
+        a, da = _int_rows(self.a)
+        (w,), dv = _int_rows([v])
+        nonzero = [(j, y) for j, y in enumerate(w) if y]
+        return _fractions(
+            [sum(row[j] * y for j, y in nonzero) for row in a], da * dv
+        )
 
     def power(self, k):
         if self.rows != self.cols:
@@ -155,10 +190,17 @@ class QMatrix:
         return self * other - other * self
 
     def kron(self, other):
+        a, da = _int_rows(self.a)
+        b, db = _int_rows(other.a)
+        den = da * db
+        zero_block = [0] * other.cols
         out = []
-        for r in self.a:
-            for s in other.a:
-                out.append([x * y for x in r for y in s])
+        for r in a:
+            for s in b:
+                ints = []
+                for x in r:
+                    ints.extend([x * y for y in s] if x else zero_block)
+                out.append(_fractions(ints, den))
         return QMatrix(out, _trusted=True)
 
     def hstack(self, other):
@@ -186,24 +228,6 @@ class QMatrix:
 # ---------------------------------------------------------------------------
 # fraction-free elimination
 # ---------------------------------------------------------------------------
-
-
-def _integerize_rows(m):
-    """Scale each row to integers (kernel and rank are row-scaling invariant)."""
-    rows = []
-    for row in m.a:
-        denom = 1
-        for x in row:
-            d = x.denominator
-            denom = denom * d // _gcd(denom, d)
-        rows.append([int(x * denom) for x in row])
-    return rows
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def bareiss_echelon(rows):
@@ -246,7 +270,8 @@ def bareiss_echelon(rows):
 def rank(m):
     if m.rows == 0 or m.cols == 0:
         return 0
-    _, pivots = bareiss_echelon(_integerize_rows(m))
+    # kernel and rank are invariant under scaling by the common denominator
+    _, pivots = bareiss_echelon(_int_rows(m.a)[0])
     return len(pivots)
 
 
@@ -261,7 +286,7 @@ def kernel(m):
         return [
             [ONE if i == j else ZERO for i in range(ncols)] for j in range(ncols)
         ]
-    rows, pivots = bareiss_echelon(_integerize_rows(m))
+    rows, pivots = bareiss_echelon(_int_rows(m.a)[0])
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -498,15 +523,6 @@ def is_squarefree(p):
     return len(g) == 1
 
 
-def squarefree_part(p):
-    g = upoly_gcd(p, upoly_derivative(p))
-    q, r = upoly_divmod(p, g)
-    assert not r
-    if q:
-        q = upoly_scale(q, ONE / q[-1])
-    return q
-
-
 def squarefree_decomposition(p):
     """Monic squarefree factors with multiplicities: p ~ prod f_i^(m_i)."""
     p = upoly_trim(list(p))
@@ -614,14 +630,8 @@ def rational_roots(p):
         roots.append((ZERO, z))
     if len(p) <= 1:
         return roots
-    denom = 1
-    for c in p:
-        d = c.denominator
-        denom = denom * d // _gcd(denom, d)
-    ip = [int(c * denom) for c in p]
-    g = 0
-    for c in ip:
-        g = _gcd(g, c)
+    (ip,), _ = _int_rows([p])
+    g = gcd(*ip)
     if g > 1:
         ip = [c // g for c in ip]
     candidates = []
@@ -708,26 +718,11 @@ def joint_invariant_decomposition(mats):
                 vecs = kernel(shifted.power(k))
                 sub = QMatrix.from_cols(vecs, rows=mb.rows)
                 refined.append((basis * sub, labels + [r]))
-            if len(remainder) > 1:
-                # split the irrational part along squarefree factors
-                work = remainder
-                while len(work) > 1:
-                    sf = squarefree_part(work)
-                    reduced = work
-                    factor_mult = 0
-                    while True:
-                        q, rr = upoly_divmod(reduced, sf)
-                        if rr:
-                            break
-                        reduced = q
-                        factor_mult += 1
-                    full = [ONE]
-                    for _ in range(factor_mult):
-                        full = upoly_mul(full, sf)
-                    vecs = kernel(_eval_poly_at_matrix(full, mb))
-                    sub = QMatrix.from_cols(vecs, rows=mb.rows)
-                    refined.append((basis * sub, labels + [tuple(sf)]))
-                    work = reduced
+            # split the irrational part along its squarefree factors
+            for sf, k in squarefree_decomposition(remainder):
+                vecs = kernel(_eval_poly_at_matrix(sf, mb).power(k))
+                sub = QMatrix.from_cols(vecs, rows=mb.rows)
+                refined.append((basis * sub, labels + [tuple(sf)]))
         blocks = refined
     # deterministic order: by labels as strings, then leave as-is
     blocks.sort(key=lambda t: [str(x) for x in t[1]])

@@ -8,19 +8,16 @@ exponents; all exponents must stay inside the 16-bit window.
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq
-except ImportError:  # pragma: no cover - gmpy2 is normally available
-    from fractions import Fraction as mpq
+from fractions import Fraction
 
 _SHIFT = 16
 _MASK = (1 << _SHIFT) - 1
 _LAURENT_OFFSET = 1 << 15
 
 
-def rat(*args) -> mpq:
+def rat(*args) -> Fraction:
     """Coerce ints, 'p/q' strings or rationals to the coefficient type."""
-    return mpq(*args)
+    return Fraction(*args)
 
 
 ZERO = rat(0)
@@ -168,9 +165,6 @@ class MultiPoly:
             d = sum(ei * wi for ei, wi in zip(e, ws))
             best = d if best is None else max(best, d)
         return best
-
-    def constant_term(self):
-        return self.terms.get(self.ring.origin, ZERO)
 
     def coeff(self, exps):
         return self.terms.get(self.ring.pack(exps), ZERO)

@@ -206,10 +206,6 @@ class PolyMatrix:
             _trusted=True,
         )
 
-    def entries_degree(self):
-        """Max total degree over entries (-1 when the matrix is zero)."""
-        return max((p.degree() for row in self.a for p in row), default=-1)
-
     def is_homogeneous(self):
         """Common total degree of all nonzero entries, or None."""
         degs = set()

@@ -95,9 +95,6 @@ class QPoly:
     def eval_at_one(self):
         return sum(self.coeffs.values())
 
-    def min_exp(self):
-        return min(self.coeffs) if self.coeffs else None
-
     def max_exp(self):
         return max(self.coeffs) if self.coeffs else None
 

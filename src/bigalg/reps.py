@@ -130,10 +130,6 @@ class Representation:
         return self.op(self.L.e_coords)
 
     @property
-    def rho_f(self):
-        return self.op(self.L.f_coords)
-
-    @property
     def rho_h(self):
         return self.op(self.L.h_coords)
 
@@ -145,10 +141,6 @@ class Representation:
             v[i] = ONE
             cols.append(v)
         return cols
-
-    def h_weight_of_basis(self, i):
-        rd = lie.RootData(self.L.n)
-        return rd.h_pairing(self.weights[i])
 
     # ---------- GL transport ----------
 

@@ -67,6 +67,22 @@ def test_cache_env_var(tmp_path):
     assert os.listdir(tmp_path)
 
 
+def test_cache_flag_wins_over_env_var(tmp_path):
+    flag_dir, env_dir = tmp_path / "flag", tmp_path / "env"
+    flag_dir.mkdir()
+    env_dir.mkdir()
+    env = dict(os.environ, BIGALG_CACHE=str(env_dir))
+    proc = subprocess.run(
+        CLI + ["rep", "--n", "2", "--mu", "2", "--cache", str(flag_dir)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert os.listdir(flag_dir)
+    assert not os.listdir(env_dir)
+
+
 def test_ops_listing():
     payload = json.loads(run("ops", "--n", "3", "--mu", "1,1", "--list").stdout)
     labels = {g["label"] for g in payload["generators"]}

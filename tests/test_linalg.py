@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bigalg.linalg import (
     Echelon,
@@ -185,3 +186,155 @@ def test_joint_decomposition_dims_and_invariance():
     for basis, _ in blocks:
         image = m * basis
         solve_columns(basis, image)  # raises if not invariant
+
+
+def test_joint_decomposition_unequal_irrational_multiplicities():
+    # chi = (t^2 - 2)^2 (t^2 - 3): the two irrational factors repeat unequally
+    m = QMatrix.zeros(6, 6)
+    for start, c in ((0, 2), (2, 2), (4, 3)):
+        m.a[start][start + 1] = rat(c)
+        m.a[start + 1][start] = rat(1)
+    blocks = joint_invariant_decomposition([m])
+    assert len(blocks) == 2
+    dims = {lab[0]: b.cols for b, lab in blocks}
+    assert dims == {(rat(-2), rat(0), rat(1)): 4, (rat(-3), rat(0), rat(1)): 2}
+    stacked = [row for b, _ in blocks for row in b.transpose().a]
+    assert plain_rank(stacked) == 6
+
+
+# ---------------------------------------------------------------------------
+# the integer product kernel against naive Fraction references
+# ---------------------------------------------------------------------------
+
+_entries = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+_dims = st.integers(0, 6)
+
+
+@st.composite
+def _matrices(draw, rows, cols):
+    """Rows of mixed ints and Fractions, some rows and columns all zero."""
+    a = [[draw(_entries) for _ in range(cols)] for _ in range(rows)]
+    zero_rows = draw(st.sets(st.integers(0, 5)))
+    zero_cols = draw(st.sets(st.integers(0, 5)))
+    return [
+        [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(a)
+    ]
+
+
+def _qm(a, cols):
+    return QMatrix(a) if a else QMatrix.zeros(0, cols)
+
+
+def _ref_mul(a, b, cols):
+    return [
+        [
+            sum((Fraction(x) * Fraction(b[t][j]) for t, x in enumerate(row)), Fraction(0))
+            for j in range(cols)
+        ]
+        for row in a
+    ]
+
+
+def _ref_det(a):
+    a = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for c in range(len(a)):
+        piv = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), _dims, _dims, _dims)
+def test_product_matches_reference(data, n, k, m):
+    a = data.draw(_matrices(n, k))
+    b = data.draw(_matrices(k, m))
+    prod = _qm(a, k) * _qm(b, m)
+    assert (prod.rows, prod.cols) == (n, m)
+    assert prod.a == _ref_mul(a, b, m)
+    assert _all_fractions(prod.a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), _dims, _dims)
+def test_mul_vec_matches_reference(data, n, k):
+    a = data.draw(_matrices(n, k))
+    v = data.draw(_matrices(1, k))[0]
+    out = _qm(a, k).mul_vec(v)
+    assert out == [row[0] for row in _ref_mul(a, [[x] for x in v], 1)]
+    assert _all_fractions([out])
+    assert _qm(a, k) * v == out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), _dims, _dims, _dims, _dims)
+def test_kron_matches_reference(data, n1, m1, n2, m2):
+    a = data.draw(_matrices(n1, m1))
+    b = data.draw(_matrices(n2, m2))
+    out = _qm(a, m1).kron(_qm(b, m2))
+    ref = [
+        [Fraction(x) * Fraction(y) for x in r for y in s] for r in a for s in b
+    ]
+    assert out.rows == n1 * n2
+    assert out.a == ref
+    assert _all_fractions(out.a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), _dims, st.integers(0, 4))
+def test_power_and_charpoly_match_reference(data, n, k):
+    a = data.draw(_matrices(n, n))
+    m = _qm(a, n)
+    ref = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(k):
+        ref = _ref_mul(ref, a, n)
+    p = m.power(k)
+    assert p.a == ref
+    assert _all_fractions(p.a)
+    chi = charpoly(m)
+    assert len(chi) == n + 1 and chi[-1] == 1
+    assert all(type(c) is Fraction for c in chi)
+    # a monic degree-n polynomial is fixed by its values at n points
+    for t in range(n):
+        shifted = [
+            [Fraction(t) * (i == j) - Fraction(x) for j, x in enumerate(row)]
+            for i, row in enumerate(a)
+        ]
+        assert upoly_eval(chi, Fraction(t)) == _ref_det(shifted)
+
+
+def test_product_shape_errors():
+    with pytest.raises(ValueError):
+        QMatrix.zeros(2, 3) * QMatrix.zeros(2, 3)
+    with pytest.raises(ValueError):
+        QMatrix.zeros(2, 3).mul_vec([1, 2])
+    with pytest.raises(ValueError):
+        QMatrix.zeros(2, 3) * [1, 2, 3, 4]
+    with pytest.raises(ValueError):
+        QMatrix.zeros(2, 3).power(2)
+    with pytest.raises(ValueError):
+        charpoly(QMatrix.zeros(2, 3))
+
+
+def test_empty_inner_dimension_gives_zero_matrix():
+    for n, m in ((3, 4), (0, 2), (2, 0)):
+        prod = QMatrix.zeros(n, 0) * QMatrix.zeros(0, m)
+        assert prod == QMatrix.zeros(n, m)
+        assert (prod.rows, prod.cols) == (n, m)
