@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .multipoly import MultiPoly, rat
 from .linalg import QMatrix
-from .polymatrix import PolyMatrix
+from .polymatrix import PolyMatrix, sum_of_products
 
 
 class KirillovElement:
@@ -127,13 +127,12 @@ def wei_D(elem):
     rep = elem.rep
     L = rep.L
     duals = _dual_rho(rep)
-    total = PolyMatrix.zeros(L.x_ring, rep.dim, rep.dim)
+    terms = []
     for i in range(L.dim):
         d = elem.mat.diff("x%d" % i)
-        if d.is_zero():
-            continue
-        total = total + d.mul_qmatrix_left(duals[i])
-    total = total * rat(1, 2)
+        if not d.is_zero():
+            terms.append((rat(1, 2), duals[i], d))
+    total = sum_of_products(L.x_ring, rep.dim, rep.dim, terms)
     deg = None if elem.degree is None else max(elem.degree - 1, 0)
     if total.is_zero():
         return KirillovElement(rep, total, None)
@@ -174,8 +173,7 @@ def equivariance_check(elem):
             if form.terms:
                 lhs = lhs + partials[j] * form
         rho_a = PolyMatrix.from_qmatrix(ring, rep.rho[a])
-        rhs = rho_a * elem.mat - elem.mat * rho_a
-        if lhs != rhs:
+        if lhs != rho_a.commutator(elem.mat):
             return False
     return True
 

@@ -159,18 +159,27 @@ class QMatrix:
     def power(self, k):
         if self.rows != self.cols:
             raise ValueError("power of non-square matrix")
-        out = QMatrix.identity(self.rows)
+        if not k:
+            return QMatrix.identity(self.rows)
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        out = base  # the lowest set bit of k, so no product with the identity
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 out = out * base
             k >>= 1
-            if k:
-                base = base * base
         return out
 
     def transpose(self):
-        return QMatrix([list(r) for r in zip(*self.a)], _trusted=True)
+        if not self.rows:
+            return QMatrix([[] for _ in range(self.cols)], _trusted=True)
+        t = QMatrix([list(r) for r in zip(*self.a)], _trusted=True)
+        t.cols = self.rows  # kept when cols == 0
+        return t
 
     def trace(self):
         return sum((self.a[i][i] for i in range(self.rows)), ZERO)
@@ -201,7 +210,9 @@ class QMatrix:
                 for x in r:
                     ints.extend([x * y for y in s] if x else zero_block)
                 out.append(_fractions(ints, den))
-        return QMatrix(out, _trusted=True)
+        prod = QMatrix(out, _trusted=True)
+        prod.cols = self.cols * other.cols  # kept when either has no rows
+        return prod
 
     def hstack(self, other):
         if self.rows != other.rows:

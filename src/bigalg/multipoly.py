@@ -87,7 +87,7 @@ class VarSet:
 
 
 def _check_same_ring(a, b):
-    if a.ring != b.ring:
+    if a.ring is not b.ring and a.ring != b.ring:
         raise ValueError("variable-set mismatch: %r vs %r" % (a.ring, b.ring))
 
 
@@ -314,7 +314,7 @@ class MultiPoly:
             img = mapping[nm]
             if not isinstance(img, MultiPoly):
                 img = MultiPoly.const(target_ring, img)
-            elif img.ring != target_ring:
+            elif img.ring is not target_ring and img.ring != target_ring:
                 raise ValueError("substitution image in wrong ring")
             images.append(img)
         powers = [{0: MultiPoly.const(target_ring, 1)} for _ in images]

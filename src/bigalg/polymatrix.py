@@ -1,9 +1,87 @@
-"""Matrices whose entries are exact multivariate polynomials."""
+"""Matrices whose entries are exact multivariate polynomials.
+
+Every product of matrices goes through ``sum_of_products``: operands become
+sparse integer rows over one common denominator, output entries accumulate
+Python ints, and each surviving term becomes one ``Fraction`` at the end.
+"""
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 from .multipoly import MultiPoly, rat
-from .linalg import QMatrix
+from .linalg import QMatrix, _int_rows
+
+
+def _sparse_int_rows(m, origin):
+    """m as rows of nonzero (k, {key: int}) pairs and one positive denominator."""
+    if isinstance(m, QMatrix):
+        ints, den = _int_rows(m.a)
+        return [[(k, {origin: v}) for k, v in enumerate(row) if v] for row in ints], den
+    den = lcm(*{c.denominator for row in m.a for p in row for c in p.terms.values()})
+    return [
+        [
+            (k, {key: c.numerator * (den // c.denominator) for key, c in p.terms.items()})
+            for k, p in enumerate(row)
+            if p.terms
+        ]
+        for row in m.a
+    ], den
+
+
+def sum_of_products(ring, rows, cols, terms):
+    """The rows x cols PolyMatrix sum of s * A * B over terms [(s, A, B)].
+
+    A and B are PolyMatrix or QMatrix; each PolyMatrix must be over ``ring``
+    and each product must have shape rows x cols.  Each operand is converted
+    once, even when it appears in several terms; zero entries are skipped on
+    both sides.
+    """
+    origin = ring.origin
+    converted = {}
+    plan = []
+    for s, a, b in terms:
+        for m in (a, b):
+            if isinstance(m, PolyMatrix) and m.ring is not ring and m.ring != ring:
+                raise ValueError("variable-set mismatch")
+        if a.cols != b.rows:
+            raise ValueError("shape mismatch in product")
+        if a.rows != rows or b.cols != cols:
+            raise ValueError("shape mismatch")
+        for m in (a, b):
+            if id(m) not in converted:
+                converted[id(m)] = _sparse_int_rows(m, origin)
+        (ra, da), (rb, db) = converted[id(a)], converted[id(b)]
+        s = rat(s)
+        plan.append((s.numerator, s.denominator * da * db, ra, rb))
+    den = lcm(*(d for _, d, _, _ in plan))
+    # the integer weight of each term over the common denominator den
+    plan = [(num * (den // d), ra, rb) for num, d, ra, rb in plan if num]
+
+    zero = MultiPoly.zero(ring)
+    out = []
+    for i in range(rows):
+        acc = [{} for _ in range(cols)]
+        for scale, ra, rb in plan:
+            for k, x in ra[i]:
+                for j, y in rb[k]:
+                    entry = acc[j]
+                    get = entry.get
+                    for k1, c1 in x.items():
+                        k0 = k1 - origin
+                        c1 *= scale
+                        for k2, c2 in y.items():
+                            key = k0 + k2
+                            entry[key] = get(key, 0) + c1 * c2
+        row = []
+        for entry in acc:
+            fracs = {key: Fraction(v, den) for key, v in entry.items() if v}
+            row.append(MultiPoly(ring, fracs, _trusted=True) if fracs else zero)
+        out.append(row)
+    prod = PolyMatrix(ring, out, _trusted=True)
+    prod.cols = cols  # kept when rows == 0
+    return prod
 
 
 class PolyMatrix:
@@ -25,7 +103,7 @@ class PolyMatrix:
             ]
         for row in self.a:
             for p in row:
-                if p.ring != ring:
+                if p.ring is not ring and p.ring != ring:
                     raise ValueError("entry in wrong ring")
         self.rows = len(self.a)
         self.cols = len(self.a[0]) if self.a else 0
@@ -35,7 +113,9 @@ class PolyMatrix:
     @classmethod
     def zeros(cls, ring, rows, cols):
         z = MultiPoly.zero(ring)
-        return cls(ring, [[z] * cols for _ in range(rows)], _trusted=True)
+        m = cls(ring, [[z] * cols for _ in range(rows)], _trusted=True)
+        m.cols = cols  # kept when rows == 0
+        return m
 
     @classmethod
     def identity(cls, ring, n, scale=1):
@@ -95,23 +175,7 @@ class PolyMatrix:
 
     def __mul__(self, other):
         if isinstance(other, PolyMatrix):
-            if self.ring != other.ring:
-                raise ValueError("variable-set mismatch")
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch in product")
-            bt = list(zip(*other.a))
-            zero = MultiPoly.zero(self.ring)
-            out = []
-            for row in self.a:
-                out_row = []
-                for col in bt:
-                    acc = zero
-                    for x, y in zip(row, col):
-                        if x.terms and y.terms:
-                            acc = acc + x * y
-                    out_row.append(acc)
-                out.append(out_row)
-            return PolyMatrix(self.ring, out, _trusted=True)
+            return sum_of_products(self.ring, self.rows, other.cols, [(1, self, other)])
         if isinstance(other, MultiPoly):
             return PolyMatrix(
                 self.ring, [[x * other for x in r] for r in self.a], _trusted=True
@@ -130,39 +194,17 @@ class PolyMatrix:
         """Constant-matrix times polynomial-matrix product."""
         if qm.cols != self.rows:
             raise ValueError("shape mismatch")
-        zero = MultiPoly.zero(self.ring)
-        out = []
-        for i in range(qm.rows):
-            out_row = []
-            for j in range(self.cols):
-                acc = zero
-                for k in range(self.rows):
-                    c = qm.a[i][k]
-                    if c and self.a[k][j].terms:
-                        acc = acc + self.a[k][j].scale(c)
-                out_row.append(acc)
-            out.append(out_row)
-        return PolyMatrix(self.ring, out, _trusted=True)
+        return sum_of_products(self.ring, qm.rows, self.cols, [(1, qm, self)])
 
     def mul_qmatrix_right(self, qm):
         if self.cols != qm.rows:
             raise ValueError("shape mismatch")
-        zero = MultiPoly.zero(self.ring)
-        out = []
-        for i in range(self.rows):
-            out_row = []
-            for j in range(qm.cols):
-                acc = zero
-                for k in range(self.cols):
-                    c = qm.a[k][j]
-                    if c and self.a[i][k].terms:
-                        acc = acc + self.a[i][k].scale(c)
-                out_row.append(acc)
-            out.append(out_row)
-        return PolyMatrix(self.ring, out, _trusted=True)
+        return sum_of_products(self.ring, self.rows, qm.cols, [(1, self, qm)])
 
     def commutator(self, other):
-        return self * other - other * self
+        return sum_of_products(
+            self.ring, self.rows, other.cols, [(1, self, other), (-1, other, self)]
+        )
 
     def __eq__(self, other):
         return (

@@ -1,7 +1,9 @@
 """The acceptance battery: every criterion runs at its stated tolerance.
 
-All checks are exact except the figure residual bound (1e-9).  Each test
-prints its own PASS/FAIL line so a full run reads as a checklist.
+All checks are exact except the figure residual bound (1e-9).  The battery
+runs once per module through ``run_all`` (criterion 12 writes its figures to
+a temporary directory of its own); each test checks its criterion's entry
+and prints its PASS/FAIL line so a full run reads as a checklist.
 """
 
 import pytest
@@ -10,12 +12,13 @@ from bigalg import acceptance
 
 
 @pytest.fixture(scope="module")
-def ws():
-    return acceptance.Workspace(seed=0)
+def battery():
+    return acceptance.run_all(seed=0, ws=acceptance.Workspace(seed=0))
 
 
-def _run(ws, crit):
-    result = crit(ws)
+def _result(battery, crit_id):
+    result = battery["results"][crit_id - 1]
+    assert result["id"] == crit_id
     print(
         "criterion %2d %-36s %s"
         % (result["id"], result["name"], "PASS" if result["pass"] else "FAIL")
@@ -23,71 +26,66 @@ def _run(ws, crit):
     return result
 
 
-def test_criterion_01_sl2_presentations(ws):
-    result = _run(ws, acceptance.criterion_1)
+def test_criterion_01_sl2_presentations(battery):
+    result = _result(battery, 1)
     assert result["pass"], result["details"]
 
 
-def test_criterion_02_sl3_standard(ws):
-    result = _run(ws, acceptance.criterion_2)
+def test_criterion_02_sl3_standard(battery):
+    result = _result(battery, 2)
     assert result["pass"], result["details"]
 
 
-def test_criterion_03_decuplet_ideal(ws):
-    result = _run(ws, acceptance.criterion_3)
+def test_criterion_03_decuplet_ideal(battery):
+    result = _result(battery, 3)
     assert result["pass"], result["details"]
 
 
-def test_criterion_04_octet_ideals(ws):
-    result = _run(ws, acceptance.criterion_4)
+def test_criterion_04_octet_ideals(battery):
+    result = _result(battery, 4)
     assert result["pass"], result["details"]
 
 
-def test_criterion_05_hilbert_series(ws):
-    result = _run(ws, acceptance.criterion_5)
+def test_criterion_05_hilbert_series(battery):
+    result = _result(battery, 5)
     assert result["pass"], result["details"]
 
 
-def test_criterion_06_brylinski_lusztig(ws):
-    result = _run(ws, acceptance.criterion_6)
+def test_criterion_06_brylinski_lusztig(battery):
+    result = _result(battery, 6)
     assert result["pass"], result["details"]
 
 
-def test_criterion_07_limit_agreement(ws):
-    result = _run(ws, acceptance.criterion_7)
+def test_criterion_07_limit_agreement(battery):
+    result = _result(battery, 7)
     assert result["pass"], result["details"]
 
 
-def test_criterion_08_multiplicity_algebras(ws):
-    result = _run(ws, acceptance.criterion_8)
+def test_criterion_08_multiplicity_algebras(battery):
+    result = _result(battery, 8)
     assert result["pass"], result["details"]
 
 
-def test_criterion_09_commutativity_evidence(ws):
-    result = _run(ws, acceptance.criterion_9)
+def test_criterion_09_commutativity_evidence(battery):
+    result = _result(battery, 9)
     assert result["pass"], result["details"]
 
 
-def test_criterion_10_principal_spectrum(ws):
-    result = _run(ws, acceptance.criterion_10)
+def test_criterion_10_principal_spectrum(battery):
+    result = _result(battery, 10)
     assert result["pass"], result["details"]
 
 
-def test_criterion_11_twining(ws):
-    result = _run(ws, acceptance.criterion_11)
+def test_criterion_11_twining(battery):
+    result = _result(battery, 11)
     assert result["pass"], result["details"]
 
 
-def test_criterion_12_figures(ws, tmp_path):
-    result = acceptance.criterion_12(ws, out_dir=str(tmp_path))
-    print(
-        "criterion %2d %-36s %s"
-        % (result["id"], result["name"], "PASS" if result["pass"] else "FAIL")
-    )
+def test_criterion_12_figures(battery):
+    result = _result(battery, 12)
     assert result["pass"], result["details"]
 
 
-def test_verify_all_summary(ws):
-    out = acceptance.run_all(seed=0, ws=ws)
-    assert out["all_pass"]
-    assert [r["id"] for r in out["results"]] == list(range(1, 13))
+def test_verify_all_summary(battery):
+    assert battery["all_pass"]
+    assert [r["id"] for r in battery["results"]] == list(range(1, 13))

@@ -338,3 +338,15 @@ def test_empty_inner_dimension_gives_zero_matrix():
         prod = QMatrix.zeros(n, 0) * QMatrix.zeros(0, m)
         assert prod == QMatrix.zeros(n, m)
         assert (prod.rows, prod.cols) == (n, m)
+
+
+def test_transpose_keeps_shape_of_empty_matrices():
+    for n, m in ((3, 0), (0, 3), (0, 0), (2, 3)):
+        t = QMatrix.zeros(n, m).transpose()
+        assert (t.rows, t.cols) == (m, n)
+
+
+def test_kron_keeps_shape_of_empty_factors():
+    for (n1, m1), (n2, m2) in (((2, 2), (0, 3)), ((0, 3), (2, 2)), ((2, 0), (3, 1))):
+        k = QMatrix.zeros(n1, m1).kron(QMatrix.zeros(n2, m2))
+        assert (k.rows, k.cols) == (n1 * n2, m1 * m2)
