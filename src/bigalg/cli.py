@@ -23,7 +23,7 @@ from .multiplicity import (
     lusztig_m,
     multiplicity_algebra,
 )
-from .reps import get_rep
+from .reps import DIM_BOUND, get_rep
 from .spectra import emit_skeleton_points, principal_restriction, principal_spectrum
 from .twining import (
     check_intertwiner,
@@ -35,10 +35,37 @@ from .twining import (
 
 
 def parse_weight(text, n):
-    parts = tuple(int(x) for x in text.split(","))
+    try:
+        parts = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError("weight coordinates must be integers, got %r" % text) from None
     if len(parts) != n - 1:
-        raise SystemExit("weight needs %d comma-separated coordinates" % (n - 1))
+        raise ValueError("weight needs %d comma-separated coordinates" % (n - 1))
+    if any(c < 0 for c in parts):
+        raise ValueError("weight must be dominant (no negative coordinate)")
     return parts
+
+
+def check_args(parser, args):
+    """Reject bad --n and weights before any work, as usage errors (exit 2)."""
+    if getattr(args, "n", None) is None:
+        return
+    if args.n < 2:
+        parser.error("--n must be at least 2")
+    for flag, dest in (("--mu", "mu"), ("--lambda", "lam")):
+        text = getattr(args, dest, None)
+        if text is None:
+            continue
+        try:
+            weight = parse_weight(text, args.n)
+        except ValueError as exc:
+            parser.error("%s: %s" % (flag, exc))
+        if dest == "mu" and args.builds_rep:
+            dim = lie.RootData(args.n).weyl_dim(weight)
+            if dim > DIM_BOUND:
+                parser.error(
+                    "--mu: module dimension %d exceeds the bound %d" % (dim, DIM_BOUND)
+                )
 
 
 def _config(args, extra=()):
@@ -319,7 +346,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mu=True, lam=False):
+    def common(p, mu=True, lam=False, builds_rep=True):
+        p.set_defaults(builds_rep=builds_rep)
         p.add_argument("--n", type=int, required=True, help="rank parameter of sl_n")
         if mu:
             p.add_argument("--mu", required=True, help="highest weight, e.g. 1,1")
@@ -359,7 +387,7 @@ def build_parser():
     p.set_defaults(func=cmd_brylinski)
 
     p = sub.add_parser("qanalogue", help="alternating Weyl sum of P_q")
-    common(p, lam=True)
+    common(p, lam=True, builds_rep=False)
     p.set_defaults(func=cmd_qanalogue)
 
     p = sub.add_parser("multalg", help="multiplicity algebra of a weight")
@@ -387,6 +415,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    check_args(parser, args)
     return args.func(args)
 
 

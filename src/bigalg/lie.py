@@ -65,20 +65,26 @@ class TypeA:
                 for i in range(self.dim)
             ]
         )
+        # Killing form sum_{k,l} structure[i][k][l] * structure[j][l][k] over
+        # ad_i's columns as sparse integer maps: ad[i][k] = {l: constant}
+        ad = []
+        for row in self.structure:
+            cols = []
+            for col in row:
+                assert all(c.denominator == 1 for c in col)
+                cols.append({l: c.numerator for l, c in enumerate(col) if c})
+            ad.append(cols)
         self.killing_form = QMatrix(
             [
                 [
                     sum(
-                        (
-                            self.structure[i][k][l] * self.structure[j][l][k]
-                            for k in range(self.dim)
-                            for l in range(self.dim)
-                        ),
-                        ZERO,
+                        c * ad_j[l].get(k, 0)
+                        for k, col in enumerate(ad_i)
+                        for l, c in col.items()
                     )
-                    for j in range(self.dim)
+                    for ad_j in ad
                 ]
-                for i in range(self.dim)
+                for ad_i in ad
             ]
         )
         self.killing_inv = invert(self.killing_form)

@@ -2,10 +2,11 @@
 
 Matrix entries are stored as ``Fraction``s, but products run on integer
 numerators over one common denominator per operand and skip zero entries.
-Row reduction for rank/kernel questions goes through fraction-free
-Bareiss elimination on the same integer rows; subspace bookkeeping uses a
-reduced echelon structure with smallest-index pivots so every derived
-basis is deterministic.
+Every elimination runs on the same integer rows and builds ``Fraction``s
+only for its results: rank and kernel go through Bareiss elimination,
+``rref``/``solve_columns``/``invert`` through fraction-free Gauss-Jordan,
+``Echelon`` keeps primitive integer rows with smallest-index pivots, and
+``charpoly`` runs Faddeev-LeVerrier on the integer matrix.
 """
 
 from __future__ import annotations
@@ -302,15 +303,24 @@ def kernel(m):
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free_cols:
-        v = [ZERO] * ncols
-        v[f] = ONE
+        # back-substitution on the integer vector w / den
+        w = [0] * ncols
+        w[f] = 1
+        den = 1
         for i in range(len(pivots) - 1, -1, -1):
             c = pivots[i]
             if c > f:
                 continue
-            s = sum((rat(rows[i][j]) * v[j] for j in range(c + 1, ncols) if v[j]), ZERO)
-            v[c] = -s / rows[i][c]
-        basis.append(v)
+            row = rows[i]
+            s = sum(row[j] * w[j] for j in range(c + 1, ncols) if w[j])
+            if s:
+                g = gcd(s, row[c])
+                q = row[c] // g
+                if q != 1:
+                    w = [x * q for x in w]
+                    den *= q
+                w[c] = -s // g
+        basis.append(_fractions(w, den))
     return basis
 
 
@@ -323,57 +333,92 @@ def joint_kernel(mats):
 
 
 # ---------------------------------------------------------------------------
-# reduced echelon bookkeeping over Q
+# fraction-free reduced echelon bookkeeping
 # ---------------------------------------------------------------------------
 
 
+def _pairs(row):
+    """The nonzero (j, value) pairs of a row."""
+    return [(j, x) for j, x in enumerate(row) if x]
+
+
+def _primitive(row, p):
+    """An integer row over its content, with a nonnegative entry at p."""
+    g = gcd(*row)
+    if row[p] < 0:
+        g = -g
+    return row if g in (0, 1) else [x // g for x in row]
+
+
+def _eliminate(row, c, prow, ppairs):
+    """An integer combination of row and prow that is zero at column c.
+
+    prow[c] must be nonzero and ppairs must be the nonzero pairs of prow;
+    the result is (d * row - row[c] * prow) / gcd(d, row[c]), d = prow[c].
+    """
+    d, f = prow[c], row[c]
+    g = gcd(d, f)
+    d //= g
+    f //= g
+    out = [x * d for x in row] if d != 1 else list(row)
+    for j, y in ppairs:
+        out[j] -= f * y
+    return out
+
+
 class Echelon:
-    """A growing reduced basis of a subspace, pivoting on smallest indices."""
+    """A growing basis of a subspace in fraction-free reduced echelon form.
+
+    Each pivot row is a primitive integer row, positive at its pivot (the
+    smallest index where it is nonzero) and zero at every other pivot.
+    """
 
     def __init__(self):
-        self.pivots = {}  # pivot index -> reduced row
-        self._order = []
+        self._rows = {}  # pivot index -> (row, nonzero pairs of row)
 
     @property
     def dim(self):
-        return len(self.pivots)
+        return len(self._rows)
 
-    def reduce(self, vec):
-        v = list(vec)
-        for p in self._order:
-            if v[p]:
-                c = v[p]
-                row = self.pivots[p]
-                for j in range(p, len(v)):
-                    if row[j]:
-                        v[j] -= c * row[j]
+    def _reduce(self, vec):
+        """An integer multiple of vec minus its projection on the span.
+
+        The result is zero at every pivot, and zero everywhere iff vec
+        lies in the span.
+        """
+        (v,), _ = _int_rows([vec])
+        rows = self._rows
+        hits = [p for p in rows if v[p]]
+        if not hits:
+            return v
+        scale = lcm(*(rows[p][0][p] for p in hits))
+        if scale != 1:
+            v = [x * scale for x in v]
+        # rows are zero at each other's pivots, so v[p] stays scale * vec[p]
+        for p in hits:
+            row, pairs = rows[p]
+            c = v[p] // row[p]
+            for j, y in pairs:
+                v[j] -= c * y
         return v
 
     def add(self, vec):
         """Insert a vector; True iff it enlarged the span."""
-        v = self.reduce(vec)
-        p = None
-        for i, x in enumerate(v):
-            if x:
-                p = i
-                break
+        v = self._reduce(vec)
+        p = next((j for j, x in enumerate(v) if x), None)
         if p is None:
             return False
-        inv = ONE / v[p]
-        v = [x * inv for x in v]
-        for q, row in self.pivots.items():
-            if row[p]:
-                c = row[p]
-                self.pivots[q] = [x - c * y for x, y in zip(row, v)]
-        self.pivots[p] = v
-        self._order = sorted(self.pivots)
+        v = _primitive(v, p)
+        pairs = _pairs(v)
+        rows = self._rows
+        for q in [q for q, (row, _) in rows.items() if row[p]]:
+            row = _primitive(_eliminate(rows[q][0], p, v, pairs), q)
+            rows[q] = (row, _pairs(row))
+        rows[p] = (v, pairs)
         return True
 
     def contains(self, vec):
-        return all(x == 0 for x in self.reduce(vec))
-
-    def basis(self):
-        return [self.pivots[p] for p in self._order]
+        return not any(self._reduce(vec))
 
 
 def same_span(vecs_a, vecs_b):
@@ -388,41 +433,51 @@ def same_span(vecs_a, vecs_b):
     return all(ea.contains(v) for v in vecs_b)
 
 
-def rref(m):
-    """Reduced row echelon over Q; returns (QMatrix, pivot columns)."""
-    a = [row[:] for row in m.a]
-    nrows, ncols = m.rows, m.cols
+def _gauss_jordan(rows):
+    """Fraction-free Gauss-Jordan elimination of integer rows.
+
+    Returns (rows, pivot columns): row i < len(pivots) is primitive, positive
+    at pivots[i] and zero at every other pivot, so dividing it by that entry
+    gives row i of the reduced row echelon form; the remaining rows are zero.
+    """
+    a = [list(r) for r in rows]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
     pivots = []
     r = 0
     for c in range(ncols):
         if r >= nrows:
             break
-        pr = None
-        for i in range(r, nrows):
-            if a[i][c]:
-                pr = i
-                break
+        pr = next((i for i in range(r, nrows) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = ONE / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        prow = a[r] = _primitive(a[r], c)
+        ppairs = _pairs(prow)
         for i in range(nrows):
             if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = _primitive(_eliminate(a[i], c, prow, ppairs), c)
         pivots.append(c)
         r += 1
-    return QMatrix(a, _trusted=True), pivots
+    return a, pivots
+
+
+def rref(m):
+    """Reduced row echelon over Q; returns (QMatrix, pivot columns)."""
+    a, pivots = _gauss_jordan(_int_rows(m.a)[0])
+    out = [_fractions(row, row[p]) for row, p in zip(a, pivots)]
+    out.extend([ZERO] * m.cols for _ in range(len(pivots), m.rows))
+    return QMatrix(out, _trusted=True), pivots
 
 
 def invert(m):
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")
-    red, pivots = rref(m.hstack(QMatrix.identity(m.rows)))
-    if pivots[: m.rows] != list(range(m.rows)):
+    n = m.rows
+    a, pivots = _gauss_jordan(_int_rows(m.hstack(QMatrix.identity(n)).a)[0])
+    if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
-    return QMatrix([row[m.rows:] for row in red.a], _trusted=True)
+    return QMatrix([_fractions(row[n:], row[p]) for row, p in zip(a, pivots)], _trusted=True)
 
 
 def solve_columns(basis, target):
@@ -430,15 +485,14 @@ def solve_columns(basis, target):
 
     Raises ValueError when some target column leaves the span.
     """
-    red, pivots = rref(basis.hstack(target))
-    if len(pivots) > basis.cols or any(p >= basis.cols for p in pivots):
+    k = basis.cols
+    a, pivots = _gauss_jordan(_int_rows(basis.hstack(target).a)[0])
+    if len(pivots) > k or any(p >= k for p in pivots):
         raise ValueError("target not in span of basis")
-    if len(pivots) < basis.cols:
+    if len(pivots) < k:
         raise ValueError("basis columns are dependent")
-    x = QMatrix.zeros(basis.cols, target.cols)
-    for i, p in enumerate(pivots):
-        for j in range(target.cols):
-            x.a[p][j] = red.a[i][basis.cols + j]
+    x = QMatrix([_fractions(row[k:], row[p]) for row, p in zip(a, pivots)], _trusted=True)
+    x.cols = target.cols  # kept when basis has no columns
     if basis * x != target:
         raise ValueError("inconsistent solve")
     return x
@@ -452,20 +506,31 @@ def solve_columns(basis, target):
 def charpoly(m):
     """Monic characteristic polynomial, coefficients low to high.
 
-    Faddeev-LeVerrier recursion; all divisions are by integers, hence exact.
+    Faddeev-LeVerrier recursion on the integer matrix a = d * m, whose
+    coefficients e_k are integers; coefficient n - k of m's is e_k / d^k.
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of non-square matrix")
     n = m.rows
+    a, d = _int_rows(m.a)
+    sparse_a = [_pairs(row) for row in a]
     coeffs = [ZERO] * n + [ONE]  # index k holds coefficient of lambda^k
-    mk = QMatrix.identity(n)
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    scale = 1
     for k in range(1, n + 1):
-        mk = m * mk
-        c = -mk.trace() / k
-        coeffs[n - k] = c
-        if k < n:
-            for i in range(n):
-                mk.a[i][i] = mk.a[i][i] + c
+        prod = []
+        for arow in sparse_a:
+            acc = [0] * n
+            for t, x in arow:
+                acc = [u + x * y for u, y in zip(acc, mk[t])]
+            prod.append(acc)
+        e, rem = divmod(-sum(prod[i][i] for i in range(n)), k)
+        assert not rem, "Faddeev-LeVerrier division is not exact"
+        scale *= d
+        coeffs[n - k] = Fraction(e, scale) if e else ZERO
+        for i in range(n):
+            prod[i][i] += e
+        mk = prod
     return coeffs
 
 

@@ -24,6 +24,7 @@ from .linalg import (
 from . import lie
 
 CACHE_VERSION = 1
+DIM_BOUND = 400  # largest module dimension built by default
 
 
 def subsets(n, k):
@@ -231,7 +232,7 @@ def _tensor_scaffold(L, mu):
     return factors, tensor_mats, weights
 
 
-def build_irrep(L, mu, dim_bound=400):
+def build_irrep(L, mu, dim_bound=DIM_BOUND):
     """Construct the irreducible module with highest weight mu."""
     n = L.n
     mu = tuple(mu)
@@ -406,7 +407,7 @@ def load_rep(L, mu, cache_dir):
     return Representation(L, mu, obj["dim"], rho, weights, words, basis, factors)
 
 
-def get_rep(L, mu, cache_dir=None, dim_bound=400):
+def get_rep(L, mu, cache_dir=None, dim_bound=DIM_BOUND):
     if cache_dir:
         rep = load_rep(L, mu, cache_dir)
         if rep is not None:

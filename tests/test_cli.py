@@ -44,6 +44,38 @@ def test_bad_arguments_exit_two():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rep", "--n", "1", "--mu", "1"], "--n must be at least 2"),
+        (["rep", "--n", "3", "--mu", "1.5,0"], "--mu: weight coordinates must be integers"),
+        (
+            ["qanalogue", "--n", "3", "--mu", "1,1", "--lambda", "0,0.5"],
+            "--lambda: weight coordinates must be integers",
+        ),
+        (["rep", "--n", "3", "--mu", "9,9"], "dimension 1000 exceeds the bound 400"),
+        (["rep", "--n", "3", "--mu", "1"], "needs 2 comma-separated coordinates"),
+        (["rep", "--n", "3", "--mu=-1,0"], "--mu: weight must be dominant"),
+    ],
+    ids=["n_below_2", "fractional_mu", "fractional_lambda", "over_bound",
+         "wrong_arity", "negative_mu"],
+)
+def test_bad_input_is_a_usage_error(argv, message):
+    proc = run(*argv, check=False)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("bigalg: error: ") and message in last
+    assert proc.stdout == ""
+
+
+def test_dimension_bound_spares_commands_without_a_module():
+    payload = json.loads(
+        run("qanalogue", "--n", "3", "--mu", "9,9", "--lambda", "0,0").stdout
+    )
+    assert payload["m"]
+
+
 def test_rep_cache_round_trip(tmp_path):
     out = run("rep", "--n", "2", "--mu", "4", "--cache", str(tmp_path))
     first = json.loads(out.stdout)

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bigalg.linalg as linalg
 from bigalg.linalg import (
     Echelon,
     QMatrix,
     charpoly,
+    invert,
     is_squarefree,
     joint_invariant_decomposition,
     kernel,
@@ -24,10 +27,14 @@ from bigalg.linalg import (
 from bigalg.multipoly import rat
 
 
-def plain_rank(rows):
-    """Independent oracle: textbook Gaussian elimination over Fractions."""
+def ref_rref(rows):
+    """Independent oracle: textbook Gauss-Jordan over Fractions.
+
+    Returns (reduced rows, pivot columns).
+    """
     a = [[Fraction(int(x.numerator), int(x.denominator)) for x in row] for row in rows]
     r = 0
+    pivots = []
     for c in range(len(a[0]) if a else 0):
         piv = next((i for i in range(r, len(a)) if a[i][c]), None)
         if piv is None:
@@ -38,8 +45,13 @@ def plain_rank(rows):
             if i != r and a[i][c]:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
         r += 1
-    return r
+    return a, pivots
+
+
+def plain_rank(rows):
+    return len(ref_rref(rows)[1])
 
 
 def test_kernel_identity_and_zero():
@@ -350,3 +362,142 @@ def test_kron_keeps_shape_of_empty_factors():
     for (n1, m1), (n2, m2) in (((2, 2), (0, 3)), ((0, 3), (2, 2)), ((2, 0), (3, 1))):
         k = QMatrix.zeros(n1, m1).kron(QMatrix.zeros(n2, m2))
         assert (k.rows, k.cols) == (n1 * n2, m1 * m2)
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination against Fraction oracles
+# ---------------------------------------------------------------------------
+
+
+def _is_reduced_primitive(rows, pivots):
+    """Each row primitive, positive at its pivot, zero at the other pivots
+    and before its pivot."""
+    for row, p in zip(rows, pivots):
+        if gcd(*row) != 1 or row[p] <= 0 or any(row[:p]):
+            return False
+        if any(row[q] for q in pivots if q != p):
+            return False
+    return True
+
+
+def _combination(data, vecs, k):
+    coeffs = [data.draw(_entries) for _ in vecs]
+    return [sum((Fraction(c) * Fraction(v[j]) for c, v in zip(coeffs, vecs)), Fraction(0))
+            for j in range(k)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), _dims, _dims)
+def test_echelon_matches_rank_oracle(data, n, k):
+    vecs = data.draw(_matrices(n, k))
+    ech = Echelon()
+    for i, v in enumerate(vecs):
+        grew = ech.add(v)
+        assert grew == (plain_rank(vecs[: i + 1]) > plain_rank(vecs[:i]))
+        assert ech.dim == plain_rank(vecs[: i + 1])
+    stored = sorted(ech._rows.items())
+    assert _is_reduced_primitive([row for _, (row, _) in stored], [p for p, _ in stored])
+    assert all(pairs == [(j, x) for j, x in enumerate(row) if x] for _, (row, pairs) in stored)
+    probes = data.draw(_matrices(2, k)) + [_combination(data, vecs, k)]
+    for v in probes:
+        assert ech.contains(v) == (plain_rank(vecs + [v]) == plain_rank(vecs))
+    assert ech.contains(probes[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), _dims, _dims)
+def test_rref_matches_reference(data, n, k):
+    a = data.draw(_matrices(n, k))
+    red, pivots = rref(_qm(a, k))
+    ref, ref_pivots = ref_rref(a)
+    assert pivots == ref_pivots
+    assert red.a == ref
+    assert _all_fractions(red.a)
+    rows, pivots = linalg._gauss_jordan(linalg._int_rows(a)[0])
+    assert _is_reduced_primitive(rows, pivots)
+    assert not any(x for row in rows[len(pivots):] for x in row)
+
+
+@st.composite
+def _invertible(draw, n):
+    """L * U with L unit lower and U upper triangular, nonzero diagonal."""
+    nonzero = _entries.filter(bool)
+    lower = [[draw(_entries) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[draw(nonzero) if i == j else draw(_entries) if j > i else 0
+              for j in range(n)] for i in range(n)]
+    return _ref_mul(lower, upper, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(0, 5), st.integers(0, 3), st.integers(0, 3))
+def test_solve_columns_round_trip(data, k, extra, t):
+    square = data.draw(_invertible(k))
+    rows = square + data.draw(_matrices(extra, k))
+    order = data.draw(st.permutations(range(k + extra)))
+    basis = [rows[i] for i in order]
+    n = k + extra
+    m = _qm(basis, k)
+    x = data.draw(_matrices(k, t))
+    target = _ref_mul(basis, x, t)
+    sol = solve_columns(m, _qm(target, t))
+    assert (sol.rows, sol.cols) == (k, t)
+    assert sol.a == [[Fraction(v) for v in row] for row in x]
+    assert _all_fractions(sol.a)
+    cols = [[row[j] for row in basis] for j in range(k)]
+    for i in range(n):
+        unit = [Fraction(int(r == i)) for r in range(n)]
+        in_span = plain_rank(cols + [unit]) == k
+        if in_span:
+            solve_columns(m, _qm([[u] for u in unit], 1))
+        else:
+            with pytest.raises(ValueError):
+                solve_columns(m, _qm([[u] for u in unit], 1))
+    if k:
+        doubled = _qm([row + [row[0]] for row in basis], k + 1)
+        with pytest.raises(ValueError):
+            solve_columns(doubled, _qm(target, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(0, 6))
+def test_invert_matches_reference(data, n):
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    a = data.draw(_invertible(n))
+    inv = invert(_qm(a, n))
+    assert _ref_mul(inv.a, a, n) == ident
+    assert _ref_mul(a, inv.a, n) == ident
+    assert _all_fractions(inv.a)
+    b = data.draw(_matrices(n, n))
+    if plain_rank(b) < n:
+        with pytest.raises(ValueError):
+            invert(_qm(b, n))
+    else:
+        assert _ref_mul(invert(_qm(b, n)).a, b, n) == ident
+
+
+def test_invert_rejects_singular_and_non_square():
+    with pytest.raises(ValueError):
+        invert(QMatrix([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError):
+        invert(QMatrix.zeros(2, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), _dims, _dims)
+def test_kernel_matches_rank_oracle(data, n, k):
+    a = data.draw(_matrices(n, k))
+    vecs = kernel(_qm(a, k))
+    assert len(vecs) == k - plain_rank(a)
+    for v in vecs:
+        assert all(row == [0] for row in _ref_mul(a, [[x] for x in v], 1))
+    assert _all_fractions(vecs)
+    # one vector per free column f: 1 at f, 0 at the other free columns
+    red, pivots = ref_rref(a)
+    free = [f for f in range(k) if f not in pivots]
+    ref = []
+    for f in free:
+        v = [Fraction(int(j == f)) for j in range(k)]
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        ref.append(v)
+    assert vecs == ref
