@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from operator import mul
 
 from .multipoly import MultiPoly, VarSet, rat, ZERO, ONE
 from .linalg import (
     Echelon,
     QMatrix,
     charpoly,
+    closure,
+    flatten,
     is_squarefree,
     kernel,
 )
@@ -234,10 +237,6 @@ def closed_numerator(L, mu):
     return geometric_quotient(numer, denom)
 
 
-def _flatten(mat):
-    return [x for row in mat.a for x in row]
-
-
 def _ad_grade(rep, mat):
     """Grade of a fiber operator from its ad-weight; None for mixed weights."""
     rd = lie.RootData(rep.L.n)
@@ -255,12 +254,9 @@ def _ad_grade(rep, mat):
     return grades.pop() if len(grades) == 1 else None
 
 
-def _monomial_values(ops0, max_degree, dim):
+def _monomial_values(mats, degrees, max_degree, dim):
     """Values of all generator monomials, grouped by weighted degree."""
-    degrees = ops0["degrees"]
-    mats = ops0["mats"]
-    cache = {(0,) * len(mats): QMatrix.identity(dim)}
-    by_degree = {0: [((0,) * len(mats), cache[(0,) * len(mats)])]}
+    by_degree = {0: [((0,) * len(mats), QMatrix.identity(dim))]}
     for d in range(1, max_degree + 1):
         entries = []
         seen = set()
@@ -275,9 +271,7 @@ def _monomial_values(ops0, max_degree, dim):
                 if new in seen:
                     continue
                 seen.add(new)
-                nv = val * mats[gi]
-                cache[new] = nv
-                entries.append((new, nv))
+                entries.append((new, val * mats[gi]))
         by_degree[d] = entries
     return by_degree
 
@@ -303,15 +297,13 @@ def hilbert_series(rep, gens, max_extra=1):
         if g != op.degree:
             raise ValueError("fiber value of %s has unexpected grade" % op.label)
 
-    by_degree = _monomial_values(
-        {"mats": mats, "degrees": degrees}, dmax + max_extra, rep.dim
-    )
+    by_degree = _monomial_values(mats, degrees, dmax + max_extra, rep.dim)
     fiber_dims = []
     for d in range(dmax + max_extra + 1):
         ech = Echelon()
         for _, val in by_degree.get(d, []):
             if not val.is_zero():
-                ech.add(_flatten(val))
+                ech.add(flatten(val))
         fiber_dims.append(ech.dim)
 
     closed_dims = [closed.coeffs.get(d, 0) for d in range(dmax + 1)]
@@ -348,25 +340,47 @@ class RelationRing:
         self.weight_vec = [self.weights[nm] for nm in self.ring.names]
 
     def monomials_of_degree(self, d):
-        """Exponent tuples of weighted degree d, deterministic order."""
-        out = []
-        nvars = len(self.ring.names)
-
-        def rec(i, remaining, acc):
-            if i == nvars:
-                if remaining == 0:
-                    out.append(tuple(acc))
-                return
-            w = self.weight_vec[i]
-            top = remaining // w if w else 0
-            for e in range(top, -1, -1):
-                rec(i + 1, remaining - e * w, acc + [e])
-
-        rec(0, d, [])
-        return out
+        return weighted_monomials(self.weight_vec, d)
 
     def monomial_poly(self, exps, coeff=1):
         return MultiPoly.monomial(self.ring, exps, coeff)
+
+
+def weighted_monomials(weight_vec, d):
+    """Exponent tuples of weighted degree d, deterministic order."""
+    out = []
+    nvars = len(weight_vec)
+
+    def rec(i, remaining, acc):
+        if i == nvars:
+            if remaining == 0:
+                out.append(tuple(acc))
+            return
+        w = weight_vec[i]
+        top = remaining // w if w else 0
+        for e in range(top, -1, -1):
+            rec(i + 1, remaining - e * w, acc + [e])
+
+    rec(0, d, [])
+    return out
+
+
+def ideal_span(relations, ring, weight_vec, d):
+    """Echelon of all monomial * relation products of weighted degree d.
+
+    Vectors are coefficients over weighted_monomials(weight_vec, d), in that
+    order; a relation of degree above d contributes nothing.
+    """
+    weights = dict(zip(ring.names, weight_vec))
+    index = {m: i for i, m in enumerate(weighted_monomials(weight_vec, d))}
+    ech = Echelon()
+    for rel in relations:
+        for mult in weighted_monomials(weight_vec, d - rel.weighted_degree(weights)):
+            vec = [ZERO] * len(index)
+            for key, c in (rel * MultiPoly.monomial(ring, mult)).terms.items():
+                vec[index[ring.unpack(key)]] = c
+            ech.add(vec)
+    return ech
 
 
 def _evaluate_monomial(names, exps, gen_mats, c_polys, cache):
@@ -450,16 +464,7 @@ def derive_relations(rep, gens, max_degree):
         ]
 
         # span of lower-degree relations times complementary monomials
-        mono_index = {m: i for i, m in enumerate(monos)}
-        old_span = Echelon()
-        for rel, rel_deg in relations:
-            for mult in rr.monomials_of_degree(d - rel_deg):
-                prod = rel * rr.monomial_poly(mult)
-                vec = [ZERO] * len(monos)
-                for key, c in prod.terms.items():
-                    vec[mono_index[rr.ring.unpack(key)]] = c
-                old_span.add(vec)
-
+        old_span = ideal_span(relations, rr.ring, rr.weight_vec, d)
         new_here = []
         for v in kern:
             if old_span.add(v):
@@ -467,8 +472,8 @@ def derive_relations(rep, gens, max_degree):
                 for c, m in zip(v, monos):
                     if c:
                         poly = poly + rr.monomial_poly(m, c)
-                relations.append((poly, d))
                 new_here.append(poly)
+        relations += new_here
         info.append(
             {
                 "degree": d,
@@ -478,14 +483,13 @@ def derive_relations(rep, gens, max_degree):
                 "new_relations": len(new_here),
             }
         )
-    return [r for r, _ in relations], info
+    return relations, info
 
 
 def ideal_graded_dims(rep, gens, relations, max_degree):
     """Dimensions of the span {monomial * relation} per weighted degree."""
     L = rep.L
     rr = RelationRing(gens, L.n)
-    weights = rr.weights
     rels = []
     for rel in relations:
         if rel.ring != rr.ring:
@@ -494,23 +498,11 @@ def ideal_graded_dims(rep, gens, relations, max_degree):
                 nm: MultiPoly.variable(rr.ring, nm) for nm in rel.ring.names
             }
             rel = rel.subs(rr.ring, mapping)
-        rels.append((rel, rel.weighted_degree(weights)))
-    dims = {}
-    for d in range(1, max_degree + 1):
-        monos = rr.monomials_of_degree(d)
-        mono_index = {m: i for i, m in enumerate(monos)}
-        ech = Echelon()
-        for rel, rel_deg in rels:
-            if rel_deg > d:
-                continue
-            for mult in rr.monomials_of_degree(d - rel_deg):
-                prod = rel * rr.monomial_poly(mult)
-                vec = [ZERO] * len(monos)
-                for key, c in prod.terms.items():
-                    vec[mono_index[rr.ring.unpack(key)]] = c
-                ech.add(vec)
-        dims[d] = ech.dim
-    return dims
+        rels.append(rel)
+    return {
+        d: ideal_span(rels, rr.ring, rr.weight_vec, d).dim
+        for d in range(1, max_degree + 1)
+    }
 
 
 def kernel_dims(rep, gens, max_degree):
@@ -560,36 +552,8 @@ def random_c_point(rng, n):
     return [rng.choice(pool) for _ in range(n - 1)]
 
 
-def _algebra_span_at_point(mats, dim):
-    """Span of the unital algebra generated by commuting matrices."""
-    ech = Echelon()
-    basis = [QMatrix.identity(dim)]
-    ech.add(_flatten(basis[0]))
-    frontier = list(basis)
-    while frontier:
-        new_frontier = []
-        for b in frontier:
-            for g in mats:
-                cand = b * g
-                if ech.add(_flatten(cand)):
-                    new_frontier.append(cand)
-        frontier = new_frontier
-    return ech
-
-
-def _orbit_span(mats, vec):
-    ech = Echelon()
-    ech.add(vec)
-    frontier = [vec]
-    while frontier:
-        new_frontier = []
-        for v in frontier:
-            for g in mats:
-                cand = g.mul_vec(v)
-                if ech.add(cand):
-                    new_frontier.append(cand)
-        frontier = new_frontier
-    return ech
+def _image(v, g):
+    return g.mul_vec(v)
 
 
 def freeness_and_rank_check(rep, gens, seed=0, npoints=3):
@@ -601,9 +565,9 @@ def freeness_and_rank_check(rep, gens, seed=0, npoints=3):
     for _ in range(npoints):
         cvals = random_c_point(rng, n)
         mats = [op.evaluate(cvals) for op in gens]
-        span = _algebra_span_at_point(mats, rep.dim)
+        span, _ = closure([QMatrix.identity(rep.dim)], mats, mul)
         vec = [rat(rng.choice(pool)) for _ in range(rep.dim)]
-        orbit = _orbit_span(mats, vec)
+        orbit, _ = closure([vec], mats, _image)
         combo = QMatrix.zeros(rep.dim, rep.dim)
         for m in mats:
             combo = combo + m * rng.choice(pool)
@@ -619,7 +583,7 @@ def freeness_and_rank_check(rep, gens, seed=0, npoints=3):
     zeros = [0] * (n - 1)
     mats0 = [op.evaluate(zeros) for op in gens]
     vec = [rat(rng.choice(pool)) for _ in range(rep.dim)]
-    report["fiber_cyclic"] = _orbit_span(mats0, vec).dim == rep.dim
+    report["fiber_cyclic"] = closure([vec], mats0, _image)[0].dim == rep.dim
     combo0 = QMatrix.zeros(rep.dim, rep.dim)
     for m in mats0:
         combo0 = combo0 + m * rng.choice(pool)

@@ -18,6 +18,7 @@ from .bigalgebra import (
 )
 from .multipoly import MultiPoly, rat
 from .multiplicity import (
+    PARTITION_N_BOUND,
     algebra_structure_table,
     brylinski_filtration,
     lusztig_m,
@@ -46,12 +47,18 @@ def parse_weight(text, n):
     return parts
 
 
+class UsageError(Exception):
+    """Bad input that only a built module reveals; reported like bad flags."""
+
+
 def check_args(parser, args):
     """Reject bad --n and weights before any work, as usage errors (exit 2)."""
     if getattr(args, "n", None) is None:
         return
     if args.n < 2:
         parser.error("--n must be at least 2")
+    if args.command == "qanalogue" and args.n > PARTITION_N_BOUND:
+        parser.error("--n: qanalogue needs n <= %d" % PARTITION_N_BOUND)
     for flag, dest in (("--mu", "mu"), ("--lambda", "lam")):
         text = getattr(args, dest, None)
         if text is None:
@@ -93,6 +100,14 @@ def _load(args):
     mu = parse_weight(args.mu, args.n)
     rep = get_rep(L, mu, cache_dir=_cache_dir(args))
     return L, mu, rep
+
+
+def _module_weight(args, rep):
+    """The --lambda weight, which must be a weight of the module."""
+    lam = parse_weight(args.lam, args.n)
+    if lam not in rep.weight_table:
+        raise UsageError("--lambda: %s is not a weight of the module" % args.lam)
+    return lam
 
 
 def cmd_rep(args):
@@ -199,7 +214,7 @@ def cmd_relations(args):
 
 def cmd_brylinski(args):
     _, mu, rep = _load(args)
-    lam = parse_weight(args.lam, args.n)
+    lam = _module_weight(args, rep)
     filt = brylinski_filtration(rep, lam, torus=args.torus)
     rd = lie.RootData(args.n)
     m = lusztig_m(rd, mu, lam)
@@ -226,7 +241,7 @@ def cmd_qanalogue(args):
 
 def cmd_multalg(args):
     _, mu, rep = _load(args)
-    lam = parse_weight(args.lam, args.n)
+    lam = _module_weight(args, rep)
     gens = BigGenerators(rep)
     ma = multiplicity_algebra(rep, gens.ops, lam)
     # structure constants on the graded operator basis
@@ -416,7 +431,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     check_args(parser, args)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

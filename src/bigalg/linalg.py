@@ -6,7 +6,8 @@ Every elimination runs on the same integer rows and builds ``Fraction``s
 only for its results: rank and kernel go through Bareiss elimination,
 ``rref``/``solve_columns``/``invert`` through fraction-free Gauss-Jordan,
 ``Echelon`` keeps primitive integer rows with smallest-index pivots, and
-``charpoly`` runs Faddeev-LeVerrier on the integer matrix.
+``charpoly`` runs Faddeev-LeVerrier on the integer matrix.  ``closure``
+grows an ``Echelon`` into the span of seeds under a set of generators.
 """
 
 from __future__ import annotations
@@ -419,6 +420,35 @@ class Echelon:
 
     def contains(self, vec):
         return not any(self._reduce(vec))
+
+
+def flatten(m):
+    """The entries of a QMatrix as one row-major list."""
+    return [x for row in m.a for x in row]
+
+
+def closure(seeds, gens, act):
+    """The span of the seeds under repeated act(element, generator).
+
+    Returns (echelon, elements).  The elements are the seeds that enlarged
+    the span, then the products that did, found breadth first: frontier by
+    frontier, generators in the given order.  They are independent and span
+    the closure.  A QMatrix element enters the Echelon flattened row-major,
+    a list as it is.
+    """
+    ech = Echelon()
+    elements = []
+    frontier = seeds
+    while True:
+        grown = [
+            x for x in frontier
+            if ech.add(flatten(x) if isinstance(x, QMatrix) else x)
+        ]
+        if not grown:
+            return ech, elements
+        elements += grown
+        # lazy, so only the products that enlarge the span stay alive
+        frontier = (act(x, g) for x in grown for g in gens)
 
 
 def same_span(vecs_a, vecs_b):

@@ -9,12 +9,16 @@ alternating Weyl sum over the q-counted partition function on the other.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .multipoly import MultiPoly, VarSet, rat, ZERO, ONE
 from .linalg import (
     Echelon,
     QMatrix,
+    closure,
+    flatten,
     kernel,
+    restrict_to_block,
     same_span,
     solve_columns,
 )
@@ -26,6 +30,9 @@ from . import lie
 # q-analogue of the partition function and the alternating Weyl sum
 # ---------------------------------------------------------------------------
 
+# the largest n for which qkostant_partition runs
+PARTITION_N_BOUND = 5
+
 
 def qkostant_partition(rd, pi):
     """P_q(pi): multisets of positive roots summing to pi, q-counted by size.
@@ -33,8 +40,8 @@ def qkostant_partition(rd, pi):
     pi is a weight in fundamental coordinates; the value is zero unless pi
     is a nonnegative integer combination of simple roots.
     """
-    if rd.n > 5:
-        raise ValueError("partition-function guard: n <= 5")
+    if rd.n > PARTITION_N_BOUND:
+        raise ValueError("partition-function guard: n <= %d" % PARTITION_N_BOUND)
     target = rd.root_coords(pi)
     if target is None:
         return QPoly()
@@ -268,11 +275,6 @@ def generators_at_e(rep, gens):
     return [u * op.evaluate(zeros) * u for op in gens]
 
 
-def restrict_operator(op_mat, basis):
-    """Matrix of an invariant operator on the span of the basis columns."""
-    return solve_columns(basis, op_mat * basis)
-
-
 def multiplicity_algebra(rep, gens, lam):
     """The restriction of the zero-fiber algebra to the e-limit of a weight
     space, together with its grading and cross-checks."""
@@ -284,7 +286,7 @@ def multiplicity_algebra(rep, gens, lam):
     restricted = []
     for op, mat in zip(gens, ops_e):
         try:
-            restricted.append((op.label, restrict_operator(mat, limit)))
+            restricted.append((op.label, restrict_to_block(mat, limit)))
         except ValueError:
             raise RuntimeError(
                 "limit space is not invariant under %s (bug)" % op.label
@@ -309,19 +311,9 @@ def multiplicity_algebra(rep, gens, lam):
     hilbert = QPoly({shift - g: d for g, d in graded.items()})
 
     # algebra span of the restricted operators
-    span = Echelon()
-    dimq = limit.cols
-    basis_ops = [QMatrix.identity(dimq)]
-    span.add([x for row in basis_ops[0].a for x in row])
-    frontier = list(basis_ops)
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for _, r in restricted:
-                cand = b * r
-                if span.add([x for row in cand.a for x in row]):
-                    nxt.append(cand)
-        frontier = nxt
+    span, _ = closure(
+        [QMatrix.identity(limit.cols)], [r for _, r in restricted], mul
+    )
 
     return {
         "lam": lam,
@@ -363,36 +355,15 @@ def e_limit_graded(rep, lam):
 def algebra_structure_table(restricted_ops, dim):
     """Basis and multiplication table of the unital algebra generated by the
     restricted operators inside End(limit space)."""
-    mats = list(restricted_ops.values())
-    basis = [QMatrix.identity(dim)]
-    flat = QMatrix.from_cols(
-        [[x for row in basis[0].a for x in row]], rows=dim * dim
+    _, basis = closure(
+        [QMatrix.identity(dim)], list(restricted_ops.values()), mul
     )
-    ech = Echelon()
-    ech.add(flat.col(0))
-    frontier = list(basis)
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for g in mats:
-                cand = b * g
-                vec = [x for row in cand.a for x in row]
-                if ech.add(vec):
-                    basis.append(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    flat_basis = QMatrix.from_cols(
-        [[x for row in b.a for x in row] for b in basis], rows=dim * dim
-    )
+    flat_basis = QMatrix.from_cols([flatten(b) for b in basis], rows=dim * dim)
     table = {}
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
-            prod = a * b
             coeffs = solve_columns(
-                flat_basis,
-                QMatrix.from_cols(
-                    [[x for row in prod.a for x in row]], rows=dim * dim
-                ),
+                flat_basis, QMatrix.from_cols([flatten(a * b)], rows=dim * dim)
             )
             table["%d,%d" % (i, j)] = [str(coeffs.a[k][0]) for k in range(len(basis))]
     return {"basis": [b.to_obj() for b in basis], "table": table}
@@ -414,8 +385,8 @@ def quotient_chain_check(rep, gens, lam):
         inclusion = solve_columns(l_min, l_lam)
         ops_e = generators_at_e(rep, gens)
         for mat in ops_e:
-            big = restrict_operator(mat, l_min)
-            small = restrict_operator(mat, l_lam)
+            big = restrict_to_block(mat, l_min)
+            small = restrict_to_block(mat, l_lam)
             if big * inclusion != inclusion * small:
                 ok_factor = False
                 break
@@ -439,41 +410,13 @@ def minuscule_quotient_check(rep, gens):
     medium = [m for lab, m in zip(labels, ops_e) if lab.startswith("M")]
 
     # fiber algebra basis
-    span = Echelon()
-    reps_mats = [QMatrix.identity(rep.dim)]
-    span.add([x for row in reps_mats[0].a for x in row])
-    frontier = list(reps_mats)
-    basis_mats = list(reps_mats)
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for g in ops_e:
-                cand = b * g
-                if span.add([x for row in cand.a for x in row]):
-                    nxt.append(cand)
-                    basis_mats.append(cand)
-        frontier = nxt
+    span, basis_mats = closure([QMatrix.identity(rep.dim)], ops_e, mul)
     fiber_dim = span.dim
 
     # ideal generated by medium values inside the fiber algebra
-    ideal = Echelon()
-    ideal_mats = []
-    frontier = []
-    for m in medium:
-        for b in basis_mats:
-            cand = b * m
-            if ideal.add([x for row in cand.a for x in row]):
-                ideal_mats.append(cand)
-                frontier.append(cand)
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for g in ops_e:
-                cand = b * g
-                if ideal.add([x for row in cand.a for x in row]):
-                    ideal_mats.append(cand)
-                    nxt.append(cand)
-        frontier = nxt
+    ideal, ideal_mats = closure(
+        [b * m for m in medium for b in basis_mats], ops_e, mul
+    )
 
     annihilates = all(
         all(x == 0 for x in m.mul_vec(v))

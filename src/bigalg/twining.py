@@ -8,8 +8,9 @@ lowering words of the basis.
 
 from __future__ import annotations
 
+from .bigalgebra import ideal_span, weighted_monomials
 from .multipoly import MultiPoly, VarSet, rat, ZERO, ONE
-from .linalg import Echelon, QMatrix, invert
+from .linalg import QMatrix, invert
 
 
 def pinning_w0(n):
@@ -253,32 +254,12 @@ def coinvariant_octet_report(octet_relations, sl2_relation):
     ) == par
 
     # graded dimensions of the quotient ring Q[c2, M1]/(parabola)
-    dims = {}
-    for d in range(0, 9):
-        monos = [
-            (e1, e2)
-            for e1 in range(d + 1)
-            for e2 in range(d + 1)
-            if e1 + 2 * e2 == d
-        ]
-        span = Echelon()
-        pdeg = par.weighted_degree(weights)
-        vecs = []
-        if d >= pdeg:
-            lower = [
-                (e1, e2)
-                for e1 in range(d + 1)
-                for e2 in range(d + 1)
-                if e1 + 2 * e2 == d - pdeg
-            ]
-            index = {m: i for i, m in enumerate(monos)}
-            for mult in lower:
-                prod = par * MultiPoly.monomial(ring, mult)
-                vec = [ZERO] * len(monos)
-                for key, c in prod.terms.items():
-                    vec[index[prod.ring.unpack(key)]] = c
-                span.add(vec)
-        dims[d] = len(monos) - span.dim
+    weight_vec = [weights[nm] for nm in ring.names]
+    dims = {
+        d: len(weighted_monomials(weight_vec, d))
+        - ideal_span([par], ring, weight_vec, d).dim
+        for d in range(9)
+    }
     return {
         "parabola": parabola,
         "survivors": [str(p) for p in images],

@@ -1,8 +1,20 @@
+import tempfile
+
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from bigalg.lie import TypeA
 from bigalg.reps import build_irrep
 from bigalg.bigalgebra import BigGenerators
+
+# the same examples on every machine, and no example database on disk
+settings.register_profile("bigalg", derandomize=True, database=None)
+settings.load_profile("bigalg")
+# Hypothesis also caches the literals of local source files; keep that cache
+# out of the checkout, in a directory removed when the run ends
+_hypothesis_home = tempfile.TemporaryDirectory(prefix="bigalg-hypothesis-")
+set_hypothesis_home_dir(_hypothesis_home.name)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,5 @@
 import json
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -18,12 +18,14 @@ from bigalg.bigalgebra import (
     freeness_and_rank_check,
     hilbert_series,
     ideal_graded_dims,
+    ideal_span,
     rational_diagonalizer,
     substitute_relation,
     verify_presentation,
+    weighted_monomials,
 )
 from bigalg.kirillov import small_operator
-from bigalg.linalg import QMatrix, charpoly, upoly_mul
+from bigalg.linalg import QMatrix, charpoly, rank, upoly_mul
 from bigalg.multipoly import MultiPoly, rat
 from bigalg.qpoly import QPoly
 from bigalg.reps import build_irrep
@@ -187,6 +189,31 @@ def test_reference_relations_in_derived_span(octet, decuplet, octet_gens, decupl
             for key, c in target.terms.items():
                 vec[index[rr.ring.unpack(key)]] = c
             assert span.contains(vec)
+
+
+def test_ideal_span_is_rank_of_stacked_multiples(octet_gens):
+    gens = [octet_gens.by_label["M1"], octet_gens.by_label["N1"]]
+    rr = RelationRing(gens, 3)
+    rels = octet_big_relations(rr.ring)
+    wv = rr.weight_vec
+    for d in range(8):
+        # every exponent tuple of weighted degree d, by brute force
+        box = product(*(range(d // w + 1) for w in wv))
+        monos = {e for e in box if sum(x * w for x, w in zip(e, wv)) == d}
+        assert sorted(weighted_monomials(wv, d)) == sorted(monos)
+        coords, rows = {}, []
+        for rel in rels:
+            for e in product(*(range(d + 1) for _ in wv)):
+                prod = rel * MultiPoly.monomial(rr.ring, e)
+                if prod.weighted_degree(rr.weights) != d:
+                    continue
+                row = {}
+                for key, c in prod.terms.items():
+                    row[coords.setdefault(key, len(coords))] = c
+                rows.append(row)
+        stacked = [[row.get(j, 0) for j in range(len(coords))] for row in rows]
+        expected = rank(QMatrix(stacked)) if stacked else 0
+        assert ideal_span(rels, rr.ring, wv, d).dim == expected
 
 
 def test_verify_presentation_negative_control(decuplet, decuplet_gens):

@@ -56,9 +56,26 @@ def test_bad_arguments_exit_two():
         (["rep", "--n", "3", "--mu", "9,9"], "dimension 1000 exceeds the bound 400"),
         (["rep", "--n", "3", "--mu", "1"], "needs 2 comma-separated coordinates"),
         (["rep", "--n", "3", "--mu=-1,0"], "--mu: weight must be dominant"),
+        (
+            ["brylinski", "--n", "3", "--mu", "2,1", "--lambda", "0,0"],
+            "--lambda: 0,0 is not a weight of the module",
+        ),
+        (
+            ["multalg", "--n", "3", "--mu", "2,1", "--lambda", "0,0"],
+            "--lambda: 0,0 is not a weight of the module",
+        ),
+        (
+            ["qanalogue", "--n", "6", "--mu", "1,0,0,0,0", "--lambda", "0,0,0,0,0"],
+            "--n: qanalogue needs n <= 5",
+        ),
+        (
+            ["qanalogue", "--n", "8", "--mu", "1,0,0,0,0,0,0", "--lambda", "0,0,0,0,0,0,0"],
+            "--n: qanalogue needs n <= 5",
+        ),
     ],
     ids=["n_below_2", "fractional_mu", "fractional_lambda", "over_bound",
-         "wrong_arity", "negative_mu"],
+         "wrong_arity", "negative_mu", "brylinski_lambda_not_a_weight",
+         "multalg_lambda_not_a_weight", "qanalogue_n_6", "qanalogue_n_8"],
 )
 def test_bad_input_is_a_usage_error(argv, message):
     proc = run(*argv, check=False)

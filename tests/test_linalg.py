@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +10,7 @@ from bigalg.linalg import (
     Echelon,
     QMatrix,
     charpoly,
+    closure,
     invert,
     is_squarefree,
     joint_invariant_decomposition,
@@ -501,3 +502,165 @@ def test_kernel_matches_rank_oracle(data, n, k):
             v[p] = -row[f]
         ref.append(v)
     assert vecs == ref
+
+
+# ---------------------------------------------------------------------------
+# span closure against every word in the generators
+# ---------------------------------------------------------------------------
+
+
+def _flat(x):
+    return [e for row in x.a for e in row] if isinstance(x, QMatrix) else x
+
+
+_sparse = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+
+
+@st.composite
+def _seeds(draw, dim, make):
+    """Seed elements, some zero and some combinations of earlier ones."""
+    seeds = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "dependent"]))
+        if kind == "random" or (kind == "dependent" and not seeds):
+            seeds.append(make([draw(_sparse) for _ in range(dim)]))
+        elif kind == "zero":
+            seeds.append(make([0] * dim))
+        else:
+            coeffs = [draw(_entries) for _ in seeds]
+            seeds.append(make([
+                sum((Fraction(c) * Fraction(_flat(x)[j]) for c, x in zip(coeffs, seeds)),
+                    Fraction(0))
+                for j in range(dim)
+            ]))
+    return seeds
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.booleans(), st.integers(0, 3))
+def test_closure_matches_word_oracle(data, matrices, ngens):
+    # sparse generators leave proper invariant subspaces, so the closure
+    # often stops short of the whole space
+    if matrices:
+        n = data.draw(st.integers(1, 2))
+        dim = n * n
+        make = lambda flat: QMatrix([flat[i * n:(i + 1) * n] for i in range(n)])
+
+        def act(x, g):
+            return x * g
+    else:
+        n = dim = data.draw(st.integers(1, 4))
+        make = list
+
+        def act(x, g):
+            return g.mul_vec(x)
+    gens = [QMatrix([[data.draw(_sparse) for _ in range(n)] for _ in range(n)])
+            for _ in range(ngens)]
+    seeds = data.draw(_seeds(dim, make))
+    ech, elements = closure(seeds, gens, act)
+
+    # oracle: all words of length <= dim applied to every seed
+    level, words = list(seeds), list(seeds)
+    for _ in range(dim):
+        level = [act(x, g) for x in level for g in gens]
+        words += level
+    closed = plain_rank([_flat(x) for x in words])
+    flat = [_flat(x) for x in elements]
+    assert ech.dim == len(elements) == closed
+    assert plain_rank(flat) == len(flat)
+    assert plain_rank(flat + [_flat(x) for x in words]) == closed
+    assert all(ech.contains(_flat(x)) for x in words)
+    # the independent seeds come first, in order
+    independent = [
+        x for i, x in enumerate(seeds)
+        if plain_rank([_flat(y) for y in seeds[: i + 1]])
+        > plain_rank([_flat(y) for y in seeds[:i]])
+    ]
+    assert elements[: len(independent)] == independent
+
+
+def test_closure_expands_every_new_element():
+    # three independent seeds, each with its own image under one shift
+    shift = QMatrix([[int(i == j + 3) for j in range(6)] for i in range(6)])
+    seeds = [[rat(int(i == k)) for i in range(6)] for k in range(3)]
+    ech, elements = closure(seeds, [shift], lambda v, g: g.mul_vec(v))
+    assert ech.dim == 6
+    assert elements == seeds + [[rat(int(i == k + 3)) for i in range(6)] for k in range(3)]
+
+
+# ---------------------------------------------------------------------------
+# commuting-family decomposition and rational roots on random inputs
+# ---------------------------------------------------------------------------
+
+_small = st.integers(-3, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 3))
+def test_joint_decomposition_partitions_random_commuting_family(data, n, count):
+    base = QMatrix([[data.draw(_small) for _ in range(n)] for _ in range(n)])
+    mats = []
+    for _ in range(count):
+        coeffs = data.draw(st.lists(_small, min_size=1, max_size=3))
+        m = QMatrix.zeros(n, n)
+        power = QMatrix.identity(n)
+        for c in coeffs:
+            m = m + power * c
+            power = power * base
+        mats.append(m)
+    blocks = joint_invariant_decomposition(mats)
+    assert sum(basis.cols for basis, _ in blocks) == n
+    stacked = [row for basis, _ in blocks for row in basis.transpose().a]
+    assert plain_rank(stacked) == n
+    for basis, labels in blocks:
+        assert len(labels) == count
+        for m in mats:
+            solve_columns(basis, m * basis)  # raises unless invariant
+
+
+def _divide_by_root(p, r):
+    """Synthetic division of p (low to high) by t - r: (quotient, remainder)."""
+    acc = Fraction(0)
+    out = []
+    for c in reversed(p):
+        acc = acc * r + c
+        out.append(acc)
+    rem = out.pop()
+    return out[::-1], rem
+
+
+def _has_rational_root(p):
+    """Brute force over every a/b with a | constant term and b | lead."""
+    ints = [int(c * lcm(*(x.denominator for x in p))) for c in p]
+    if ints[0] == 0:
+        return True
+    nums = [a for a in range(1, abs(ints[0]) + 1) if ints[0] % a == 0]
+    dens = [b for b in range(1, abs(ints[-1]) + 1) if ints[-1] % b == 0]
+    return any(
+        upoly_eval(p, Fraction(s * a, b)) == 0 for a in nums for b in dens for s in (1, -1)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.fractions(-4, 4, max_denominator=3), st.integers(1, 3)), max_size=3),
+    st.lists(st.integers(-4, 4), max_size=4),
+    st.integers(1, 4),
+)
+def test_rational_roots_against_evaluation(factors, cofactor, lead):
+    p = [Fraction(c) for c in cofactor] + [Fraction(lead)]
+    for r, k in factors:
+        for _ in range(k):
+            p = upoly_mul(p, [-r, Fraction(1)])
+    roots = rational_roots(p)
+    assert [r for r, _ in roots] == sorted({r for r, _ in roots})
+    rest = p
+    for r, m in roots:
+        for _ in range(m):
+            rest, rem = _divide_by_root(rest, r)
+            assert rem == 0
+        assert _divide_by_root(rest, r)[1] != 0  # exactly multiplicity m
+    assert len(rest) >= 1 and rest[-1] != 0
+    assert not _has_rational_root(rest)
+    for r, k in factors:
+        assert dict(roots).get(r, 0) >= k

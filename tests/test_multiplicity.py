@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from bigalg import lie
-from bigalg.linalg import Echelon, same_span
+from bigalg.linalg import Echelon, QMatrix, same_span
 from bigalg.multiplicity import (
+    algebra_structure_table,
     brylinski_filtration,
     e_limit,
     e_limit_graded,
@@ -159,6 +160,20 @@ def test_multiplicity_algebra_octet(octet, octet_gens, rd3):
     assert not n1.is_zero()
     assert (n1 * n1).is_zero()
     assert ma["algebra_span_dim"] == 2
+
+
+def test_algebra_structure_table_octet(octet, octet_gens):
+    ma = multiplicity_algebra(octet, octet_gens.ops, (0, 0))
+    st = algebra_structure_table(ma["restricted"], ma["dim"])
+    basis = [QMatrix.from_obj(b) for b in st["basis"]]
+    assert len(basis) == ma["algebra_span_dim"] == 2
+    assert basis[0] == QMatrix.identity(ma["dim"])
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            total = QMatrix.zeros(ma["dim"], ma["dim"])
+            for c, e in zip(st["table"]["%d,%d" % (i, j)], basis):
+                total = total + e * Fraction(c)
+            assert a * b == total
 
 
 def test_multiplicity_algebra_highest_weight(octet, octet_gens):
