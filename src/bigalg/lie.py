@@ -329,32 +329,6 @@ class RootData:
         assert two_rho.denominator == 1
         return int(two_rho)
 
-    def dominant_weights_leq(self, mu):
-        """Dominant weights lam with mu - lam a nonnegative root combination.
-
-        These are exactly the dominant weights of V^mu.  Enumeration walks the
-        finite box of root coordinates (dominant weights have nonnegative
-        root coordinates, bounded by those of mu).
-        """
-        if not self.is_dominant(mu):
-            raise ValueError("weight must be dominant")
-        bounds = [int(x) for x in self.root_coords_rational(mu)]
-        out = []
-
-        def rec(i, acc):
-            if i == self.rank:
-                lam = tuple(mu[k] - acc[k] for k in range(self.rank))
-                if self.is_dominant(lam):
-                    out.append(lam)
-                return
-            alpha = self.simple_root(i + 1)
-            for m in range(bounds[i] + 1):
-                rec(i + 1, [a + m * b for a, b in zip(acc, alpha)])
-
-        rec(0, [0] * self.rank)
-        out.sort(reverse=True)
-        return out
-
 
 def weyl_group(n):
     """All Weyl elements of sl_n as (permutation, sign) pairs.

@@ -1,9 +1,11 @@
 """Irreducible sl_n modules with exact matrices and weight decompositions.
 
 A module V^mu is generated inside the tensor product of fundamental
-(exterior-power) representations: locate the highest-weight vector, then
-close up under the lowering operators, echelonizing one weight level at a
-time.  Basis vectors remember their lowering word, which keeps every
+(exterior-power) representations: start from the highest-weight vector,
+then close up under the lowering operators, echelonizing one weight level
+at a time.  A tensor vector is sparse, a dict from keys (one sorted subset
+per exterior factor) to integers, and the Lie algebra acts on it factor by
+factor.  Basis vectors remember their lowering word, which keeps every
 derived basis reproducible.
 """
 
@@ -11,58 +13,94 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import combinations
+from itertools import combinations, product
 
 from .multipoly import rat, ZERO, ONE
 from .linalg import (
     Echelon,
     QMatrix,
     joint_kernel,
-    kernel,
     solve_columns,
 )
 from . import lie
 
 CACHE_VERSION = 1
-DIM_BOUND = 400  # largest module dimension built by default
+DIM_BOUND = 400  # largest module dimension built
 
 
 def subsets(n, k):
     return [tuple(s) for s in combinations(range(n), k)]
 
 
-def wedge_lie_matrix(m, n, k):
-    """Derivation action of an n x n matrix on the basis of k-subsets."""
-    subs = subsets(n, k)
-    index = {s: i for i, s in enumerate(subs)}
-    dim = len(subs)
-    out = QMatrix.zeros(dim, dim)
-    for j, s in enumerate(subs):
-        for pos, b in enumerate(s):
-            for a in range(n):
-                c = m.a[a][b]
-                if not c:
-                    continue
-                if a == b:
-                    out.a[j][j] += c
-                    continue
-                if a in s:
-                    continue
-                t = list(s)
-                t[pos] = a
-                sign = 1
-                # bubble back to sorted order, tracking the sign
-                i = pos
-                while i > 0 and t[i - 1] > t[i]:
-                    t[i - 1], t[i] = t[i], t[i - 1]
-                    sign = -sign
-                    i -= 1
-                while i < k - 1 and t[i] > t[i + 1]:
-                    t[i], t[i + 1] = t[i + 1], t[i]
-                    sign = -sign
-                    i += 1
-                out.a[index[tuple(t)]][j] += sign * c
+def _wedge(entries, s):
+    """The derivation action on the subset s, as (subset, coefficient) pairs.
+
+    An entry (a, b, c) of the matrix sends s, when it holds b, to s - b + a
+    with sign (-1)^#{y in s strictly between a and b}.
+    """
+    out = []
+    for a, b, c in entries:
+        if b not in s:
+            continue
+        if a == b:
+            out.append((s, c))
+        elif a not in s:
+            lo, hi = min(a, b), max(a, b)
+            if sum(1 for y in s if lo < y < hi) % 2:
+                c = -c
+            out.append((tuple(sorted([y for y in s if y != b] + [a])), c))
     return out
+
+
+def _act(x, vec):
+    """The sparse tensor vector x . vec, for an n x n integer matrix x.
+
+    x acts on each exterior factor as a derivation, and on the tensor
+    product as the sum over the factors.
+    """
+    entries = [
+        (a, b, int(c)) for a, row in enumerate(x.a) for b, c in enumerate(row) if c
+    ]
+    moves = {}  # subset -> its image under x, shared by all keys and factors
+    out = {}
+    for key, coef in vec.items():
+        for f, s in enumerate(key):
+            if s not in moves:
+                moves[s] = _wedge(entries, s)
+            for t, c in moves[s]:
+                k = key[:f] + (t,) + key[f + 1:]
+                out[k] = out.get(k, 0) + coef * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _dense(vec, index):
+    col = [0] * len(index)
+    for key, c in vec.items():
+        col[index[key]] = c
+    return col
+
+
+def _matrix(vectors, index):
+    """The sparse tensor vectors as the columns of a dense QMatrix."""
+    a = [[ZERO] * len(vectors) for _ in index]
+    for j, vec in enumerate(vectors):
+        for key, c in vec.items():
+            a[index[key]][j] = rat(c)
+    return QMatrix(a, _trusted=True)
+
+
+def _carries(r, x, vectors):
+    """True iff sum_i r[i][j] vectors[i] == x . vectors[j] for every j."""
+    for j, vec in enumerate(vectors):
+        image = {}
+        for i, v in enumerate(vectors):
+            c = r.a[i][j]
+            if c:
+                for key, y in v.items():
+                    image[key] = image.get(key, 0) + c * y
+        if {k: c for k, c in image.items() if c} != _act(x, vec):
+            return False
+    return True
 
 
 def wedge_group_matrix(s, n, k):
@@ -90,13 +128,6 @@ def _det(a):
             total += sign * a[0][j] * _det(minor)
         sign = -sign
     return total
-
-
-def _subset_weight(s, n):
-    """Fundamental-coordinate weight of a k-subset basis vector."""
-    return tuple(
-        (1 if i in s else 0) - (1 if i + 1 in s else 0) for i in range(n - 1)
-    )
 
 
 class Representation:
@@ -188,51 +219,45 @@ def fundamental_rep(L, k):
     return build_irrep(L, mu)
 
 
-def _tensor_scaffold(L, mu):
-    """Factor list, tensor matrices for the Lie basis, and basis weights."""
-    n = L.n
-    factors = []
-    for k in range(1, n):
-        factors.extend([k] * mu[k - 1])
-    if not factors:
-        zero = QMatrix.zeros(1, 1)
-        return [], [zero for _ in range(L.dim)], [(0,) * (n - 1)]
+def _ambient(n, mu):
+    """The tensor product of exterior powers that holds V^mu.
 
-    factor_mats = []  # per factor: list over Lie basis of wedge matrices
-    factor_weights = []
-    for k in factors:
-        factor_mats.append([wedge_lie_matrix(b, n, k) for b in L.basis])
-        factor_weights.append([_subset_weight(s, n) for s in subsets(n, k)])
-
-    dims = [len(w) for w in factor_weights]
-    total = 1
-    for d in dims:
-        total *= d
-
-    tensor_mats = []
-    for bi in range(L.dim):
-        acc = QMatrix.zeros(total, total)
-        for f in range(len(factors)):
-            term = None
-            for g in range(len(factors)):
-                part = factor_mats[g][bi] if g == f else QMatrix.identity(dims[g])
-                term = part if term is None else term.kron(part)
-            acc = acc + term
-        tensor_mats.append(acc)
-
-    weights = []
-    def rec(i, acc):
-        if i == len(factors):
-            weights.append(tuple(acc))
-            return
-        for w in factor_weights[i]:
-            rec(i + 1, [a + b for a, b in zip(acc, w)])
-    rec(0, [0] * (n - 1))
-
-    return factors, tensor_mats, weights
+    Returns its factors (the exponents), the position of each key in the
+    Kronecker order of its basis, and the highest-weight vector, which spans
+    its one-dimensional weight-mu space.
+    """
+    factors = [k for k in range(1, n) for _ in range(mu[k - 1])]
+    index = {
+        key: i
+        for i, key in enumerate(product(*(subsets(n, k) for k in factors)))
+    }
+    return factors, index, {tuple(tuple(range(k)) for k in factors): 1}
 
 
-def build_irrep(L, mu, dim_bound=DIM_BOUND):
+def _lowering(L):
+    """The lowering operators E_{i+1,i}, one per simple root."""
+    return [L.basis[L._offdiag_index[(i + 1, i)]] for i in range(L.n - 1)]
+
+
+def _module(L, mu, factors, index, vectors, weights, words, rho=None):
+    """The Representation on the span of the sparse tensor vectors.
+
+    Without rho, each rho(X_b) is solved from the images X_b . vectors.  A
+    given rho is checked against those images instead, and None is returned
+    when one of them does not match.
+    """
+    basis = _matrix(vectors, index)
+    if rho is None:
+        rho = [
+            solve_columns(basis, _matrix([_act(x, v) for v in vectors], index))
+            for x in L.basis
+        ]
+    elif not all(_carries(r, x, vectors) for r, x in zip(rho, L.basis)):
+        return None
+    return Representation(L, mu, len(vectors), rho, weights, words, basis, factors)
+
+
+def build_irrep(L, mu):
     """Construct the irreducible module with highest weight mu."""
     n = L.n
     mu = tuple(mu)
@@ -240,92 +265,44 @@ def build_irrep(L, mu, dim_bound=DIM_BOUND):
         raise ValueError("weight must be dominant with %d coordinates" % (n - 1))
     rd = lie.RootData(n)
     target_dim = rd.weyl_dim(mu)
-    if target_dim > dim_bound:
+    if target_dim > DIM_BOUND:
         raise ValueError(
-            "dimension %d exceeds bound %d" % (target_dim, dim_bound)
+            "dimension %d exceeds bound %d" % (target_dim, DIM_BOUND)
         )
 
-    factors, tensor_mats, tensor_weights = _tensor_scaffold(L, mu)
-    total = len(tensor_weights)
+    factors, index, hw = _ambient(n, mu)
+    lowering = _lowering(L)
 
-    # raising/lowering operators inside the tensor product
-    raise_idx = [L._offdiag_index[(i, i + 1)] for i in range(n - 1)]
-    lower_idx = [L._offdiag_index[(i + 1, i)] for i in range(n - 1)]
-
-    hw = _highest_weight_vector(mu, tensor_mats, tensor_weights, raise_idx, total)
-
-    # closure under lowering operators, echelonизing per weight level
-    level = {}
-    accepted = [hw]
+    # closure under lowering operators, echelonizing per weight level
+    ech = Echelon()
+    ech.add(_dense(hw, index))
+    level = {mu: ech}
+    vectors = [hw]
     words = [()]
     weights = [mu]
-    ech = Echelon()
-    ech.add(hw)
-    level[mu] = ech
-    queue = [0]
-    qpos = 0
-    while qpos < len(queue):
-        vi = queue[qpos]
-        qpos += 1
+    vi = 0
+    while vi < len(vectors):
         for li in range(n - 1):
-            cand = tensor_mats[lower_idx[li]].mul_vec(accepted[vi])
-            if all(x == 0 for x in cand):
+            cand = _act(lowering[li], vectors[vi])
+            if not cand:
                 continue
             alpha = rd.simple_root(li + 1)
             w = tuple(a - b for a, b in zip(weights[vi], alpha))
             ech = level.setdefault(w, Echelon())
-            if ech.add(cand):
-                accepted.append(cand)
+            if ech.add(_dense(cand, index)):
+                vectors.append(cand)
                 words.append(words[vi] + (li + 1,))
                 weights.append(w)
-                queue.append(len(accepted) - 1)
-                if len(accepted) > target_dim:
+                if len(vectors) > target_dim:
                     raise RuntimeError("closure exceeded the Weyl dimension")
+        vi += 1
 
-    if len(accepted) != target_dim:
+    if len(vectors) != target_dim:
         raise RuntimeError(
             "closure produced %d vectors, Weyl dimension is %d"
-            % (len(accepted), target_dim)
+            % (len(vectors), target_dim)
         )
-
-    basis = QMatrix.from_cols(accepted, rows=total)
-    rho = [solve_columns(basis, m * basis) for m in tensor_mats]
-    return Representation(L, mu, target_dim, rho, weights, words, basis, factors)
-
-
-def _highest_weight_vector(mu, tensor_mats, tensor_weights, raise_idx, total):
-    """The unique (up to scale) weight-mu vector killed by all raising ops."""
-    idx = [i for i, w in enumerate(tensor_weights) if w == mu]
-    if not idx:
-        raise RuntimeError("no highest-weight vector found")
-    cols = []
-    for i in idx:
-        v = [ZERO] * total
-        v[i] = ONE
-        cols.append(v)
-    proj = QMatrix.from_cols(cols, rows=total)
-    if raise_idx:
-        stacked = QMatrix(
-            [row for ri in raise_idx for row in (tensor_mats[ri] * proj).a]
-        )
-        vecs = kernel(stacked)
-    else:
-        vecs = [[ONE if j == 0 else ZERO for j in range(len(idx))]]
-    if len(vecs) != 1:
-        raise RuntimeError(
-            "highest-weight space has dimension %d (internal bug)" % len(vecs)
-        )
-    combo = vecs[0]
-    hw = [ZERO] * total
-    for c, i in zip(combo, idx):
-        if c:
-            hw[i] = c
-    # deterministic normalization: first nonzero coordinate equals 1
-    for x in hw:
-        if x:
-            hw = [y / x for y in hw]
-            break
-    return hw
+    return _module(L, mu, factors, index, vectors, weights, words)
 
 
 def weight_spaces(rep, torus_elements):
@@ -370,49 +347,60 @@ def save_rep(rep, cache_dir):
 
 
 def load_rep(L, mu, cache_dir):
-    """Rebuild a cached module; returns None when no cache entry exists.
+    """Read a cached module; None when the entry is missing or corrupted.
 
-    The tensor scaffolding is rebuilt deterministically from the stored
-    lowering words; the matrices come straight from the file.
+    The tensor vectors are replayed from the stored lowering words, and each
+    stored rho(X_b) must carry them to the tensor action X_b . vectors.  Their
+    span is then a nonzero submodule of V^mu, hence all of it, so an entry
+    with Weyl-dimension many nonzero vectors that passes is a basis of V^mu
+    with its exact matrices.
     """
-    path = cache_path(cache_dir, L.n, tuple(mu))
+    n = L.n
+    mu = tuple(mu)
+    path = cache_path(cache_dir, n, mu)
     if not os.path.exists(path):
         return None
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("version") != CACHE_VERSION or obj["n"] != L.n:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        words = [tuple(w) for w in obj["basis_words"]]
+        rho = [QMatrix.from_obj(o) for o in obj["rho"]]
+        header = (obj["version"], obj["n"], obj["mu"], obj["dim"])
+    except (ValueError, KeyError, TypeError):
         return None
-    mu = tuple(obj["mu"])
-    n = L.n
     rd = lie.RootData(n)
-    factors, tensor_mats, tensor_weights = _tensor_scaffold(L, mu)
-    total = len(tensor_weights)
-    raise_idx = [L._offdiag_index[(i, i + 1)] for i in range(n - 1)]
-    lower_idx = [L._offdiag_index[(i + 1, i)] for i in range(n - 1)]
-    hw = _highest_weight_vector(mu, tensor_mats, tensor_weights, raise_idx, total)
+    dim = rd.weyl_dim(mu)
+    if (
+        header != (CACHE_VERSION, n, list(mu), dim)
+        or len(words) != dim
+        or len(rho) != L.dim
+        or any((r.rows, r.cols) != (dim, dim) for r in rho)
+        or any(li not in range(1, n) for word in words for li in word)
+    ):
+        return None
+    factors, index, hw = _ambient(n, mu)
+    lowering = _lowering(L)
     vectors = []
     weights = []
-    words = [tuple(w) for w in obj["basis_words"]]
     for word in words:
         v = hw
         w = mu
         for li in word:
-            v = tensor_mats[lower_idx[li - 1]].mul_vec(v)
-            alpha = rd.simple_root(li)
-            w = tuple(a - b for a, b in zip(w, alpha))
+            v = _act(lowering[li - 1], v)
+            w = tuple(a - b for a, b in zip(w, rd.simple_root(li)))
+        if not v:
+            return None
         vectors.append(v)
         weights.append(w)
-    basis = QMatrix.from_cols(vectors, rows=total)
-    rho = [QMatrix.from_obj(o) for o in obj["rho"]]
-    return Representation(L, mu, obj["dim"], rho, weights, words, basis, factors)
+    return _module(L, mu, factors, index, vectors, weights, words, rho)
 
 
-def get_rep(L, mu, cache_dir=None, dim_bound=DIM_BOUND):
+def get_rep(L, mu, cache_dir=None):
     if cache_dir:
         rep = load_rep(L, mu, cache_dir)
         if rep is not None:
             return rep
-    rep = build_irrep(L, mu, dim_bound=dim_bound)
+    rep = build_irrep(L, mu)
     if cache_dir:
         save_rep(rep, cache_dir)
     return rep

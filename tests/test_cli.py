@@ -104,6 +104,19 @@ def test_rep_cache_round_trip(tmp_path):
     assert again == first
 
 
+def test_corrupted_cache_entry_is_rebuilt(tmp_path):
+    argv = ["rep", "--n", "3", "--mu", "1,1", "--cache", str(tmp_path)]
+    first = run(*argv).stdout
+    (name,) = os.listdir(tmp_path)
+    path = tmp_path / name
+    good = path.read_text()
+    obj = json.loads(good)
+    obj["rho"][0][0][0] = "7"
+    path.write_text(json.dumps(obj, sort_keys=True))
+    assert run(*argv).stdout == first
+    assert path.read_text() == good
+
+
 def test_cache_env_var(tmp_path):
     env = dict(os.environ, BIGALG_CACHE=str(tmp_path))
     proc = subprocess.run(

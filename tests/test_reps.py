@@ -1,9 +1,11 @@
+import hashlib
 import json
 from itertools import combinations
 
 import pytest
 
 from bigalg import lie
+from bigalg.acceptance import BATTERY
 from bigalg.linalg import QMatrix
 from bigalg.multipoly import rat
 from bigalg.reps import (
@@ -35,17 +37,67 @@ def test_build_dims(L2, octet, decuplet):
 
 def test_dimension_bound(L2):
     with pytest.raises(ValueError):
-        build_irrep(L2, (500,), dim_bound=400)
+        build_irrep(L2, (500,))
 
 
-def test_bracket_fidelity(octet, L3):
-    basis = [
-        [rat(1) if i == j else rat(0) for j in range(L3.dim)] for i in range(L3.dim)
+def test_bracket_fidelity(octet, L2, L3, L4):
+    modules = [
+        (L3, octet),
+        (L2, build_irrep(L2, (6,))),
+        (L3, build_irrep(L3, (2, 1))),
+        (L4, build_irrep(L4, (1, 0, 1))),
     ]
-    for i, j in combinations(range(L3.dim), 2):
-        lhs = octet.rho[i].commutator(octet.rho[j])
-        rhs = octet.op(L3.bracket_coords(basis[i], basis[j]))
-        assert lhs == rhs
+    for L, rep in modules:
+        basis = [
+            [rat(1) if i == j else rat(0) for j in range(L.dim)]
+            for i in range(L.dim)
+        ]
+        for i, j in combinations(range(L.dim), 2):
+            lhs = rep.rho[i].commutator(rep.rho[j])
+            rhs = rep.op(L.bracket_coords(basis[i], basis[j]))
+            assert lhs == rhs, (rep.mu, i, j)
+
+
+# First 16 hex digits of the SHA-256 of the sorted-key JSON of to_obj(),
+# of tensor_basis.to_obj() and of the weights.  They were computed by an
+# independent construction (dense Kronecker sums of wedge matrices, with the
+# highest-weight vector found as a kernel), so they pin the exact bytes.
+MODULE_DIGESTS = [
+    ((2, (1,)), ('1057dbde67d56a7b', 'd961a3cc60cff832', 'edf1414eb1fde9d8')),
+    ((2, (2,)), ('9e69ab5b23b5e56f', 'e1794ad298dfda91', '77b0f755d888b147')),
+    ((2, (3,)), ('a4ff514ccd499db4', '0c836348a150be2e', '3c72a6faeba51f5f')),
+    ((2, (4,)), ('7b22ca0875ae876d', 'e093a4d3ff12a8e1', '9e3db431937a0949')),
+    ((2, (5,)), ('fedc986ca0ce5ae9', '487b4a13e5742a3b', '86213dfa8552237b')),
+    ((2, (6,)), ('e1c047735cf69c1e', 'd6840321e0cfe829', '7ad0213011fc9d77')),
+    ((3, (1, 0)), ('ffc527c2abac73bb', 'c24ecf7d64263f88', 'b2ca17e629e1b35a')),
+    ((3, (0, 1)), ('5a3ac95d6a44a069', 'c24ecf7d64263f88', 'aa918fc244f1bdd2')),
+    ((3, (2, 0)), ('821e94a296674d8d', '941d05e85bd5601e', '637dfc3820ffa7f8')),
+    ((3, (3, 0)), ('0b9baabc0b93df4d', '3f777ab78fd4c103', '375ed79815385666')),
+    ((3, (1, 1)), ('c17fdcc207888603', '59afc8c42f500461', '19071e81af01bdd4')),
+    ((3, (2, 1)), ('f75260ce7ff94301', 'de2c10f6f82909ca', 'cdfc9644bdd9a62e')),
+    ((4, (1, 0, 0)), ('b286648a086829e4', '6ad6bb43838301a8', '41221f289524f301')),
+    ((4, (0, 1, 0)), ('afb80f14db40ab3d', '31d133a824a1aafb', 'ea79f3db0ca40cc1')),
+    ((3, (2, 2)), ('6e74aa96de48e731', '8622db82cc51765a', 'f1a8f2e208ca8fec')),
+    ((4, (1, 1, 0)), ('fc47bf5419ae815d', '5e55de6910bca303', '608937aca8d508f9')),
+    ((3, (0, 0)), ('b7f81a7b68092c59', 'e28610836ab702cd', '54702df08034f226')),
+]
+
+
+def _sha(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def test_module_digests_cover_the_battery():
+    assert set(BATTERY) <= {key for key, _ in MODULE_DIGESTS}
+
+
+@pytest.mark.parametrize("key, digests", MODULE_DIGESTS, ids=str)
+def test_module_bytes_are_pinned(key, digests):
+    n, mu = key
+    rep = build_irrep(lie.TypeA(n), mu)
+    assert (
+        _sha(rep.to_obj()), _sha(rep.tensor_basis.to_obj()), _sha(rep.weights)
+    ) == digests
 
 
 def test_weyl_dimension_agreement(L3):
@@ -116,6 +168,65 @@ def test_cache_round_trip(tmp_path, L3, octet):
     for a, b in zip(back.rho, octet.rho):
         assert a == b
     assert back.tensor_basis == octet.tensor_basis
+
+
+def _set_rho_entry(obj):
+    obj["rho"][0][0][0] = "7"
+
+
+def _swap_words(obj):
+    words = obj["basis_words"]
+    words[1], words[2] = words[2], words[1]
+
+
+def _drop_word(obj):
+    obj["basis_words"].pop()
+
+
+def _bad_letter(obj):
+    obj["basis_words"][1] = [3]
+
+
+def _zero_words(obj):
+    # every word lowers past the end of its root string: all vectors vanish
+    obj["basis_words"] = [[1] * 5 for _ in obj["basis_words"]]
+
+
+def _empty(obj):
+    obj.update(dim=0, basis_words=[], rho=[[] for _ in obj["rho"]])
+
+
+def _other_mu(obj):
+    obj["mu"] = [2, 1]
+
+
+def _short_rho(obj):
+    obj["rho"].pop()
+
+
+def _ragged_rho(obj):
+    obj["rho"][3][2].pop()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_set_rho_entry, _swap_words, _drop_word, _bad_letter, _zero_words,
+     _empty, _other_mu, _short_rho, _ragged_rho, None],
+    ids=lambda f: "truncated" if f is None else f.__name__.lstrip("_"),
+)
+def test_corrupted_cache_entry_is_refused(tmp_path, L3, octet, corrupt):
+    path = save_rep(octet, str(tmp_path))
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if corrupt is None:
+        text = text[: len(text) // 2]
+    else:
+        obj = json.loads(text)
+        corrupt(obj)
+        text = json.dumps(obj, sort_keys=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    assert load_rep(L3, (1, 1), str(tmp_path)) is None
 
 
 def test_gl_transport_conjugation(octet, L3):
