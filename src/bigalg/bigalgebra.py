@@ -9,6 +9,7 @@ no Groebner machinery appears anywhere.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
@@ -22,10 +23,10 @@ from .linalg import (
     is_squarefree,
     kernel,
 )
-from .polymatrix import PolyMatrix
+from .polymatrix import PolyMatrix, _sparse_int_rows
 from .qpoly import QPoly, geometric_quotient
 from . import lie
-from .kirillov import big_operator
+from .kirillov import derivation_chain
 
 
 class SectionOperator:
@@ -58,10 +59,59 @@ class SectionOperator:
 
 
 def restrict_to_section(elem, coords_c, ring_c):
-    """Substitute the companion-section coordinates into an operator."""
-    L = elem.rep.L
-    mapping = {"x%d" % i: coords_c[i] for i in range(L.dim)}
-    return elem.mat.subs(ring_c, mapping)
+    """Substitute the companion-section coordinates into an operator.
+
+    Every companion coordinate is 0 or a monomial with coefficient +-1
+    (``lie.companion_symbolic``), so each x-term goes to at most one c-term.
+    One integer pass over the terms adds them up, in the order
+    ``PolyMatrix.subs`` would; any other coordinate raises ValueError.
+    """
+    ring_x = elem.mat.ring
+    images = []  # per x-variable: None for 0, else (sign, c-key - origin)
+    for c in coords_c:
+        if not isinstance(c, MultiPoly):
+            c = MultiPoly.const(ring_c, c)
+        if len(c.terms) > 1 or any(abs(v) != 1 for v in c.terms.values()):
+            raise ValueError("section coordinate %s is not 0 or a +-1 monomial" % c)
+        images.append(
+            next(((int(v), k - ring_c.origin) for k, v in c.terms.items()), None)
+        )
+
+    def term_image(key):
+        """(sign, c-key) of the x-monomial key; sign 0 when it restricts to 0."""
+        sign, target = 1, ring_c.origin
+        for i, e in ring_x.support(key):
+            if images[i] is None:
+                return 0, None
+            s, shift = images[i]
+            sign *= s**e
+            target += e * shift
+        return sign, target
+
+    rows, den = _sparse_int_rows(elem.mat, ring_x.origin)
+    seen = {}  # a monomial recurs across entries; find its image once
+    zero = MultiPoly.zero(ring_c)
+    out = []
+    for row in rows:
+        out_row = [zero] * elem.mat.cols
+        for col, terms in row:
+            acc = {}
+            for key, v in terms.items():
+                hit = seen.get(key)
+                if hit is None:
+                    hit = seen[key] = term_image(key)
+                sign, target = hit
+                if sign:
+                    s = acc.get(target, 0) + sign * v
+                    if s:
+                        acc[target] = s
+                    else:
+                        del acc[target]
+            if acc:
+                fracs = {k: Fraction(v, den) for k, v in acc.items()}
+                out_row[col] = MultiPoly(ring_c, fracs, _trusted=True)
+        out.append(out_row)
+    return PolyMatrix(ring_c, out, _trusted=True)
 
 
 class BigGenerators:
@@ -76,8 +126,7 @@ class BigGenerators:
         self.by_label = {}
         raw = {}
         for k in range(2, n + 1):
-            for i in range(1, k):
-                elem = big_operator(rep, i, k)
+            for i, elem in enumerate(derivation_chain(rep, k, k - 1), 1):
                 mat_c = restrict_to_section(elem, self._section_coords, self.ring)
                 raw[(i, k)] = (elem, mat_c)
 
@@ -104,9 +153,9 @@ class BigGenerators:
                     s = self._octet_n1_scalar(mat_c)
                     if s is not None:
                         scalar = s
-                self._append(
-                    SectionOperator(label, i, k, mat_c * scalar, scalar, elem.scale(scalar))
-                )
+                if scalar != 1:
+                    mat_c, elem = mat_c * scalar, elem.scale(scalar)
+                self._append(SectionOperator(label, i, k, mat_c, scalar, elem))
 
     def _append(self, op):
         self.ops.append(op)

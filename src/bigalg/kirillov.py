@@ -9,9 +9,13 @@ studied downstream.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .multipoly import MultiPoly, rat
 from .linalg import QMatrix
-from .polymatrix import PolyMatrix, sum_of_products
+from .polymatrix import PolyMatrix, _sparse_int_rows, gradient_rows, int_sum_of_products
+
+_HALF = rat(1, 2)
 
 
 class KirillovElement:
@@ -122,32 +126,71 @@ def _dual_rho(rep):
     return rep._dual_rho
 
 
+def _dual_rho_rows(rep):
+    """rho(X^i) as sparse integer rows over one denominator each.
+
+    The same matrices as ``_dual_rho``, in the operand form of
+    ``int_sum_of_products``; built once from the integer rows of rho and
+    cached on the representation.
+    """
+    cached = getattr(rep, "_dual_rho_rows", None)
+    if cached is None:
+        L = rep.L
+        origin = L.x_ring.origin
+        sparse = [_sparse_int_rows(m, origin) for m in rep.rho]
+        cached = []
+        for coeffs in L.killing_inv.a:
+            terms = [(c, sparse[j]) for j, c in enumerate(coeffs) if c]
+            den = lcm(*(c.denominator * d for c, (_, d) in terms))
+            acc = [{} for _ in range(rep.dim)]
+            for c, (rows, d) in terms:
+                w = c.numerator * (den // (c.denominator * d))
+                for out, row in zip(acc, rows):
+                    for k, x in row:
+                        out[k] = out.get(k, 0) + w * x[origin]
+            rows = [
+                [(k, {origin: v}) for k, v in sorted(out.items()) if v] for out in acc
+            ]
+            cached.append((rows, den))
+        rep._dual_rho_rows = cached
+    return cached
+
+
 def wei_D(elem):
-    """D(F) = (1/2) sum_i rho(X^i) dF/dx_i; drops homogeneity degree by one."""
+    """D(F) = (1/2) sum_i rho(X^i) dF/dx_i; drops homogeneity degree by one.
+
+    All partials come from one ``gradient_rows`` pass and go, with the
+    integer rows of rho(X^i), straight into the integer product core.
+    """
     rep = elem.rep
-    L = rep.L
-    duals = _dual_rho(rep)
-    terms = []
-    for i in range(L.dim):
-        d = elem.mat.diff("x%d" % i)
-        if not d.is_zero():
-            terms.append((rat(1, 2), duals[i], d))
-    total = sum_of_products(L.x_ring, rep.dim, rep.dim, terms)
+    duals = _dual_rho_rows(rep)
+    grads, den = gradient_rows(elem.mat)
+    plan = [(_HALF, duals[i], (g, den)) for i, g in enumerate(grads) if g is not None]
+    total = int_sum_of_products(rep.L.x_ring, rep.dim, rep.dim, plan)
     deg = None if elem.degree is None else max(elem.degree - 1, 0)
     if total.is_zero():
         return KirillovElement(rep, total, None)
     return KirillovElement(rep, total, deg)
 
 
+def derivation_chain(rep, k, steps):
+    """[D^1(c_k Id), ..., D^steps(c_k Id)]; D^i is homogeneous of degree k - i.
+
+    Each power is one application of D to the one before it.
+    """
+    elem = scalar_element(rep, rep.L.invariant_ck(k))
+    chain = []
+    for i in range(1, steps + 1):
+        elem = KirillovElement(rep, wei_D(elem).mat, k - i)
+        chain.append(elem)
+    return chain
+
+
 def big_operator(rep, i, k):
     """D^i applied to c_k * Id; homogeneous of degree k - i."""
-    L = rep.L
-    if not 0 < i < k <= L.n:
+    if not 0 < i < k <= rep.L.n:
         raise ValueError("indices must satisfy 0 < i < k <= n")
-    elem = scalar_element(rep, L.invariant_ck(k))
-    for _ in range(i):
-        elem = wei_D(elem)
-    return KirillovElement(rep, elem.mat, k - i)
+    return derivation_chain(rep, k, i)[-1]
 
 
 def equivariance_check(elem):

@@ -50,19 +50,17 @@ class TypeA:
                     self._offdiag_index[(i, j)] = idx
                     idx += 1
 
-        # structure constants as coordinate vectors of [X_i, X_j]
+        # structure constants as coordinate vectors of [X_i, X_j], and the
+        # trace form tr(X_i X_j), from the basis as sparse {(row, col): int}
+        sparse = [{(i, j): 1} for i in range(n) for j in range(n) if i != j]
+        sparse += [{(k, k): 1, (k + 1, k + 1): -1} for k in range(n - 1)]
         self.structure = [
-            [
-                self.coords_of(basis[i].commutator(basis[j]))
-                for j in range(self.dim)
-            ]
-            for i in range(self.dim)
+            [self._sparse_coords(_bracket(x, y)) for y in sparse] for x in sparse
         ]
-
         self.trace_form = QMatrix(
             [
-                [(basis[i] * basis[j]).trace() for j in range(self.dim)]
-                for i in range(self.dim)
+                [sum(v * y.get((c, r), 0) for (r, c), v in x.items()) for y in sparse]
+                for x in sparse
             ]
         )
         # Killing form sum_{k,l} structure[i][k][l] * structure[j][l][k] over
@@ -126,6 +124,20 @@ class TypeA:
             coords[base + k] = acc
         if sum((m.a[i][i] for i in range(n)), ZERO) != 0:
             raise ValueError("matrix has nonzero trace")
+        return coords
+
+    def _sparse_coords(self, m):
+        """coords_of for a trace-zero integer matrix given as {(row, col): int}."""
+        n = self.n
+        coords = [ZERO] * self.dim
+        for (i, j), v in m.items():
+            if i != j:
+                coords[self._offdiag_index[(i, j)]] = Fraction(v)
+        acc = 0
+        base = self.dim - (n - 1)
+        for k in range(n - 1):
+            acc += m.get((k, k), 0)
+            coords[base + k] = Fraction(acc)
         return coords
 
     def bracket_coords(self, x, y):
@@ -202,6 +214,17 @@ class TypeA:
         if not pm.trace().is_zero():
             raise ValueError("polynomial matrix has nonzero trace")
         return coords
+
+
+def _bracket(x, y):
+    """[x, y] of integer matrices given as {(row, col): value}."""
+    out = {}
+    for sign, a, b in ((1, x, y), (-1, y, x)):
+        for (r, k), u in a.items():
+            for (k2, c), v in b.items():
+                if k == k2:
+                    out[(r, c)] = out.get((r, c), 0) + sign * u * v
+    return out
 
 
 def charpoly_coeffs_poly(pm):

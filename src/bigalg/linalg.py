@@ -13,6 +13,7 @@ grows an ``Echelon`` into the span of seeds under a set of generators.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .multipoly import rat, ZERO, ONE
@@ -235,7 +236,10 @@ class QMatrix:
 
     @classmethod
     def from_obj(cls, obj):
-        return cls([[rat(x) for x in row] for row in obj])
+        # serialized matrices repeat few distinct entries ("0" above all):
+        # parse each one once, in first-seen order so errors name the first
+        parsed = {x: rat(x) for x in dict.fromkeys(chain.from_iterable(obj))}
+        return cls([[parsed[x] for x in row] for row in obj], _trusted=True)
 
 
 # ---------------------------------------------------------------------------

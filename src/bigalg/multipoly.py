@@ -85,6 +85,22 @@ class VarSet:
     def total_degree(self, key):
         return sum(self.unpack(key))
 
+    def support(self, key):
+        """[(i, e)] for every variable i with exponent e != 0, i ascending.
+
+        Walks only the nonzero fields of the key; polynomial rings only.
+        """
+        if self.laurent:
+            raise ValueError("support needs a polynomial ring")
+        out = []
+        while key:
+            shift = (key & -key).bit_length() - 1
+            shift -= shift % _SHIFT
+            e = (key >> shift) & _MASK
+            out.append((shift // _SHIFT, e))
+            key -= e << shift
+        return out
+
 
 def _check_same_ring(a, b):
     if a.ring is not b.ring and a.ring != b.ring:

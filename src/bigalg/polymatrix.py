@@ -3,6 +3,9 @@
 Every product of matrices goes through ``sum_of_products``: operands become
 sparse integer rows over one common denominator, output entries accumulate
 Python ints, and each surviving term becomes one ``Fraction`` at the end.
+``int_sum_of_products`` is the integer core on its own, for callers that
+build the integer rows themselves (``gradient_rows`` and the Kirillov
+derivation D).
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ def sum_of_products(ring, rows, cols, terms):
     once, even when it appears in several terms; zero entries are skipped on
     both sides.
     """
-    origin = ring.origin
     converted = {}
     plan = []
     for s, a, b in terms:
@@ -51,19 +53,30 @@ def sum_of_products(ring, rows, cols, terms):
             raise ValueError("shape mismatch")
         for m in (a, b):
             if id(m) not in converted:
-                converted[id(m)] = _sparse_int_rows(m, origin)
-        (ra, da), (rb, db) = converted[id(a)], converted[id(b)]
+                converted[id(m)] = _sparse_int_rows(m, ring.origin)
+        plan.append((s, converted[id(a)], converted[id(b)]))
+    return int_sum_of_products(ring, rows, cols, plan)
+
+
+def int_sum_of_products(ring, rows, cols, plan):
+    """sum_of_products on operands already converted by ``_sparse_int_rows``.
+
+    plan is [(s, (rows_a, den_a), (rows_b, den_b))]; shapes are not checked.
+    """
+    origin = ring.origin
+    weighted = []
+    for s, (ra, da), (rb, db) in plan:
         s = rat(s)
-        plan.append((s.numerator, s.denominator * da * db, ra, rb))
-    den = lcm(*(d for _, d, _, _ in plan))
+        weighted.append((s.numerator, s.denominator * da * db, ra, rb))
+    den = lcm(*(d for _, d, _, _ in weighted))
     # the integer weight of each term over the common denominator den
-    plan = [(num * (den // d), ra, rb) for num, d, ra, rb in plan if num]
+    weighted = [(num * (den // d), ra, rb) for num, d, ra, rb in weighted if num]
 
     zero = MultiPoly.zero(ring)
     out = []
     for i in range(rows):
         acc = [{} for _ in range(cols)]
-        for scale, ra, rb in plan:
+        for scale, ra, rb in weighted:
             for k, x in ra[i]:
                 for j, y in rb[k]:
                     entry = acc[j]
@@ -82,6 +95,43 @@ def sum_of_products(ring, rows, cols, terms):
     prod = PolyMatrix(ring, out, _trusted=True)
     prod.cols = cols  # kept when rows == 0
     return prod
+
+
+def gradient_rows(m):
+    """Every partial derivative of m in one pass over its terms.
+
+    Returns (grads, den): grads[i] holds d m / d(variable i) as sparse integer
+    rows in the form of ``_sparse_int_rows``, or None when that derivative
+    is zero; all of them share the one positive denominator den.  Each term
+    c * x^e adds c * e_i to grads[i] for every variable x_i it contains.
+    Only polynomial rings are supported (``VarSet.support``).
+    """
+    ring = m.ring
+    den = lcm(*{c.denominator for row in m.a for p in row for c in p.terms.values()})
+    units = ring._units
+    grads = [None] * len(units)
+    supports = {}  # a monomial recurs across entries; walk its key once
+    partials = {}  # id of an entry polynomial -> {i: its d/dx_i}, shared
+    for r, row in enumerate(m.a):
+        for col, p in enumerate(row):
+            entry = partials.get(id(p))
+            if entry is None:
+                entry = partials[id(p)] = {}
+                for key, c in p.terms.items():
+                    num = c.numerator * (den // c.denominator)
+                    support = supports.get(key)
+                    if support is None:
+                        support = supports[key] = ring.support(key)
+                    for i, e in support:
+                        d = entry.get(i)
+                        if d is None:
+                            d = entry[i] = {}
+                        d[key - units[i]] = num * e
+            for i, d in entry.items():
+                if grads[i] is None:
+                    grads[i] = [[] for _ in range(m.rows)]
+                grads[i][r].append((col, d))
+    return grads, den
 
 
 class PolyMatrix:

@@ -1,10 +1,13 @@
+import hashlib
 import json
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bigalg import lie
 from bigalg.acceptance import (
+    BATTERY,
     decuplet_relations,
     octet_big_relations,
     octet_medium_relations,
@@ -20,13 +23,20 @@ from bigalg.bigalgebra import (
     ideal_graded_dims,
     ideal_span,
     rational_diagonalizer,
+    restrict_to_section,
     substitute_relation,
     verify_presentation,
     weighted_monomials,
 )
-from bigalg.kirillov import small_operator
+from bigalg.kirillov import (
+    KirillovElement,
+    derivation_chain,
+    scalar_element,
+    small_operator,
+)
 from bigalg.linalg import QMatrix, charpoly, rank, upoly_mul
 from bigalg.multipoly import MultiPoly, rat
+from bigalg.polymatrix import PolyMatrix
 from bigalg.qpoly import QPoly
 from bigalg.reps import build_irrep
 
@@ -54,9 +64,6 @@ def test_calibrated_m1_equals_small_operator(octet, decuplet, octet_gens, decupl
 def test_scalar_invariant_restricts_to_itself(octet_gens):
     # c_k * Id is a base-ring element: the companion coordinates leave it alone
     ring = octet_gens.ring
-    from bigalg.kirillov import scalar_element
-    from bigalg.bigalgebra import restrict_to_section
-
     rep_mat = restrict_to_section(
         scalar_element(octet_gens.rep, octet_gens.rep.L.invariant_ck(2)),
         octet_gens._section_coords,
@@ -66,6 +73,107 @@ def test_scalar_invariant_restricts_to_itself(octet_gens):
     for i in range(rep_mat.rows):
         for j in range(rep_mat.cols):
             assert rep_mat.a[i][j] == (c2 if i == j else 0)
+
+
+def _term_orders(pm):
+    return [[list(p.terms.items()) for p in row] for row in pm.a]
+
+
+def test_restriction_matches_generic_substitution():
+    # every D^i(c_k) of every battery module: same terms, in the same order
+    for n, mu in BATTERY:
+        L = lie.TypeA(n)
+        rep = build_irrep(L, mu)
+        ring, coords = lie.section_coords(L)
+        mapping = {"x%d" % i: coords[i] for i in range(L.dim)}
+        for k in range(2, n + 1):
+            for elem in derivation_chain(rep, k, k - 1):
+                got = restrict_to_section(elem, coords, ring)
+                ref = elem.mat.subs(ring, mapping)
+                assert got == ref, (n, mu, k)
+                assert _term_orders(got) == _term_orders(ref), (n, mu, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_restriction_matches_substitution_on_random_elements(
+    sl2_sym4, sl3_standard, data
+):
+    # small coefficients and few variables make x-terms collide on one c-term,
+    # cancel, and come back, and put even powers on the -c_k coordinates
+    rep = data.draw(st.sampled_from([sl2_sym4, sl3_standard]))
+    L = rep.L
+    ring, coords = lie.section_coords(L)
+    x_ring = L.x_ring
+    live = [i for i, c in enumerate(coords) if c]
+    variables = st.one_of(st.sampled_from(live), st.integers(0, L.dim - 1))
+    exps = st.dictionaries(variables, st.integers(1, 3), max_size=3).map(
+        lambda d: tuple(d.get(i, 0) for i in range(L.dim))
+    )
+    coeffs = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    polys = st.lists(st.tuples(exps, coeffs), max_size=6).map(
+        lambda ts: MultiPoly(x_ring, {x_ring.pack(e): c for e, c in ts})
+    )
+    mat = PolyMatrix(x_ring, [[data.draw(polys) for _ in range(2)] for _ in range(2)])
+    got = restrict_to_section(KirillovElement(rep, mat), coords, ring)
+    ref = mat.subs(ring, {"x%d" % i: c for i, c in enumerate(coords)})
+    assert got == ref
+    assert _term_orders(got) == _term_orders(ref)
+
+
+def test_restriction_refuses_non_monomial_coordinates(octet_gens):
+    ring = octet_gens.ring
+    elem = small_operator(octet_gens.rep)
+    c2 = MultiPoly.variable(ring, "c2")
+    for bad in (c2 + 1, c2.scale(2), rat(1, 2)):
+        coords = list(octet_gens._section_coords)
+        coords[0] = bad
+        with pytest.raises(ValueError):
+            restrict_to_section(elem, coords, ring)
+
+
+# First 16 hex digits of the SHA-256 of the sorted-key JSON of the generator
+# family's report(), of every op's mat.to_obj() and of every op's
+# kirillov.mat.to_obj().  They were computed by an independent construction
+# (one PolyMatrix.diff per variable, the generic PolyMatrix.subs restriction,
+# D^1..D^(i-1) recomputed for each i), so they pin the exact bytes.
+GENERATOR_DIGESTS = [
+    ((2, (1,)), ('685407ac1c5aed42', '5960c1ddf8c24840', 'e67daac2cdce3698')),
+    ((2, (2,)), ('685407ac1c5aed42', '80a4df39259b70d7', '5d555d3b276c1f1b')),
+    ((2, (3,)), ('685407ac1c5aed42', 'ff206f0c0422308a', 'f637ccadc889f38d')),
+    ((2, (4,)), ('685407ac1c5aed42', '943c1676a15c38b5', '67615350092452ba')),
+    ((2, (5,)), ('685407ac1c5aed42', 'f892dbe1becc8192', '57645022e057f1fe')),
+    ((2, (6,)), ('685407ac1c5aed42', '22cef58035f416b9', '0786b6a433722bc0')),
+    ((3, (1, 0)), ('1ba64ba6aada3b22', 'f4a548786ea0aee5', '86ebf7ddd35d5c31')),
+    ((3, (0, 1)), ('1ba64ba6aada3b22', '86789f9322345790', 'dea100084dd3249c')),
+    ((3, (2, 0)), ('1ba64ba6aada3b22', '8c09815a79d824db', 'cb8d83f62d0f4a0a')),
+    ((3, (3, 0)), ('1ba64ba6aada3b22', '417bd7142d383d72', '53bb8d91de155353')),
+    ((3, (1, 1)), ('68967d9a49ee23e5', '5cfd51e913242349', 'd249280079ef41b2')),
+    ((3, (2, 1)), ('1ba64ba6aada3b22', '6036eeea20307333', '3dd9f8caa2ec9e55')),
+    ((4, (1, 0, 0)), ('bc67e8df33891233', '1fc1c81028c5714c', 'a06f609f7c558a1b')),
+    ((4, (0, 1, 0)), ('bc67e8df33891233', '1e669e33fe2098fa', '4c759175de77e5a2')),
+    ((3, (2, 2)), ('1ba64ba6aada3b22', '89b4bf3cbe7c2d99', '3c86ee5f985ba670')),
+    ((4, (1, 1, 0)), ('bc67e8df33891233', '2abb057ec599d221', '345da2c5a1afa8db')),
+]
+
+
+def _sha(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def test_generator_digests_cover_the_battery():
+    assert set(BATTERY) <= {key for key, _ in GENERATOR_DIGESTS}
+
+
+@pytest.mark.parametrize("key, digests", GENERATOR_DIGESTS, ids=str)
+def test_generator_bytes_are_pinned(key, digests):
+    n, mu = key
+    gens = BigGenerators(build_irrep(lie.TypeA(n), mu))
+    assert (
+        _sha(gens.report()),
+        _sha([op.mat.to_obj() for op in gens.ops]),
+        _sha([op.kirillov.mat.to_obj() for op in gens.ops]),
+    ) == digests
 
 
 def test_evaluate_at_principal_point(octet, octet_gens, L3):

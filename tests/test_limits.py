@@ -1,7 +1,10 @@
+from itertools import combinations, permutations
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bigalg.limits import limit_of_span
-from bigalg.linalg import same_span
+from bigalg.linalg import rank, same_span
 from bigalg.multipoly import MultiPoly, VarSet, rat
 
 
@@ -88,3 +91,66 @@ def test_negative_exponent_flag():
     winv = MultiPoly.monomial(ring, (-1,), 1)
     with pytest.raises(ValueError):
         limit_of_span([[winv]], allow_negative_exponents=False)
+
+
+# ---------------------------------------------------------------------------
+# property test against the Pluecker coordinates of the limit
+# ---------------------------------------------------------------------------
+
+_W = wring()
+_laurent = st.dictionaries(
+    st.integers(-2, 2), st.integers(-3, 3), max_size=3
+).map(lambda d: MultiPoly(_W, {_W.pack((e,)): c for e, c in d.items()}))
+
+
+def _det(rows, zero):
+    """Leibniz expansion; entries may be MultiPoly or rationals."""
+    total = zero
+    for perm in permutations(range(len(rows))):
+        sign = 1
+        for i, j in combinations(range(len(perm)), 2):
+            if perm[i] > perm[j]:
+                sign = -sign
+        term = sign
+        for i, j in enumerate(perm):
+            term = rows[i][j] * term
+        total = total + term
+    return total
+
+
+def _leading_minors(columns):
+    """The k x k minors' coefficients at the lowest w-order of any minor.
+
+    The limit of span(columns) as w -> 0 is the subspace whose Pluecker
+    coordinates are these leading terms; None when every minor vanishes.
+    """
+    k, height = len(columns), len(columns[0])
+    minors = [
+        _det([[columns[j][i] for j in range(k)] for i in rows], MultiPoly.zero(_W))
+        for rows in combinations(range(height), k)
+    ]
+    lows = [m.var_range("w")[0] for m in minors if m.terms]
+    if not lows:
+        return None
+    low = min(lows)
+    return [m.coeff((low,)) for m in minors]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 4))
+def test_limit_of_span_matches_leading_minors(data, height):
+    k = data.draw(st.integers(1, height))
+    columns = [[data.draw(_laurent) for _ in range(height)] for _ in range(k)]
+    plucker = _leading_minors(columns)
+    assume(plucker is not None)  # full generic rank
+    lim = limit_of_span(columns)
+    assert (lim.rows, lim.cols) == (height, k)
+    assert rank(lim) == k
+    got = [
+        _det([lim.a[i] for i in rows], rat(0))
+        for rows in combinations(range(height), k)
+    ]
+    # the same subspace: proportional Pluecker vectors
+    s = next(i for i, p in enumerate(plucker) if p)
+    ratio = got[s] / plucker[s]
+    assert ratio and got == [ratio * p for p in plucker]

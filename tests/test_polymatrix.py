@@ -9,10 +9,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bigalg.kirillov import _dual_rho, medium_operator, scalar_element, wei_D
+from bigalg.kirillov import (
+    KirillovElement,
+    _dual_rho,
+    medium_operator,
+    scalar_element,
+    wei_D,
+)
 from bigalg.linalg import QMatrix
 from bigalg.multipoly import MultiPoly, VarSet
-from bigalg.polymatrix import PolyMatrix, sum_of_products
+from bigalg.polymatrix import PolyMatrix, gradient_rows, sum_of_products
 
 # t is a Laurent variable, so keys below the origin occur
 R = VarSet(["x", "y", "t"], laurent=["t"])
@@ -206,3 +212,61 @@ def test_wei_D_matches_reference(sl3_standard, octet, L3):
             for p in row
             for c in p.terms.values()
         )
+
+
+def _x_polys(ring):
+    """Polynomials over a polynomial ring: up to four terms, mixed denominators."""
+    exps = st.lists(st.integers(0, 2), min_size=len(ring), max_size=len(ring))
+    return st.one_of(
+        st.just(MultiPoly.zero(ring)),
+        st.dictionaries(exps.map(tuple), _coeffs, max_size=4).map(
+            lambda d: MultiPoly(ring, {ring.pack(e): c for e, c in d.items()})
+        ),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_wei_D_matches_reference_on_random_elements(sl2_sym4, sl3_standard, data):
+    rep = data.draw(st.sampled_from([sl2_sym4, sl3_standard]))
+    ring = rep.L.x_ring
+    polys = _x_polys(ring)
+    mat = PolyMatrix(
+        ring, [[data.draw(polys) for _ in range(rep.dim)] for _ in range(rep.dim)]
+    )
+    elem = KirillovElement(rep, mat)
+    out = wei_D(elem)
+    assert out.mat.a == _ref_wei_D(elem)
+    assert out.degree == (0 if out.mat.is_zero() else out.mat.is_homogeneous())
+    assert all(
+        type(c) is Fraction and c != 0
+        for row in out.mat.a
+        for p in row
+        for c in p.terms.values()
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), _dims, _dims)
+def test_gradient_rows_match_diff(data, n, m):
+    ring = VarSet(["x", "y", "z"])
+    polys = _x_polys(ring)
+    mat = PolyMatrix(ring, [[data.draw(polys) for _ in range(m)] for _ in range(n)])
+    grads, den = gradient_rows(mat)
+    for i, name in enumerate(ring.names):
+        ref = mat.diff(name)
+        if grads[i] is None:
+            assert ref.is_zero()
+            continue
+        got = [[MultiPoly.zero(ring)] * m for _ in range(n)]
+        for r, row in enumerate(grads[i]):
+            assert [col for col, _ in row] == sorted({col for col, _ in row})
+            for col, d in row:
+                assert d
+                got[r][col] = MultiPoly(ring, {k: Fraction(v, den) for k, v in d.items()})
+        assert got == ref.a
+
+
+def test_gradient_rows_refuse_laurent_rings():
+    with pytest.raises(ValueError):
+        gradient_rows(PolyMatrix(R, [[MultiPoly.variable(R, "x")]]))
