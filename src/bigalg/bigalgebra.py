@@ -209,7 +209,7 @@ class BigGenerators:
         L = self.rep.L
         cvals = lie.principal_point(L)
         a0 = lie.companion_point(L.n, cvals)
-        eigs = [L.h.a[i][i] for i in range(L.n)]
+        eigs = [L.h[i, i] for i in range(L.n)]
         s = rational_diagonalizer(a0, eigs)
         transport = self.rep.gl_transport(s)
         return cvals, a0, transport
@@ -291,9 +291,9 @@ def _ad_grade(rep, mat):
     rd = lie.RootData(rep.L.n)
     wts = [rd.h_pairing(w) for w in rep.weights]
     grades = set()
-    for i in range(rep.dim):
-        for j in range(rep.dim):
-            if mat.a[i][j]:
+    for i, row in enumerate(mat.num):
+        for j, x in enumerate(row):
+            if x:
                 delta = wts[i] - wts[j]
                 if delta % 2:
                     return None
@@ -503,11 +503,11 @@ def derive_relations(rep, gens, max_degree):
             val = _evaluate_monomial(rr.ring.names, exps, gen_mats, c_polys, cache)
             vectors.append(_monomial_vector_index(val, coord_index))
         ncoords = len(coord_index)
-        mat = QMatrix.zeros(ncoords, len(monos))
+        mat = [[ZERO] * len(monos) for _ in range(ncoords)]
         for cidx, coords in enumerate(vectors):
             for key, c in coords.items():
-                mat.a[coord_index[key]][cidx] = c
-        kern = kernel(mat) if ncoords else [
+                mat[coord_index[key]][cidx] = c
+        kern = kernel(QMatrix(mat)) if ncoords else [
             [ONE if i == j else ZERO for i in range(len(monos))]
             for j in range(len(monos))
         ]

@@ -101,10 +101,9 @@ def medium_operator(rep, k):
     mat = PolyMatrix.zeros(L.x_ring, rep.dim, rep.dim)
     for i in range(L.dim):
         gi = MultiPoly.zero(L.x_ring)
-        for j in range(L.dim):
-            c = L.trace_inv.a[i][j]
-            if c and partials[j].terms:
-                gi = gi + partials[j].scale(c)
+        for c, partial in zip(L.trace_inv.row(i), partials):
+            if c and partial.terms:
+                gi = gi + partial.scale(c)
         if gi.terms:
             mat = mat + PolyMatrix.from_qmatrix(L.x_ring, rep.rho[i]) * gi
     return KirillovElement(rep, mat, k - 1)
@@ -117,8 +116,7 @@ def _dual_rho(rep):
         duals = []
         for i in range(L.dim):
             m = QMatrix.zeros(rep.dim, rep.dim)
-            for j in range(L.dim):
-                c = L.killing_inv.a[i][j]
+            for j, c in enumerate(L.killing_inv.row(i)):
                 if c:
                     m = m + rep.rho[j] * c
             duals.append(m)
@@ -139,7 +137,7 @@ def _dual_rho_rows(rep):
         origin = L.x_ring.origin
         sparse = [_sparse_int_rows(m, origin) for m in rep.rho]
         cached = []
-        for coeffs in L.killing_inv.a:
+        for coeffs in map(L.killing_inv.row, range(L.dim)):
             terms = [(c, sparse[j]) for j, c in enumerate(coeffs) if c]
             den = lcm(*(c.denominator * d for c, (_, d) in terms))
             acc = [{} for _ in range(rep.dim)]

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .multipoly import MultiPoly, VarSet, rat, ZERO, ONE
-from .linalg import QMatrix, invert, kernel
+from .linalg import QMatrix, _fractions, invert, kernel
 from .polymatrix import PolyMatrix
 
 
@@ -25,23 +25,13 @@ class TypeA:
         self.rank = n - 1
         self.dim = n * n - 1
 
-        names = []
-        basis = []
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    m = QMatrix.zeros(n, n)
-                    m.a[i][j] = ONE
-                    basis.append(m)
-                    names.append("E%d%d" % (i + 1, j + 1))
-        for k in range(n - 1):
-            m = QMatrix.zeros(n, n)
-            m.a[k][k] = ONE
-            m.a[k + 1][k + 1] = -ONE
-            basis.append(m)
-            names.append("H%d" % (k + 1))
-        self.basis = basis
-        self.basis_names = names
+        # the basis as sparse {(row, col): int} maps
+        sparse = [{(i, j): 1} for i in range(n) for j in range(n) if i != j]
+        sparse += [{(k, k): 1, (k + 1, k + 1): -1} for k in range(n - 1)]
+        self.basis = [_from_sparse(n, x) for x in sparse]
+        self.basis_names = [
+            "E%d%d" % (i + 1, j + 1) for i in range(n) for j in range(n) if i != j
+        ] + ["H%d" % (k + 1) for k in range(n - 1)]
         self._offdiag_index = {}
         idx = 0
         for i in range(n):
@@ -51,9 +41,7 @@ class TypeA:
                     idx += 1
 
         # structure constants as coordinate vectors of [X_i, X_j], and the
-        # trace form tr(X_i X_j), from the basis as sparse {(row, col): int}
-        sparse = [{(i, j): 1} for i in range(n) for j in range(n) if i != j]
-        sparse += [{(k, k): 1, (k + 1, k + 1): -1} for k in range(n - 1)]
+        # trace form tr(X_i X_j), from the sparse basis
         self.structure = [
             [self._sparse_coords(_bracket(x, y)) for y in sparse] for x in sparse
         ]
@@ -90,14 +78,9 @@ class TypeA:
 
         # principal triple e = sum E_{i,i+1}, f = sum i(n-i) E_{i+1,i},
         # h = diag(n-1, n-3, ..., 1-n)
-        e = QMatrix.zeros(n, n)
-        f = QMatrix.zeros(n, n)
-        h = QMatrix.zeros(n, n)
-        for i in range(n - 1):
-            e.a[i][i + 1] = ONE
-            f.a[i + 1][i] = rat((i + 1) * (n - i - 1))
-        for i in range(n):
-            h.a[i][i] = rat(n - 1 - 2 * i)
+        e = _from_sparse(n, {(i, i + 1): 1 for i in range(n - 1)})
+        f = _from_sparse(n, {(i + 1, i): (i + 1) * (n - i - 1) for i in range(n - 1)})
+        h = _from_sparse(n, {(i, i): n - 1 - 2 * i for i in range(n)})
         self.e, self.f, self.h = e, f, h
         self.e_coords = self.coords_of(e)
         self.f_coords = self.coords_of(f)
@@ -111,20 +94,21 @@ class TypeA:
     def coords_of(self, m):
         """Expand a trace-zero n x n matrix over the basis, exactly."""
         n = self.n
-        coords = [ZERO] * self.dim
+        num = m.num
+        coords = [0] * self.dim
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    coords[self._offdiag_index[(i, j)]] = m.a[i][j]
+                    coords[self._offdiag_index[(i, j)]] = num[i][j]
         # diagonal: partial sums give the H-coordinates
-        acc = ZERO
+        acc = 0
         base = self.dim - (n - 1)
         for k in range(n - 1):
-            acc += m.a[k][k]
+            acc += num[k][k]
             coords[base + k] = acc
-        if sum((m.a[i][i] for i in range(n)), ZERO) != 0:
+        if acc + num[n - 1][n - 1]:
             raise ValueError("matrix has nonzero trace")
-        return coords
+        return _fractions(coords, m.den)
 
     def _sparse_coords(self, m):
         """coords_of for a trace-zero integer matrix given as {(row, col): int}."""
@@ -185,8 +169,8 @@ class TypeA:
             xi = MultiPoly.variable(ring, "x%d" % i)
             for r in range(self.n):
                 for c in range(self.n):
-                    if b.a[r][c]:
-                        out.a[r][c] = out.a[r][c] + xi.scale(b.a[r][c])
+                    if b.num[r][c]:
+                        out.a[r][c] = out.a[r][c] + xi.scale(b[r, c])
         return out
 
     def invariant_ck(self, k):
@@ -214,6 +198,14 @@ class TypeA:
         if not pm.trace().is_zero():
             raise ValueError("polynomial matrix has nonzero trace")
         return coords
+
+
+def _from_sparse(n, entries):
+    """The n x n integer QMatrix with the given {(row, col): int} entries."""
+    num = [[0] * n for _ in range(n)]
+    for (i, j), v in entries.items():
+        num[i][j] = v
+    return QMatrix.from_ints(num)
 
 
 def _bracket(x, y):
@@ -274,7 +266,7 @@ class RootData:
         out = [0] * self.rank
         for k in range(i, j + 1):
             for l in range(self.rank):
-                out[l] += int(self.cartan.a[l][k - 1])
+                out[l] += int(self.cartan[l, k - 1])
         return tuple(out)
 
     def simple_root(self, i):
@@ -291,7 +283,7 @@ class RootData:
         for i in range(self.rank):
             for j in range(self.rank):
                 if lam[i] and mu[j]:
-                    c = self.cartan_inv.a[i][j]
+                    c = self.cartan_inv[i, j]
                     total += lam[i] * mu[j] * Fraction(int(c.numerator), int(c.denominator))
         return total
 
@@ -333,7 +325,7 @@ class RootData:
         v = [Fraction(0)] * self.rank
         for i in range(self.rank):
             for j in range(self.rank):
-                c = self.cartan_inv.a[i][j]
+                c = self.cartan_inv[i, j]
                 v[i] += lam[j] * Fraction(int(c.numerator), int(c.denominator))
         return v
 
@@ -414,12 +406,10 @@ def companion_point(n, cvals):
     """Companion matrix at rational invariant values (c_2, ..., c_n)."""
     if len(cvals) != n - 1:
         raise ValueError("need %d invariant values" % (n - 1))
-    m = QMatrix.zeros(n, n)
+    a = [[int(i == j + 1) for j in range(n)] for i in range(n)]
     for i in range(n - 1):
-        m.a[i + 1][i] = ONE
-    for i in range(n - 1):
-        m.a[i][n - 1] = -rat(cvals[n - 2 - i])
-    return m
+        a[i][n - 1] = -rat(cvals[n - 2 - i])
+    return QMatrix(a)
 
 
 def section_coords(L):

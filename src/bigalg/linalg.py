@@ -1,13 +1,20 @@
 """Dense exact linear algebra over the rationals.
 
-Matrix entries are stored as ``Fraction``s, but products run on integer
-numerators over one common denominator per operand and skip zero entries.
-Every elimination runs on the same integer rows and builds ``Fraction``s
-only for its results: rank and kernel go through Bareiss elimination,
-``rref``/``solve_columns``/``invert`` through fraction-free Gauss-Jordan,
-``Echelon`` keeps primitive integer rows with smallest-index pivots, and
-``charpoly`` runs Faddeev-LeVerrier on the integer matrix.  ``closure``
-grows an ``Echelon`` into the span of seeds under a set of generators.
+A ``QMatrix`` stores integer rows ``num`` over one positive denominator
+``den``, normalized so that gcd(den, every entry) == 1 (the zero matrix has
+den 1); equal matrices have equal storage.  Rationals become integers only
+where a matrix is built from them: the constructor, ``from_cols``,
+``from_obj`` and ``diagonal``.  Arithmetic, ``kron``, ``hstack`` and every
+elimination read and write the integer rows, and ``Fraction``s are built
+only when a caller reads entries (``m[i, j]``, ``row``, ``col``,
+``columns``, ``flatten``, ``to_obj``, ``str`` and the read-only ``a``).
+
+Products skip zero entries.  Rank and kernel go through Bareiss
+elimination, ``rref``/``solve_columns``/``invert`` through fraction-free
+Gauss-Jordan, ``Echelon`` keeps primitive integer rows with smallest-index
+pivots, and ``charpoly`` runs Faddeev-LeVerrier on the integer matrix.
+``closure`` grows an ``Echelon`` into the span of seeds under a set of
+generators.
 """
 
 from __future__ import annotations
@@ -20,11 +27,22 @@ from .multipoly import rat, ZERO, ONE
 
 
 def _int_rows(a):
-    """Integer rows and one positive denominator d with a == rows / d."""
+    """Integer rows and one positive denominator d with a == rows / d.
+
+    Taking d as the lcm of the denominators leaves gcd(d, rows) == 1.
+    """
     den = lcm(*{x.denominator for row in a for x in row})
     if den == 1:
         return [[x.numerator for x in row] for row in a], 1
     return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
+
+
+def _int_vector(v):
+    """Integer entries and one positive denominator d with v == ints / d."""
+    den = lcm(*{x.denominator for x in v})
+    if den == 1:
+        return [x.numerator for x in v], 1
+    return [x.numerator * (den // x.denominator) for x in v], den
 
 
 def _fractions(ints, den):
@@ -34,64 +52,110 @@ def _fractions(ints, den):
     return [Fraction(v, den) if v else ZERO for v in ints]
 
 
-class QMatrix:
-    """A dense matrix of exact rationals."""
+def _width(rows):
+    """The common length of the rows; ValueError when they differ."""
+    cols = len(rows[0]) if rows else 0
+    if any(len(row) != cols for row in rows):
+        raise ValueError("ragged matrix")
+    return cols
 
-    __slots__ = ("rows", "cols", "a")
 
-    def __init__(self, a, _trusted=False):
-        if _trusted:
-            self.a = a
+def _reduced(num, den, cols):
+    """The QMatrix num / den, for integer rows and den > 0, normalized."""
+    if den != 1:
+        g = den
+        for row in num:
+            g = gcd(g, *row)
+            if g == 1:
+                break
         else:
-            self.a = [[rat(x) for x in row] for row in a]
-        self.rows = len(self.a)
-        self.cols = len(self.a[0]) if self.a else 0
-        if any(len(row) != self.cols for row in self.a):
-            raise ValueError("ragged matrix")
+            num = [[x // g for x in row] for row in num]
+            den //= g
+    return QMatrix._of(num, den, cols)
+
+
+class QMatrix:
+    """A dense matrix of exact rationals: integer rows num over den > 0."""
+
+    __slots__ = ("rows", "cols", "num", "den")
+
+    def __init__(self, a):
+        a = [[rat(x) for x in row] for row in a]
+        cols = _width(a)
+        self.num, self.den = _int_rows(a)
+        self.rows = len(a)
+        self.cols = cols
+
+    @classmethod
+    def _of(cls, num, den, cols):
+        """The matrix num / den; the caller guarantees it is normalized."""
+        m = object.__new__(cls)
+        m.num = num
+        m.den = den
+        m.rows = len(num)
+        m.cols = cols  # kept when num has no rows
+        return m
 
     # ---------- constructors ----------
 
     @classmethod
+    def from_ints(cls, num, den=1, cols=0):
+        """The matrix num / den of integer rows and a positive integer den.
+
+        cols is the width when num has no rows.  The rows are not copied.
+        """
+        if num:
+            cols = _width(num)
+        if den <= 0:
+            raise ValueError("denominator must be positive")
+        return _reduced(num, den, cols)
+
+    @classmethod
     def zeros(cls, rows, cols):
-        m = cls([[ZERO] * cols for _ in range(rows)], _trusted=True)
-        m.cols = cols  # kept when rows == 0
-        return m
+        return cls._of([[0] * cols for _ in range(rows)], 1, cols)
 
     @classmethod
     def identity(cls, n):
-        return cls(
-            [[ONE if i == j else ZERO for j in range(n)] for i in range(n)],
-            _trusted=True,
-        )
+        return cls._of([[int(i == j) for j in range(n)] for i in range(n)], 1, n)
 
     @classmethod
     def from_cols(cls, cols, rows=None):
         if not cols:
             if rows is None:
                 raise ValueError("cannot infer row count")
-            return cls([[] for _ in range(rows)], _trusted=True)
+            return cls._of([[] for _ in range(rows)], 1, 0)
         n = len(cols[0])
-        return cls([[rat(col[i]) for col in cols] for i in range(n)])
+        if not n:
+            return cls._of([], 1, len(cols))
+        return cls([[col[i] for col in cols] for i in range(n)])
 
     @classmethod
     def diagonal(cls, entries):
         n = len(entries)
-        m = cls.zeros(n, n)
-        for i, x in enumerate(entries):
-            m.a[i][i] = rat(x)
-        return m
+        diag, den = _int_vector([rat(x) for x in entries])
+        num = [[0] * n for _ in range(n)]
+        for i, x in enumerate(diag):
+            num[i][i] = x
+        return cls._of(num, den, n)
 
     # ---------- accessors ----------
 
+    @property
+    def a(self):
+        """The entries as fresh rows of Fractions; writing to them changes nothing."""
+        den = self.den
+        return [_fractions(row, den) for row in self.num]
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.a[i][j]
+        v = self.num[i][j]
+        return Fraction(v, self.den) if v else ZERO
 
     def row(self, i):
-        return list(self.a[i])
+        return _fractions(self.num[i], self.den)
 
     def col(self, j):
-        return [self.a[i][j] for i in range(self.rows)]
+        return _fractions([row[j] for row in self.num], self.den)
 
     def columns(self):
         return [self.col(j) for j in range(self.cols)]
@@ -99,21 +163,25 @@ class QMatrix:
     # ---------- arithmetic ----------
 
     def __add__(self, other):
-        self._shape_check(other)
-        return QMatrix(
-            [[x + y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)],
-            _trusted=True,
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign * other over the lcm of the two denominators."""
         self._shape_check(other)
-        return QMatrix(
-            [[x - y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)],
-            _trusted=True,
-        )
+        den = lcm(self.den, other.den)
+        fa = den // self.den
+        fb = sign * (den // other.den)
+        num = [
+            [x * fa + y * fb for x, y in zip(r, s)]
+            for r, s in zip(self.num, other.num)
+        ]
+        return _reduced(num, den, self.cols)
 
     def __neg__(self):
-        return QMatrix([[-x for x in r] for r in self.a], _trusted=True)
+        return QMatrix._of([[-x for x in r] for r in self.num], self.den, self.cols)
 
     def _shape_check(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -123,40 +191,37 @@ class QMatrix:
         if isinstance(other, QMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
-            a, da = _int_rows(self.a)
-            b, db = _int_rows(other.a)
-            den = da * db
             width = other.cols
-            # row k of b as its nonzero (j, value) pairs
-            sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+            # row k of other as its nonzero (j, value) pairs
+            sparse_b = [_pairs(row) for row in other.num]
             out = []
-            for row in a:
+            for row in self.num:
                 acc = [0] * width
                 for x, brow in zip(row, sparse_b):
                     if x:
                         for j, y in brow:
                             acc[j] += x * y
-                out.append(_fractions(acc, den))
-            prod = QMatrix(out, _trusted=True)
-            prod.cols = width
-            return prod
+                out.append(acc)
+            return _reduced(out, self.den * other.den, width)
         if isinstance(other, (list, tuple)):
             return self.mul_vec(other)
-        c = rat(other)
-        return QMatrix([[x * c for x in r] for r in self.a], _trusted=True)
+        return self._scaled(rat(other))
 
     def __rmul__(self, other):
-        c = rat(other)
-        return QMatrix([[c * x for x in r] for r in self.a], _trusted=True)
+        return self._scaled(rat(other))
+
+    def _scaled(self, c):
+        p = c.numerator
+        num = [[x * p for x in r] for r in self.num]
+        return _reduced(num, self.den * c.denominator, self.cols)
 
     def mul_vec(self, v):
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        a, da = _int_rows(self.a)
-        (w,), dv = _int_rows([v])
-        nonzero = [(j, y) for j, y in enumerate(w) if y]
+        w, dv = _int_vector(v)
+        nonzero = _pairs(w)
         return _fractions(
-            [sum(row[j] * y for j, y in nonzero) for row in a], da * dv
+            [sum(row[j] * y for j, y in nonzero) for row in self.num], self.den * dv
         )
 
     def power(self, k):
@@ -179,50 +244,50 @@ class QMatrix:
 
     def transpose(self):
         if not self.rows:
-            return QMatrix([[] for _ in range(self.cols)], _trusted=True)
-        t = QMatrix([list(r) for r in zip(*self.a)], _trusted=True)
-        t.cols = self.rows  # kept when cols == 0
-        return t
+            return QMatrix._of([[] for _ in range(self.cols)], 1, 0)
+        return QMatrix._of([list(r) for r in zip(*self.num)], self.den, self.rows)
 
     def trace(self):
-        return sum((self.a[i][i] for i in range(self.rows)), ZERO)
+        t = sum(self.num[i][i] for i in range(self.rows))
+        return Fraction(t, self.den) if t else ZERO
 
     def is_zero(self):
-        return all(x == 0 for row in self.a for x in row)
+        return not any(map(any, self.num))
 
     def __eq__(self, other):
         return (
             isinstance(other, QMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.a == other.a
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def commutator(self, other):
         return self * other - other * self
 
     def kron(self, other):
-        a, da = _int_rows(self.a)
-        b, db = _int_rows(other.a)
-        den = da * db
         zero_block = [0] * other.cols
         out = []
-        for r in a:
-            for s in b:
+        for r in self.num:
+            for s in other.num:
                 ints = []
                 for x in r:
                     ints.extend([x * y for y in s] if x else zero_block)
-                out.append(_fractions(ints, den))
-        prod = QMatrix(out, _trusted=True)
-        prod.cols = self.cols * other.cols  # kept when either has no rows
-        return prod
+                out.append(ints)
+        return _reduced(out, self.den * other.den, self.cols * other.cols)
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        return QMatrix(
-            [r + s for r, s in zip(self.a, other.a)], _trusted=True
-        )
+        # over the lcm of the denominators; gcd(lcm, entries) stays 1
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        num = [
+            [x * fa for x in r] + [y * fb for y in s]
+            for r, s in zip(self.num, other.num)
+        ]
+        return QMatrix._of(num, den, self.cols + other.cols)
 
     def __str__(self):
         return "\n".join(" ".join(str(x) for x in row) for row in self.a)
@@ -239,7 +304,10 @@ class QMatrix:
         # serialized matrices repeat few distinct entries ("0" above all):
         # parse each one once, in first-seen order so errors name the first
         parsed = {x: rat(x) for x in dict.fromkeys(chain.from_iterable(obj))}
-        return cls([[parsed[x] for x in row] for row in obj], _trusted=True)
+        den = lcm(*{q.denominator for q in parsed.values()})
+        ints = {x: q.numerator * (den // q.denominator) for x, q in parsed.items()}
+        num = [[ints[x] for x in row] for row in obj]
+        return cls._of(num, den, _width(num))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +356,7 @@ def rank(m):
     if m.rows == 0 or m.cols == 0:
         return 0
     # kernel and rank are invariant under scaling by the common denominator
-    _, pivots = bareiss_echelon(_int_rows(m.a)[0])
+    _, pivots = bareiss_echelon(m.num)
     return len(pivots)
 
 
@@ -303,7 +371,7 @@ def kernel(m):
         return [
             [ONE if i == j else ZERO for i in range(ncols)] for j in range(ncols)
         ]
-    rows, pivots = bareiss_echelon(_int_rows(m.a)[0])
+    rows, pivots = bareiss_echelon(m.num)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -333,8 +401,8 @@ def joint_kernel(mats):
     """Intersection of the kernels of several same-width matrices."""
     if not mats:
         raise ValueError("need at least one matrix")
-    stacked = QMatrix([row for m in mats for row in m.a])
-    return kernel(stacked)
+    # each block's kernel ignores its scale, so its integer rows serve
+    return kernel(QMatrix.from_ints([row for m in mats for row in m.num]))
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +442,10 @@ def _eliminate(row, c, prow, ppairs):
 class Echelon:
     """A growing basis of a subspace in fraction-free reduced echelon form.
 
-    Each pivot row is a primitive integer row, positive at its pivot (the
-    smallest index where it is nonzero) and zero at every other pivot.
+    ``add`` and ``contains`` take a rational vector, or a QMatrix taken
+    row-major as its integer rows, without its denominator.  Each pivot row
+    is a primitive integer row, positive at its pivot (the smallest index
+    where it is nonzero) and zero at every other pivot.
     """
 
     def __init__(self):
@@ -388,10 +458,13 @@ class Echelon:
     def _reduce(self, vec):
         """An integer multiple of vec minus its projection on the span.
 
-        The result is zero at every pivot, and zero everywhere iff vec
-        lies in the span.
+        vec is a rational vector, or a QMatrix taken row-major.  The result
+        is zero at every pivot, and zero everywhere iff vec lies in the span.
         """
-        (v,), _ = _int_rows([vec])
+        if isinstance(vec, QMatrix):
+            v = list(chain.from_iterable(vec.num))  # spans ignore the scale
+        else:
+            v, _ = _int_vector(vec)
         rows = self._rows
         hits = [p for p in rows if v[p]]
         if not hits:
@@ -427,8 +500,8 @@ class Echelon:
 
 
 def flatten(m):
-    """The entries of a QMatrix as one row-major list."""
-    return [x for row in m.a for x in row]
+    """The entries of a QMatrix as one row-major list of Fractions."""
+    return _fractions(list(chain.from_iterable(m.num)), m.den)
 
 
 def closure(seeds, gens, act):
@@ -437,17 +510,13 @@ def closure(seeds, gens, act):
     Returns (echelon, elements).  The elements are the seeds that enlarged
     the span, then the products that did, found breadth first: frontier by
     frontier, generators in the given order.  They are independent and span
-    the closure.  A QMatrix element enters the Echelon flattened row-major,
-    a list as it is.
+    the closure.
     """
     ech = Echelon()
     elements = []
     frontier = seeds
     while True:
-        grown = [
-            x for x in frontier
-            if ech.add(flatten(x) if isinstance(x, QMatrix) else x)
-        ]
+        grown = [x for x in frontier if ech.add(x)]
         if not grown:
             return ech, elements
         elements += grown
@@ -496,22 +565,32 @@ def _gauss_jordan(rows):
     return a, pivots
 
 
+def _over_pivots(rows, pivots, start, nrows, cols):
+    """The QMatrix whose row i is rows[i][start:] / rows[i][pivots[i]].
+
+    Zero rows pad it to nrows rows of width cols.
+    """
+    divs = [row[p] for row, p in zip(rows, pivots)]
+    den = lcm(*divs)
+    num = [[x * (den // d) for x in row[start:]] for row, d in zip(rows, divs)]
+    num.extend([0] * cols for _ in range(len(divs), nrows))
+    return _reduced(num, den, cols)
+
+
 def rref(m):
     """Reduced row echelon over Q; returns (QMatrix, pivot columns)."""
-    a, pivots = _gauss_jordan(_int_rows(m.a)[0])
-    out = [_fractions(row, row[p]) for row, p in zip(a, pivots)]
-    out.extend([ZERO] * m.cols for _ in range(len(pivots), m.rows))
-    return QMatrix(out, _trusted=True), pivots
+    a, pivots = _gauss_jordan(m.num)
+    return _over_pivots(a, pivots, 0, m.rows, m.cols), pivots
 
 
 def invert(m):
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")
     n = m.rows
-    a, pivots = _gauss_jordan(_int_rows(m.hstack(QMatrix.identity(n)).a)[0])
+    a, pivots = _gauss_jordan(m.hstack(QMatrix.identity(n)).num)
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
-    return QMatrix([_fractions(row[n:], row[p]) for row, p in zip(a, pivots)], _trusted=True)
+    return _over_pivots(a, pivots, n, n, n)
 
 
 def solve_columns(basis, target):
@@ -520,13 +599,12 @@ def solve_columns(basis, target):
     Raises ValueError when some target column leaves the span.
     """
     k = basis.cols
-    a, pivots = _gauss_jordan(_int_rows(basis.hstack(target).a)[0])
+    a, pivots = _gauss_jordan(basis.hstack(target).num)
     if len(pivots) > k or any(p >= k for p in pivots):
         raise ValueError("target not in span of basis")
     if len(pivots) < k:
         raise ValueError("basis columns are dependent")
-    x = QMatrix([_fractions(row[k:], row[p]) for row, p in zip(a, pivots)], _trusted=True)
-    x.cols = target.cols  # kept when basis has no columns
+    x = _over_pivots(a, pivots, k, k, target.cols)
     if basis * x != target:
         raise ValueError("inconsistent solve")
     return x
@@ -546,7 +624,7 @@ def charpoly(m):
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of non-square matrix")
     n = m.rows
-    a, d = _int_rows(m.a)
+    a, d = m.num, m.den
     sparse_a = [_pairs(row) for row in a]
     coeffs = [ZERO] * n + [ONE]  # index k holds coefficient of lambda^k
     mk = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -740,7 +818,7 @@ def rational_roots(p):
         roots.append((ZERO, z))
     if len(p) <= 1:
         return roots
-    (ip,), _ = _int_rows([p])
+    ip, _ = _int_vector(p)
     g = gcd(*ip)
     if g > 1:
         ip = [c // g for c in ip]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .multipoly import MultiPoly, VarSet, rat, ZERO, ONE
+from .multipoly import MultiPoly, VarSet, rat, ZERO
 from .linalg import (
     Echelon,
     QMatrix,
@@ -127,7 +127,7 @@ def h_plus_e_transport(rep):
     torus centralizing h + e (same integer spectrum as h, conjugate over Q)."""
     L = rep.L
     target = L.h + L.e
-    eigs = [L.h.a[i][i] for i in range(L.n)]
+    eigs = [L.h[i, i] for i in range(L.n)]
     from .bigalgebra import rational_diagonalizer
 
     s = rational_diagonalizer(target, eigs)
@@ -218,8 +218,7 @@ def e_limit_zlimit(rep, lam):
     columns = []
     for j in range(basis.cols):
         col = []
-        for i in range(rep.dim):
-            x = basis.a[i][j]
+        for i, x in enumerate(basis.col(j)):
             if x:
                 col.append(MultiPoly.monomial(ring, (-wts[i],), x))
             else:
@@ -262,9 +261,7 @@ def reversal_transport(rep):
     """rho-tilde of the antidiagonal reversal, carrying the principal
     nilpotent to the companion-section nilpotent (an involution)."""
     n = rep.L.n
-    j = QMatrix.zeros(n, n)
-    for i in range(n):
-        j.a[i][n - 1 - i] = ONE
+    j = QMatrix.from_ints([[int(c == n - 1 - r) for c in range(n)] for r in range(n)])
     return rep.gl_transport(j)
 
 
@@ -365,7 +362,7 @@ def algebra_structure_table(restricted_ops, dim):
             coeffs = solve_columns(
                 flat_basis, QMatrix.from_cols([flatten(a * b)], rows=dim * dim)
             )
-            table["%d,%d" % (i, j)] = [str(coeffs.a[k][0]) for k in range(len(basis))]
+            table["%d,%d" % (i, j)] = [str(x) for x in coeffs.col(0)]
     return {"basis": [b.to_obj() for b in basis], "table": table}
 
 

@@ -14,14 +14,14 @@ from fractions import Fraction
 from math import lcm
 
 from .multipoly import MultiPoly, rat
-from .linalg import QMatrix, _int_rows
+from .linalg import QMatrix
 
 
 def _sparse_int_rows(m, origin):
     """m as rows of nonzero (k, {key: int}) pairs and one positive denominator."""
     if isinstance(m, QMatrix):
-        ints, den = _int_rows(m.a)
-        return [[(k, {origin: v}) for k, v in enumerate(row) if v] for row in ints], den
+        rows = [[(k, {origin: v}) for k, v in enumerate(row) if v] for row in m.num]
+        return rows, m.den
     den = lcm(*{c.denominator for row in m.a for p in row for c in p.terms.values()})
     return [
         [
@@ -184,9 +184,15 @@ class PolyMatrix:
 
     @classmethod
     def from_qmatrix(cls, ring, qm):
+        zero = MultiPoly.zero(ring)
+        origin, den = ring.origin, qm.den
         return cls(
             ring,
-            [[MultiPoly.const(ring, x) for x in row] for row in qm.a],
+            [
+                [MultiPoly(ring, {origin: Fraction(x, den)}, _trusted=True) if x else zero
+                 for x in row]
+                for row in qm.num
+            ],
             _trusted=True,
         )
 

@@ -15,7 +15,7 @@ import json
 import os
 from itertools import combinations, product
 
-from .multipoly import rat, ZERO, ONE
+from .multipoly import ZERO, ONE
 from .linalg import (
     Echelon,
     QMatrix,
@@ -58,8 +58,10 @@ def _act(x, vec):
     x acts on each exterior factor as a derivation, and on the tensor
     product as the sum over the factors.
     """
+    if x.den != 1:
+        raise ValueError("the action needs an integer matrix")
     entries = [
-        (a, b, int(c)) for a, row in enumerate(x.a) for b, c in enumerate(row) if c
+        (a, b, c) for a, row in enumerate(x.num) for b, c in enumerate(row) if c
     ]
     moves = {}  # subset -> its image under x, shared by all keys and factors
     out = {}
@@ -82,36 +84,43 @@ def _dense(vec, index):
 
 def _matrix(vectors, index):
     """The sparse tensor vectors as the columns of a dense QMatrix."""
-    a = [[ZERO] * len(vectors) for _ in index]
+    num = [[0] * len(vectors) for _ in index]
     for j, vec in enumerate(vectors):
         for key, c in vec.items():
-            a[index[key]][j] = rat(c)
-    return QMatrix(a, _trusted=True)
+            num[index[key]][j] = c
+    return QMatrix.from_ints(num, 1, len(vectors))
 
 
 def _carries(r, x, vectors):
-    """True iff sum_i r[i][j] vectors[i] == x . vectors[j] for every j."""
+    """True iff sum_i r[i][j] vectors[i] == x . vectors[j] for every j.
+
+    Both sides are compared as integer vectors, scaled by r.den.
+    """
     for j, vec in enumerate(vectors):
         image = {}
-        for i, v in enumerate(vectors):
-            c = r.a[i][j]
+        for row, v in zip(r.num, vectors):
+            c = row[j]
             if c:
                 for key, y in v.items():
                     image[key] = image.get(key, 0) + c * y
-        if {k: c for k, c in image.items() if c} != _act(x, vec):
+        target = {k: r.den * c for k, c in _act(x, vec).items()}
+        if {k: c for k, c in image.items() if c} != target:
             return False
     return True
 
 
 def wedge_group_matrix(s, n, k):
-    """Minor matrix of an invertible n x n matrix on k-subsets."""
+    """Minor matrix of an invertible n x n matrix on k-subsets.
+
+    Each k x k minor of s is the minor of its integer rows over den**k.
+    """
     subs = subsets(n, k)
-    dim = len(subs)
-    out = QMatrix.zeros(dim, dim)
-    for i, rowset in enumerate(subs):
-        for j, colset in enumerate(subs):
-            out.a[i][j] = _det([[s.a[r][c] for c in colset] for r in rowset])
-    return out
+    num = s.num
+    minors = [
+        [_det([[num[r][c] for c in colset] for r in rowset]) for colset in subs]
+        for rowset in subs
+    ]
+    return QMatrix.from_ints(minors, s.den**k)
 
 
 def _det(a):
@@ -120,7 +129,7 @@ def _det(a):
         return a[0][0]
     if n == 2:
         return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    total = ZERO
+    total = 0
     sign = 1
     for j in range(n):
         if a[0][j]:
@@ -183,7 +192,7 @@ class Representation:
         the full GL_n action; the subspace is GL-stable, so the action
         restricts.  Conjugation by the result realizes rho(s X s^-1).
         """
-        key = tuple(tuple(row) for row in s.a)
+        key = (s.den, tuple(map(tuple, s.num)))
         if key in self._transport_cache:
             return self._transport_cache[key]
         n = self.L.n

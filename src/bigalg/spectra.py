@@ -81,7 +81,7 @@ def principal_spectrum(rep, gens):
     L = rep.L
     cvals = lie.principal_point(L)
     a0 = lie.companion_point(L.n, cvals)
-    eigs = [L.h.a[i][i] for i in range(L.n)]
+    eigs = [L.h[i, i] for i in range(L.n)]
     transport = rep.gl_transport(rational_diagonalizer(a0, eigs))
 
     medium = [op for op in gens if op.i == 1]

@@ -9,16 +9,15 @@ lowering words of the basis.
 from __future__ import annotations
 
 from .bigalgebra import ideal_span, weighted_monomials
-from .multipoly import MultiPoly, VarSet, rat, ZERO, ONE
+from .multipoly import MultiPoly, VarSet, ZERO, ONE
 from .linalg import QMatrix, invert
 
 
 def pinning_w0(n):
     """Antidiagonal matrix with alternating signs, fixing the pinning."""
-    m = QMatrix.zeros(n, n)
-    for j in range(n):
-        m.a[j][n - 1 - j] = rat((-1) ** j)
-    return m
+    return QMatrix.from_ints(
+        [[(-1) ** i if j == n - 1 - i else 0 for j in range(n)] for i in range(n)]
+    )
 
 
 def sigma_on_matrix(L, x):
@@ -84,8 +83,7 @@ def sigma_on_element(elem, s=None, sg=None):
     mapping = {}
     for j in range(L.dim):
         form = MultiPoly.zero(ring)
-        for i in range(L.dim):
-            c = sg.a[j][i]
+        for i, c in enumerate(sg.row(j)):
             if c:
                 form = form + MultiPoly.variable(ring, "x%d" % i).scale(c)
         mapping["x%d" % j] = form
@@ -117,8 +115,7 @@ def sigma_on_invariants(L):
     mapping = {}
     for j in range(L.dim):
         form = MultiPoly.zero(ring)
-        for i in range(L.dim):
-            c = sg.a[j][i]
+        for i, c in enumerate(sg.row(j)):
             if c:
                 form = form + MultiPoly.variable(ring, "x%d" % i).scale(c)
         mapping["x%d" % j] = form
