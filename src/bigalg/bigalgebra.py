@@ -19,7 +19,6 @@ from .linalg import (
     QMatrix,
     charpoly,
     closure,
-    flatten,
     is_squarefree,
     kernel,
 )
@@ -303,26 +302,29 @@ def _ad_grade(rep, mat):
     return grades.pop() if len(grades) == 1 else None
 
 
-def _monomial_values(mats, degrees, max_degree, dim):
-    """Values of all generator monomials, grouped by weighted degree."""
-    by_degree = {0: [((0,) * len(mats), QMatrix.identity(dim))]}
-    for d in range(1, max_degree + 1):
-        entries = []
-        seen = set()
-        for gi, gdeg in enumerate(degrees):
-            d0 = d - gdeg
-            if d0 < 0 or d0 not in by_degree:
-                continue
-            for exps, val in by_degree[d0]:
-                new = list(exps)
-                new[gi] += 1
-                new = tuple(new)
-                if new in seen:
-                    continue
-                seen.add(new)
-                entries.append((new, val * mats[gi]))
-        by_degree[d] = entries
-    return by_degree
+def _fiber_dims(mats, degrees, max_degree, dim):
+    """Dimension of the span of the degree-d generator monomials, d <= max_degree.
+
+    The values commute, so the degree-d span is the sum over generators g of
+    span(degree d - deg g) * M_g: only the values that enlarged their
+    degree's span are multiplied by each generator.
+    """
+    spans = {}  # degree -> the values that enlarged its span
+    dims = []
+    for d in range(max_degree + 1):
+        ech = Echelon()
+        if d:
+            products = (
+                val * m
+                for m, g in zip(mats, degrees)
+                if 0 < g <= d
+                for val in spans[d - g]
+            )
+        else:
+            products = [QMatrix.identity(dim)]
+        spans[d] = [val for val in products if ech.add(val)]
+        dims.append(ech.dim)
+    return dims
 
 
 def hilbert_series(rep, gens, max_extra=1):
@@ -346,14 +348,7 @@ def hilbert_series(rep, gens, max_extra=1):
         if g != op.degree:
             raise ValueError("fiber value of %s has unexpected grade" % op.label)
 
-    by_degree = _monomial_values(mats, degrees, dmax + max_extra, rep.dim)
-    fiber_dims = []
-    for d in range(dmax + max_extra + 1):
-        ech = Echelon()
-        for _, val in by_degree.get(d, []):
-            if not val.is_zero():
-                ech.add(flatten(val))
-        fiber_dims.append(ech.dim)
+    fiber_dims = _fiber_dims(mats, degrees, dmax + max_extra, rep.dim)
 
     closed_dims = [closed.coeffs.get(d, 0) for d in range(dmax + 1)]
     fiber_poly = QPoly({d: c for d, c in enumerate(fiber_dims) if c})

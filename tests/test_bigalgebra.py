@@ -17,6 +17,8 @@ from bigalg.acceptance import (
 from bigalg.bigalgebra import (
     BigGenerators,
     RelationRing,
+    _fiber_dims,
+    closed_numerator,
     derive_relations,
     freeness_and_rank_check,
     hilbert_series,
@@ -34,7 +36,7 @@ from bigalg.kirillov import (
     scalar_element,
     small_operator,
 )
-from bigalg.linalg import QMatrix, charpoly, rank, upoly_mul
+from bigalg.linalg import Echelon, QMatrix, charpoly, flatten, rank, upoly_mul
 from bigalg.multipoly import MultiPoly, rat
 from bigalg.polymatrix import PolyMatrix
 from bigalg.qpoly import QPoly
@@ -229,6 +231,52 @@ def test_hilbert_series_examples(octet, decuplet, octet_gens, decuplet_gens, L2)
         h2 = hilbert_series(rep, g.ops)
         assert h2["equal"]
         assert h2["numerator"] == QPoly({d: 1 for d in range(n + 1)})
+
+
+def _monomial_values(mats, degrees, max_degree, dim):
+    """Values of all generator monomials, grouped by weighted degree."""
+    by_degree = {0: [((0,) * len(mats), QMatrix.identity(dim))]}
+    for d in range(1, max_degree + 1):
+        entries = []
+        seen = set()
+        for gi, gdeg in enumerate(degrees):
+            d0 = d - gdeg
+            if d0 < 0 or d0 not in by_degree:
+                continue
+            for exps, val in by_degree[d0]:
+                new = list(exps)
+                new[gi] += 1
+                new = tuple(new)
+                if new in seen:
+                    continue
+                seen.add(new)
+                entries.append((new, val * mats[gi]))
+        by_degree[d] = entries
+    return by_degree
+
+
+def _oracle_fiber_dims(mats, degrees, max_degree, dim):
+    """Rank of every monomial value of each degree, one monomial at a time."""
+    dims = []
+    for d, values in sorted(_monomial_values(mats, degrees, max_degree, dim).items()):
+        ech = Echelon()
+        for _, val in values:
+            ech.add(flatten(val))
+        dims.append(ech.dim)
+    return dims
+
+
+@pytest.mark.parametrize("key", list(BATTERY) + [(3, (2, 2)), (4, (1, 1, 0))], ids=str)
+def test_fiber_dims_match_monomial_enumeration(key):
+    n, mu = key
+    rep = build_irrep(lie.TypeA(n), mu)
+    ops = BigGenerators(rep).ops
+    mats = [op.evaluate([0] * (n - 1)) for op in ops]
+    degrees = [op.degree for op in ops]
+    top = closed_numerator(rep.L, mu).max_exp() + 2
+    assert _fiber_dims(mats, degrees, top, rep.dim) == _oracle_fiber_dims(
+        mats, degrees, top, rep.dim
+    )
 
 
 def test_derive_relations_sl2(L2):
