@@ -597,7 +597,8 @@ def random_c_point(rng, n):
 
 
 def _image(v, g):
-    return g.mul_vec(v)
+    # g on the column v: a row orbit v * g can differ on a non-semisimple fiber
+    return g * v
 
 
 def freeness_and_rank_check(rep, gens, seed=0, npoints=3):
@@ -610,7 +611,7 @@ def freeness_and_rank_check(rep, gens, seed=0, npoints=3):
         cvals = random_c_point(rng, n)
         mats = [op.evaluate(cvals) for op in gens]
         span, _ = closure([QMatrix.identity(rep.dim)], mats, mul)
-        vec = [rat(rng.choice(pool)) for _ in range(rep.dim)]
+        vec = QMatrix.from_ints([[rng.choice(pool)] for _ in range(rep.dim)])
         orbit, _ = closure([vec], mats, _image)
         combo = QMatrix.zeros(rep.dim, rep.dim)
         for m in mats:
@@ -626,7 +627,7 @@ def freeness_and_rank_check(rep, gens, seed=0, npoints=3):
         )
     zeros = [0] * (n - 1)
     mats0 = [op.evaluate(zeros) for op in gens]
-    vec = [rat(rng.choice(pool)) for _ in range(rep.dim)]
+    vec = QMatrix.from_ints([[rng.choice(pool)] for _ in range(rep.dim)])
     report["fiber_cyclic"] = closure([vec], mats0, _image)[0].dim == rep.dim
     combo0 = QMatrix.zeros(rep.dim, rep.dim)
     for m in mats0:

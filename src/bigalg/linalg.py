@@ -9,12 +9,14 @@ elimination read and write the integer rows, and ``Fraction``s are built
 only when a caller reads entries (``m[i, j]``, ``row``, ``col``,
 ``columns``, ``flatten``, ``to_obj``, ``str`` and the read-only ``a``).
 
-Products skip zero entries.  Rank and kernel go through Bareiss
-elimination, ``rref``/``solve_columns``/``invert`` through fraction-free
-Gauss-Jordan, ``Echelon`` keeps primitive integer rows with smallest-index
-pivots, and ``charpoly`` runs Faddeev-LeVerrier on the integer matrix.
-``closure`` grows an ``Echelon`` into the span of seeds under a set of
-generators.
+Products skip zero entries.  Every elimination is one fraction-free
+reduced echelon form: ``Echelon`` keeps primitive integer rows, positive at
+their smallest-index pivots and zero at the other pivots, and ``rank``,
+``kernel``, ``joint_kernel``, ``rref``, ``invert`` and ``solve_columns``
+read their answers off the rows an ``Echelon`` holds after taking in the
+integer rows of the matrix.  ``charpoly`` runs Faddeev-LeVerrier on the
+integer matrix.  ``closure`` grows an ``Echelon`` into the span of seeds
+under a set of generators.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ class QMatrix:
     __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, a):
-        a = [[rat(x) for x in row] for row in a]
+        # Fractions integerize as they are; only other entries need rat
+        a = [[x if type(x) is Fraction else rat(x) for x in row] for row in a]
         cols = _width(a)
         self.num, self.den = _int_rows(a)
         self.rows = len(a)
@@ -311,102 +314,7 @@ class QMatrix:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination
-# ---------------------------------------------------------------------------
-
-
-def bareiss_echelon(rows):
-    """Fraction-free row echelon of integer rows; returns (rows, pivot_cols).
-
-    Exact integer divisions follow the Bareiss identity; no rationals appear.
-    """
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        p = rows[r][c]
-        for i in range(r + 1, nrows):
-            ric = rows[i][c]
-            ri = rows[i]
-            rr = rows[r]
-            for j in range(c + 1, ncols):
-                ri[j] = (ri[j] * p - ric * rr[j]) // prev
-            ri[c] = 0
-        prev = p
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
-def rank(m):
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    # kernel and rank are invariant under scaling by the common denominator
-    _, pivots = bareiss_echelon(m.num)
-    return len(pivots)
-
-
-def kernel(m):
-    """Basis of the right null space, as a list of rational vectors.
-
-    Vectors are exact: m * v == 0 identically, and the count equals
-    cols - rank.  Each free column contributes one deterministic vector.
-    """
-    ncols = m.cols
-    if m.rows == 0 or ncols == 0:
-        return [
-            [ONE if i == j else ZERO for i in range(ncols)] for j in range(ncols)
-        ]
-    rows, pivots = bareiss_echelon(m.num)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        # back-substitution on the integer vector w / den
-        w = [0] * ncols
-        w[f] = 1
-        den = 1
-        for i in range(len(pivots) - 1, -1, -1):
-            c = pivots[i]
-            if c > f:
-                continue
-            row = rows[i]
-            s = sum(row[j] * w[j] for j in range(c + 1, ncols) if w[j])
-            if s:
-                g = gcd(s, row[c])
-                q = row[c] // g
-                if q != 1:
-                    w = [x * q for x in w]
-                    den *= q
-                w[c] = -s // g
-        basis.append(_fractions(w, den))
-    return basis
-
-
-def joint_kernel(mats):
-    """Intersection of the kernels of several same-width matrices."""
-    if not mats:
-        raise ValueError("need at least one matrix")
-    # each block's kernel ignores its scale, so its integer rows serve
-    return kernel(QMatrix.from_ints([row for m in mats for row in m.num]))
-
-
-# ---------------------------------------------------------------------------
-# fraction-free reduced echelon bookkeeping
+# fraction-free reduced echelon form
 # ---------------------------------------------------------------------------
 
 
@@ -439,6 +347,17 @@ def _eliminate(row, c, prow, ppairs):
     return out
 
 
+def _integers(vec):
+    """A fresh integer list proportional to vec.
+
+    vec is a rational vector, or a QMatrix taken row-major as its integer
+    rows (spans ignore the scale).
+    """
+    if isinstance(vec, QMatrix):
+        return list(chain.from_iterable(vec.num))
+    return _int_vector(vec)[0]
+
+
 class Echelon:
     """A growing basis of a subspace in fraction-free reduced echelon form.
 
@@ -455,16 +374,12 @@ class Echelon:
     def dim(self):
         return len(self._rows)
 
-    def _reduce(self, vec):
-        """An integer multiple of vec minus its projection on the span.
+    def _reduce(self, v):
+        """An integer multiple of v minus its projection on the span.
 
-        vec is a rational vector, or a QMatrix taken row-major.  The result
-        is zero at every pivot, and zero everywhere iff vec lies in the span.
+        v is an integer list, which this may change.  The result is zero at
+        every pivot, and zero everywhere iff v lies in the span.
         """
-        if isinstance(vec, QMatrix):
-            v = list(chain.from_iterable(vec.num))  # spans ignore the scale
-        else:
-            v, _ = _int_vector(vec)
         rows = self._rows
         hits = [p for p in rows if v[p]]
         if not hits:
@@ -480,9 +395,8 @@ class Echelon:
                 v[j] -= c * y
         return v
 
-    def add(self, vec):
-        """Insert a vector; True iff it enlarged the span."""
-        v = self._reduce(vec)
+    def _insert(self, v):
+        """Insert a reduced integer list; True iff it is nonzero."""
         p = next((j for j, x in enumerate(v) if x), None)
         if p is None:
             return False
@@ -495,8 +409,62 @@ class Echelon:
         rows[p] = (v, pairs)
         return True
 
+    def add(self, vec):
+        """Insert a vector; True iff it enlarged the span."""
+        return self._insert(self._reduce(_integers(vec)))
+
     def contains(self, vec):
-        return not any(self._reduce(vec))
+        return not any(self._reduce(_integers(vec)))
+
+
+def _reduced_echelon(rows):
+    """The reduced echelon form of integer rows, as (rows, pivot columns).
+
+    Row i is primitive, positive at pivots[i], zero before it and at every
+    other pivot: dividing it by its pivot entry gives row i of the reduced
+    row echelon form, which is unique.
+    """
+    ech = Echelon()
+    for row in rows:
+        ech._insert(ech._reduce(list(row)))
+    pivots = sorted(ech._rows)
+    return [ech._rows[p][0] for p in pivots], pivots
+
+
+def rank(m):
+    # rank and kernel are invariant under scaling by the common denominator
+    return len(_reduced_echelon(m.num)[1])
+
+
+def kernel(m):
+    """Basis of the right null space, as a list of rational vectors.
+
+    Vectors are exact: m * v == 0 identically, and the count equals
+    cols - rank.  Free column f contributes the vector that is 1 at f, 0
+    at the other free columns and -row[f] / row[p] at each pivot p.
+    """
+    rows, pivots = _reduced_echelon(m.num)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(m.cols):
+        if f in pivot_set:
+            continue
+        v = [ZERO] * m.cols
+        v[f] = ONE
+        for row, p in zip(rows, pivots):
+            if row[f]:
+                v[p] = Fraction(-row[f], row[p])
+        basis.append(v)
+    return basis
+
+
+def joint_kernel(mats):
+    """Intersection of the kernels of several same-width matrices."""
+    if not mats:
+        raise ValueError("need at least one matrix")
+    # each block's kernel ignores its scale, so its integer rows serve
+    stacked = [row for m in mats for row in m.num]
+    return kernel(QMatrix.from_ints(stacked, cols=mats[0].cols))
 
 
 def flatten(m):
@@ -536,35 +504,6 @@ def same_span(vecs_a, vecs_b):
     return all(ea.contains(v) for v in vecs_b)
 
 
-def _gauss_jordan(rows):
-    """Fraction-free Gauss-Jordan elimination of integer rows.
-
-    Returns (rows, pivot columns): row i < len(pivots) is primitive, positive
-    at pivots[i] and zero at every other pivot, so dividing it by that entry
-    gives row i of the reduced row echelon form; the remaining rows are zero.
-    """
-    a = [list(r) for r in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pr = next((i for i in range(r, nrows) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        prow = a[r] = _primitive(a[r], c)
-        ppairs = _pairs(prow)
-        for i in range(nrows):
-            if i != r and a[i][c]:
-                a[i] = _primitive(_eliminate(a[i], c, prow, ppairs), c)
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
 def _over_pivots(rows, pivots, start, nrows, cols):
     """The QMatrix whose row i is rows[i][start:] / rows[i][pivots[i]].
 
@@ -579,18 +518,18 @@ def _over_pivots(rows, pivots, start, nrows, cols):
 
 def rref(m):
     """Reduced row echelon over Q; returns (QMatrix, pivot columns)."""
-    a, pivots = _gauss_jordan(m.num)
-    return _over_pivots(a, pivots, 0, m.rows, m.cols), pivots
+    rows, pivots = _reduced_echelon(m.num)
+    return _over_pivots(rows, pivots, 0, m.rows, m.cols), pivots
 
 
 def invert(m):
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")
     n = m.rows
-    a, pivots = _gauss_jordan(m.hstack(QMatrix.identity(n)).num)
+    rows, pivots = _reduced_echelon(m.hstack(QMatrix.identity(n)).num)
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
-    return _over_pivots(a, pivots, n, n, n)
+    return _over_pivots(rows, pivots, n, n, n)
 
 
 def solve_columns(basis, target):
@@ -599,12 +538,12 @@ def solve_columns(basis, target):
     Raises ValueError when some target column leaves the span.
     """
     k = basis.cols
-    a, pivots = _gauss_jordan(basis.hstack(target).num)
+    rows, pivots = _reduced_echelon(basis.hstack(target).num)
     if len(pivots) > k or any(p >= k for p in pivots):
         raise ValueError("target not in span of basis")
     if len(pivots) < k:
         raise ValueError("basis columns are dependent")
-    x = _over_pivots(a, pivots, k, k, target.cols)
+    x = _over_pivots(rows, pivots, k, k, target.cols)
     if basis * x != target:
         raise ValueError("inconsistent solve")
     return x
@@ -734,11 +673,6 @@ def squarefree_decomposition(p):
         assert not rr
         i += 1
     return out
-
-
-def simple_spectrum_check(m):
-    """True iff the characteristic polynomial is squarefree over Q."""
-    return is_squarefree(charpoly(m))
 
 
 # ---------------------------------------------------------------------------

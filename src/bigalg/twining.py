@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .bigalgebra import ideal_span, weighted_monomials
 from .multipoly import MultiPoly, VarSet, ZERO, ONE
-from .linalg import QMatrix, invert
+from .linalg import QMatrix, invert, restrict_to_block
 
 
 def pinning_w0(n):
@@ -144,10 +144,7 @@ def jantzen_trace(rep, lam=None):
         [[ONE if i == j else ZERO for i in range(rep.dim)] for j in idx],
         rows=rep.dim,
     )
-    from .linalg import solve_columns
-
-    restricted = solve_columns(basis, s * basis)
-    return restricted.trace()
+    return restrict_to_block(s, basis).trace()
 
 
 # ---------------------------------------------------------------------------

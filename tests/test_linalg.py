@@ -14,11 +14,11 @@ from bigalg.linalg import (
     invert,
     is_squarefree,
     joint_invariant_decomposition,
+    joint_kernel,
     kernel,
     rank,
     rational_roots,
     rref,
-    simple_spectrum_check,
     solve_columns,
     squarefree_decomposition,
     upoly_eval,
@@ -118,11 +118,6 @@ def test_squarefree_tools():
     ]
     g = upoly_gcd(cubic, square)
     assert upoly_eval(g, rat(1)) == 0
-
-
-def test_simple_spectrum_check():
-    assert not simple_spectrum_check(QMatrix.identity(2))
-    assert simple_spectrum_check(QMatrix.diagonal([1, 2, 3]))
 
 
 def test_joint_decomposition_diagonal():
@@ -419,9 +414,9 @@ def test_rref_matches_reference(data, n, k):
     assert pivots == ref_pivots
     assert red.a == ref
     assert _all_fractions(red.a)
-    rows, pivots = linalg._gauss_jordan(linalg._int_rows(a)[0])
+    rows, pivots = linalg._reduced_echelon(linalg._int_rows(a)[0])
     assert _is_reduced_primitive(rows, pivots)
-    assert not any(x for row in rows[len(pivots):] for x in row)
+    assert pivots == ref_pivots and len(rows) == len(pivots)
 
 
 @st.composite
@@ -488,25 +483,48 @@ def test_invert_rejects_singular_and_non_square():
         invert(QMatrix.zeros(2, 3))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data(), _dims, _dims)
-def test_kernel_matches_rank_oracle(data, n, k):
-    a = data.draw(_matrices(n, k))
-    vecs = kernel(_qm(a, k))
-    assert len(vecs) == k - plain_rank(a)
-    for v in vecs:
-        assert all(row == [0] for row in _ref_mul(a, [[x] for x in v], 1))
-    assert _all_fractions(vecs)
-    # one vector per free column f: 1 at f, 0 at the other free columns
+def _ref_kernel(a, k):
+    """One vector per free column f of ref_rref: 1 at f, 0 at the other free columns."""
     red, pivots = ref_rref(a)
-    free = [f for f in range(k) if f not in pivots]
     ref = []
-    for f in free:
+    for f in range(k):
+        if f in pivots:
+            continue
         v = [Fraction(int(j == f)) for j in range(k)]
         for row, p in zip(red, pivots):
             v[p] = -row[f]
         ref.append(v)
-    assert vecs == ref
+    return ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), _dims, _dims)
+def test_kernel_matches_rank_oracle(data, n, k):
+    a = data.draw(_matrices(n, k))
+    m = _qm(a, k)
+    vecs = kernel(m)
+    assert rank(m) == plain_rank(a)
+    assert len(vecs) == k - plain_rank(a)
+    for v in vecs:
+        assert all(row == [0] for row in _ref_mul(a, [[x] for x in v], 1))
+    assert _all_fractions(vecs)
+    assert vecs == _ref_kernel(a, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.lists(st.integers(0, 4), min_size=1, max_size=3), _dims)
+def test_joint_kernel_matches_stacked_oracle(data, heights, k):
+    # blocks over different denominators: each is scaled by its own 1/s
+    blocks = [data.draw(_matrices(h, k)) for h in heights]
+    scales = [data.draw(st.integers(1, 12)) for _ in blocks]
+    blocks = [[[Fraction(x) / s for x in row] for row in b] for b, s in zip(blocks, scales)]
+    vecs = joint_kernel([_qm(b, k) for b in blocks])
+    stacked = [row for b in blocks for row in b]
+    assert vecs == _ref_kernel(stacked, k)
+    assert len(vecs) == k - plain_rank(stacked)
+    for v in vecs:
+        assert all(row == [0] for row in _ref_mul(stacked, [[x] for x in v], 1))
+    assert _all_fractions(vecs)
 
 
 # ---------------------------------------------------------------------------
