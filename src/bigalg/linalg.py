@@ -387,7 +387,7 @@ class Echelon:
         scale = lcm(*(rows[p][0][p] for p in hits))
         if scale != 1:
             v = [x * scale for x in v]
-        # rows are zero at each other's pivots, so v[p] stays scale * vec[p]
+        # rows are zero at each other's pivots, so v[p] stays scale times its input
         for p in hits:
             row, pairs = rows[p]
             c = v[p] // row[p]
