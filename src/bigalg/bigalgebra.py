@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 from operator import mul
 
 from .multipoly import MultiPoly, VarSet, rat, ZERO, ONE
@@ -239,14 +240,11 @@ def _eigenvalue_on_line(mat, vec):
 
 
 def _isqrt_exact(m):
-    m = int(m)
+    """The square root of the integer m, or None unless m is a perfect square."""
     if m < 0:
         return None
-    r = int(m**0.5)
-    for cand in (r - 1, r, r + 1, r + 2):
-        if cand >= 0 and cand * cand == m:
-            return cand
-    return None
+    r = isqrt(m)
+    return r if r * r == m else None
 
 
 def rational_diagonalizer(m, eigs):

@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import lie
 from .acceptance import run_all
@@ -29,6 +30,7 @@ from .spectra import emit_skeleton_points, principal_restriction, principal_spec
 from .twining import (
     check_intertwiner,
     intertwiner,
+    is_sigma_invariant,
     jantzen_trace,
     sigma_eigenvalues,
     sigma_on_invariants,
@@ -45,6 +47,21 @@ def parse_weight(text, n):
     if any(c < 0 for c in parts):
         raise ValueError("weight must be dominant (no negative coordinate)")
     return parts
+
+
+def parse_grid(text):
+    """start:stop:steps as (Fraction, Fraction, int) with steps >= 0."""
+    try:
+        start, stop, steps = text.split(":")
+        grid = Fraction(start), Fraction(stop), int(steps)
+    except (ValueError, ZeroDivisionError):
+        grid = None
+    if grid is None or grid[2] < 0:
+        raise ValueError(
+            "expected start:stop:steps with rational start and stop and an "
+            "integer steps >= 0, got %r" % text
+        )
+    return grid
 
 
 class UsageError(Exception):
@@ -67,12 +84,19 @@ def check_args(parser, args):
             weight = parse_weight(text, args.n)
         except ValueError as exc:
             parser.error("%s: %s" % (flag, exc))
+        if dest == "mu" and args.command == "twining" and not is_sigma_invariant(weight):
+            parser.error("--mu: twining needs a weight equal to its reverse, got %s" % text)
         if dest == "mu" and args.builds_rep:
             dim = lie.RootData(args.n).weyl_dim(weight)
             if dim > DIM_BOUND:
                 parser.error(
                     "--mu: module dimension %d exceeds the bound %d" % (dim, DIM_BOUND)
                 )
+    if args.command == "spectrum":
+        try:
+            parse_grid(args.grid)
+        except ValueError as exc:
+            parser.error("--grid: %s" % exc)
 
 
 def _config(args, extra=()):
@@ -175,16 +199,26 @@ def _relation_from_obj(ring, obj):
 
 
 def cmd_relations(args):
+    if args.verify:
+        try:
+            with open(args.verify, encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise UsageError("--verify: %s" % exc) from None
     _, mu, rep = _load(args)
     gens_all = BigGenerators(rep)
     if args.gens:
         labels = args.gens.split(",")
+        for lab in labels:
+            if lab not in gens_all.by_label:
+                raise UsageError(
+                    "--gens: %s is not a generator of the module (%s)"
+                    % (lab, ",".join(gens_all.by_label))
+                )
         gens = [gens_all.by_label[lab] for lab in labels]
     else:
         gens = gens_all.ops
     if args.verify:
-        with open(args.verify, encoding="utf-8") as fh:
-            payload = json.load(fh)
         rr = RelationRing(gens, args.n)
         report = []
         all_zero = True
@@ -291,7 +325,7 @@ def cmd_spectrum(args):
             },
         )
         return 0
-    a, b, steps = args.grid.split(":")
+    grid = parse_grid(args.grid)
     if args.n == 2:
         skeleton = {
             "param": "c2",
@@ -303,7 +337,7 @@ def cmd_spectrum(args):
     else:
         skeleton = principal_restriction(gens.ops, L)
     out_csv = args.out or "skeleton.csv"
-    r = emit_skeleton_points(skeleton, (a, b, int(steps)), out_csv)
+    r = emit_skeleton_points(skeleton, grid, out_csv)
     print(
         json.dumps(
             {"csv": out_csv, "rows": r["rows"], "max_residual": r["max_residual"]},

@@ -283,8 +283,7 @@ class RootData:
         for i in range(self.rank):
             for j in range(self.rank):
                 if lam[i] and mu[j]:
-                    c = self.cartan_inv[i, j]
-                    total += lam[i] * mu[j] * Fraction(int(c.numerator), int(c.denominator))
+                    total += lam[i] * mu[j] * self.cartan_inv[i, j]
         return total
 
     def is_dominant(self, lam):
@@ -325,8 +324,7 @@ class RootData:
         v = [Fraction(0)] * self.rank
         for i in range(self.rank):
             for j in range(self.rank):
-                c = self.cartan_inv[i, j]
-                v[i] += lam[j] * Fraction(int(c.numerator), int(c.denominator))
+                v[i] += lam[j] * self.cartan_inv[i, j]
         return v
 
     def root_coords(self, lam):

@@ -17,12 +17,17 @@ read their answers off the rows an ``Echelon`` holds after taking in the
 integer rows of the matrix.  ``charpoly`` runs Faddeev-LeVerrier on the
 integer matrix.  ``closure`` grows an ``Echelon`` into the span of seeds
 under a set of generators.
+
+Roots are exact too: gcds, squarefree factors and Sturm sequences of
+primitive integer polynomials come from one pseudo-remainder, and every
+real root is isolated by Sturm counts at dyadic points, then bisected on
+the sign of its squarefree factor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, zip_longest
 from math import gcd, lcm
 
 from .multipoly import rat, ZERO, ONE
@@ -603,41 +608,6 @@ def upoly_mul(p, q):
     return upoly_trim(out)
 
 
-def upoly_scale(p, c):
-    c = rat(c)
-    return upoly_trim([x * c for x in p])
-
-
-def upoly_divmod(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    p = list(p)
-    quot = [ZERO] * max(0, len(p) - len(q) + 1)
-    lead = q[-1]
-    for i in range(len(p) - len(q), -1, -1):
-        c = p[i + len(q) - 1] / lead
-        if c:
-            quot[i] = c
-            for j, y in enumerate(q):
-                p[i + j] -= c * y
-    return upoly_trim(quot), upoly_trim(p)
-
-
-def upoly_gcd(p, q):
-    """Monic gcd over Q."""
-    p, q = upoly_trim(list(p)), upoly_trim(list(q))
-    while q:
-        _, r = upoly_divmod(p, q)
-        p, q = q, r
-    if p:
-        p = upoly_scale(p, ONE / p[-1])
-    return p
-
-
-def upoly_derivative(p):
-    return upoly_trim([p[i] * i for i in range(1, len(p))])
-
-
 def upoly_eval(p, x):
     total = ZERO
     for c in reversed(p):
@@ -645,139 +615,182 @@ def upoly_eval(p, x):
     return total
 
 
-def is_squarefree(p):
-    g = upoly_gcd(p, upoly_derivative(p))
-    return len(g) == 1
+# ---------------------------------------------------------------------------
+# exact roots, on integer polynomials (coefficients low to high)
+# ---------------------------------------------------------------------------
 
 
-def squarefree_decomposition(p):
-    """Monic squarefree factors with multiplicities: p ~ prod f_i^(m_i)."""
-    p = upoly_trim(list(p))
-    if len(p) <= 1:
-        return []
-    g = upoly_gcd(p, upoly_derivative(p))
-    w, r = upoly_divmod(p, g)
-    assert not r
-    if w:
-        w = upoly_scale(w, ONE / w[-1])
+def _int_poly(p):
+    """The primitive integer polynomial proportional to p; [] for zero."""
+    ints = _int_vector(upoly_trim(list(p)))[0]
+    return _primitive(ints, -1) if ints else []
+
+
+def _derivative(f):
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _prem(f, g):
+    """A positive multiple of the remainder of f on division by g, over its
+    content, so each coefficient keeps the remainder's sign."""
+    r = list(f)
+    dg, lg = len(g) - 1, g[-1]
+    for top in range(len(r) - 1, dg - 1, -1):
+        c = r.pop()
+        if c:
+            # s * c == t * lg with s > 0 clears the top coefficient
+            h = gcd(lg, c)
+            s, t = abs(lg) // h, (c if lg > 0 else -c) // h
+            if s != 1:
+                r = [x * s for x in r]
+            for j, y in enumerate(g[:-1], top - dg):
+                r[j] -= t * y
+    upoly_trim(r)
+    h = gcd(*r)
+    return [x // h for x in r] if h > 1 else r
+
+
+def _gcd(f, g):
+    """The primitive gcd, by the primitive remainder sequence."""
+    while g:
+        f, g = g, _prem(f, g)
+    return _primitive(f, -1) if f else []
+
+
+def _exact_quotient(f, g):
+    """f / g for an integer polynomial g that divides f in Z[x]."""
+    r = list(f)
+    dg, lg = len(g) - 1, g[-1]
+    q = [0] * (len(r) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r.pop(), lg)
+        assert not rem, "inexact polynomial division"
+        q[k] = c
+        for j, y in enumerate(g[:-1], k):
+            r[j] -= c * y
+    assert not any(r), "inexact polynomial division"
+    return q
+
+
+def _squarefree_factors(f):
+    """Yun's decomposition of f, of positive degree: [(factor, multiplicity)]
+    with f == prod factor^multiplicity, each factor squarefree."""
+    df = _derivative(f)
+    a = _gcd(f, df)
+    b, c = _exact_quotient(f, a), _exact_quotient(df, a)
     out = []
     i = 1
-    while len(w) > 1:
-        y = upoly_gcd(w, g)
-        f, rr = upoly_divmod(w, y)
-        assert not rr
-        if len(f) > 1:
-            out.append((f, i))
-        w = y
-        g, rr = upoly_divmod(g, y)
-        assert not rr
+    while len(b) > 1:
+        d = upoly_trim([x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)])
+        a = _gcd(b, d)
+        if len(a) > 1:
+            out.append((a, i))
+        b, c = _exact_quotient(b, a), _exact_quotient(d, a)
         i += 1
     return out
 
 
-# ---------------------------------------------------------------------------
-# rational roots (desk-scale spectra: trial division plus Miller-Rabin)
-# ---------------------------------------------------------------------------
-
-_TRIAL_LIMIT = 1 << 20
-
-
-def _is_probable_prime(n):
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # deterministic Miller-Rabin bases for n < 3.3e24
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _sign(f, u, v):
+    """The sign of f(u / v) for integers u and v > 0."""
+    h, w = 0, 1
+    for c in reversed(f):
+        h = h * u + c * w
+        w *= v
+    return (h > 0) - (h < 0)
 
 
-def _factorize(n):
-    n = abs(n)
-    factors = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    f = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    w = 0
-    while f * f <= n and f < _TRIAL_LIMIT:
-        while n % f == 0:
-            factors[f] = factors.get(f, 0) + 1
-            n //= f
-        f += wheel[w]
-        w = (w + 1) % 8
-    if n > 1:
-        if f * f > n or _is_probable_prime(n):
-            factors[n] = factors.get(n, 0) + 1
-        else:
-            raise ArithmeticError("coefficient too hard to factor: %d" % n)
-    return factors
+def _variations(seq, u, v):
+    """Sign changes along the Sturm sequence at u / v, zeros skipped."""
+    signs = [s for s in (_sign(f, u, v) for f in seq) if s]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
-def _divisors(n):
-    divs = [1]
-    for p, e in _factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(set(divs))
+def _isolate(f):
+    """(a, b, k) per real root of a squarefree f, increasing: the root is
+    the only one in (a / 2^k, b / 2^k].  By Sturm's theorem the number of
+    roots in (x, y] is the drop in sign changes from x to y."""
+    seq = [f, _derivative(f)]
+    while len(seq[-1]) > 1:
+        seq.append([-x for x in _prem(seq[-2], seq[-1])])
+    # the Cauchy bound: every root lies in (-bound, bound)
+    bound = 1 << (max(map(abs, f[:-1])) // f[-1] + 1).bit_length()
+    out = []
+    stack = [(-bound, bound, 0, _variations(seq, -bound, 1), _variations(seq, bound, 1))]
+    while stack:
+        a, b, k, va, vb = stack.pop()
+        if va - vb == 1:
+            out.append((a, b, k))
+        elif va > vb:
+            m, k = a + b, k + 1
+            vm = _variations(seq, m, 1 << k)
+            stack += [(m, 2 * b, k, vm, vb), (2 * a, m, k, va, vm)]
+    return out
+
+
+def _roots(p, wide):
+    """(g, multiplicity, a, b, k) per real root of p: g is its squarefree
+    factor, and (a / 2^k, b / 2^k] holds it, bisected on the sign of g while
+    wide(g, a, b, k); a == b on an exact hit."""
+    f = _int_poly(p)
+    for g, mult in _squarefree_factors(f) if len(f) > 1 else []:
+        for a, b, k in _isolate(g):
+            sb = _sign(g, b, 1 << k)
+            while sb and wide(g, a, b, k):
+                a, m, b, k = 2 * a, a + b, 2 * b, k + 1
+                sm = _sign(g, m, 1 << k)
+                # the root is simple: it lies in (m, b) iff g(m) has the other sign
+                if sm == -sb:
+                    a = m
+                else:
+                    b, sb = m, sm
+            if not sb:
+                a = b
+            yield g, mult, a, b, k
+
+
+def real_roots(p):
+    """The real roots of p with multiplicities, as (root, multiplicity)
+    pairs in increasing order, each root the nearest double: int / int
+    rounds correctly, so bisection stops when both ends round alike."""
+    def wide(g, a, b, k):
+        return a / (1 << k) != b / (1 << k)
+
+    return sorted((b / (1 << k), mult) for _, mult, _, b, k in _roots(p, wide))
 
 
 def rational_roots(p):
     """All rational roots with multiplicities, as (root, multiplicity) pairs."""
-    p = upoly_trim(list(p))
-    if len(p) <= 1:
-        return []
+    # a root u/v of g has v | lead, and two such differ by >= 1/lead^2:
+    # within 1/(4 lead^2) of the midpoint only the root itself fits
+    def wide(g, a, b, k):
+        return (b - a) * 2 * g[-1] ** 2 >= 1 << k
+
     roots = []
-    # strip zero roots
-    z = 0
-    while p and p[0] == 0:
-        p = p[1:]
-        z += 1
-    if z:
-        roots.append((ZERO, z))
-    if len(p) <= 1:
-        return roots
-    ip, _ = _int_vector(p)
-    g = gcd(*ip)
-    if g > 1:
-        ip = [c // g for c in ip]
-    candidates = []
-    for pn in _divisors(ip[0]):
-        for qd in _divisors(ip[-1]):
-            candidates.append(rat(pn, qd))
-            candidates.append(rat(-pn, qd))
-    seen = set()
-    cur = [rat(c) for c in ip]
-    for cand in sorted(set(candidates)):
-        if cand in seen:
-            continue
-        seen.add(cand)
-        mult = 0
-        while len(cur) > 1 and upoly_eval(cur, cand) == 0:
-            cur, r = upoly_divmod(cur, [-cand, ONE])
-            assert not r
-            mult += 1
-        if mult:
-            roots.append((cand, mult))
-        if len(cur) <= 1:
-            break
-    roots.sort(key=lambda t: t[0])
-    return roots
+    for g, mult, a, b, k in _roots(p, wide):
+        lo, hi = Fraction(a, 1 << k), Fraction(b, 1 << k)
+        x = ((lo + hi) / 2).limit_denominator(g[-1])
+        # x in (lo, hi], or the exact hit lo == hi
+        if (x == hi or lo < x < hi) and not _sign(g, x.numerator, x.denominator):
+            roots.append((x, mult))
+    return sorted(roots)
+
+
+def upoly_gcd(p, q):
+    """Monic gcd over Q."""
+    g = _gcd(_int_poly(p), _int_poly(q))
+    return [Fraction(c, g[-1]) for c in g]
+
+
+def is_squarefree(p):
+    f = _int_poly(p)
+    return bool(f) and len(_gcd(f, _derivative(f))) == 1
+
+
+def squarefree_decomposition(p):
+    """Monic squarefree factors with multiplicities: p ~ prod f_i^(m_i)."""
+    f = _int_poly(p)
+    factors = _squarefree_factors(f) if len(f) > 1 else []
+    return [([Fraction(c, g[-1]) for c in g], mult) for g, mult in factors]
 
 
 # ---------------------------------------------------------------------------
@@ -788,6 +801,14 @@ def rational_roots(p):
 def restrict_to_block(m, basis):
     """Matrix of m on an invariant column-span, in the given basis."""
     return solve_columns(basis, m * basis)
+
+
+def _divide_out_root(p, r):
+    """p / (x - r) for a root r of p, by synthetic division."""
+    out = [p[-1]]
+    for c in reversed(p[1:-1]):
+        out.append(out[-1] * r + c)
+    return out[::-1]
 
 
 def _eval_poly_at_matrix(p, m):
@@ -827,24 +848,19 @@ def joint_invariant_decomposition(mats):
         refined = []
         for basis, labels in blocks:
             mb = restrict_to_block(m, basis)
-            chi = charpoly(mb)
-            roots = rational_roots(chi)
-            # deflate rational roots to find the non-rational cofactor
-            remainder = list(chi)
-            for r, k in roots:
-                for _ in range(k):
-                    remainder, rr = upoly_divmod(remainder, [-r, ONE])
-                    assert not rr
-            for r, k in roots:
-                shifted = mb - QMatrix.identity(mb.rows) * r
-                vecs = kernel(shifted.power(k))
-                sub = QMatrix.from_cols(vecs, rows=mb.rows)
-                refined.append((basis * sub, labels + [r]))
-            # split the irrational part along its squarefree factors
-            for sf, k in squarefree_decomposition(remainder):
-                vecs = kernel(_eval_poly_at_matrix(sf, mb).power(k))
-                sub = QMatrix.from_cols(vecs, rows=mb.rows)
-                refined.append((basis * sub, labels + [tuple(sf)]))
+            for sf, k in squarefree_decomposition(charpoly(mb)):
+                # each rational root of sf is an eigenvalue of multiplicity k
+                for r, _ in rational_roots(sf):
+                    sf = _divide_out_root(sf, r)
+                    shifted = mb - QMatrix.identity(mb.rows) * r
+                    vecs = kernel(shifted.power(k))
+                    sub = QMatrix.from_cols(vecs, rows=mb.rows)
+                    refined.append((basis * sub, labels + [r]))
+                # the irrational cofactor stays one block
+                if len(sf) > 1:
+                    vecs = kernel(_eval_poly_at_matrix(sf, mb).power(k))
+                    sub = QMatrix.from_cols(vecs, rows=mb.rows)
+                    refined.append((basis * sub, labels + [tuple(sf)]))
         blocks = refined
     # deterministic order: by labels as strings, then leave as-is
     blocks.sort(key=lambda t: [str(x) for x in t[1]])

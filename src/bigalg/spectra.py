@@ -10,10 +10,14 @@ from __future__ import annotations
 import csv
 from fractions import Fraction
 
-import mpmath
-
 from .multipoly import MultiPoly, VarSet, rat
-from .linalg import QMatrix, charpoly, joint_invariant_decomposition, upoly_eval
+from .linalg import (
+    QMatrix,
+    charpoly,
+    joint_invariant_decomposition,
+    real_roots,
+    upoly_eval,
+)
 from .polymatrix import PolyMatrix
 from . import lie
 from .bigalgebra import rational_diagonalizer, _eigenvalue_on_line
@@ -192,33 +196,6 @@ def verify_quantum_number_identities(rep, gens, identities):
 # ---------------------------------------------------------------------------
 
 
-def real_branches(chi):
-    """Real roots (with multiplicity) of an exact polynomial, as floats.
-
-    The polynomial is first split into exact squarefree factors so the
-    numerical root finder only ever sees simple roots.
-    """
-    from .linalg import squarefree_decomposition
-
-    out = []
-    for factor, mult in squarefree_decomposition(chi):
-        coeffs = [
-            mpmath.mpf(int(c.numerator)) / mpmath.mpf(int(c.denominator))
-            for c in factor
-        ]
-        if len(coeffs) == 2:
-            roots = [-coeffs[0] / coeffs[1]]
-        else:
-            roots = mpmath.polyroots(
-                list(reversed(coeffs)), maxsteps=400, extraprec=300
-            )
-        for r in roots:
-            if abs(mpmath.im(r)) < mpmath.mpf(10) ** (-25):
-                out.extend([float(mpmath.re(r))] * mult)
-    out.sort()
-    return out
-
-
 def emit_skeleton_points(skeleton, grid, out_path):
     """Evaluate skeleton operators on a grid and write eigenvalue branches.
 
@@ -231,19 +208,16 @@ def emit_skeleton_points(skeleton, grid, out_path):
     stop = Fraction(stop)
     rows = []
     residual_bound = 0.0
-    with mpmath.workdps(60):
-        for k in range(steps + 1):
-            param = start + (stop - start) * Fraction(k, steps) if steps else start
-            for label, mat in skeleton["ops"]:
-                val = mat.evaluate({skeleton["param"]: rat(str(param))})
-                chi = charpoly(val)
-                branches = real_branches(chi)
-                for b_idx, b in enumerate(branches):
-                    # exact characteristic polynomial at the emitted float
-                    exact_b = rat(Fraction(b).numerator, Fraction(b).denominator)
-                    res = abs(float(upoly_eval(chi, exact_b)))
-                    residual_bound = max(residual_bound, res)
-                    rows.append((float(param), label, b_idx, b))
+    for k in range(steps + 1):
+        param = start + (stop - start) * Fraction(k, steps) if steps else start
+        for label, mat in skeleton["ops"]:
+            chi = charpoly(mat.evaluate({skeleton["param"]: param}))
+            branches = [x for x, mult in real_roots(chi) for _ in range(mult)]
+            for b_idx, b in enumerate(branches):
+                # exact characteristic polynomial at the emitted float
+                res = abs(float(upoly_eval(chi, Fraction(b))))
+                residual_bound = max(residual_bound, res)
+                rows.append((float(param), label, b_idx, b))
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["param", "generator", "branch", "value"])
@@ -257,4 +231,4 @@ def branch_multiset_at(skeleton, param_value, label):
     """Exact-characteristic-polynomial branches at one rational parameter."""
     by_label = dict(skeleton["ops"])
     val = by_label[label].evaluate({skeleton["param"]: rat(str(param_value))})
-    return real_branches(charpoly(val))
+    return [x for x, mult in real_roots(charpoly(val)) for _ in range(mult)]

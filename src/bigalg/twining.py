@@ -8,6 +8,8 @@ lowering words of the basis.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .bigalgebra import ideal_span, weighted_monomials
 from .multipoly import MultiPoly, VarSet, ZERO, ONE
 from .linalg import QMatrix, invert, restrict_to_block
@@ -71,14 +73,8 @@ def check_intertwiner(rep, s):
     return True
 
 
-def sigma_on_element(elem, s=None, sg=None):
-    """(sigma F)(x) = S F(sigma x) S^{-1} as a polynomial matrix."""
-    rep = elem.rep
-    L = rep.L
-    if s is None:
-        s = intertwiner(rep)
-    if sg is None:
-        sg = sigma_coord_matrix(L)
+def _sigma_substitution(L, sg):
+    """x_j -> (sigma x)_j, the linear forms of the coordinate map sg."""
     ring = L.x_ring
     mapping = {}
     for j in range(L.dim):
@@ -87,7 +83,18 @@ def sigma_on_element(elem, s=None, sg=None):
             if c:
                 form = form + MultiPoly.variable(ring, "x%d" % i).scale(c)
         mapping["x%d" % j] = form
-    composed = elem.mat.subs(ring, mapping)
+    return mapping
+
+
+def sigma_on_element(elem, s=None, sg=None):
+    """(sigma F)(x) = S F(sigma x) S^{-1} as a polynomial matrix."""
+    rep = elem.rep
+    L = rep.L
+    if s is None:
+        s = intertwiner(rep)
+    if sg is None:
+        sg = sigma_coord_matrix(L)
+    composed = elem.mat.subs(L.x_ring, _sigma_substitution(L, sg))
     s_inv = invert(s)
     return composed.mul_qmatrix_left(s).mul_qmatrix_right(s_inv)
 
@@ -110,15 +117,8 @@ def sigma_eigenvalues(rep, gens):
 
 def sigma_on_invariants(L):
     """Parity of each c_k under sigma: c_k(sigma x) = (-1)^k c_k(x)."""
-    sg = sigma_coord_matrix(L)
     ring = L.x_ring
-    mapping = {}
-    for j in range(L.dim):
-        form = MultiPoly.zero(ring)
-        for i, c in enumerate(sg.row(j)):
-            if c:
-                form = form + MultiPoly.variable(ring, "x%d" % i).scale(c)
-        mapping["x%d" % j] = form
+    mapping = _sigma_substitution(L, sigma_coord_matrix(L))
     out = {}
     for k in range(2, L.n + 1):
         ck = L.invariant_ck(k)
@@ -152,45 +152,11 @@ def jantzen_trace(rep, lam=None):
 # ---------------------------------------------------------------------------
 
 
-def _as_univariate_in(poly, main, other):
-    """Coefficients of poly in powers of `main`, as polynomials in `other`."""
-    ring = poly.ring
-    mi = ring.index[main]
-    out = {}
-    for key, c in poly.terms.items():
-        exps = ring.unpack(key)
-        e_main = exps[mi]
-        rest = list(exps)
-        rest[mi] = 0
-        out.setdefault(e_main, MultiPoly.zero(ring))
-        out[e_main] = out[e_main] + MultiPoly.monomial(ring, tuple(rest), c)
-    return out
-
-
-def divides_modulo(poly, divisor, main="M1"):
-    """True when divisor (monic-in-main up to scalar) divides poly exactly."""
-    ring = poly.ring
-    dd = _as_univariate_in(divisor, main, None)
-    dp = _as_univariate_in(poly, main, None)
-    ddeg = max(dd)
-    lead = dd[ddeg]
-    if lead.is_homogeneous() is None or len(lead.terms) != 1:
-        raise ValueError("divisor must have monomial leading coefficient")
-    lead_coeff = next(iter(lead.terms.values()))
-    current = poly
-    mvar = MultiPoly.variable(ring, main)
-    guard = 0
-    while not current.is_zero():
-        cur = _as_univariate_in(current, main, None)
-        cdeg = max(cur)
-        if cdeg < ddeg:
-            return False
-        factor = cur[cdeg].scale(1 / lead_coeff) * mvar ** (cdeg - ddeg)
-        current = current - factor * divisor
-        guard += 1
-        if guard > 200:
-            raise RuntimeError("division did not terminate")
-    return True
+def _is_multiple(poly, divisor, ring, weight_vec):
+    """True when divisor divides poly over Q; both weighted-homogeneous."""
+    d = poly.weighted_degree(dict(zip(ring.names, weight_vec)))
+    span = ideal_span([divisor], ring, weight_vec, d)
+    return ideal_span([divisor, poly], ring, weight_vec, d).dim == span.dim
 
 
 def fixed_scheme_relations(relations, ring):
@@ -222,11 +188,15 @@ def coinvariant_octet_report(octet_relations, sl2_relation):
     images = fixed_scheme_relations(octet_relations, ring)
     if not images:
         raise ValueError("no surviving relations")
-    # the minimal-degree survivor is the parabola; all others are multiples
     weights = {"M1": 1, "c2": 2}
+    weight_vec = [weights[nm] for nm in ring.names]
+    for p in images:
+        if len({sum(map(mul, ring.unpack(key), weight_vec)) for key in p.terms}) > 1:
+            raise ValueError("survivor %s is not weighted-homogeneous" % p)
+    # the minimal-degree survivor is the parabola; all others are multiples
     images.sort(key=lambda p: p.weighted_degree(weights))
     parabola = images[0]
-    multiples = all(divides_modulo(p, parabola) for p in images[1:])
+    multiples = all(_is_multiple(p, parabola, ring, weight_vec) for p in images[1:])
 
     # dictionary: rescale c2 so the rank-one relation matches the parabola
     m1 = MultiPoly.variable(ring, "M1")
@@ -248,7 +218,6 @@ def coinvariant_octet_report(octet_relations, sl2_relation):
     ) == par
 
     # graded dimensions of the quotient ring Q[c2, M1]/(parabola)
-    weight_vec = [weights[nm] for nm in ring.names]
     dims = {
         d: len(weighted_monomials(weight_vec, d))
         - ideal_span([par], ring, weight_vec, d).dim

@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bigalg import lie
+from bigalg import bigalgebra, lie
 from bigalg.acceptance import (
     BATTERY,
     decuplet_relations,
@@ -403,3 +403,20 @@ def test_determinism_of_derived_relations(octet, octet_gens):
     a, _ = derive_relations(octet, gens, 4)
     b, _ = derive_relations(octet, gens, 4)
     assert [json.dumps(r.to_obj()) for r in a] == [json.dumps(r.to_obj()) for r in b]
+
+
+@pytest.mark.parametrize(
+    "m, root",
+    [
+        ((10**17 + 3) ** 2, 10**17 + 3),  # a float square root is off by one here
+        ((10**200) ** 2, 10**200),  # and overflows a double here
+        ((10**17 + 3) ** 2 + 1, None),
+        (0, 0),
+        (2, None),
+        (-4, None),
+    ],
+    ids=["square_past_2_53", "square_past_double_range", "nonsquare_past_2_53",
+         "zero", "nonsquare", "negative"],
+)
+def test_isqrt_exact(m, root):
+    assert bigalgebra._isqrt_exact(m) == root

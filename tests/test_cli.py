@@ -72,10 +72,26 @@ def test_bad_arguments_exit_two():
             ["qanalogue", "--n", "8", "--mu", "1,0,0,0,0,0,0", "--lambda", "0,0,0,0,0,0,0"],
             "--n: qanalogue needs n <= 5",
         ),
+        (["spectrum", "--n", "2", "--mu", "4", "--grid", "1:2"], "--grid: expected start:stop:steps"),
+        (["spectrum", "--n", "2", "--mu", "4", "--grid", "a:1:3"], "--grid: expected start:stop:steps"),
+        (
+            ["relations", "--n", "3", "--mu", "1,1", "--gens", "Q1"],
+            "--gens: Q1 is not a generator of the module (M1,M2,N1)",
+        ),
+        (
+            ["relations", "--n", "3", "--mu", "1,1", "--verify", "/missing.json"],
+            "--verify: [Errno 2] No such file or directory",
+        ),
+        (
+            ["twining", "--n", "3", "--mu", "1,0"],
+            "--mu: twining needs a weight equal to its reverse",
+        ),
     ],
     ids=["n_below_2", "fractional_mu", "fractional_lambda", "over_bound",
          "wrong_arity", "negative_mu", "brylinski_lambda_not_a_weight",
-         "multalg_lambda_not_a_weight", "qanalogue_n_6", "qanalogue_n_8"],
+         "multalg_lambda_not_a_weight", "qanalogue_n_6", "qanalogue_n_8",
+         "grid_two_fields", "grid_not_rational", "relations_unknown_gens",
+         "relations_missing_verify_file", "twining_weight_not_self_dual"],
 )
 def test_bad_input_is_a_usage_error(argv, message):
     proc = run(*argv, check=False)

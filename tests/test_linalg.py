@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -25,7 +26,7 @@ from bigalg.linalg import (
     upoly_gcd,
     upoly_mul,
 )
-from bigalg.multipoly import rat
+from bigalg.multipoly import ONE, ZERO, rat
 
 
 def ref_rref(rows):
@@ -793,3 +794,99 @@ def test_rational_roots_against_evaluation(factors, cofactor, lead):
     assert not _has_rational_root(rest)
     for r, k in factors:
         assert dict(roots).get(r, 0) >= k
+
+
+# ---------------------------------------------------------------------------
+# the exact root layer, on polynomials built from known roots
+# ---------------------------------------------------------------------------
+
+_root_factors = st.tuples(
+    st.lists(st.tuples(st.fractions(-4, 4, max_denominator=4), st.integers(1, 3)), max_size=3),
+    st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 2)), max_size=2),
+    st.integers(1, 6).flatmap(lambda c: st.sampled_from([c, -c])),
+)
+
+
+def _built(linears, quadratics, lead):
+    """lead * prod (x - r)^k * prod (x^2 - D)^k, and its real roots as
+    {root: multiplicity}, each root a Fraction or ("sqrt", D) / ("-sqrt", D)."""
+    p = [Fraction(lead)]
+    roots = {}
+    for r, k in linears:
+        p = upoly_mul(p, _power([-r, Fraction(1)], k))
+        roots[r] = roots.get(r, 0) + k
+    for d, k in quadratics:
+        p = upoly_mul(p, _power([Fraction(-d), Fraction(0), Fraction(1)], k))
+        if d >= 0 and math.isqrt(d) ** 2 == d:
+            s = math.isqrt(d)
+            for r in {Fraction(s), Fraction(-s)}:  # one root 0, of multiplicity 2k
+                roots[r] = roots.get(r, 0) + k * (2 if d == 0 else 1)
+        elif d > 0:
+            for r in (("sqrt", d), ("-sqrt", d)):
+                roots[r] = roots.get(r, 0) + k
+    return p, roots
+
+
+def _power(p, k):
+    out = [Fraction(1)]
+    for _ in range(k):
+        out = upoly_mul(out, p)
+    return out
+
+
+def _approx(root):
+    if isinstance(root, Fraction):
+        return root
+    return Fraction((1 if root[0] == "sqrt" else -1) * root[1] ** 0.5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_root_factors)
+def test_real_roots_are_correctly_rounded(factors):
+    p, roots = _built(*factors)
+    expected = sorted(roots.items(), key=lambda t: _approx(t[0]))
+    got = linalg.real_roots(p)
+    assert [m for _, m in got] == [m for _, m in expected]
+    for (x, _), (root, _) in zip(got, expected):
+        if isinstance(root, Fraction):
+            assert x == float(root)
+            continue
+        # x^2 - D changes sign between the midpoints to x's neighbours, so
+        # the root lies strictly between them and x is its nearest double
+        d = root[1]
+        below = (Fraction(x) + Fraction(math.nextafter(x, -math.inf))) / 2
+        above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+        assert (below * below - d) * (above * above - d) < 0
+        assert (x > 0) == (root[0] == "sqrt")
+
+
+@settings(max_examples=80, deadline=None)
+@given(_root_factors)
+def test_rational_roots_match_construction(factors):
+    p, roots = _built(*factors)
+    expected = sorted((r, m) for r, m in roots.items() if isinstance(r, Fraction))
+    assert rational_roots(p) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(_root_factors)
+def test_squarefree_decomposition_rebuilds_the_polynomial(factors):
+    p, roots = _built(*factors)
+    decomp = squarefree_decomposition(p)
+    rebuilt = [p[-1]]
+    for f, m in decomp:
+        assert f[-1] == 1 and len(f) > 1 and is_squarefree(f)
+        rebuilt = upoly_mul(rebuilt, _power(f, m))
+    assert rebuilt == p
+    for i, (f, _) in enumerate(decomp):
+        for g, _ in decomp[i + 1:]:
+            assert upoly_gcd(f, g) == [1]
+    # every multiplicity of the construction is at least one factor's
+    assert set(roots.values()) <= {m for _, m in decomp}
+    assert is_squarefree(p) == all(m == 1 for _, m in decomp)
+
+
+def test_rational_roots_need_no_factoring():
+    # the constant term has a large semiprime factor; no divisor search runs
+    p = upoly_mul([Fraction(-2), Fraction(1)], [Fraction(-1048583 * 1048601), ZERO, ONE])
+    assert rational_roots(p) == [(Fraction(2), 1)]

@@ -1,6 +1,8 @@
-"""Package hygiene: every module-level private function has a caller."""
+"""Package hygiene: every module-level private function has a caller, and
+the package imports nothing outside the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bigalg"
@@ -51,3 +53,30 @@ def test_an_unreferenced_private_function_is_reported():
     assert _private_functions(tree) == ["_lonely", "_used"]
     assert "_lonely" not in _referenced_names(tree)
     assert "_used" in _referenced_names(tree)
+
+
+def _imported_modules(tree):
+    """The top-level names of the absolute imports; relative ones are the package."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_package_imports_only_the_standard_library():
+    trees = _trees()
+    foreign = sorted(
+        "%s:%s" % (name, module)
+        for name, tree in trees.items()
+        for module in _imported_modules(tree)
+        if module not in sys.stdlib_module_names and module != "bigalg"
+    )
+    assert not foreign, "imports outside the standard library: %s" % foreign
+
+
+def test_a_third_party_import_is_reported():
+    tree = ast.parse("import os.path\nfrom . import lie\nfrom mpmath import mpf\nimport numpy as np\n")
+    assert _imported_modules(tree) == {"os", "mpmath", "numpy"}

@@ -134,3 +134,27 @@ def test_jantzen_trace_full_space(octet):
     # chi(sigma) on the octet: the twining character of the rank-one module
     # at weight multiplicities (2 fixed weight lines, swap on the rest)
     assert total == 2
+
+
+def _octet_relation_ring():
+    return VarSet(["M1", "N1", "c2", "c3"])
+
+
+def test_coinvariants_report_a_survivor_off_the_parabola():
+    ring = _octet_relation_ring()
+    m1 = MultiPoly.variable(ring, "M1")
+    c2 = MultiPoly.variable(ring, "c2")
+    parabola = m1 * m1 + c2.scale(4)
+    # M1 (M1^2 + c2) has weighted degree 3 and is no multiple of the parabola
+    co = coinvariant_octet_report([parabola, m1 * (m1 * m1 + c2)], sl2_rank1_relation())
+    assert not co["all_multiples_of_parabola"]
+    co = coinvariant_octet_report([parabola, m1 * parabola], sl2_rank1_relation())
+    assert co["all_multiples_of_parabola"]
+
+
+def test_coinvariants_reject_a_survivor_that_is_not_weighted_homogeneous():
+    ring = _octet_relation_ring()
+    m1 = MultiPoly.variable(ring, "M1")
+    c2 = MultiPoly.variable(ring, "c2")
+    with pytest.raises(ValueError, match="not weighted-homogeneous"):
+        coinvariant_octet_report([m1 * m1 + c2 + m1], sl2_rank1_relation())
