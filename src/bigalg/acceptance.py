@@ -30,6 +30,7 @@ from .bigalgebra import (
 from .multiplicity import (
     brylinski_filtration,
     e_limit,
+    e_limit_filtration,
     lusztig_m,
     minuscule_quotient_check,
     multiplicity_algebra,
@@ -338,11 +339,11 @@ def criterion_7(ws):
             inv_ech.add(v)
         for lam in ws.dominant_weights(n, mu):
             try:
-                limit = e_limit(rep, lam, method="both")
+                limit = e_limit(rep, lam)
                 agree = True
             except RuntimeError:
                 agree = False
-                limit = e_limit(rep, lam, method="filtration_sum")
+                limit = e_limit_filtration(rep, lam)
             contained = all(inv_ech.contains(v) for v in limit.columns())
             entry = {"methods_agree": agree, "contained": contained}
             if lam == mu_min:
@@ -523,13 +524,9 @@ def criterion_11(ws):
     }
 
 
-def criterion_12(ws, out_dir=None):
+def criterion_12(ws):
     details = {}
     ok = True
-    own_dir = None
-    if out_dir is None:
-        own_dir = tempfile.TemporaryDirectory()
-        out_dir = own_dir.name
     targets = [
         (2, (4,), "sl2_sym4"),
         (2, (5,), "sl2_sym5"),
@@ -537,28 +534,16 @@ def criterion_12(ws, out_dir=None):
         (3, (3, 0), "sl3_decuplet"),
         (3, (1, 1), "sl3_octet"),
     ]
-    for n, mu, name in targets:
-        g = ws.gens(n, mu)
-        if n == 2:
-            skeleton = {
-                "param": "c2",
-                "ring": g.ring,
-                "ops": [(op.label, op.mat) for op in g.ops],
-            }
-        else:
-            skeleton = principal_restriction(g.ops, ws.lie(n), recipe="set_c3_zero")
-        path = os.path.join(out_dir, name + ".csv")
-        r = emit_skeleton_points(skeleton, ("-4", "1", 10), path)
-        good = r["max_residual"] < 1e-9
-        details[name] = {"rows": r["rows"], "max_residual": r["max_residual"]}
-        ok = ok and good
+    with tempfile.TemporaryDirectory() as out_dir:
+        for n, mu, name in targets:
+            skeleton = principal_restriction(ws.gens(n, mu).ops, ws.lie(n))
+            path = os.path.join(out_dir, name + ".csv")
+            r = emit_skeleton_points(skeleton, ("-4", "1", 10), path)
+            good = r["max_residual"] < 1e-9
+            details[name] = {"rows": r["rows"], "max_residual": r["max_residual"]}
+            ok = ok and good
 
-    g4 = ws.gens(2, (4,))
-    skeleton = {
-        "param": "c2",
-        "ring": g4.ring,
-        "ops": [(op.label, op.mat) for op in g4.ops],
-    }
+    skeleton = principal_restriction(ws.gens(2, (4,)).ops, ws.lie(2))
     branches = branch_multiset_at(skeleton, "-1", "M1")
     expected = [-4.0, -2.0, 0.0, 2.0, 4.0]
     multiset_ok = len(branches) == 5 and all(
@@ -566,8 +551,6 @@ def criterion_12(ws, out_dir=None):
     )
     details["sl2 n=4 branches at c2=-1"] = branches
     ok = ok and multiset_ok
-    if own_dir is not None:
-        own_dir.cleanup()
     return {"id": 12, "name": "figure reproduction", "pass": ok, "details": details}
 
 

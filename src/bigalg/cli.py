@@ -99,8 +99,8 @@ def check_args(parser, args):
             parser.error("--grid: %s" % exc)
 
 
-def _config(args, extra=()):
-    keys = ["n", "mu", "lam", "seed", "cache", "max_degree"] + list(extra)
+def _config(args):
+    keys = ["n", "mu", "lam", "seed", "cache", "max_degree"]
     return {k: getattr(args, k, None) for k in keys if getattr(args, k, None) is not None}
 
 
@@ -326,16 +326,7 @@ def cmd_spectrum(args):
         )
         return 0
     grid = parse_grid(args.grid)
-    if args.n == 2:
-        skeleton = {
-            "param": "c2",
-            "ring": gens.ring,
-            "ops": [(op.label, op.mat) for op in gens.ops],
-        }
-    elif args.n == 3:
-        skeleton = principal_restriction(gens.ops, L, recipe="set_c3_zero")
-    else:
-        skeleton = principal_restriction(gens.ops, L)
+    skeleton = principal_restriction(gens.ops, L)
     out_csv = args.out or "skeleton.csv"
     r = emit_skeleton_points(skeleton, grid, out_csv)
     print(
@@ -395,11 +386,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mu=True, lam=False, builds_rep=True):
+    def common(p, lam=False, builds_rep=True):
         p.set_defaults(builds_rep=builds_rep)
         p.add_argument("--n", type=int, required=True, help="rank parameter of sl_n")
-        if mu:
-            p.add_argument("--mu", required=True, help="highest weight, e.g. 1,1")
+        p.add_argument("--mu", required=True, help="highest weight, e.g. 1,1")
         if lam:
             p.add_argument(
                 "--lambda", dest="lam", required=True, help="weight, e.g. 0,0"

@@ -1,4 +1,4 @@
-"""Operator-valued polynomials on sl_n: small, medium, and iterated-D operators.
+"""Operator-valued polynomials on sl_n and the iterated derivation D.
 
 Everything here is an End(V)-valued polynomial in the Lie-algebra
 coordinates x_0..x_{N-1}.  The derivation D sends F to
@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .multipoly import MultiPoly, rat
-from .linalg import QMatrix
+from .multipoly import rat
 from .polymatrix import PolyMatrix, _sparse_int_rows, gradient_rows, int_sum_of_products
 
 _HALF = rat(1, 2)
@@ -29,12 +28,6 @@ class KirillovElement:
         if degree is None:
             degree = mat.is_homogeneous()
         self.degree = degree
-
-    def evaluate(self, coords):
-        values = {
-            "x%d" % i: coords[i] for i in range(self.rep.L.dim)
-        }
-        return self.mat.evaluate(values)
 
     def scale(self, c):
         return KirillovElement(self.rep, self.mat * rat(c), self.degree)
@@ -63,22 +56,6 @@ def _same_rep(a, b):
         raise ValueError("operands live on different representations")
 
 
-def small_operator(rep):
-    """A |-> rho(A): the tautological degree-one element."""
-    L = rep.L
-    ring = L.x_ring
-    mat = PolyMatrix.zeros(ring, rep.dim, rep.dim)
-    for i in range(L.dim):
-        xi = MultiPoly.variable(ring, "x%d" % i)
-        mat = mat + PolyMatrix.from_qmatrix(ring, rep.rho[i]) * xi
-    return KirillovElement(rep, mat, 1)
-
-
-def invariant_ck(L, k):
-    """The degree-k invariant: coefficient of lambda^(n-k) in det(lambda*I - A)."""
-    return L.invariant_ck(k)
-
-
 def scalar_element(rep, poly):
     ring = rep.L.x_ring
     return KirillovElement(
@@ -86,50 +63,12 @@ def scalar_element(rep, poly):
     )
 
 
-def medium_operator(rep, k):
-    """rho of the traceless trace-form gradient of c_k; degree k - 1.
-
-    The gradient G of c_k along sl_n satisfies tr(G X_j) = dc_k/dx_j for the
-    whole basis, which already encodes the projection away from the trace.
-    """
-    L = rep.L
-    if not 2 <= k <= L.n:
-        raise ValueError("invariant index k must satisfy 2 <= k <= n")
-    ck = L.invariant_ck(k)
-    partials = [ck.diff("x%d" % j) for j in range(L.dim)]
-    # g = T^{-1} * partials with T the trace-form Gram matrix
-    mat = PolyMatrix.zeros(L.x_ring, rep.dim, rep.dim)
-    for i in range(L.dim):
-        gi = MultiPoly.zero(L.x_ring)
-        for c, partial in zip(L.trace_inv.row(i), partials):
-            if c and partial.terms:
-                gi = gi + partial.scale(c)
-        if gi.terms:
-            mat = mat + PolyMatrix.from_qmatrix(L.x_ring, rep.rho[i]) * gi
-    return KirillovElement(rep, mat, k - 1)
-
-
-def _dual_rho(rep):
-    """rho(X^i) for the Killing-dual basis, cached on the representation."""
-    if not hasattr(rep, "_dual_rho"):
-        L = rep.L
-        duals = []
-        for i in range(L.dim):
-            m = QMatrix.zeros(rep.dim, rep.dim)
-            for j, c in enumerate(L.killing_inv.row(i)):
-                if c:
-                    m = m + rep.rho[j] * c
-            duals.append(m)
-        rep._dual_rho = duals
-    return rep._dual_rho
-
-
 def _dual_rho_rows(rep):
     """rho(X^i) as sparse integer rows over one denominator each.
 
-    The same matrices as ``_dual_rho``, in the operand form of
-    ``int_sum_of_products``; built once from the integer rows of rho and
-    cached on the representation.
+    rho(X^i) = sum_j killing_inv[i][j] rho(X_j) for the Killing-dual basis,
+    in the operand form of ``int_sum_of_products``; built once from the
+    integer rows of rho and cached on the representation.
     """
     cached = getattr(rep, "_dual_rho_rows", None)
     if cached is None:
@@ -184,57 +123,9 @@ def derivation_chain(rep, k, steps):
     return chain
 
 
-def big_operator(rep, i, k):
-    """D^i applied to c_k * Id; homogeneous of degree k - i."""
-    if not 0 < i < k <= rep.L.n:
-        raise ValueError("indices must satisfy 0 < i < k <= n")
-    return derivation_chain(rep, k, i)[-1]
-
-
-def equivariance_check(elem):
-    """Infinitesimal equivariance: dF along [X, x] equals [rho(X), F(x)].
-
-    Checked as an exact polynomial-matrix identity for every basis element.
-    """
-    rep = elem.rep
-    L = rep.L
-    ring = L.x_ring
-    partials = [elem.mat.diff("x%d" % j) for j in range(L.dim)]
-    for a in range(L.dim):
-        lhs = PolyMatrix.zeros(ring, rep.dim, rep.dim)
-        for j in range(L.dim):
-            if partials[j].is_zero():
-                continue
-            # j-th coordinate of [X_a, x] as a linear form in x
-            form = MultiPoly.zero(ring)
-            for i in range(L.dim):
-                c = L.structure[a][i][j]
-                if c:
-                    form = form + MultiPoly.variable(ring, "x%d" % i).scale(c)
-            if form.terms:
-                lhs = lhs + partials[j] * form
-        rho_a = PolyMatrix.from_qmatrix(ring, rep.rho[a])
-        if lhs != rho_a.commutator(elem.mat):
-            return False
-    return True
-
-
 def commutator(a, b):
     _same_rep(a, b)
     deg = None
     if a.degree is not None and b.degree is not None:
         deg = a.degree + b.degree
     return KirillovElement(a.rep, a.mat.commutator(b.mat), deg)
-
-
-def homogeneity_check(elem, fresh_scale=7):
-    """F(t*x) = t^deg F(x) verified at a generic rational scale factor."""
-    if elem.degree is None:
-        return False
-    ring = elem.rep.L.x_ring
-    t = rat(fresh_scale)
-    mapping = {
-        nm: MultiPoly.variable(ring, nm).scale(t) for nm in ring.names
-    }
-    scaled = elem.mat.subs(ring, mapping)
-    return scaled == elem.mat * (t ** elem.degree)

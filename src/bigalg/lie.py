@@ -39,6 +39,8 @@ class TypeA:
                 if i != j:
                     self._offdiag_index[(i, j)] = idx
                     idx += 1
+        # basis index of the lowering operator E_{i+1,i} of each simple root
+        self.lowering_index = [self._offdiag_index[(i + 1, i)] for i in range(n - 1)]
 
         # structure constants as coordinate vectors of [X_i, X_j], and the
         # trace form tr(X_i X_j), from the sparse basis

@@ -14,16 +14,16 @@ from .multipoly import MultiPoly
 from .linalg import QMatrix, kernel, rank
 
 
-def _column_valuation(col, ring, wname):
-    vals = [p.var_range(wname) for p in col]
+def _column_valuation(col):
+    vals = [p.var_range("w") for p in col]
     lows = [v[0] for v in vals if v is not None]
     if not lows:
         return None
     return min(lows)
 
 
-def _leading_vector(col, ring, wname):
-    i = ring.index[wname]
+def _leading_vector(col, ring):
+    i = ring.index["w"]
     out = []
     for p in col:
         c = 0
@@ -35,24 +35,18 @@ def _leading_vector(col, ring, wname):
     return out
 
 
-def limit_of_span(columns, wname="w", allow_negative_exponents=True):
+def limit_of_span(columns):
     """Limit as w -> 0 of the span of polynomial columns; returns a QMatrix.
 
     columns: list of columns, each a list of MultiPoly over a ring that
-    contains the variable `wname`.  The columns must be linearly independent
+    contains the variable w.  The columns must be linearly independent
     at generic w; the result has exactly as many columns as the input.
     """
     if not columns:
         raise ValueError("no columns given")
     ring = columns[0][0].ring
-    if wname not in ring.index:
-        raise ValueError("ring has no variable %r" % wname)
-    if not allow_negative_exponents:
-        for col in columns:
-            for p in col:
-                vr = p.var_range(wname)
-                if vr is not None and vr[0] < 0:
-                    raise ValueError("negative exponents not allowed here")
+    if "w" not in ring.index:
+        raise ValueError("ring has no variable 'w'")
 
     cols = [list(c) for c in columns]
     height = len(cols[0])
@@ -61,7 +55,7 @@ def limit_of_span(columns, wname="w", allow_negative_exponents=True):
     spread = 0
     for col in cols:
         for p in col:
-            vr = p.var_range(wname)
+            vr = p.var_range("w")
             if vr is not None:
                 spread = max(spread, vr[1] - vr[0])
     max_steps = k * (spread + 2) + 8
@@ -69,14 +63,14 @@ def limit_of_span(columns, wname="w", allow_negative_exponents=True):
     for _ in range(max_steps):
         # (a) normalize every column to valuation zero
         for idx, col in enumerate(cols):
-            v = _column_valuation(col, ring, wname)
+            v = _column_valuation(col)
             if v is None:
                 raise ValueError("columns generically dependent (zero column)")
             if v:
-                cols[idx] = [p.shift_var(wname, -v) for p in col]
+                cols[idx] = [p.shift_var("w", -v) for p in col]
         # (b) leading coefficient vectors
         lead = QMatrix.from_cols(
-            [_leading_vector(col, ring, wname) for col in cols], rows=height
+            [_leading_vector(col, ring) for col in cols], rows=height
         )
         if rank(lead) == k:
             return lead

@@ -3,8 +3,8 @@
 A ``QMatrix`` stores integer rows ``num`` over one positive denominator
 ``den``, normalized so that gcd(den, every entry) == 1 (the zero matrix has
 den 1); equal matrices have equal storage.  Rationals become integers only
-where a matrix is built from them: the constructor, ``from_cols``,
-``from_obj`` and ``diagonal``.  Arithmetic, ``kron``, ``hstack`` and every
+where a matrix is built from them: the constructor, ``from_cols`` and
+``from_obj``.  Arithmetic, ``kron``, ``hstack`` and every
 elimination read and write the integer rows, and ``Fraction``s are built
 only when a caller reads entries (``m[i, j]``, ``row``, ``col``,
 ``columns``, ``flatten``, ``to_obj``, ``str`` and the read-only ``a``).
@@ -12,7 +12,7 @@ only when a caller reads entries (``m[i, j]``, ``row``, ``col``,
 Products skip zero entries.  Every elimination is one fraction-free
 reduced echelon form: ``Echelon`` keeps primitive integer rows, positive at
 their smallest-index pivots and zero at the other pivots, and ``rank``,
-``kernel``, ``joint_kernel``, ``rref``, ``invert`` and ``solve_columns``
+``kernel``, ``joint_kernel``, ``invert`` and ``solve_columns``
 read their answers off the rows an ``Echelon`` holds after taking in the
 integer rows of the matrix.  ``charpoly`` runs Faddeev-LeVerrier on the
 integer matrix.  ``closure`` grows an ``Echelon`` into the span of seeds
@@ -127,24 +127,13 @@ class QMatrix:
         return cls._of([[int(i == j) for j in range(n)] for i in range(n)], 1, n)
 
     @classmethod
-    def from_cols(cls, cols, rows=None):
+    def from_cols(cls, cols, rows):
         if not cols:
-            if rows is None:
-                raise ValueError("cannot infer row count")
             return cls._of([[] for _ in range(rows)], 1, 0)
         n = len(cols[0])
         if not n:
             return cls._of([], 1, len(cols))
         return cls([[col[i] for col in cols] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, entries):
-        n = len(entries)
-        diag, den = _int_vector([rat(x) for x in entries])
-        num = [[0] * n for _ in range(n)]
-        for i, x in enumerate(diag):
-            num[i][i] = x
-        return cls._of(num, den, n)
 
     # ---------- accessors ----------
 
@@ -521,12 +510,6 @@ def _over_pivots(rows, pivots, start, nrows, cols):
     return _reduced(num, den, cols)
 
 
-def rref(m):
-    """Reduced row echelon over Q; returns (QMatrix, pivot columns)."""
-    rows, pivots = _reduced_echelon(m.num)
-    return _over_pivots(rows, pivots, 0, m.rows, m.cols), pivots
-
-
 def invert(m):
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")
@@ -594,18 +577,6 @@ def upoly_trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def upoly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        if x:
-            for j, y in enumerate(q):
-                if y:
-                    out[i + j] += x * y
-    return upoly_trim(out)
 
 
 def upoly_eval(p, x):
@@ -773,12 +744,6 @@ def rational_roots(p):
         if (x == hi or lo < x < hi) and not _sign(g, x.numerator, x.denominator):
             roots.append((x, mult))
     return sorted(roots)
-
-
-def upoly_gcd(p, q):
-    """Monic gcd over Q."""
-    g = _gcd(_int_poly(p), _int_poly(q))
-    return [Fraction(c, g[-1]) for c in g]
 
 
 def is_squarefree(p):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .multipoly import MultiPoly, VarSet, rat, ZERO
+from .multipoly import MultiPoly, VarSet, ZERO
 from .linalg import (
     Echelon,
     QMatrix,
@@ -69,37 +69,6 @@ def qkostant_partition(rd, pi):
             if all(x >= 0 for x in prev) and dp[prev]:
                 dp[p] = dp[p] + q * dp[prev]
     return dp[target]
-
-
-def qkostant_bruteforce(rd, pi, _cap=None):
-    """Independent oracle: explicit enumeration of root multisets."""
-    target = rd.root_coords(pi)
-    if target is None:
-        return QPoly()
-    roots_rc = []
-    for i, j in rd.positive:
-        vec = [0] * rd.rank
-        for k in range(i, j + 1):
-            vec[k - 1] += 1
-        roots_rc.append(tuple(vec))
-
-    counts = {}
-
-    def rec(idx, remaining, parts):
-        if idx == len(roots_rc):
-            if all(x == 0 for x in remaining):
-                counts[parts] = counts.get(parts, 0) + 1
-            return
-        r = roots_rc[idx]
-        rem = list(remaining)
-        m = 0
-        while all(x >= 0 for x in rem):
-            rec(idx + 1, tuple(rem), parts + m)
-            rem = [a - b for a, b in zip(rem, r)]
-            m += 1
-
-    rec(0, target, 0)
-    return QPoly(counts)
 
 
 def lusztig_m(rd, mu, lam):
@@ -224,32 +193,16 @@ def e_limit_zlimit(rep, lam):
             else:
                 col.append(MultiPoly.zero(ring))
         columns.append(col)
-    return limit_of_span(columns, "w")
+    return limit_of_span(columns)
 
 
-def e_limit(rep, lam, method="both"):
-    """The e-limit of a weight space; 'both' cross-checks the two routes."""
-    if method == "filtration_sum":
-        return e_limit_filtration(rep, lam)
-    if method == "z_limit":
-        return e_limit_zlimit(rep, lam)
-    if method == "both":
-        a = e_limit_filtration(rep, lam)
-        b = e_limit_zlimit(rep, lam)
-        if a.cols != b.cols or not same_span(a.columns(), b.columns()):
-            raise RuntimeError("limit constructions disagree (bug)")
-        return a
-    raise ValueError("unknown method %r" % method)
-
-
-def torus_weight_space_scaled(rep, lam, z):
-    """The weight space of the torus centralizing e + z*h, at rational z.
-
-    Realized as the image of the h+e weight space under the rational
-    one-parameter scaling diag(1, z, ..., z^(n-1))."""
-    n = rep.L.n
-    s = QMatrix.diagonal([rat(z) ** i for i in range(n)])
-    return rep.gl_transport(s) * weight_space_basis(rep, lam, torus="h_plus_e")
+def e_limit(rep, lam):
+    """The e-limit of a weight space, cross-checked between the two routes."""
+    a = e_limit_filtration(rep, lam)
+    b = e_limit_zlimit(rep, lam)
+    if a.cols != b.cols or not same_span(a.columns(), b.columns()):
+        raise RuntimeError("limit constructions disagree (bug)")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +231,7 @@ def multiplicity_algebra(rep, gens, lam):
     lam = tuple(lam)
     rd = lie.RootData(rep.L.n)
     # the limit span is h-stable, so it admits an h-homogeneous basis
-    limit = _h_stabilize_limit(rep, e_limit(rep, lam, method="both"))
+    limit = _h_stabilize_limit(rep, e_limit(rep, lam))
     ops_e = generators_at_e(rep, gens)
     restricted = []
     for op, mat in zip(gens, ops_e):
@@ -344,11 +297,6 @@ def _h_stabilize_limit(rep, limit):
     return QMatrix.from_cols(vectors, rows=rep.dim)
 
 
-def e_limit_graded(rep, lam):
-    """The e-limit with an h-homogeneous basis."""
-    return _h_stabilize_limit(rep, e_limit(rep, lam, method="both"))
-
-
 def algebra_structure_table(restricted_ops, dim):
     """Basis and multiplication table of the unital algebra generated by the
     restricted operators inside End(limit space)."""
@@ -371,8 +319,8 @@ def quotient_chain_check(rep, gens, lam):
     restriction to the smaller space factors through the bigger one."""
     rd = lie.RootData(rep.L.n)
     mu_min = lie.minuscule_min(rd, rep.mu)
-    l_min = e_limit(rep, mu_min, method="both")
-    l_lam = e_limit(rep, lam, method="both")
+    l_min = e_limit(rep, mu_min)
+    l_lam = e_limit(rep, lam)
     ech = Echelon()
     for v in l_min.columns():
         ech.add(v)
@@ -401,7 +349,7 @@ def minuscule_quotient_check(rep, gens):
     values: dimensions match and the medium ideal annihilates the limit."""
     rd = lie.RootData(rep.L.n)
     mu_min = lie.minuscule_min(rd, rep.mu)
-    l_min = e_limit(rep, mu_min, method="both")
+    l_min = e_limit(rep, mu_min)
     ops_e = generators_at_e(rep, gens)
     labels = [op.label for op in gens]
     medium = [m for lab, m in zip(labels, ops_e) if lab.startswith("M")]

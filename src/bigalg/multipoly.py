@@ -155,13 +155,6 @@ class MultiPoly:
     def __len__(self):
         return len(self.terms)
 
-    def degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        td = self.ring.total_degree
-        return max(td(k) for k in self.terms)
-
     def is_homogeneous(self):
         """The common total degree of all terms, or None."""
         if not self.terms:
@@ -278,21 +271,7 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
 
-    # ---------- calculus and substitution ----------
-
-    def diff(self, name):
-        """Formal partial derivative with respect to one variable."""
-        if name not in self.ring.index:
-            raise ValueError("unknown variable %r" % name)
-        i = self.ring.index[name]
-        unit = self.ring._units[i]
-        exp = self.ring.exponent
-        out = {}
-        for k, c in self.terms.items():
-            e = exp(k, i)
-            if e:
-                out[k - unit] = c * e
-        return MultiPoly(self.ring, out, _trusted=True)
+    # ---------- shifts, evaluation and substitution ----------
 
     def shift_var(self, name, step):
         """Multiply by name**step (step may be negative for Laurent vars)."""
@@ -393,14 +372,3 @@ class MultiPoly:
             key=lambda t: t[0],
         )]
         return {"variables": list(self.ring.names), "terms": terms}
-
-    @classmethod
-    def from_obj(cls, obj, ring=None):
-        if ring is None:
-            ring = VarSet(obj["variables"])
-        elif list(ring.names) != list(obj["variables"]):
-            raise ValueError("variable-set mismatch in serialized polynomial")
-        terms = {}
-        for exps, c in obj["terms"]:
-            terms[ring.pack(tuple(exps))] = rat(c)
-        return cls(ring, terms)

@@ -168,9 +168,9 @@ class PolyMatrix:
         return m
 
     @classmethod
-    def identity(cls, ring, n, scale=1):
+    def identity(cls, ring, n):
         m = cls.zeros(ring, n, n)
-        p = MultiPoly.const(ring, scale)
+        p = MultiPoly.const(ring, 1)
         for i in range(n):
             m.a[i][i] = p
         return m
@@ -287,12 +287,7 @@ class PolyMatrix:
             t = t + self.a[i][i]
         return t
 
-    # ---------- calculus / evaluation ----------
-
-    def diff(self, name):
-        return PolyMatrix(
-            self.ring, [[p.diff(name) for p in row] for row in self.a], _trusted=True
-        )
+    # ---------- evaluation ----------
 
     def evaluate(self, values):
         return QMatrix([[p.evaluate(values) for p in row] for row in self.a])

@@ -27,26 +27,15 @@ class QPoly:
                     self.coeffs[_norm_exp(e)] = c
 
     @classmethod
-    def q_power(cls, e, c=1):
-        return cls({e: c})
+    def q_power(cls, e):
+        return cls({e: 1})
 
     @classmethod
     def one(cls):
         return cls({0: 1})
 
-    @classmethod
-    def from_pairs(cls, pairs):
-        out = {}
-        for e, c in pairs:
-            e = _norm_exp(e)
-            out[e] = out.get(e, 0) + c
-        return cls(out)
-
     def pairs(self):
         return sorted(self.coeffs.items())
-
-    def is_zero(self):
-        return not self.coeffs
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -78,9 +67,6 @@ class QPoly:
 
     def scale(self, c):
         return QPoly({e: c * v for e, v in self.coeffs.items()})
-
-    def shift(self, delta):
-        return QPoly({_norm_exp(e + delta): c for e, c in self.coeffs.items()})
 
     def __eq__(self, other):
         if isinstance(other, QPoly):

@@ -170,10 +170,6 @@ class Representation:
     def rho_e(self):
         return self.op(self.L.e_coords)
 
-    @property
-    def rho_h(self):
-        return self.op(self.L.h_coords)
-
     def weight_space_columns(self, lam):
         idx = self.weight_table.get(tuple(lam), [])
         cols = []
@@ -219,15 +215,6 @@ class Representation:
         }
 
 
-def fundamental_rep(L, k):
-    """The k-th exterior power of the standard representation."""
-    n = L.n
-    if not 1 <= k <= n - 1:
-        raise ValueError("fundamental index out of range")
-    mu = tuple(1 if i == k - 1 else 0 for i in range(n - 1))
-    return build_irrep(L, mu)
-
-
 def _ambient(n, mu):
     """The tensor product of exterior powers that holds V^mu.
 
@@ -245,7 +232,7 @@ def _ambient(n, mu):
 
 def _lowering(L):
     """The lowering operators E_{i+1,i}, one per simple root."""
-    return [L.basis[L._offdiag_index[(i + 1, i)]] for i in range(L.n - 1)]
+    return [L.basis[i] for i in L.lowering_index]
 
 
 def _module(L, mu, factors, index, vectors, weights, words, rho=None):
@@ -312,23 +299,6 @@ def build_irrep(L, mu):
             % (len(vectors), target_dim)
         )
     return _module(L, mu, factors, index, vectors, weights, words)
-
-
-def weight_spaces(rep, torus_elements):
-    """Simultaneous eigenspace decomposition under commuting semisimple ops.
-
-    torus_elements are Lie-algebra elements as coordinate vectors; their
-    images must commute and act with rational joint spectrum.
-    """
-    from .linalg import joint_invariant_decomposition
-
-    mats = [rep.op(x) for x in torus_elements]
-    blocks = joint_invariant_decomposition(mats)
-    for _, labels in blocks:
-        for lab in labels:
-            if isinstance(lab, tuple):
-                raise ValueError("irrational spectrum")
-    return blocks
 
 
 def g_e_invariants(rep):

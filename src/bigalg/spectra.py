@@ -20,7 +20,7 @@ from .linalg import (
 )
 from .polymatrix import PolyMatrix
 from . import lie
-from .bigalgebra import rational_diagonalizer, _eigenvalue_on_line
+from .bigalgebra import _eigenvalue_on_line, principal_transport
 
 
 # ---------------------------------------------------------------------------
@@ -59,14 +59,19 @@ def skeleton_pullback(gens, L):
     return {"param": "t", "ring": tring, "ops": ops}
 
 
-def principal_restriction(gens, L, recipe="pullback_along_e_plus_tf"):
-    if recipe == "set_c3_zero":
-        if L.n != 3:
-            raise ValueError("set_c3_zero recipe is specific to rank two")
+def principal_restriction(gens, L):
+    """The generators restricted to one line parameter, for the figures.
+
+    sl_2 keeps its section ring, whose only coordinate c2 is the parameter;
+    sl_3 sets c3 = 0; from sl_4 on the operators are pulled back along the
+    principal line e + t*f.
+    """
+    if L.n == 2:
+        ops = [(op.label, op.mat) for op in gens]
+        return {"param": "c2", "ring": gens[0].mat.ring, "ops": ops}
+    if L.n == 3:
         return skeleton_set_c3_zero(gens)
-    if recipe == "pullback_along_e_plus_tf":
-        return skeleton_pullback(gens, L)
-    raise ValueError("unknown recipe %r" % recipe)
+    return skeleton_pullback(gens, L)
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +87,7 @@ def principal_spectrum(rep, gens):
     generator family is then split by joint invariant decomposition, with
     irrational blocks (if any) kept unsplit.
     """
-    L = rep.L
-    cvals = lie.principal_point(L)
-    a0 = lie.companion_point(L.n, cvals)
-    eigs = [L.h[i, i] for i in range(L.n)]
-    transport = rep.gl_transport(rational_diagonalizer(a0, eigs))
+    cvals, transport = principal_transport(rep)
 
     medium = [op for op in gens if op.i == 1]
     med_vals = [op.evaluate(cvals) for op in medium]

@@ -45,11 +45,8 @@ def intertwiner(rep):
     """
     if not is_sigma_invariant(rep.mu):
         raise ValueError("highest weight is not sigma-invariant")
-    L = rep.L
-    n = L.n
-    lower_ops = [
-        rep.rho[L._offdiag_index[(i + 1, i)]] for i in range(n - 1)
-    ]
+    n = rep.L.n
+    lower_ops = [rep.rho[i] for i in rep.L.lowering_index]
     cols = []
     for word in rep.words:
         v = [ONE if i == 0 else ZERO for i in range(rep.dim)]
@@ -86,14 +83,12 @@ def _sigma_substitution(L, sg):
     return mapping
 
 
-def sigma_on_element(elem, s=None, sg=None):
-    """(sigma F)(x) = S F(sigma x) S^{-1} as a polynomial matrix."""
-    rep = elem.rep
-    L = rep.L
-    if s is None:
-        s = intertwiner(rep)
-    if sg is None:
-        sg = sigma_coord_matrix(L)
+def sigma_on_element(elem, s, sg):
+    """(sigma F)(x) = S F(sigma x) S^{-1} as a polynomial matrix.
+
+    s is the intertwiner of the module and sg the coordinate map of sigma.
+    """
+    L = elem.rep.L
     composed = elem.mat.subs(L.x_ring, _sigma_substitution(L, sg))
     s_inv = invert(s)
     return composed.mul_qmatrix_left(s).mul_qmatrix_right(s_inv)
@@ -132,12 +127,10 @@ def sigma_on_invariants(L):
     return out
 
 
-def jantzen_trace(rep, lam=None):
-    """Trace of the intertwiner on a sigma-stable weight space."""
-    if lam is None:
-        lam = (0,) * (rep.L.n - 1)
+def jantzen_trace(rep):
+    """Trace of the intertwiner on the zero weight space."""
     s = intertwiner(rep)
-    idx = rep.weight_table.get(tuple(lam), [])
+    idx = rep.weight_table.get((0,) * (rep.L.n - 1), [])
     if not idx:
         return ZERO
     basis = QMatrix.from_cols(

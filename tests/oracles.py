@@ -1,0 +1,189 @@
+"""Independent reference computations that only the tests use.
+
+Each one recomputes, the slow and direct way, something the package
+computes another way: the small and medium operators from their defining
+formulas, equivariance and homogeneity as exact polynomial identities,
+rho of the Killing-dual basis as dense matrices, formal derivatives term by
+term, the q-partition function by explicit enumeration, and weight spaces
+by joint eigenspace decomposition.
+"""
+
+from __future__ import annotations
+
+from bigalg.kirillov import KirillovElement
+from bigalg.linalg import QMatrix, joint_invariant_decomposition
+from bigalg.multipoly import MultiPoly, rat
+from bigalg.polymatrix import PolyMatrix
+from bigalg.qpoly import QPoly
+
+
+def diagonal(entries):
+    """The diagonal QMatrix with the given entries."""
+    n = len(entries)
+    return QMatrix([[x if i == j else 0 for j in range(n)] for i, x in enumerate(entries)])
+
+
+def diff(poly, name):
+    """Formal partial derivative of a MultiPoly with respect to one variable."""
+    ring = poly.ring
+    if name not in ring.index:
+        raise ValueError("unknown variable %r" % name)
+    i = ring.index[name]
+    unit = ring._units[i]
+    out = {}
+    for k, c in poly.terms.items():
+        e = ring.exponent(k, i)
+        if e:
+            out[k - unit] = c * e
+    return MultiPoly(ring, out, _trusted=True)
+
+
+def mat_diff(mat, name):
+    """The entrywise partial derivative of a PolyMatrix."""
+    return PolyMatrix(mat.ring, [[diff(p, name) for p in row] for row in mat.a], _trusted=True)
+
+
+# ---------------------------------------------------------------------------
+# operator-valued polynomials on sl_n
+# ---------------------------------------------------------------------------
+
+
+def small_operator(rep):
+    """A |-> rho(A): the tautological degree-one element."""
+    L = rep.L
+    ring = L.x_ring
+    mat = PolyMatrix.zeros(ring, rep.dim, rep.dim)
+    for i in range(L.dim):
+        xi = MultiPoly.variable(ring, "x%d" % i)
+        mat = mat + PolyMatrix.from_qmatrix(ring, rep.rho[i]) * xi
+    return KirillovElement(rep, mat, 1)
+
+
+def medium_operator(rep, k):
+    """rho of the traceless trace-form gradient of c_k; degree k - 1.
+
+    The gradient G of c_k along sl_n satisfies tr(G X_j) = dc_k/dx_j for the
+    whole basis, which already encodes the projection away from the trace.
+    """
+    L = rep.L
+    if not 2 <= k <= L.n:
+        raise ValueError("invariant index k must satisfy 2 <= k <= n")
+    ck = L.invariant_ck(k)
+    partials = [diff(ck, "x%d" % j) for j in range(L.dim)]
+    # g = T^{-1} * partials with T the trace-form Gram matrix
+    mat = PolyMatrix.zeros(L.x_ring, rep.dim, rep.dim)
+    for i in range(L.dim):
+        gi = MultiPoly.zero(L.x_ring)
+        for c, partial in zip(L.trace_inv.row(i), partials):
+            if c and partial.terms:
+                gi = gi + partial.scale(c)
+        if gi.terms:
+            mat = mat + PolyMatrix.from_qmatrix(L.x_ring, rep.rho[i]) * gi
+    return KirillovElement(rep, mat, k - 1)
+
+
+def dual_rho(rep):
+    """rho(X^i) for the Killing-dual basis, cached on the representation."""
+    if not hasattr(rep, "_dual_rho"):
+        L = rep.L
+        duals = []
+        for i in range(L.dim):
+            m = QMatrix.zeros(rep.dim, rep.dim)
+            for j, c in enumerate(L.killing_inv.row(i)):
+                if c:
+                    m = m + rep.rho[j] * c
+            duals.append(m)
+        rep._dual_rho = duals
+    return rep._dual_rho
+
+
+def equivariance_check(elem):
+    """Infinitesimal equivariance: dF along [X, x] equals [rho(X), F(x)].
+
+    Checked as an exact polynomial-matrix identity for every basis element.
+    """
+    rep = elem.rep
+    L = rep.L
+    ring = L.x_ring
+    partials = [mat_diff(elem.mat, "x%d" % j) for j in range(L.dim)]
+    for a in range(L.dim):
+        lhs = PolyMatrix.zeros(ring, rep.dim, rep.dim)
+        for j in range(L.dim):
+            if partials[j].is_zero():
+                continue
+            # j-th coordinate of [X_a, x] as a linear form in x
+            form = MultiPoly.zero(ring)
+            for i in range(L.dim):
+                c = L.structure[a][i][j]
+                if c:
+                    form = form + MultiPoly.variable(ring, "x%d" % i).scale(c)
+            if form.terms:
+                lhs = lhs + partials[j] * form
+        rho_a = PolyMatrix.from_qmatrix(ring, rep.rho[a])
+        if lhs != rho_a.commutator(elem.mat):
+            return False
+    return True
+
+
+def homogeneity_check(elem, fresh_scale=7):
+    """F(t*x) = t^deg F(x) verified at a generic rational scale factor."""
+    if elem.degree is None:
+        return False
+    ring = elem.rep.L.x_ring
+    t = rat(fresh_scale)
+    mapping = {
+        nm: MultiPoly.variable(ring, nm).scale(t) for nm in ring.names
+    }
+    scaled = elem.mat.subs(ring, mapping)
+    return scaled == elem.mat * (t ** elem.degree)
+
+
+# ---------------------------------------------------------------------------
+# q-partition counts and weight spaces
+# ---------------------------------------------------------------------------
+
+
+def qkostant_bruteforce(rd, pi):
+    """Independent oracle: explicit enumeration of root multisets."""
+    target = rd.root_coords(pi)
+    if target is None:
+        return QPoly()
+    roots_rc = []
+    for i, j in rd.positive:
+        vec = [0] * rd.rank
+        for k in range(i, j + 1):
+            vec[k - 1] += 1
+        roots_rc.append(tuple(vec))
+
+    counts = {}
+
+    def rec(idx, remaining, parts):
+        if idx == len(roots_rc):
+            if all(x == 0 for x in remaining):
+                counts[parts] = counts.get(parts, 0) + 1
+            return
+        r = roots_rc[idx]
+        rem = list(remaining)
+        m = 0
+        while all(x >= 0 for x in rem):
+            rec(idx + 1, tuple(rem), parts + m)
+            rem = [a - b for a, b in zip(rem, r)]
+            m += 1
+
+    rec(0, target, 0)
+    return QPoly(counts)
+
+
+def weight_spaces(rep, torus_elements):
+    """Simultaneous eigenspace decomposition under commuting semisimple ops.
+
+    torus_elements are Lie-algebra elements as coordinate vectors; their
+    images must commute and act with rational joint spectrum.
+    """
+    mats = [rep.op(x) for x in torus_elements]
+    blocks = joint_invariant_decomposition(mats)
+    for _, labels in blocks:
+        for lab in labels:
+            if isinstance(lab, tuple):
+                raise ValueError("irrational spectrum")
+    return blocks

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -30,17 +31,13 @@ from bigalg.bigalgebra import (
     verify_presentation,
     weighted_monomials,
 )
-from bigalg.kirillov import (
-    KirillovElement,
-    derivation_chain,
-    scalar_element,
-    small_operator,
-)
-from bigalg.linalg import Echelon, QMatrix, charpoly, flatten, rank, upoly_mul
+from bigalg.kirillov import KirillovElement, derivation_chain, scalar_element
+from bigalg.linalg import Echelon, QMatrix, charpoly, flatten, rank, rational_roots
 from bigalg.multipoly import MultiPoly, rat
 from bigalg.polymatrix import PolyMatrix
 from bigalg.qpoly import QPoly
 from bigalg.reps import build_irrep
+from oracles import diagonal, small_operator
 
 
 def test_restriction_of_small_operator_is_companion(L2, L3, sl3_standard):
@@ -181,13 +178,9 @@ def test_generator_bytes_are_pinned(key, digests):
 def test_evaluate_at_principal_point(octet, octet_gens, L3):
     rd = lie.RootData(3)
     val = octet_gens.by_label["M1"].evaluate([-4, 0])
-    # oracle: eigenvalues are the h-pairings of the weights
-    expected = sorted(rd.h_pairing(w) for w in octet.weights)
-    chi = charpoly(val)
-    prod = [rat(1)]
-    for w in expected:
-        prod = upoly_mul(prod, [-rat(w), rat(1)])
-    assert chi == prod
+    # oracle: eigenvalues are the h-pairings of the weights, with multiplicity
+    expected = Counter(rd.h_pairing(w) for w in octet.weights)
+    assert rational_roots(charpoly(val)) == sorted(expected.items())
 
 
 def test_evaluate_scalar(octet_gens):
@@ -211,7 +204,7 @@ def test_calibration_anchors(decuplet_gens, octet_gens, sl2_sym4_gens):
 def test_rational_diagonalizer():
     m = lie.companion_point(3, [-4, 0])
     s = rational_diagonalizer(m, [2, 0, -2])
-    assert m * s == s * QMatrix.diagonal([2, 0, -2])
+    assert m * s == s * diagonal([2, 0, -2])
 
 
 def test_hilbert_series_examples(octet, decuplet, octet_gens, decuplet_gens, L2):
@@ -336,7 +329,7 @@ def test_reference_relations_in_derived_span(octet, decuplet, octet_gens, decupl
                 if rd_deg > d:
                     continue
                 for mult in rr.monomials_of_degree(d - rd_deg):
-                    prod = rel * rr.monomial_poly(mult)
+                    prod = rel * MultiPoly.monomial(rr.ring, mult)
                     vec = [ZERO] * len(monos)
                     for key, c in prod.terms.items():
                         vec[index[rr.ring.unpack(key)]] = c

@@ -86,13 +86,6 @@ def test_dependent_columns_detected():
         limit_of_span([c1, c2])
 
 
-def test_negative_exponent_flag():
-    ring = wring()
-    winv = MultiPoly.monomial(ring, (-1,), 1)
-    with pytest.raises(ValueError):
-        limit_of_span([[winv]], allow_negative_exponents=False)
-
-
 # ---------------------------------------------------------------------------
 # property test against the Pluecker coordinates of the limit
 # ---------------------------------------------------------------------------

@@ -5,21 +5,22 @@ import pytest
 from bigalg import lie
 from bigalg.linalg import Echelon, QMatrix, same_span
 from bigalg.multiplicity import (
+    _h_stabilize_limit,
     algebra_structure_table,
     brylinski_filtration,
     e_limit,
-    e_limit_graded,
+    e_limit_filtration,
+    e_limit_zlimit,
     lusztig_m,
     minuscule_quotient_check,
     multiplicity_algebra,
-    qkostant_bruteforce,
     qkostant_partition,
     quotient_chain_check,
-    torus_weight_space_scaled,
     weight_space_basis,
 )
 from bigalg.qpoly import QPoly
 from bigalg.reps import g_e_invariants
+from oracles import diagonal, qkostant_bruteforce
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +38,8 @@ def test_qkostant_base_cases(rd3, rd2):
     # one positive root in rank one: P_q(k * alpha) = q^k
     for k in range(5):
         assert qkostant_partition(rd2, (2 * k,)) == QPoly({k: 1})
-    assert qkostant_partition(rd2, (3,)).is_zero()  # not in the root lattice
-    assert qkostant_partition(rd2, (-2,)).is_zero()
+    assert qkostant_partition(rd2, (3,)) == QPoly()  # not in the root lattice
+    assert qkostant_partition(rd2, (-2,)) == QPoly()
 
 
 def test_qkostant_two_decompositions(rd3):
@@ -99,7 +100,7 @@ def test_brylinski_unknown_weight(octet):
 
 
 def test_e_limit_highest_weight_is_extreme_line(octet, rd3):
-    lim = e_limit(octet, (1, 1), method="both")
+    lim = e_limit(octet, (1, 1))
     assert lim.cols == 1
     # the limit line is an h-weight line at the top pairing
     wts = {rd3.h_pairing(w) for w in octet.weights}
@@ -109,7 +110,7 @@ def test_e_limit_highest_weight_is_extreme_line(octet, rd3):
 
 
 def test_e_limit_octet_zero_weight(octet):
-    lim = e_limit(octet, (0, 0), method="both")
+    lim = e_limit(octet, (0, 0))
     assert lim.cols == 2
     invariants = g_e_invariants(octet)
     ech = Echelon()
@@ -124,8 +125,8 @@ def test_e_limit_methods_agree_battery(octet, decuplet, rd3):
     for rep in (octet, decuplet):
         for lam in rep.weight_table:
             if rd3.is_dominant(lam):
-                a = e_limit(rep, lam, method="filtration_sum")
-                b = e_limit(rep, lam, method="z_limit")
+                a = e_limit_filtration(rep, lam)
+                b = e_limit_zlimit(rep, lam)
                 assert a.cols == b.cols
                 assert same_span(a.columns(), b.columns())
 
@@ -137,7 +138,7 @@ def test_brylinski_middle_identity(octet, sl2_sym4, rd3, rd2):
             if not rd.is_dominant(lam):
                 continue
             jump = brylinski_filtration(rep, lam)["jump"]
-            limit = e_limit_graded(rep, lam)
+            limit = _h_stabilize_limit(rep, e_limit(rep, lam))
             wts = [rd.h_pairing(w) for w in rep.weights]
             pairs = {}
             for j in range(limit.cols):
@@ -145,9 +146,7 @@ def test_brylinski_middle_identity(octet, sl2_sym4, rd3, rd2):
                 k = {wts[i] for i, x in enumerate(col) if x}.pop()
                 pairs[k] = pairs.get(k, 0) + 1
             shift = rd.ip(lam, rd.rho)
-            middle = QPoly.from_pairs(
-                [(Fraction(k, 2) - shift, d) for k, d in pairs.items()]
-            )
+            middle = QPoly({Fraction(k, 2) - shift: d for k, d in pairs.items()})
             assert middle == jump
 
 
@@ -199,7 +198,9 @@ def test_scaled_weight_space_is_torus_eigenspace(octet, L3):
     # at a sample rational z, the scaled space is a common eigenspace of the
     # centralizer of e + z*h
     for z in (1, 2, Fraction(1, 2)):
-        u = torus_weight_space_scaled(octet, (0, 0), z)
+        # the h+e weight space under the scaling diag(1, z, z^2)
+        s = diagonal([Fraction(z) ** i for i in range(3)])
+        u = octet.gl_transport(s) * weight_space_basis(octet, (0, 0), torus="h_plus_e")
         hz = [e + z * h for e, h in zip(L3.e_coords, L3.h_coords)]
         cent = L3.centralizer([x for x in hz])
         ech = Echelon()

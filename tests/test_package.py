@@ -1,8 +1,10 @@
-"""Package hygiene: every module-level private function has a caller, and
-the package imports nothing outside the standard library."""
+"""Package hygiene: every module-level private function is referenced, every
+public function and method has a caller in the package, and the package
+imports nothing outside the standard library."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bigalg"
@@ -22,17 +24,22 @@ def _private_functions(tree):
     ]
 
 
-def _referenced_names(tree):
-    """Names read, attributes taken and names imported anywhere in the tree."""
-    names = set()
+def _references(tree):
+    """Each name read, attribute taken or name imported in the tree, counted."""
+    names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names[node.attr] += 1
         elif isinstance(node, ast.alias):
-            names.add(node.name)
+            names[node.name] += 1
     return names
+
+
+def _referenced_names(tree):
+    """Names read, attributes taken and names imported anywhere in the tree."""
+    return set(_references(tree))
 
 
 def test_every_private_function_is_referenced():
@@ -53,6 +60,57 @@ def test_an_unreferenced_private_function_is_reported():
     assert _private_functions(tree) == ["_lonely", "_used"]
     assert "_lonely" not in _referenced_names(tree)
     assert "_used" in _referenced_names(tree)
+
+
+def _public_functions(tree):
+    """(qualified name, node) of each public module-level function and class
+    method; dunder methods are left out."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            found.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            found += [
+                ("%s.%s" % (node.name, item.name), item)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+            ]
+    return found
+
+
+def _uncalled_public_functions(trees):
+    """Public functions and methods whose name nothing reads outside their own body.
+
+    The check goes by name alone: a method whose name some other object's
+    attribute also reads (``MultiPoly.to_obj`` beside ``QMatrix.to_obj``)
+    counts as read, so such a method escapes it.
+    """
+    used = sum(map(_references, trees.values()), Counter())
+    return [
+        "%s:%s" % (name, qual)
+        for name, tree in trees.items()
+        for qual, node in _public_functions(tree)
+        if used[node.name] == _references(node)[node.name]
+    ]
+
+
+def test_every_public_function_has_a_package_caller():
+    trees = _trees()
+    assert "linalg.py" in trees
+    uncalled = _uncalled_public_functions(trees)
+    assert not uncalled, "public functions no package code calls: %s" % uncalled
+
+
+def test_an_uncalled_public_function_is_reported():
+    tree = ast.parse(
+        "def lonely(n):\n    return lonely(n - 1)\n\n"
+        "class A:\n    def __init__(self):\n        pass\n\n"
+        "    def used(self):\n        pass\n\n"
+        "    def unused(self):\n        pass\n\n"
+        "A().used()\n"
+    )
+    assert [q for q, _ in _public_functions(tree)] == ["lonely", "A.used", "A.unused"]
+    assert _uncalled_public_functions({"m.py": tree}) == ["m.py:lonely", "m.py:A.unused"]
 
 
 def _imported_modules(tree):

@@ -10,8 +10,8 @@ from bigalg.qpoly import QPoly, geometric_quotient
 def test_basic_arithmetic():
     q = QPoly.q_power(1)
     assert (QPoly.one() + q) * (QPoly.one() - q) == QPoly({0: 1, 2: -1})
-    assert q.scale(0).is_zero()
-    assert QPoly({2: 3}).shift(-2) == QPoly({0: 3})
+    assert not q.scale(0)
+    assert QPoly({2: 3}) * QPoly.q_power(-2) == QPoly({0: 3})
     assert QPoly({0: 1, 1: 2}).eval_at_one() == 3
 
 

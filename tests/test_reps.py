@@ -8,24 +8,16 @@ from bigalg import lie
 from bigalg.acceptance import BATTERY
 from bigalg.linalg import QMatrix
 from bigalg.multipoly import rat
-from bigalg.reps import (
-    build_irrep,
-    fundamental_rep,
-    g_e_invariants,
-    load_rep,
-    save_rep,
-    weight_spaces,
-)
+from bigalg.reps import build_irrep, g_e_invariants, load_rep, save_rep
+from oracles import weight_spaces
 
 
 def test_fundamental_dims(L3, L4):
-    assert fundamental_rep(L3, 1).dim == 3
-    r = fundamental_rep(L3, 2)
+    assert build_irrep(L3, (1, 0)).dim == 3
+    r = build_irrep(L3, (0, 1))
     assert r.dim == 3
     assert r.mu == (0, 1)
-    assert fundamental_rep(L4, 2).dim == 6
-    with pytest.raises(ValueError):
-        fundamental_rep(L3, 3)
+    assert build_irrep(L4, (0, 1, 0)).dim == 6
 
 
 def test_build_dims(L2, octet, decuplet):

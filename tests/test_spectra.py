@@ -7,9 +7,10 @@ import pytest
 
 from bigalg import lie
 from bigalg.acceptance import octet_big_relations, decuplet_relations
-from bigalg.bigalgebra import RelationRing, substitute_relation
+from bigalg.bigalgebra import BigGenerators
 from bigalg.linalg import QMatrix, restrict_to_block
 from bigalg.multipoly import MultiPoly, VarSet, rat
+from bigalg.reps import build_irrep
 from bigalg.spectra import (
     branch_multiset_at,
     decuplet_identities,
@@ -18,6 +19,8 @@ from bigalg.spectra import (
     octet_identities,
     principal_restriction,
     principal_spectrum,
+    skeleton_pullback,
+    skeleton_set_c3_zero,
     verify_quantum_number_identities,
 )
 
@@ -29,9 +32,19 @@ def test_principal_line_invariants(L3):
     assert cvals[1].is_zero()  # c_3 vanishes identically on the line
 
 
+def test_principal_restriction_follows_n(sl2_sym4_gens, octet_gens, L2, L3, L4):
+    sk2 = principal_restriction(sl2_sym4_gens.ops, L2)
+    assert sk2["param"] == "c2"
+    assert sk2["ops"] == [(op.label, op.mat) for op in sl2_sym4_gens.ops]
+    sk3 = principal_restriction(octet_gens.ops, L3)
+    assert sk3["ops"] == skeleton_set_c3_zero(octet_gens.ops)["ops"]
+    gens4 = BigGenerators(build_irrep(L4, (0, 1, 0))).ops
+    assert principal_restriction(gens4, L4)["ops"] == skeleton_pullback(gens4, L4)["ops"]
+
+
 def test_skeleton_recipes_agree(octet, octet_gens, L3):
-    a = principal_restriction(octet_gens.ops, L3, recipe="set_c3_zero")
-    b = principal_restriction(octet_gens.ops, L3, recipe="pullback_along_e_plus_tf")
+    a = skeleton_set_c3_zero(octet_gens.ops)
+    b = skeleton_pullback(octet_gens.ops, L3)
     # reparametrize c2 -> -4t inside the first recipe
     tring = b["ring"]
     t = MultiPoly.variable(tring, "t")
@@ -41,7 +54,7 @@ def test_skeleton_recipes_agree(octet, octet_gens, L3):
 
 
 def test_skeleton_relations_specialize(decuplet, decuplet_gens, L3):
-    sk = principal_restriction(decuplet_gens.ops, L3, recipe="set_c3_zero")
+    sk = principal_restriction(decuplet_gens.ops, L3)
     by_label = dict(sk["ops"])
     m1 = by_label["M1"]
     m2 = by_label["M2"]
@@ -66,15 +79,14 @@ def test_skeleton_relations_specialize(decuplet, decuplet_gens, L3):
 def test_skeleton_operators_still_commute(octet_gens, L3):
     from itertools import combinations
 
-    for recipe in ("set_c3_zero", "pullback_along_e_plus_tf"):
-        sk = principal_restriction(octet_gens.ops, L3, recipe=recipe)
+    for sk in (skeleton_set_c3_zero(octet_gens.ops), skeleton_pullback(octet_gens.ops, L3)):
         mats = [m for _, m in sk["ops"]]
         for a, b in combinations(mats, 2):
             assert a.commutator(b).is_zero()
 
 
 def test_sl2_identity_specialization(sl2_sym4_gens, L2):
-    sk = principal_restriction(sl2_sym4_gens.ops, L2)
+    sk = skeleton_pullback(sl2_sym4_gens.ops, L2)
     # rank one: the pullback just renames c2 (up to the line parametrization)
     tring, cvals = invariants_along_principal_line(L2)
     assert len(sk["ops"]) == 1
@@ -115,9 +127,6 @@ def test_principal_spectrum_octet_block(octet, octet_gens):
 
 
 def test_principal_spectrum_sl2_standard(L2):
-    from bigalg.reps import build_irrep
-    from bigalg.bigalgebra import BigGenerators
-
     std = build_irrep(L2, (1,))
     g = BigGenerators(std)
     ps = principal_spectrum(std, g.ops)
@@ -142,12 +151,8 @@ def test_quantum_number_negative_control(decuplet, decuplet_gens):
     assert not out["all_zero"]
 
 
-def test_branch_values_sl2(sl2_sym4_gens):
-    skeleton = {
-        "param": "c2",
-        "ring": sl2_sym4_gens.ring,
-        "ops": [(op.label, op.mat) for op in sl2_sym4_gens.ops],
-    }
+def test_branch_values_sl2(sl2_sym4_gens, L2):
+    skeleton = principal_restriction(sl2_sym4_gens.ops, L2)
     branches = branch_multiset_at(skeleton, "-1", "M1")
     assert len(branches) == 5
     for got, want in zip(branches, [-4.0, -2.0, 0.0, 2.0, 4.0]):
@@ -162,19 +167,15 @@ def test_branch_values_sl2(sl2_sym4_gens):
 
 
 def test_octet_irrational_branches(octet_gens, L3):
-    sk = principal_restriction(octet_gens.ops, L3, recipe="set_c3_zero")
+    sk = principal_restriction(octet_gens.ops, L3)
     branches = branch_multiset_at(sk, "-4", "N1")
     target = 4 * math.sqrt(3)
     assert any(abs(b - target) < 1e-9 for b in branches)
     assert any(abs(b + target) < 1e-9 for b in branches)
 
 
-def test_emit_csv(tmp_path, sl2_sym4_gens):
-    skeleton = {
-        "param": "c2",
-        "ring": sl2_sym4_gens.ring,
-        "ops": [(op.label, op.mat) for op in sl2_sym4_gens.ops],
-    }
+def test_emit_csv(tmp_path, sl2_sym4_gens, L2):
+    skeleton = principal_restriction(sl2_sym4_gens.ops, L2)
     path = os.path.join(tmp_path, "skeleton.csv")
     report = emit_skeleton_points(skeleton, ("-4", "1", 10), path)
     assert report["max_residual"] < 1e-9
