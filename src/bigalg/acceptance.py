@@ -424,6 +424,10 @@ def criterion_9(ws):
         d1 = wei_D(probes[len(elems)])
         probes.append(d1)
         probes.append(wei_D(d1))
+        # every medium generator is in elems: once the pairs commute, [m, e]
+        # is known to vanish for each e in elems
+        if commuting:
+            probes = probes[len(elems):]
         central = all(
             commutator(m, p).is_zero() for m in mediums for p in probes
         )

@@ -9,9 +9,8 @@ no Groebner machinery appears anywhere.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 
 from .multipoly import MultiPoly, VarSet, rat, ZERO, ONE
@@ -23,7 +22,7 @@ from .linalg import (
     is_squarefree,
     kernel,
 )
-from .polymatrix import PolyMatrix, _sparse_int_rows
+from .polymatrix import PolyMatrix
 from .qpoly import QPoly, geometric_quotient
 from . import lie
 from .kirillov import derivation_chain
@@ -61,57 +60,11 @@ class SectionOperator:
 def restrict_to_section(elem, coords_c, ring_c):
     """Substitute the companion-section coordinates into an operator.
 
-    Every companion coordinate is 0 or a monomial with coefficient +-1
-    (``lie.companion_symbolic``), so each x-term goes to at most one c-term.
-    One integer pass over the terms adds them up, in the order
-    ``PolyMatrix.subs`` would; any other coordinate raises ValueError.
+    coords_c holds one polynomial in ring_c per x-variable
+    (``lie.section_coords``); ``PolyMatrix.subs`` does the substitution.
     """
-    ring_x = elem.mat.ring
-    images = []  # per x-variable: None for 0, else (sign, c-key - origin)
-    for c in coords_c:
-        if not isinstance(c, MultiPoly):
-            c = MultiPoly.const(ring_c, c)
-        if len(c.terms) > 1 or any(abs(v) != 1 for v in c.terms.values()):
-            raise ValueError("section coordinate %s is not 0 or a +-1 monomial" % c)
-        images.append(
-            next(((int(v), k - ring_c.origin) for k, v in c.terms.items()), None)
-        )
-
-    def term_image(key):
-        """(sign, c-key) of the x-monomial key; sign 0 when it restricts to 0."""
-        sign, target = 1, ring_c.origin
-        for i, e in ring_x.support(key):
-            if images[i] is None:
-                return 0, None
-            s, shift = images[i]
-            sign *= s**e
-            target += e * shift
-        return sign, target
-
-    rows, den = _sparse_int_rows(elem.mat, ring_x.origin)
-    seen = {}  # a monomial recurs across entries; find its image once
-    zero = MultiPoly.zero(ring_c)
-    out = []
-    for row in rows:
-        out_row = [zero] * elem.mat.cols
-        for col, terms in row:
-            acc = {}
-            for key, v in terms.items():
-                hit = seen.get(key)
-                if hit is None:
-                    hit = seen[key] = term_image(key)
-                sign, target = hit
-                if sign:
-                    s = acc.get(target, 0) + sign * v
-                    if s:
-                        acc[target] = s
-                    else:
-                        del acc[target]
-            if acc:
-                fracs = {k: Fraction(v, den) for k, v in acc.items()}
-                out_row[col] = MultiPoly(ring_c, fracs, _trusted=True)
-        out.append(out_row)
-    return PolyMatrix(ring_c, out, _trusted=True)
+    names = elem.mat.ring.names
+    return elem.mat.subs(ring_c, dict(zip(names, coords_c)))
 
 
 class BigGenerators:
@@ -181,7 +134,7 @@ class BigGenerators:
         if probe is None:
             return None
         i, j, p = probe
-        t = target.a[i][j]
+        t = target[i, j]
         # candidate ratio from one matching monomial
         key = next(iter(p.terms))
         if key not in t.terms:
@@ -460,15 +413,17 @@ def substitute_relation(rel, gens_by_label, ring_c, dim):
 
 
 def _monomial_vector_index(val, coord_index):
-    """Sparse coordinates of a PolyMatrix over (entry, c-monomial) pairs."""
+    """Sparse integer coordinates of a PolyMatrix over (entry, c-monomial) pairs.
+
+    Returns ({index in coord_index: int}, den), the coordinates being those
+    integers over den; a pair seen for the first time gets the next index.
+    """
     coords = {}
-    for i in range(val.rows):
-        for j in range(val.cols):
-            for key, c in val.a[i][j].terms.items():
-                coords[(i, j, key)] = c
-                if (i, j, key) not in coord_index:
-                    coord_index[(i, j, key)] = len(coord_index)
-    return coords
+    for i, row in enumerate(val.num):
+        for j, terms in row:
+            for key, c in terms.items():
+                coords[coord_index.setdefault((i, j, key), len(coord_index))] = c
+    return coords, val.den
 
 
 def derive_relations(rep, gens, max_degree):
@@ -498,11 +453,14 @@ def derive_relations(rep, gens, max_degree):
             val = _evaluate_monomial(rr.ring.names, exps, gen_mats, c_polys, cache)
             vectors.append(_monomial_vector_index(val, coord_index))
         ncoords = len(coord_index)
-        mat = [[ZERO] * len(monos) for _ in range(ncoords)]
-        for cidx, coords in enumerate(vectors):
-            for key, c in coords.items():
-                mat[coord_index[key]][cidx] = c
-        kern = kernel(QMatrix(mat)) if ncoords else [
+        # the columns over one common denominator
+        den = lcm(*(cden for _, cden in vectors))
+        mat = [[0] * len(monos) for _ in range(ncoords)]
+        for cidx, (coords, cden) in enumerate(vectors):
+            f = den // cden
+            for idx, c in coords.items():
+                mat[idx][cidx] = c * f
+        kern = kernel(QMatrix.from_ints(mat, den)) if ncoords else [
             [ONE if i == j else ZERO for i in range(len(monos))]
             for j in range(len(monos))
         ]

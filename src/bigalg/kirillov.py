@@ -30,15 +30,7 @@ class KirillovElement:
         self.degree = degree
 
     def scale(self, c):
-        return KirillovElement(self.rep, self.mat * rat(c), self.degree)
-
-    def __add__(self, other):
-        _same_rep(self, other)
-        return KirillovElement(self.rep, self.mat + other.mat)
-
-    def __sub__(self, other):
-        _same_rep(self, other)
-        return KirillovElement(self.rep, self.mat - other.mat)
+        return KirillovElement(self.rep, self.mat * c, self.degree)
 
     def __mul__(self, other):
         _same_rep(self, other)

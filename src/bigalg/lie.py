@@ -29,9 +29,6 @@ class TypeA:
         sparse = [{(i, j): 1} for i in range(n) for j in range(n) if i != j]
         sparse += [{(k, k): 1, (k + 1, k + 1): -1} for k in range(n - 1)]
         self.basis = [_from_sparse(n, x) for x in sparse]
-        self.basis_names = [
-            "E%d%d" % (i + 1, j + 1) for i in range(n) for j in range(n) if i != j
-        ] + ["H%d" % (k + 1) for k in range(n - 1)]
         self._offdiag_index = {}
         idx = 0
         for i in range(n):
@@ -42,17 +39,11 @@ class TypeA:
         # basis index of the lowering operator E_{i+1,i} of each simple root
         self.lowering_index = [self._offdiag_index[(i + 1, i)] for i in range(n - 1)]
 
-        # structure constants as coordinate vectors of [X_i, X_j], and the
-        # trace form tr(X_i X_j), from the sparse basis
+        # structure constants as coordinate vectors of [X_i, X_j], from the
+        # sparse basis
         self.structure = [
             [self._sparse_coords(_bracket(x, y)) for y in sparse] for x in sparse
         ]
-        self.trace_form = QMatrix(
-            [
-                [sum(v * y.get((c, r), 0) for (r, c), v in x.items()) for y in sparse]
-                for x in sparse
-            ]
-        )
         # Killing form sum_{k,l} structure[i][k][l] * structure[j][l][k] over
         # ad_i's columns as sparse integer maps: ad[i][k] = {l: constant}
         ad = []
@@ -76,7 +67,6 @@ class TypeA:
             ]
         )
         self.killing_inv = invert(self.killing_form)
-        self.trace_inv = invert(self.trace_form)
 
         # principal triple e = sum E_{i,i+1}, f = sum i(n-i) E_{i+1,i},
         # h = diag(n-1, n-3, ..., 1-n)
@@ -85,7 +75,6 @@ class TypeA:
         h = _from_sparse(n, {(i, i): n - 1 - 2 * i for i in range(n)})
         self.e, self.f, self.h = e, f, h
         self.e_coords = self.coords_of(e)
-        self.f_coords = self.coords_of(f)
         self.h_coords = self.coords_of(h)
 
         self._x_ring = None
@@ -166,14 +155,14 @@ class TypeA:
     def generic_matrix(self):
         """The tautological matrix sum_i x_i X_i over the coordinate ring."""
         ring = self.x_ring
-        out = PolyMatrix.zeros(ring, self.n, self.n)
+        out = [[MultiPoly.zero(ring)] * self.n for _ in range(self.n)]
         for i, b in enumerate(self.basis):
             xi = MultiPoly.variable(ring, "x%d" % i)
             for r in range(self.n):
                 for c in range(self.n):
                     if b.num[r][c]:
-                        out.a[r][c] = out.a[r][c] + xi.scale(b[r, c])
-        return out
+                        out[r][c] = out[r][c] + xi.scale(b[r, c])
+        return PolyMatrix(ring, out)
 
     def invariant_ck(self, k):
         """c_k = coefficient of lambda^(n-k) in det(lambda*I - A), A generic."""
@@ -188,14 +177,15 @@ class TypeA:
         n = self.n
         ring = pm.ring
         coords = [MultiPoly.zero(ring)] * self.dim
+        a = pm.a
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    coords[self._offdiag_index[(i, j)]] = pm.a[i][j]
+                    coords[self._offdiag_index[(i, j)]] = a[i][j]
         acc = MultiPoly.zero(ring)
         base = self.dim - (n - 1)
         for k in range(n - 1):
-            acc = acc + pm.a[k][k]
+            acc = acc + a[k][k]
             coords[base + k] = acc
         if not pm.trace().is_zero():
             raise ValueError("polynomial matrix has nonzero trace")
@@ -233,8 +223,7 @@ def charpoly_coeffs_poly(pm):
         c = mk.trace().scale(rat(-1, k))
         coeffs.append(c)
         if k < n:
-            for i in range(n):
-                mk.a[i][i] = mk.a[i][i] + c
+            mk = mk + PolyMatrix.scalar(ring, n, c)
     return coeffs
 
 
@@ -392,14 +381,13 @@ def c_ring(n):
 def companion_symbolic(n):
     """Companion matrix with char poly lambda^n + c_2 lambda^(n-2) + ... + c_n."""
     ring = c_ring(n)
-    m = PolyMatrix.zeros(ring, n, n)
-    one = MultiPoly.const(ring, 1)
+    m = [[0] * n for _ in range(n)]
     for i in range(n - 1):
-        m.a[i + 1][i] = one
+        m[i + 1][i] = 1
     for i in range(n - 1):
         # row i of the last column carries -c_{n-i}
-        m.a[i][n - 1] = -MultiPoly.variable(ring, "c%d" % (n - i))
-    return ring, m
+        m[i][n - 1] = -MultiPoly.variable(ring, "c%d" % (n - i))
+    return ring, PolyMatrix(ring, m)
 
 
 def companion_point(n, cvals):

@@ -1,20 +1,91 @@
 """Matrices whose entries are exact multivariate polynomials.
 
-Every product of matrices goes through ``sum_of_products``: operands become
-sparse integer rows over one common denominator, output entries accumulate
-Python ints, and each surviving term becomes one ``Fraction`` at the end.
-``int_sum_of_products`` is the integer core on its own, for callers that
-build the integer rows themselves (``gradient_rows`` and the Kirillov
-derivation D).
+A ``PolyMatrix`` stores sparse integer rows ``num`` over one positive
+denominator ``den``: row i lists (col, {packed key: int}) for each nonzero
+entry, in ascending col order, with no zero coefficient, and
+gcd(den, every coefficient) == 1 (the zero matrix has den 1); equal
+matrices have equal storage.  Every operation reads and writes these
+integers.  ``MultiPoly`` entries with ``Fraction`` coefficients are built
+only when a caller reads entries (``m[i, j]``, ``first_nonzero``,
+``trace``, ``to_obj`` and the read-only ``a``).
+
+Every product of matrices goes through ``int_sum_of_products``: output
+entries accumulate Python ints over the product of the operands'
+denominators.  ``sum_of_products`` checks rings and shapes and hands it the
+rows of each operand (``_sparse_int_rows``).  ``subs`` and ``evaluate``
+find the image of each distinct monomial once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .multipoly import MultiPoly, rat
 from .linalg import QMatrix
+
+
+def _rational(x):
+    """x itself when it is an int or a Fraction (both have numerator and
+    denominator), else x as the coefficient type."""
+    return x if isinstance(x, (int, Fraction)) else rat(x)
+
+
+def _poly_ints(poly):
+    """A polynomial's terms as {key: int} and one positive denominator."""
+    den = lcm(*{c.denominator for c in poly.terms.values()})
+    return {k: c.numerator * (den // c.denominator) for k, c in poly.terms.items()}, den
+
+
+def _poly_mul(a, b, origin):
+    """The product of two polynomials given as {key: int}."""
+    out = {}
+    get = out.get
+    for k1, c1 in a.items():
+        k0 = k1 - origin
+        for k2, c2 in b.items():
+            k = k0 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def _add_terms(acc, terms, f):
+    """acc += f * terms in place, dropping a key whose coefficient cancels."""
+    get = acc.get
+    for k, v in terms.items():
+        s = get(k, 0) + f * v
+        if s:
+            acc[k] = s
+        else:
+            del acc[k]
+
+
+def _support_function(ring):
+    """key -> [(i, e)] of the nonzero exponents of the monomial key."""
+    if not ring.laurent:
+        return ring.support
+    unpack = ring.unpack
+    return lambda key: [(i, e) for i, e in enumerate(unpack(key)) if e]
+
+
+def _content(num, g):
+    """gcd of g and every coefficient of the rows num; stops early at 1."""
+    for row in num:
+        for _, terms in row:
+            g = gcd(g, *terms.values())
+            if g == 1:
+                return 1
+    return g
+
+
+def _reduced(ring, num, den, cols):
+    """The PolyMatrix num / den, for valid rows and den > 0, normalized."""
+    if den != 1:
+        g = _content(num, den)
+        if g != 1:
+            num = [[(j, {k: v // g for k, v in terms.items()}) for j, terms in row] for row in num]
+            den //= g
+    return PolyMatrix._of(ring, num, den, cols)
 
 
 def _sparse_int_rows(m, origin):
@@ -22,15 +93,7 @@ def _sparse_int_rows(m, origin):
     if isinstance(m, QMatrix):
         rows = [[(k, {origin: v}) for k, v in enumerate(row) if v] for row in m.num]
         return rows, m.den
-    den = lcm(*{c.denominator for row in m.a for p in row for c in p.terms.values()})
-    return [
-        [
-            (k, {key: c.numerator * (den // c.denominator) for key, c in p.terms.items()})
-            for k, p in enumerate(row)
-            if p.terms
-        ]
-        for row in m.a
-    ], den
+    return m.num, m.den
 
 
 def sum_of_products(ring, rows, cols, terms):
@@ -59,20 +122,19 @@ def sum_of_products(ring, rows, cols, terms):
 
 
 def int_sum_of_products(ring, rows, cols, plan):
-    """sum_of_products on operands already converted by ``_sparse_int_rows``.
+    """sum_of_products on operands already in the form of ``_sparse_int_rows``.
 
     plan is [(s, (rows_a, den_a), (rows_b, den_b))]; shapes are not checked.
     """
     origin = ring.origin
     weighted = []
     for s, (ra, da), (rb, db) in plan:
-        s = rat(s)
+        s = _rational(s)
         weighted.append((s.numerator, s.denominator * da * db, ra, rb))
     den = lcm(*(d for _, d, _, _ in weighted))
     # the integer weight of each term over the common denominator den
     weighted = [(num * (den // d), ra, rb) for num, d, ra, rb in weighted if num]
 
-    zero = MultiPoly.zero(ring)
     out = []
     for i in range(rows):
         acc = [{} for _ in range(cols)]
@@ -88,13 +150,15 @@ def int_sum_of_products(ring, rows, cols, plan):
                             key = k0 + k2
                             entry[key] = get(key, 0) + c1 * c2
         row = []
-        for entry in acc:
-            fracs = {key: Fraction(v, den) for key, v in entry.items() if v}
-            row.append(MultiPoly(ring, fracs, _trusted=True) if fracs else zero)
+        for j, entry in enumerate(acc):
+            if entry:
+                if 0 in entry.values():
+                    entry = {key: v for key, v in entry.items() if v}
+                    if not entry:
+                        continue
+                row.append((j, entry))
         out.append(row)
-    prod = PolyMatrix(ring, out, _trusted=True)
-    prod.cols = cols  # kept when rows == 0
-    return prod
+    return _reduced(ring, out, den, cols)
 
 
 def gradient_rows(m):
@@ -107,18 +171,16 @@ def gradient_rows(m):
     Only polynomial rings are supported (``VarSet.support``).
     """
     ring = m.ring
-    den = lcm(*{c.denominator for row in m.a for p in row for c in p.terms.values()})
     units = ring._units
     grads = [None] * len(units)
     supports = {}  # a monomial recurs across entries; walk its key once
-    partials = {}  # id of an entry polynomial -> {i: its d/dx_i}, shared
-    for r, row in enumerate(m.a):
-        for col, p in enumerate(row):
-            entry = partials.get(id(p))
+    partials = {}  # id of an entry's terms -> {i: its d/dx_i}, shared
+    for r, row in enumerate(m.num):
+        for col, terms in row:
+            entry = partials.get(id(terms))
             if entry is None:
-                entry = partials[id(p)] = {}
-                for key, c in p.terms.items():
-                    num = c.numerator * (den // c.denominator)
+                entry = partials[id(terms)] = {}
+                for key, c in terms.items():
                     support = supports.get(key)
                     if support is None:
                         support = supports[key] = ring.support(key)
@@ -126,102 +188,148 @@ def gradient_rows(m):
                         d = entry.get(i)
                         if d is None:
                             d = entry[i] = {}
-                        d[key - units[i]] = num * e
+                        d[key - units[i]] = c * e
             for i, d in entry.items():
                 if grads[i] is None:
                     grads[i] = [[] for _ in range(m.rows)]
                 grads[i][r].append((col, d))
-    return grads, den
+    return grads, m.den
 
 
 class PolyMatrix:
-    """A dense matrix over a fixed polynomial ring."""
+    """A matrix over a fixed polynomial ring: sparse integer rows num over den > 0."""
 
-    __slots__ = ("ring", "rows", "cols", "a")
+    __slots__ = ("ring", "rows", "cols", "num", "den")
 
-    def __init__(self, ring, a, _trusted=False):
-        self.ring = ring
-        if _trusted:
-            self.a = a
-        else:
-            self.a = [
-                [
-                    p if isinstance(p, MultiPoly) else MultiPoly.const(ring, p)
-                    for p in row
-                ]
-                for row in a
-            ]
-        for row in self.a:
+    def __init__(self, ring, a):
+        """The matrix of the given rows of MultiPoly or rational entries."""
+        entries = []
+        for row in a:
+            out = []
             for p in row:
-                if p.ring is not ring and p.ring != ring:
+                if not isinstance(p, MultiPoly):
+                    p = MultiPoly.const(ring, p)
+                elif p.ring is not ring and p.ring != ring:
                     raise ValueError("entry in wrong ring")
-        self.rows = len(self.a)
-        self.cols = len(self.a[0]) if self.a else 0
+                out.append(p)
+            entries.append(out)
+        # the lcm of the denominators leaves gcd(den, coefficients) == 1
+        den = lcm(*{c.denominator for row in entries for p in row for c in p.terms.values()})
+        self.ring = ring
+        self.num = [
+            [
+                (j, {k: c.numerator * (den // c.denominator) for k, c in p.terms.items()})
+                for j, p in enumerate(row)
+                if p.terms
+            ]
+            for row in entries
+        ]
+        self.den = den
+        self.rows = len(entries)
+        self.cols = len(entries[0]) if entries else 0
+
+    @classmethod
+    def _of(cls, ring, num, den, cols):
+        """The matrix num / den; the caller guarantees it is normalized."""
+        m = object.__new__(cls)
+        m.ring = ring
+        m.num = num
+        m.den = den
+        m.rows = len(num)
+        m.cols = cols  # kept when num has no rows
+        return m
 
     # ---------- constructors ----------
 
     @classmethod
     def zeros(cls, ring, rows, cols):
-        z = MultiPoly.zero(ring)
-        m = cls(ring, [[z] * cols for _ in range(rows)], _trusted=True)
-        m.cols = cols  # kept when rows == 0
-        return m
+        return cls._of(ring, [[] for _ in range(rows)], 1, cols)
 
     @classmethod
     def identity(cls, ring, n):
-        m = cls.zeros(ring, n, n)
-        p = MultiPoly.const(ring, 1)
-        for i in range(n):
-            m.a[i][i] = p
-        return m
+        return cls.scalar(ring, n, MultiPoly.const(ring, 1))
 
     @classmethod
     def scalar(cls, ring, n, poly):
-        m = cls.zeros(ring, n, n)
-        for i in range(n):
-            m.a[i][i] = poly
-        return m
+        terms, den = _poly_ints(poly)
+        if not terms:
+            return cls.zeros(ring, n, n)
+        # the diagonal entries share one dict: stored terms are never mutated
+        return cls._of(ring, [[(i, terms)] for i in range(n)], den, n)
 
     @classmethod
     def from_qmatrix(cls, ring, qm):
-        zero = MultiPoly.zero(ring)
-        origin, den = ring.origin, qm.den
-        return cls(
-            ring,
-            [
-                [MultiPoly(ring, {origin: Fraction(x, den)}, _trusted=True) if x else zero
-                 for x in row]
-                for row in qm.num
-            ],
-            _trusted=True,
-        )
+        rows, den = _sparse_int_rows(qm, ring.origin)
+        return cls._of(ring, rows, den, qm.cols)
 
-    # ---------- arithmetic ----------
+    # ---------- entries ----------
+
+    def _entry(self, terms):
+        den = self.den
+        return MultiPoly(self.ring, {k: Fraction(v, den) for k, v in terms.items()}, _trusted=True)
+
+    @property
+    def a(self):
+        """The entries as fresh rows of MultiPoly; writing to them changes nothing."""
+        out = []
+        for row in self.num:
+            entries = [MultiPoly.zero(self.ring) for _ in range(self.cols)]
+            for j, terms in row:
+                entries[j] = self._entry(terms)
+            out.append(entries)
+        return out
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.a[i][j]
+        for col, terms in self.num[i]:
+            if col == j:
+                return self._entry(terms)
+        return MultiPoly.zero(self.ring)
+
+    def first_nonzero(self):
+        for i, row in enumerate(self.num):
+            if row:
+                j, terms = row[0]
+                return i, j, self._entry(terms)
+        return None
+
+    def trace(self):
+        acc = {}
+        for i, row in enumerate(self.num):
+            for j, terms in row:
+                if j == i:
+                    _add_terms(acc, terms, 1)
+        return self._entry(acc)
+
+    # ---------- arithmetic ----------
 
     def __add__(self, other):
-        self._check(other)
-        return PolyMatrix(
-            self.ring,
-            [[x + y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)],
-            _trusted=True,
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign * other over the lcm of the two denominators."""
         self._check(other)
-        return PolyMatrix(
-            self.ring,
-            [[x - y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)],
-            _trusted=True,
-        )
+        den = lcm(self.den, other.den)
+        fa = den // self.den
+        fb = sign * (den // other.den)
+        out = []
+        for r, s in zip(self.num, other.num):
+            merged = {j: {k: v * fa for k, v in terms.items()} for j, terms in r}
+            for j, terms in s:
+                entry = merged.get(j)
+                if entry is None:
+                    merged[j] = {k: v * fb for k, v in terms.items()}
+                else:
+                    _add_terms(entry, terms, fb)
+            out.append([(j, merged[j]) for j in sorted(merged) if merged[j]])
+        return _reduced(self.ring, out, den, self.cols)
 
     def __neg__(self):
-        return PolyMatrix(
-            self.ring, [[-x for x in r] for r in self.a], _trusted=True
-        )
+        num = [[(j, {k: -v for k, v in terms.items()}) for j, terms in row] for row in self.num]
+        return PolyMatrix._of(self.ring, num, self.den, self.cols)
 
     def _check(self, other):
         if self.ring != other.ring:
@@ -233,18 +341,35 @@ class PolyMatrix:
         if isinstance(other, PolyMatrix):
             return sum_of_products(self.ring, self.rows, other.cols, [(1, self, other)])
         if isinstance(other, MultiPoly):
-            return PolyMatrix(
-                self.ring, [[x * other for x in r] for r in self.a], _trusted=True
+            if other.ring is not self.ring and other.ring != self.ring:
+                raise ValueError("variable-set mismatch")
+            # self times the scalar matrix other * Id
+            terms, den = _poly_ints(other)
+            scalar = [[(j, terms)] for j in range(self.cols)] if terms else [[]] * self.cols
+            return int_sum_of_products(
+                self.ring, self.rows, self.cols, [(1, (self.num, self.den), (scalar, den))]
             )
-        c = rat(other)
-        return PolyMatrix(
-            self.ring, [[x.scale(c) for x in r] for r in self.a], _trusted=True
-        )
+        return self._scaled(_rational(other))
 
     def __rmul__(self, other):
-        if isinstance(other, MultiPoly):
-            return self * other
-        return self * rat(other)
+        return self * other
+
+    def _scaled(self, c):
+        """self * c for a rational c; normalizing reads the coefficients only
+        when c has a denominator."""
+        p, q = c.numerator, c.denominator
+        if not p:
+            return PolyMatrix.zeros(self.ring, self.rows, self.cols)
+        # c * v / den over (den / a) * q with a = gcd(p, den); the only factor
+        # left in common is g = gcd(q, every v), as den was normalized
+        a = gcd(p, self.den)
+        p //= a
+        g = _content(self.num, q) if q != 1 else 1
+        num = [
+            [(j, {k: v // g * p for k, v in terms.items()}) for j, terms in row]
+            for row in self.num
+        ]
+        return PolyMatrix._of(self.ring, num, self.den // a * q // g, self.cols)
 
     def mul_qmatrix_left(self, qm):
         """Constant-matrix times polynomial-matrix product."""
@@ -268,47 +393,150 @@ class PolyMatrix:
             and self.ring == other.ring
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.a == other.a
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def is_zero(self):
-        return all(p.is_zero() for row in self.a for p in row)
+        return not any(self.num)
 
-    def first_nonzero(self):
-        for i, row in enumerate(self.a):
-            for j, p in enumerate(row):
-                if not p.is_zero():
-                    return i, j, p
-        return None
-
-    def trace(self):
-        t = MultiPoly.zero(self.ring)
-        for i in range(self.rows):
-            t = t + self.a[i][i]
-        return t
+    def _supports(self):
+        """{key: [(i, e)] of its nonzero exponents} for each distinct monomial."""
+        keys = set()
+        for row in self.num:
+            for _, terms in row:
+                keys.update(terms)
+        support = _support_function(self.ring)
+        return {k: support(k) for k in keys}
 
     # ---------- evaluation ----------
 
     def evaluate(self, values):
-        return QMatrix([[p.evaluate(values) for p in row] for row in self.a])
+        """The QMatrix of values at a rational point given as {name: value}.
+
+        Each distinct monomial is evaluated once, as an integer over one
+        common denominator.
+        """
+        point = [_rational(values[nm]) for nm in self.ring.names]
+        supports = self._supports()
+        lo = [0] * len(point)
+        hi = [0] * len(point)
+        for support in supports.values():
+            for i, e in support:
+                lo[i] = min(lo[i], e)
+                hi[i] = max(hi[i], e)
+        # with every exponent of x = p/q in [lo, hi], lo <= 0 <= hi, scaling
+        # by q^hi * p^-lo makes each monomial the integer p^(e-lo) * q^(hi-e)
+        used = [
+            (i, x.numerator, x.denominator, lo[i], hi[i])
+            for i, x in enumerate(point)
+            if lo[i] or hi[i]
+        ]
+        scale = 1
+        for _, p, q, low, top in used:
+            scale *= q**top * p**-low
+        if not scale:
+            raise ZeroDivisionError("negative power of zero")
+        sign = 1 if scale > 0 else -1
+        value = {}
+        for key, support in supports.items():
+            exps = dict(support)
+            v = sign
+            for i, p, q, low, top in used:
+                e = exps.get(i, 0)
+                v *= p ** (e - low) * q ** (top - e)
+            value[key] = v
+        out = []
+        for row in self.num:
+            ints = [0] * self.cols
+            for j, terms in row:
+                ints[j] = sum(c * value[key] for key, c in terms.items())
+            out.append(ints)
+        return QMatrix.from_ints(out, self.den * scale * sign, self.cols)
 
     def subs(self, target_ring, mapping):
-        return PolyMatrix(
-            target_ring,
-            [[p.subs(target_ring, mapping) for p in row] for row in self.a],
-            _trusted=True,
-        )
+        """Substitute each variable by a polynomial (or rational) in target_ring.
+
+        The image of each distinct monomial is computed once, as integers
+        over one common denominator.  Terms add up in the order the
+        entry's terms come, a key dropping out where its coefficient
+        cancels.
+        """
+        origin = target_ring.origin
+        images = []
+        for nm in self.ring.names:
+            img = mapping[nm]
+            if not isinstance(img, MultiPoly):
+                img = MultiPoly.const(target_ring, img)
+            elif img.ring is not target_ring and img.ring != target_ring:
+                raise ValueError("substitution image in wrong ring")
+            images.append(_poly_ints(img))
+        # the image of a monomial goes over prod den_i^top_i, top_i the
+        # highest exponent of variable i; that is 1 when the images are
+        # integral, and the images can then be found as the terms come
+        scale = 1
+        if any(d != 1 for _, d in images):
+            tops = [0] * len(images)
+            for support in self._supports().values():
+                for i, e in support:
+                    tops[i] = max(tops[i], e)
+            for (_, d), top in zip(images, tops):
+                scale *= d**top
+        # an image of zero or one term as (key shift, coefficient): its
+        # powers only move keys; the powers of the others are kept
+        monos = [
+            next(((k - origin, c) for k, c in terms.items()), (0, 0)) if len(terms) < 2 else None
+            for terms, _ in images
+        ]
+        powers = [[{origin: 1}] for _ in images]
+        support_of = _support_function(self.ring)
+
+        def image_of(key):
+            c, shift, wide = scale, 0, []
+            for i, e in support_of(key):
+                if e < 0:
+                    raise ValueError("cannot substitute into negative exponent")
+                terms, d = images[i]
+                if d != 1:
+                    c //= d**e
+                if monos[i] is None:
+                    pw = powers[i]
+                    while len(pw) <= e:
+                        pw.append(_poly_mul(pw[-1], terms, origin))
+                    wide.append(pw[e])
+                else:
+                    shift += e * monos[i][0]
+                    c *= monos[i][1] ** e
+            img = {origin + shift: c} if c else {}
+            for pw in wide:
+                img = _poly_mul(img, pw, origin)
+            return img
+
+        image = {}
+        out = []
+        for row in self.num:
+            out_row = []
+            for j, terms in row:
+                acc = {}
+                get = acc.get
+                for key, c in terms.items():
+                    img = image.get(key)
+                    if img is None:
+                        img = image[key] = image_of(key)
+                    for k, v in img.items():
+                        s = get(k, 0) + c * v
+                        if s:
+                            acc[k] = s
+                        else:
+                            del acc[k]
+                if acc:
+                    out_row.append((j, acc))
+            out.append(out_row)
+        return _reduced(target_ring, out, self.den * scale, self.cols)
 
     def is_homogeneous(self):
         """Common total degree of all nonzero entries, or None."""
-        degs = set()
-        for row in self.a:
-            for p in row:
-                if p.terms:
-                    d = p.is_homogeneous()
-                    if d is None:
-                        return None
-                    degs.add(d)
+        degs = {sum(e for _, e in support) for support in self._supports().values()}
         if not degs:
             return 0
         return degs.pop() if len(degs) == 1 else None

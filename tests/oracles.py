@@ -1,7 +1,9 @@
 """Independent reference computations that only the tests use.
 
 Each one recomputes, the slow and direct way, something the package
-computes another way: the small and medium operators from their defining
+computes another way: the trace form and the basis names of sl_n,
+polynomial-matrix products, substitutions and values entry by entry with
+Fraction coefficients, the small and medium operators from their defining
 formulas, equivariance and homogeneity as exact polynomial identities,
 rho of the Killing-dual basis as dense matrices, formal derivatives term by
 term, the q-partition function by explicit enumeration, and weight spaces
@@ -11,7 +13,7 @@ by joint eigenspace decomposition.
 from __future__ import annotations
 
 from bigalg.kirillov import KirillovElement
-from bigalg.linalg import QMatrix, joint_invariant_decomposition
+from bigalg.linalg import QMatrix, invert, joint_invariant_decomposition
 from bigalg.multipoly import MultiPoly, rat
 from bigalg.polymatrix import PolyMatrix
 from bigalg.qpoly import QPoly
@@ -21,6 +23,19 @@ def diagonal(entries):
     """The diagonal QMatrix with the given entries."""
     n = len(entries)
     return QMatrix([[x if i == j else 0 for j in range(n)] for i, x in enumerate(entries)])
+
+
+def basis_names(L):
+    """Names of the basis of sl_n in its order: E_ij (i != j), then H_k."""
+    n = L.n
+    return ["E%d%d" % (i + 1, j + 1) for i in range(n) for j in range(n) if i != j] + [
+        "H%d" % (k + 1) for k in range(n - 1)
+    ]
+
+
+def trace_form(L):
+    """The Gram matrix tr(X_i X_j) of the trace form on the basis of sl_n."""
+    return QMatrix([[(x * y).trace() for y in L.basis] for x in L.basis])
 
 
 def diff(poly, name):
@@ -40,7 +55,52 @@ def diff(poly, name):
 
 def mat_diff(mat, name):
     """The entrywise partial derivative of a PolyMatrix."""
-    return PolyMatrix(mat.ring, [[diff(p, name) for p in row] for row in mat.a], _trusted=True)
+    return PolyMatrix(mat.ring, [[diff(p, name) for p in row] for row in mat.a])
+
+
+# ---------------------------------------------------------------------------
+# polynomial matrices as rows of MultiPoly entries with Fraction coefficients
+# ---------------------------------------------------------------------------
+
+
+def entry_rows(m, ring):
+    """The entries of a PolyMatrix, or of a QMatrix as constants in ring."""
+    if isinstance(m, QMatrix):
+        return [[MultiPoly.const(ring, x) for x in row] for row in m.a]
+    return m.a
+
+
+def entry_product(ring, a, b, cols):
+    """The product of two matrices given as rows of MultiPoly, entry by entry."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(cols):
+            acc = MultiPoly.zero(ring)
+            for k, x in enumerate(row):
+                acc = acc + x * b[k][j]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def entry_sum_of_products(ring, rows, cols, terms):
+    """The sum of s * A * B over terms [(s, A, B)], entry by entry."""
+    out = [[MultiPoly.zero(ring)] * cols for _ in range(rows)]
+    for s, a, b in terms:
+        prod = entry_product(ring, entry_rows(a, ring), entry_rows(b, ring), cols)
+        out = [[x + y.scale(s) for x, y in zip(r, p)] for r, p in zip(out, prod)]
+    return out
+
+
+def entry_subs(a, target_ring, mapping):
+    """MultiPoly.subs on every entry."""
+    return [[p.subs(target_ring, mapping) for p in row] for row in a]
+
+
+def entry_evaluate(a, values):
+    """MultiPoly.evaluate on every entry."""
+    return [[p.evaluate(values) for p in row] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -71,10 +131,11 @@ def medium_operator(rep, k):
     ck = L.invariant_ck(k)
     partials = [diff(ck, "x%d" % j) for j in range(L.dim)]
     # g = T^{-1} * partials with T the trace-form Gram matrix
+    trace_inv = invert(trace_form(L))
     mat = PolyMatrix.zeros(L.x_ring, rep.dim, rep.dim)
     for i in range(L.dim):
         gi = MultiPoly.zero(L.x_ring)
-        for c, partial in zip(L.trace_inv.row(i), partials):
+        for c, partial in zip(trace_inv.row(i), partials):
             if c and partial.terms:
                 gi = gi + partial.scale(c)
         if gi.terms:

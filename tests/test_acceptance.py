@@ -3,12 +3,22 @@
 All checks are exact except the figure residual bound (1e-9).  The battery
 runs once per module through ``run_all`` (criterion 12 writes its figures to
 a temporary directory of its own); each test checks its criterion's entry
-and prints its PASS/FAIL line so a full run reads as a checklist.
+and prints its PASS/FAIL line so a full run reads as a checklist.  The
+results must also hash to the digests the benchmark's output gate checks.
 """
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from bigalg import acceptance
+
+# the benchmark's output gate, read from its file: perfbench is not a package
+_GATE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "gate.py"
+_spec = importlib.util.spec_from_file_location("perfbench_gate", _GATE_PATH)
+gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gate)
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +99,10 @@ def test_criterion_12_figures(battery):
 def test_verify_all_summary(battery):
     assert battery["all_pass"]
     assert [r["id"] for r in battery["results"]] == list(range(1, 13))
+
+
+def test_battery_matches_the_benchmark_digests(battery):
+    # the digests the benchmark gate checks, for this fixture's seed 0
+    want = gate.load_table()["battery"]["0"]
+    got = {str(r["id"]): gate.criterion_digest(r) for r in battery["results"]}
+    assert got == want

@@ -10,6 +10,7 @@ from bigalg.multipoly import MultiPoly, rat
 from bigalg.polymatrix import PolyMatrix
 from bigalg.reps import build_irrep
 from oracles import (
+    basis_names,
     diagonal,
     equivariance_check,
     homogeneity_check,
@@ -38,7 +39,7 @@ def test_small_operator_evaluations(octet, sl3_standard, L3):
 def test_invariant_c2_sl2_is_determinant(L2):
     # oracle: det of the generic traceless 2x2 matrix expanded by hand
     ring = L2.x_ring
-    names = dict(zip(L2.basis_names, ring.names))
+    names = dict(zip(basis_names(L2), ring.names))
     x12 = MultiPoly.variable(ring, names["E12"])
     x21 = MultiPoly.variable(ring, names["E21"])
     xh = MultiPoly.variable(ring, names["H1"])

@@ -1,13 +1,15 @@
 """Package hygiene: every module-level private function is referenced, every
-public function and method has a caller in the package, and the package
-imports nothing outside the standard library."""
+public function and method has a caller in the package, the package
+imports nothing outside the standard library, and no test module imports a
+name it never reads."""
 
 import ast
 import sys
 from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bigalg"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "bigalg"
 
 
 def _trees():
@@ -138,3 +140,33 @@ def test_package_imports_only_the_standard_library():
 def test_a_third_party_import_is_reported():
     tree = ast.parse("import os.path\nfrom . import lie\nfrom mpmath import mpf\nimport numpy as np\n")
     assert _imported_modules(tree) == {"os", "mpmath", "numpy"}
+
+
+def _unread_imports(tree):
+    """The names a module imports and never reads."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_test_modules_read_every_imported_name():
+    unread = [
+        "%s:%s" % (path.name, name)
+        for path in sorted(TESTS.glob("*.py"))
+        for name in _unread_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not unread, "imported names no test module reads: %s" % unread
+
+
+def test_an_unread_import_is_reported():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as js\nfrom math import gcd, lcm\n\n"
+        "def f():\n    from itertools import chain\n    return os.sep, gcd(2, 4)\n"
+    )
+    assert _unread_imports(tree) == ["js", "lcm", "chain"]

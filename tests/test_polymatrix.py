@@ -1,10 +1,12 @@
-"""PolyMatrix products against naive references built from MultiPoly + and *.
+"""PolyMatrix operations against the entry-by-entry oracle of ``oracles.py``.
 
-Every product of polynomial matrices goes through ``sum_of_products``; the
-references here add up ``MultiPoly`` products entry by entry instead.
+The oracle keeps every entry as a MultiPoly with Fraction coefficients and
+adds up MultiPoly products, scales, substitutions and values; each
+PolyMatrix result must agree with it and keep its storage normalized.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,27 +15,48 @@ from bigalg.kirillov import KirillovElement, scalar_element, wei_D
 from bigalg.linalg import QMatrix
 from bigalg.multipoly import MultiPoly, VarSet
 from bigalg.polymatrix import PolyMatrix, gradient_rows, sum_of_products
-from oracles import dual_rho, mat_diff, medium_operator
+from oracles import (
+    dual_rho,
+    entry_evaluate,
+    entry_product,
+    entry_rows,
+    entry_subs,
+    entry_sum_of_products,
+    mat_diff,
+    medium_operator,
+)
 
 # t is a Laurent variable, so keys below the origin occur
 R = VarSet(["x", "y", "t"], laurent=["t"])
+# substitution needs nonnegative exponents: a polynomial source ring, and a
+# target with a Laurent variable
+S = VarSet(["x", "y", "z"])
+T = VarSet(["u", "v"], laurent=["v"])
 
 _dims = st.integers(0, 4)
 _coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
-_exps = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(-2, 2))
-_polys = st.one_of(
-    st.just(MultiPoly.zero(R)),
-    st.dictionaries(_exps, _coeffs, max_size=4).map(
-        lambda d: MultiPoly(R, {R.pack(e): c for e, c in d.items()})
-    ),
-)
+_scalars = st.one_of(st.integers(-6, 6), _coeffs)
+
+
+def _polys_over(ring, exps):
+    return st.one_of(
+        st.just(MultiPoly.zero(ring)),
+        st.dictionaries(exps, _coeffs, max_size=4).map(
+            lambda d: MultiPoly(ring, {ring.pack(e): c for e, c in d.items()})
+        ),
+    )
+
+
+_polys = _polys_over(R, st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(-2, 2)))
+_s_polys = _polys_over(S, st.tuples(*[st.integers(0, 2)] * 3))
+_t_polys = _polys_over(T, st.tuples(st.integers(0, 2), st.integers(-1, 1)))
 
 
 @st.composite
 def _entries(draw, rows, cols, elements):
     """rows x cols entries, sometimes with a whole row and column zeroed."""
     a = [[draw(elements) for _ in range(cols)] for _ in range(rows)]
-    zero = MultiPoly.zero(R) if elements is _polys else Fraction(0)
+    zero = Fraction(0)
     if rows and draw(st.booleans()):
         a[draw(st.integers(0, rows - 1))] = [zero] * cols
     if cols and draw(st.booleans()):
@@ -43,50 +66,36 @@ def _entries(draw, rows, cols, elements):
     return a
 
 
-def _pm(a, cols):
-    return PolyMatrix(R, a) if a else PolyMatrix.zeros(R, 0, cols)
+def _pm(a, cols, ring=R):
+    return PolyMatrix(ring, a) if a else PolyMatrix.zeros(ring, 0, cols)
 
 
 def _qm(a, cols):
     return QMatrix(a) if a else QMatrix.zeros(0, cols)
 
 
-def _poly_rows(m):
-    if isinstance(m, QMatrix):
-        return [[MultiPoly.const(R, x) for x in row] for row in m.a]
-    return m.a
-
-
-def _ref_mul(a, b, cols):
-    """Naive product of two matrices given as lists of MultiPoly rows."""
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(cols):
-            acc = MultiPoly.zero(R)
-            for k, x in enumerate(row):
-                acc = acc + x * b[k][j]
-            out_row.append(acc)
-        out.append(out_row)
-    return out
-
-
-def _ref_sum(rows, cols, terms):
-    out = [[MultiPoly.zero(R)] * cols for _ in range(rows)]
-    for s, a, b in terms:
-        prod = _ref_mul(_poly_rows(a), _poly_rows(b), cols)
-        out = [
-            [x + y.scale(s) for x, y in zip(r, p)] for r, p in zip(out, prod)
-        ]
-    return out
+def _assert_normalized(m):
+    """den > 0 and coprime to the coefficients; each row lists (col, terms)
+    in ascending col order, with terms a nonempty {key: nonzero int}."""
+    assert type(m.den) is int and m.den > 0
+    assert len(m.num) == m.rows
+    coeffs = []
+    for row in m.num:
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols)) and all(0 <= j < m.cols for j in cols)
+        for _, terms in row:
+            assert terms and all(type(v) is int and v for v in terms.values())
+            coeffs += terms.values()
+    assert gcd(m.den, *coeffs) == 1
 
 
 def _check(m, rows, cols, ref):
     assert (m.rows, m.cols) == (rows, cols)
+    _assert_normalized(m)
     assert m.a == ref
     for row in m.a:
         for p in row:
-            assert p.ring is R
+            assert p.ring is m.ring
             assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
 
 
@@ -95,7 +104,7 @@ def _check(m, rows, cols, ref):
 def test_product_matches_reference(data, n, k, m):
     a = _pm(data.draw(_entries(n, k, _polys)), k)
     b = _pm(data.draw(_entries(k, m, _polys)), m)
-    _check(a * b, n, m, _ref_mul(a.a, b.a, m))
+    _check(a * b, n, m, entry_product(R, a.a, b.a, m))
 
 
 @settings(max_examples=40, deadline=None)
@@ -103,7 +112,7 @@ def test_product_matches_reference(data, n, k, m):
 def test_commutator_matches_reference(data, n):
     a = _pm(data.draw(_entries(n, n, _polys)), n)
     b = _pm(data.draw(_entries(n, n, _polys)), n)
-    ref = _ref_sum(n, n, [(1, a, b), (-1, b, a)])
+    ref = entry_sum_of_products(R, n, n, [(1, a, b), (-1, b, a)])
     _check(a.commutator(b), n, n, ref)
 
 
@@ -112,10 +121,10 @@ def test_commutator_matches_reference(data, n):
 def test_qmatrix_products_match_reference(data, n, k, m):
     q = _qm(data.draw(_entries(n, k, _coeffs)), k)
     p = _pm(data.draw(_entries(k, m, _polys)), m)
-    _check(p.mul_qmatrix_left(q), n, m, _ref_mul(_poly_rows(q), p.a, m))
+    _check(p.mul_qmatrix_left(q), n, m, entry_product(R, entry_rows(q, R), p.a, m))
     p = _pm(data.draw(_entries(n, k, _polys)), k)
     q = _qm(data.draw(_entries(k, m, _coeffs)), m)
-    _check(p.mul_qmatrix_right(q), n, m, _ref_mul(p.a, _poly_rows(q), m))
+    _check(p.mul_qmatrix_right(q), n, m, entry_product(R, p.a, entry_rows(q, R), m))
 
 
 @settings(max_examples=30, deadline=None)
@@ -130,7 +139,128 @@ def test_sum_of_products_matches_reference(data, n, k, m):
         a = make_a(data.draw(_entries(n, k, elems_a)), k)
         b = make_b(data.draw(_entries(k, m, elems_b)), m)
         terms.append((s, a, b))
-    _check(sum_of_products(R, n, m, terms), n, m, _ref_sum(n, m, terms))
+    _check(sum_of_products(R, n, m, terms), n, m, entry_sum_of_products(R, n, m, terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), _dims, _dims, _scalars, _polys)
+def test_scaling_matches_reference(data, n, m, c, p):
+    a = _pm(data.draw(_entries(n, m, _polys)), m)
+    scaled = [[x.scale(c) for x in row] for row in a.a]
+    _check(a * c, n, m, scaled)
+    _check(c * a, n, m, scaled)
+    _check(a * p, n, m, [[x * p for x in row] for row in a.a])
+
+
+def test_scaling_by_a_fraction_divides_out_common_factors():
+    # 30x, 20, 2x over 5 share the factor 2 with the denominators of c
+    x = MultiPoly.variable(R, "x")
+    a = PolyMatrix(R, [[x.scale(6), 4], [0, x.scale(Fraction(2, 5))]])
+    for c in (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6)):
+        _check(a * c, 2, 2, [[p.scale(c) for p in row] for row in a.a])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), _dims, _dims)
+def test_sums_match_reference(data, n, m):
+    a = _pm(data.draw(_entries(n, m, _polys)), m)
+    b = _pm(data.draw(_entries(n, m, _polys)), m)
+    _check(a + b, n, m, [[x + y for x, y in zip(r, s)] for r, s in zip(a.a, b.a)])
+    _check(a - b, n, m, [[x - y for x, y in zip(r, s)] for r, s in zip(a.a, b.a)])
+    _check(-a, n, m, [[-x for x in row] for row in a.a])
+    assert (a - a).is_zero() and (a + (-a)) == PolyMatrix.zeros(R, n, m)
+
+
+def _term_orders(rows):
+    return [[list(p.terms.items()) for p in row] for row in rows]
+
+
+# an image of 0, or of a rational, or of a monomial with coefficient +-1
+_monomial_images = st.one_of(
+    st.just(0),
+    _coeffs,
+    st.tuples(st.sampled_from([1, -1]), st.integers(0, 2), st.integers(-1, 1)).map(
+        lambda t: MultiPoly.monomial(T, t[1:], t[0])
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), _dims, _dims, st.fixed_dictionaries({nm: _monomial_images for nm in S.names}))
+def test_subs_with_monomial_images_matches_reference(data, n, m, mapping):
+    # few variables and small coefficients make terms meet, cancel and come
+    # back; the terms keep the order of MultiPoly.subs as well
+    a = _pm(data.draw(_entries(n, m, _s_polys)), m, S)
+    got = a.subs(T, mapping)
+    ref = entry_subs(a.a, T, mapping)
+    _check(got, n, m, ref)
+    assert _term_orders(got.a) == _term_orders(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), _dims, _dims, st.fixed_dictionaries({nm: _t_polys for nm in S.names}))
+def test_subs_with_polynomial_images_matches_reference(data, n, m, mapping):
+    a = _pm(data.draw(_entries(n, m, _s_polys)), m, S)
+    _check(a.subs(T, mapping), n, m, entry_subs(a.a, T, mapping))
+
+
+_ints = st.integers(-4, 4)
+_nonzero = st.one_of(st.integers(-4, -1), st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.data(),
+    _dims,
+    _dims,
+    st.fixed_dictionaries({"x": _ints, "y": _ints, "t": _nonzero}),
+    st.fixed_dictionaries({"x": _coeffs, "y": _coeffs, "t": _coeffs.filter(bool)}),
+)
+def test_evaluate_matches_reference(data, n, m, integer_point, rational_point):
+    # t takes negative exponents too, so its value is nonzero
+    a = _pm(data.draw(_entries(n, m, _polys)), m)
+    for point in (integer_point, rational_point):
+        got = a.evaluate(point)
+        assert (got.rows, got.cols) == (n, m)
+        assert got.a == entry_evaluate(a.a, point)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), _dims, _scalars, _polys, _s_polys)
+def test_every_operation_keeps_storage_normalized(data, n, c, p, s):
+    a = _pm(data.draw(_entries(n, n, _polys)), n)
+    b = _pm(data.draw(_entries(n, n, _polys)), n)
+    q = _qm(data.draw(_entries(n, n, _coeffs)), n)
+    src = _pm(data.draw(_entries(n, n, _s_polys)), n, S)
+    mapping = {nm: data.draw(_t_polys) for nm in S.names}
+    results = [
+        a, src, PolyMatrix.zeros(R, n, n), PolyMatrix.identity(R, n),
+        PolyMatrix.scalar(R, n, p), PolyMatrix.scalar(S, n, s), PolyMatrix.from_qmatrix(R, q),
+        a + b, a - b, -a, a * b, a * p, a * c, c * a,
+        a.mul_qmatrix_left(q), a.mul_qmatrix_right(q), a.commutator(b),
+        sum_of_products(R, n, n, [(c, a, q), (1, q, b)]), src.subs(T, mapping),
+    ]
+    for m in results:
+        _assert_normalized(m)
+
+
+def test_reading_entries_leaves_the_matrix_unchanged():
+    x, y, t = (MultiPoly.variable(R, nm) for nm in R.names)
+    rows = [[x.scale(Fraction(1, 2)) + 3, y], [MultiPoly.zero(R), t.shift_var("t", -1)]]
+    m = PolyMatrix(R, rows)
+    before = PolyMatrix(R, rows)
+    a = m.a
+    a[0][1] = t
+    a[1].append(x)
+    a[0][0].terms[R.origin] = Fraction(7)
+    a[1][0].terms[R.origin] = Fraction(1)
+    m[0, 1].terms.clear()
+    m.first_nonzero()[2].terms.clear()
+    m.trace().terms.clear()
+    assert m == before
+    assert m.a == before.a
+    assert PolyMatrix.identity(R, 2).a[0][0].terms.pop(R.origin) == 1
+    assert PolyMatrix.identity(R, 2) == PolyMatrix(R, [[1, 0], [0, 1]])
 
 
 def test_cancellation_leaves_no_zero_coefficients():
@@ -176,6 +306,15 @@ def test_ring_and_shape_errors():
         sq.mul_qmatrix_right(QMatrix.zeros(3, 2))
     with pytest.raises(ValueError):
         sum_of_products(R, 3, 2, [(1, sq, sq)])
+    with pytest.raises(ValueError):
+        sq * MultiPoly.zero(other)
+    with pytest.raises(ValueError):
+        PolyMatrix.identity(S, 1).subs(T, {"x": 0, "y": 0, "z": MultiPoly.zero(R)})
+    inverse = PolyMatrix(R, [[MultiPoly.variable(R, "t").shift_var("t", -2)]])
+    with pytest.raises(ValueError):
+        inverse.subs(T, {"x": 0, "y": 0, "t": 1})
+    with pytest.raises(ZeroDivisionError):
+        inverse.evaluate({"x": 1, "y": 1, "t": 0})
 
 
 def _ref_wei_D(elem):
@@ -201,12 +340,7 @@ def test_wei_D_matches_reference(sl3_standard, octet, L3):
         out = wei_D(elem)
         assert out.mat.a == _ref_wei_D(elem)
         assert out.degree == max(elem.degree - 1, 0)
-        assert all(
-            type(c) is Fraction and c != 0
-            for row in out.mat.a
-            for p in row
-            for c in p.terms.values()
-        )
+        _assert_normalized(out.mat)
 
 
 def _x_polys(ring):
@@ -233,12 +367,7 @@ def test_wei_D_matches_reference_on_random_elements(sl2_sym4, sl3_standard, data
     out = wei_D(elem)
     assert out.mat.a == _ref_wei_D(elem)
     assert out.degree == (0 if out.mat.is_zero() else out.mat.is_homogeneous())
-    assert all(
-        type(c) is Fraction and c != 0
-        for row in out.mat.a
-        for p in row
-        for c in p.terms.values()
-    )
+    _assert_normalized(out.mat)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from bigalg.linalg import QMatrix, charpoly
-from bigalg.multipoly import rat
 from bigalg.qpoly import QPoly, geometric_quotient
 
 

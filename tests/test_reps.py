@@ -122,7 +122,7 @@ def test_weight_spaces_standard_cartan(octet, decuplet, L3):
 def test_weight_spaces_irrational_spectrum_rejected(L2):
     std = build_irrep(L2, (1,))
     # e + 2f acts on the standard module with eigenvalues +-sqrt(2)
-    x = [a + 2 * b for a, b in zip(L2.e_coords, L2.f_coords)]
+    x = [a + 2 * b for a, b in zip(L2.e_coords, L2.coords_of(L2.f))]
     with pytest.raises(ValueError):
         weight_spaces(std, [x])
 

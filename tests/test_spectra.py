@@ -3,10 +3,7 @@ import math
 import os
 from fractions import Fraction
 
-import pytest
-
 from bigalg import lie
-from bigalg.acceptance import octet_big_relations, decuplet_relations
 from bigalg.bigalgebra import BigGenerators
 from bigalg.linalg import QMatrix, restrict_to_block
 from bigalg.multipoly import MultiPoly, VarSet, rat

@@ -1,22 +1,19 @@
 import pytest
 
-from bigalg import lie
 from bigalg.acceptance import (
     octet_big_relations,
     octet_medium_relations,
     sl2_rank1_relation,
 )
 from bigalg.bigalgebra import BigGenerators, RelationRing
-from bigalg.linalg import QMatrix, invert
+from bigalg.linalg import QMatrix
 from bigalg.multipoly import MultiPoly, VarSet, rat
 from bigalg.reps import build_irrep
 from bigalg.twining import (
     check_intertwiner,
     coinvariant_octet_report,
-    fixed_scheme_relations,
     intertwiner,
     jantzen_trace,
-    pinning_w0,
     sigma_coord_matrix,
     sigma_eigenvalues,
     sigma_on_element,
