@@ -13,7 +13,7 @@ from itertools import combinations
 from math import isqrt, lcm
 from operator import mul
 
-from .multipoly import MultiPoly, VarSet, rat, ZERO, ONE
+from .multipoly import MultiPoly, VarSet, monomial_values, rat, substitute, ZERO, ONE
 from .linalg import (
     Echelon,
     QMatrix,
@@ -380,36 +380,22 @@ def ideal_span(relations, ring, weight_vec, d):
     return ech
 
 
-def _evaluate_monomial(names, exps, gen_mats, c_polys, cache):
-    """Value of a relation-ring monomial as a PolyMatrix over Q[c]."""
-    if exps in cache:
-        return cache[exps]
-    # peel the first positive exponent
-    i = next(i for i, e in enumerate(exps) if e)
-    prev = list(exps)
-    prev[i] -= 1
-    prev_val = _evaluate_monomial(names, tuple(prev), gen_mats, c_polys, cache)
-    nm = names[i]
-    if nm in gen_mats:
-        val = prev_val * gen_mats[nm]
-    else:
-        val = prev_val * c_polys[nm]
-    cache[exps] = val
-    return val
+def _relation_images(ring, gens_by_label, ring_c):
+    """The value of each relation-ring variable: a generator's PolyMatrix or c_k."""
+    return [
+        gens_by_label[nm].mat if nm in gens_by_label else MultiPoly.variable(ring_c, nm)
+        for nm in ring.names
+    ]
 
 
 def substitute_relation(rel, gens_by_label, ring_c, dim):
     """Evaluate a relation-ring polynomial on the section operators."""
-    gen_mats = {lab: op.mat for lab, op in gens_by_label.items()}
-    c_polys = {nm: MultiPoly.variable(ring_c, nm) for nm in ring_c.names}
-    rr_ring = rel.ring
-    cache = {(0,) * len(rr_ring.names): PolyMatrix.identity(ring_c, dim)}
-    total = PolyMatrix.zeros(ring_c, dim, dim)
-    for key, coeff in rel.terms.items():
-        exps = rr_ring.unpack(key)
-        val = _evaluate_monomial(rr_ring.names, exps, gen_mats, c_polys, cache)
-        total = total + val * coeff
-    return total
+    return substitute(
+        rel,
+        _relation_images(rel.ring, gens_by_label, ring_c),
+        PolyMatrix.zeros(ring_c, dim, dim),
+        PolyMatrix.identity(ring_c, dim),
+    )
 
 
 def _monomial_vector_index(val, coord_index):
@@ -439,9 +425,10 @@ def derive_relations(rep, gens, max_degree):
     L = rep.L
     rr = RelationRing(gens, L.n)
     ring_c = gens[0].mat.ring
-    gen_mats = {op.label: op.mat for op in gens}
-    c_polys = {nm: MultiPoly.variable(ring_c, nm) for nm in ring_c.names}
-    cache = {(0,) * len(rr.ring.names): PolyMatrix.identity(ring_c, rep.dim)}
+    value = monomial_values(
+        _relation_images(rr.ring, {op.label: op for op in gens}, ring_c),
+        PolyMatrix.identity(ring_c, rep.dim),
+    )
 
     relations = []
     info = []
@@ -450,8 +437,7 @@ def derive_relations(rep, gens, max_degree):
         coord_index = {}
         vectors = []
         for exps in monos:
-            val = _evaluate_monomial(rr.ring.names, exps, gen_mats, c_polys, cache)
-            vectors.append(_monomial_vector_index(val, coord_index))
+            vectors.append(_monomial_vector_index(value(rr.ring.pack(exps)), coord_index))
         ncoords = len(coord_index)
         # the columns over one common denominator
         den = lcm(*(cden for _, cden in vectors))

@@ -15,7 +15,7 @@ from .bigalgebra import (
     RelationRing,
     derive_relations,
     hilbert_series,
-    substitute_relation,
+    verify_presentation,
 )
 from .multipoly import MultiPoly, rat
 from .multiplicity import (
@@ -69,7 +69,7 @@ class UsageError(Exception):
 
 
 def check_args(parser, args):
-    """Reject bad --n and weights before any work, as usage errors (exit 2)."""
+    """Reject bad flags before any work, as usage errors (exit 2)."""
     if getattr(args, "n", None) is None:
         return
     if args.n < 2:
@@ -97,6 +97,12 @@ def check_args(parser, args):
             parse_grid(args.grid)
         except ValueError as exc:
             parser.error("--grid: %s" % exc)
+    if args.command == "relations":
+        if args.max_degree < 1:
+            parser.error("--max-degree must be at least 1")
+        labels = args.gens.split(",") if args.gens else []
+        if len(set(labels)) != len(labels):
+            parser.error("--gens: %s names a generator twice" % args.gens)
 
 
 def _config(args):
@@ -193,9 +199,25 @@ def _relation_from_obj(ring, obj):
     for term in obj:
         exps = [0] * len(ring.names)
         for nm, e in term["monomials"]:
+            if nm not in ring.index:
+                raise ValueError("unknown variable %r (not in %s)" % (nm, ",".join(ring.names)))
             exps[ring.index[nm]] = e
         total = total + MultiPoly.monomial(ring, tuple(exps), rat(term["coeff"]))
     return total
+
+
+def _relations_from_payload(ring, payload):
+    """The relations of a --verify file; a UsageError says what is malformed."""
+    if not isinstance(payload, dict) or not isinstance(payload.get("relations"), list):
+        raise UsageError('--verify: expected a JSON object with a "relations" list')
+    rels = []
+    for idx, obj in enumerate(payload["relations"]):
+        try:
+            rels.append(_relation_from_obj(ring, obj))
+        except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+            reason = "missing key %s" % exc if isinstance(exc, KeyError) else exc
+            raise UsageError("--verify: relation %d: %s" % (idx, reason)) from None
+    return rels
 
 
 def cmd_relations(args):
@@ -219,19 +241,11 @@ def cmd_relations(args):
     else:
         gens = gens_all.ops
     if args.verify:
-        rr = RelationRing(gens, args.n)
-        report = []
-        all_zero = True
-        for obj in payload["relations"]:
-            rel = _relation_from_obj(rr.ring, obj)
-            val = substitute_relation(
-                rel, {op.label: op for op in gens}, gens_all.ring, rep.dim
-            )
-            ok = val.is_zero()
-            all_zero = all_zero and ok
-            report.append({"relation": str(rel), "zero": ok})
-        emit(args, {"verified": report, "all_zero": all_zero})
-        return 0 if all_zero else 1
+        rels = _relations_from_payload(RelationRing(gens, args.n).ring, payload)
+        ver = verify_presentation(rep, gens, rels)
+        report = [{"relation": r["relation"], "zero": r["zero"]} for r in ver["relations"]]
+        emit(args, {"verified": report, "all_zero": ver["all_zero"]})
+        return 0 if ver["all_zero"] else 1
     rels, info = derive_relations(rep, gens, args.max_degree)
     emit(
         args,

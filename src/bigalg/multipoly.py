@@ -271,7 +271,7 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
 
-    # ---------- shifts, evaluation and substitution ----------
+    # ---------- shifts and substitution ----------
 
     def shift_var(self, name, step):
         """Multiply by name**step (step may be negative for Laurent vars)."""
@@ -290,18 +290,6 @@ class MultiPoly:
             out[k + delta] = c
         return MultiPoly(self.ring, out, _trusted=True)
 
-    def evaluate(self, values):
-        """Evaluate at a rational point given as {name: value}."""
-        point = [rat(values[nm]) for nm in self.ring.names]
-        total = ZERO
-        for k, c in self.terms.items():
-            v = c
-            for i, e in enumerate(self.ring.unpack(k)):
-                if e:
-                    v = v * point[i] ** e
-            total += v
-        return total
-
     def subs(self, target_ring, mapping):
         """Substitute each variable by a polynomial (or rational) in target_ring."""
         images = []
@@ -312,24 +300,9 @@ class MultiPoly:
             elif img.ring is not target_ring and img.ring != target_ring:
                 raise ValueError("substitution image in wrong ring")
             images.append(img)
-        powers = [{0: MultiPoly.const(target_ring, 1)} for _ in images]
-
-        def power(i, e):
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = power(i, e - 1) * images[i]
-            return cache[e]
-
-        total = MultiPoly.zero(target_ring)
-        for k, c in self.terms.items():
-            term = MultiPoly.const(target_ring, c)
-            for i, e in enumerate(self.ring.unpack(k)):
-                if e < 0:
-                    raise ValueError("cannot substitute into negative exponent")
-                if e:
-                    term = term * power(i, e)
-            total = total + term
-        return total
+        return substitute(
+            self, images, MultiPoly.zero(target_ring), MultiPoly.const(target_ring, 1)
+        )
 
     # ---------- presentation ----------
 
@@ -372,3 +345,45 @@ class MultiPoly:
             key=lambda t: t[0],
         )]
         return {"variables": list(self.ring.names), "terms": terms}
+
+
+def monomial_values(images, one):
+    """A memoized map from a polynomial-ring key to its monomial at images.
+
+    images[i] is the value of variable i and one the identity of a
+    commutative ring whose elements need ``*`` by an image.  Each distinct
+    monomial is computed once, as the monomial with its first nonzero
+    exponent lowered by one, times that variable's image.
+    """
+    memo = {0: one}
+
+    def value(key):
+        chain = []
+        while key not in memo:
+            i = ((key & -key).bit_length() - 1) // _SHIFT
+            chain.append((key, i))
+            key -= 1 << (_SHIFT * i)
+        v = memo[key]
+        for key, i in reversed(chain):
+            v = memo[key] = v * images[i]
+        return v
+
+    return value
+
+
+def substitute(poly, images, zero, one):
+    """poly with variable i replaced by images[i], in any commutative ring.
+
+    zero and one are the ring's identities; its elements need ``+``, ``*``
+    by an image and ``*`` by a rational.  A negative exponent raises
+    ValueError.
+    """
+    ring = poly.ring
+    origin = ring.origin
+    if ring.laurent and any(min(ring.unpack(k)) < 0 for k in poly.terms):
+        raise ValueError("cannot substitute into negative exponent")
+    value = monomial_values(images, one)
+    total = zero
+    for k, c in poly.terms.items():
+        total = total + value(k - origin) * c
+    return total

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from fractions import Fraction
 
-from .multipoly import MultiPoly, VarSet, rat
+from .multipoly import MultiPoly, VarSet, rat, substitute
 from .linalg import (
     QMatrix,
     charpoly,
@@ -154,28 +154,6 @@ def octet_identities():
     return [first, second, third]
 
 
-def _poly_of_commuting(poly, mats):
-    """Evaluate a polynomial at commuting matrices named by its variables."""
-    ring = poly.ring
-    dim = next(iter(mats.values())).rows
-    powers = {nm: {0: QMatrix.identity(dim)} for nm in ring.names}
-
-    def power(nm, e):
-        cache = powers[nm]
-        if e not in cache:
-            cache[e] = power(nm, e - 1) * mats[nm]
-        return cache[e]
-
-    total = QMatrix.zeros(dim, dim)
-    for key, c in poly.terms.items():
-        term = QMatrix.identity(dim)
-        for nm, e in zip(ring.names, ring.unpack(key)):
-            if e:
-                term = term * power(nm, e)
-        total = total + term * c
-    return total
-
-
 def verify_quantum_number_identities(rep, gens, identities):
     """I3 = (M1 at h)/4 and Y = (M2 at h)/4 must satisfy each identity."""
     L = rep.L
@@ -185,9 +163,11 @@ def verify_quantum_number_identities(rep, gens, identities):
     y = by_label["M2"].evaluate(cvals) * rat(1, 4)
     if not i3.commutator(y).is_zero():
         raise ValueError("quantum-number operators do not commute")
+    mats = {"I3": i3, "Y": y}
+    zero, one = QMatrix.zeros(rep.dim, rep.dim), QMatrix.identity(rep.dim)
     report = []
     for ident in identities:
-        val = _poly_of_commuting(ident, {"I3": i3, "Y": y})
+        val = substitute(ident, [mats[nm] for nm in ident.ring.names], zero, one)
         report.append({"identity": str(ident), "zero": val.is_zero()})
     return {"identities": report, "all_zero": all(r["zero"] for r in report)}
 

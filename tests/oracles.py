@@ -3,7 +3,8 @@
 Each one recomputes, the slow and direct way, something the package
 computes another way: the trace form and the basis names of sl_n,
 polynomial-matrix products, substitutions and values entry by entry with
-Fraction coefficients, the small and medium operators from their defining
+Fraction coefficients, polynomials at commuting matrices through cached
+powers, the small and medium operators from their defining
 formulas, equivariance and homogeneity as exact polynomial identities,
 rho of the Killing-dual basis as dense matrices, formal derivatives term by
 term, the q-partition function by explicit enumeration, and weight spaces
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from bigalg.kirillov import KirillovElement
 from bigalg.linalg import QMatrix, invert, joint_invariant_decomposition
-from bigalg.multipoly import MultiPoly, rat
+from bigalg.multipoly import ZERO, MultiPoly, rat
 from bigalg.polymatrix import PolyMatrix
 from bigalg.qpoly import QPoly
 
@@ -98,9 +99,44 @@ def entry_subs(a, target_ring, mapping):
     return [[p.subs(target_ring, mapping) for p in row] for row in a]
 
 
+def evaluate(poly, values):
+    """Evaluate a MultiPoly at a rational point given as {name: value}."""
+    point = [rat(values[nm]) for nm in poly.ring.names]
+    total = ZERO
+    for k, c in poly.terms.items():
+        v = c
+        for i, e in enumerate(poly.ring.unpack(k)):
+            if e:
+                v = v * point[i] ** e
+        total += v
+    return total
+
+
+def poly_of_commuting(poly, mats):
+    """Evaluate a polynomial at commuting matrices named by its variables."""
+    ring = poly.ring
+    dim = next(iter(mats.values())).rows
+    powers = {nm: {0: QMatrix.identity(dim)} for nm in ring.names}
+
+    def power(nm, e):
+        cache = powers[nm]
+        if e not in cache:
+            cache[e] = power(nm, e - 1) * mats[nm]
+        return cache[e]
+
+    total = QMatrix.zeros(dim, dim)
+    for key, c in poly.terms.items():
+        term = QMatrix.identity(dim)
+        for nm, e in zip(ring.names, ring.unpack(key)):
+            if e:
+                term = term * power(nm, e)
+        total = total + term * c
+    return total
+
+
 def entry_evaluate(a, values):
-    """MultiPoly.evaluate on every entry."""
-    return [[p.evaluate(values) for p in row] for row in a]
+    """evaluate on every entry."""
+    return [[evaluate(p, values) for p in row] for row in a]
 
 
 # ---------------------------------------------------------------------------

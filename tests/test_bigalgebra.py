@@ -25,6 +25,7 @@ from bigalg.bigalgebra import (
     ideal_span,
     rational_diagonalizer,
     restrict_to_section,
+    substitute_relation,
     verify_presentation,
     weighted_monomials,
 )
@@ -34,7 +35,7 @@ from bigalg.multipoly import MultiPoly, rat
 from bigalg.polymatrix import PolyMatrix
 from bigalg.qpoly import QPoly
 from bigalg.reps import build_irrep
-from oracles import diagonal, entry_subs, small_operator
+from oracles import diagonal, entry_subs, poly_of_commuting, small_operator
 
 
 def test_restriction_of_small_operator_is_companion(L2, L3, sl3_standard):
@@ -374,6 +375,31 @@ def test_verify_presentation_negative_control(decuplet, decuplet_gens):
     report = verify_presentation(decuplet, gens, [bad])
     assert not report["all_zero"]
     assert "first_nonzero" in report["relations"][0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_substitute_relation_matches_commuting_matrices(octet_gens, decuplet_gens, data):
+    # a random relation on sl3 (1,1) or (3,0): its value on the section
+    # operators, evaluated at rational points c, against the relation at the
+    # generators' values at c and c_k * I
+    gens = data.draw(st.sampled_from([octet_gens, decuplet_gens]))
+    ring = RelationRing(gens.ops, 3).ring
+    exps = st.tuples(*[st.integers(0, 2)] * len(ring.names))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    rel = data.draw(
+        st.dictionaries(exps, coeffs, min_size=1, max_size=5).map(
+            lambda d: MultiPoly(ring, {ring.pack(e): c for e, c in d.items()})
+        )
+    )
+    dim = gens.rep.dim
+    val = substitute_relation(rel, gens.by_label, gens.ring, dim)
+    point = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    points = st.lists(point, min_size=2, max_size=2)
+    for c in data.draw(st.lists(points, min_size=3, max_size=3)):
+        mats = {op.label: op.evaluate(c) for op in gens.ops}
+        mats.update({nm: QMatrix.identity(dim) * ck for nm, ck in zip(gens.ring.names, c)})
+        assert val.evaluate(dict(zip(gens.ring.names, c))) == poly_of_commuting(rel, mats)
 
 
 def test_generators_commute_over_section(octet_gens, decuplet_gens):

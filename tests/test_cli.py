@@ -44,6 +44,11 @@ def test_bad_arguments_exit_two():
     assert proc.returncode == 2
 
 
+def _verify(payload):
+    """relations --verify argv for sl3 (1,1) with payload as the file."""
+    return ["relations", "--n", "3", "--mu", "1,1", "--verify", payload]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -86,14 +91,48 @@ def test_bad_arguments_exit_two():
             ["twining", "--n", "3", "--mu", "1,0"],
             "--mu: twining needs a weight equal to its reverse",
         ),
+        (
+            _verify({"relations": [[{"monomials": [["Q9", 1]], "coeff": "1"}]]}),
+            "--verify: relation 0: unknown variable 'Q9' (not in M1,M2,N1,c2,c3)",
+        ),
+        (_verify({"generators": []}), '--verify: expected a JSON object with a "relations" list'),
+        (_verify([[]]), '--verify: expected a JSON object with a "relations" list'),
+        (
+            _verify({"relations": [[], [{"monomials": [["M1", 1]], "coeff": "x"}]]}),
+            "--verify: relation 1: Invalid literal for Fraction: 'x'",
+        ),
+        (
+            _verify({"relations": [[{"monomials": [["M1", -1]], "coeff": "1"}]]}),
+            "--verify: relation 0: exponent -1 of M1 out of packing range",
+        ),
+        (
+            ["relations", "--n", "3", "--mu", "1,1", "--gens", "M1,M1"],
+            "--gens: M1,M1 names a generator twice",
+        ),
+        (
+            ["relations", "--n", "3", "--mu", "1,1", "--max-degree", "0"],
+            "--max-degree must be at least 1",
+        ),
+        (
+            ["relations", "--n", "3", "--mu", "1,1", "--max-degree=-1"],
+            "--max-degree must be at least 1",
+        ),
     ],
     ids=["n_below_2", "fractional_mu", "fractional_lambda", "over_bound",
          "wrong_arity", "negative_mu", "brylinski_lambda_not_a_weight",
          "multalg_lambda_not_a_weight", "qanalogue_n_6", "qanalogue_n_8",
          "grid_two_fields", "grid_not_rational", "relations_unknown_gens",
-         "relations_missing_verify_file", "twining_weight_not_self_dual"],
+         "relations_missing_verify_file", "twining_weight_not_self_dual",
+         "verify_unknown_variable", "verify_no_relations_key", "verify_top_level_list",
+         "verify_bad_coefficient", "verify_negative_exponent", "relations_repeated_gens",
+         "max_degree_zero", "max_degree_negative"],
 )
-def test_bad_input_is_a_usage_error(argv, message):
+def test_bad_input_is_a_usage_error(argv, message, tmp_path):
+    # a JSON value at the end of argv is written to a file passed by its path
+    if not isinstance(argv[-1], str):
+        path = tmp_path / "relations.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(path)]
     proc = run(*argv, check=False)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

@@ -13,6 +13,7 @@ from oracles import (
     basis_names,
     diagonal,
     equivariance_check,
+    evaluate,
     homogeneity_check,
     mat_diff,
     medium_operator,
@@ -49,10 +50,10 @@ def test_invariant_c2_sl2_is_determinant(L2):
 
 def test_invariant_ck_basics(L3):
     zeros = {nm: 0 for nm in L3.x_ring.names}
-    assert L3.invariant_ck(2).evaluate(zeros) == 0
-    assert L3.invariant_ck(3).evaluate(zeros) == 0
+    assert evaluate(L3.invariant_ck(2), zeros) == 0
+    assert evaluate(L3.invariant_ck(3), zeros) == 0
     values = dict(zip(L3.x_ring.names, L3.h_coords))
-    assert L3.invariant_ck(2).evaluate(values) == -4
+    assert evaluate(L3.invariant_ck(2), values) == -4
     with pytest.raises(ValueError):
         L3.invariant_ck(4)
 

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from bigalg.multipoly import MultiPoly, VarSet, rat
-from oracles import diff
+from bigalg.linalg import QMatrix
+from bigalg.multipoly import MultiPoly, VarSet, rat, substitute
+from bigalg.polymatrix import PolyMatrix
+from oracles import diff, evaluate
 
 
 @pytest.fixture
@@ -83,11 +85,33 @@ def test_homogeneity_and_degrees(xy):
 def test_evaluate_and_subs(xy):
     ring, x, y = xy
     p = x * x + y.scale(-2)
-    assert p.evaluate({"x": 3, "y": rat(1, 2)}) == 8
+    assert evaluate(p, {"x": 3, "y": rat(1, 2)}) == 8
     target = VarSet(["t"])
     t = MultiPoly.variable(target, "t")
     image = p.subs(target, {"x": t, "y": t * t})
     assert image == t * t - (t * t).scale(2)
+
+
+def test_substitute_into_each_kind_of_ring():
+    # polynomials, constant matrices and polynomial matrices; y is Laurent,
+    # so a negative exponent can occur and must be refused
+    ring = VarSet(["x", "y"], laurent=["y"])
+    x, y = (MultiPoly.variable(ring, nm) for nm in ring.names)
+    p = x * x * y - x.scale(rat(1, 2)) + 3
+    target = VarSet(["t"])
+    t = MultiPoly.variable(target, "t")
+    a = QMatrix([[1, 2], [0, 3]])
+    pa = PolyMatrix(target, [[t, 1], [0, t + 1]])
+    cases = [
+        (MultiPoly.zero(target), MultiPoly.const(target, 1), t + 1, t * t),
+        (QMatrix.zeros(2, 2), QMatrix.identity(2), a, a * a),
+        (PolyMatrix.zeros(target, 2, 2), PolyMatrix.identity(target, 2), pa, pa * pa),
+    ]
+    for zero, one, u, v in cases:
+        assert substitute(p, [u, v], zero, one) == u * u * v - u * rat(1, 2) + one * 3
+        assert substitute(MultiPoly.zero(ring), [u, v], zero, one) == zero
+        with pytest.raises(ValueError):
+            substitute(x + y.shift_var("y", -2), [u, v], zero, one)
 
 
 def test_serialization_round_trip(xy):
