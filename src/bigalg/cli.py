@@ -198,9 +198,13 @@ def _relation_from_obj(ring, obj):
     total = MultiPoly.zero(ring)
     for term in obj:
         exps = [0] * len(ring.names)
+        named = set()
         for nm, e in term["monomials"]:
             if nm not in ring.index:
                 raise ValueError("unknown variable %r (not in %s)" % (nm, ",".join(ring.names)))
+            if nm in named:
+                raise ValueError("a term names %s twice" % nm)
+            named.add(nm)
             exps[ring.index[nm]] = e
         total = total + MultiPoly.monomial(ring, tuple(exps), rat(term["coeff"]))
     return total
@@ -470,9 +474,18 @@ def main(argv=None):
     args = parser.parse_args(argv)
     check_args(parser, args)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         parser.error(str(exc))
+    except BrokenPipeError:
+        # the reader closed the pipe; point stdout at devnull so that the
+        # flush at interpreter exit fails no second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -65,8 +65,7 @@ def _dual_rho_rows(rep):
     cached = getattr(rep, "_dual_rho_rows", None)
     if cached is None:
         L = rep.L
-        origin = L.x_ring.origin
-        sparse = [_sparse_int_rows(m, origin) for m in rep.rho]
+        sparse = [_sparse_int_rows(m) for m in rep.rho]
         cached = []
         for coeffs in map(L.killing_inv.row, range(L.dim)):
             terms = [(c, sparse[j]) for j, c in enumerate(coeffs) if c]
@@ -76,9 +75,9 @@ def _dual_rho_rows(rep):
                 w = c.numerator * (den // (c.denominator * d))
                 for out, row in zip(acc, rows):
                     for k, x in row:
-                        out[k] = out.get(k, 0) + w * x[origin]
+                        out[k] = out.get(k, 0) + w * x[0]
             rows = [
-                [(k, {origin: v}) for k, v in sorted(out.items()) if v] for out in acc
+                [(k, {0: v}) for k, v in sorted(out.items()) if v] for out in acc
             ]
             cached.append((rows, den))
         rep._dual_rho_rows = cached

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .multipoly import MultiPoly, VarSet, rat, ZERO, ONE
-from .linalg import QMatrix, _fractions, invert, kernel
+from .linalg import QMatrix, _fractions, charpoly, invert, kernel
 from .polymatrix import PolyMatrix
 
 
@@ -82,38 +82,35 @@ class TypeA:
 
     # ---------- coordinates ----------
 
-    def coords_of(self, m):
-        """Expand a trace-zero n x n matrix over the basis, exactly."""
+    def _expand(self, entry, zero):
+        """Basis coordinates of the matrix with entries entry(i, j).
+
+        Off-diagonal entries are coordinates as they stand; the diagonal's
+        running sums give the H-coordinates.  The last diagonal entry is
+        not read, so the caller checks the trace.
+        """
         n = self.n
-        num = m.num
-        coords = [0] * self.dim
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    coords[self._offdiag_index[(i, j)]] = num[i][j]
-        # diagonal: partial sums give the H-coordinates
-        acc = 0
+        coords = [zero] * self.dim
+        for (i, j), idx in self._offdiag_index.items():
+            coords[idx] = entry(i, j)
+        acc = zero
         base = self.dim - (n - 1)
         for k in range(n - 1):
-            acc += num[k][k]
+            acc = acc + entry(k, k)
             coords[base + k] = acc
-        if acc + num[n - 1][n - 1]:
+        return coords
+
+    def coords_of(self, m):
+        """Expand a trace-zero n x n matrix over the basis, exactly."""
+        num = m.num
+        coords = self._expand(lambda i, j: num[i][j], 0)
+        if coords[-1] + num[-1][-1]:
             raise ValueError("matrix has nonzero trace")
         return _fractions(coords, m.den)
 
     def _sparse_coords(self, m):
         """coords_of for a trace-zero integer matrix given as {(row, col): int}."""
-        n = self.n
-        coords = [ZERO] * self.dim
-        for (i, j), v in m.items():
-            if i != j:
-                coords[self._offdiag_index[(i, j)]] = Fraction(v)
-        acc = 0
-        base = self.dim - (n - 1)
-        for k in range(n - 1):
-            acc += m.get((k, k), 0)
-            coords[base + k] = Fraction(acc)
-        return coords
+        return _fractions(self._expand(lambda i, j: m.get((i, j), 0), 0), 1)
 
     def bracket_coords(self, x, y):
         """Coordinates of [x, y] from the structure constants."""
@@ -174,19 +171,8 @@ class TypeA:
 
     def coords_of_polymatrix(self, pm):
         """Coordinates of a trace-zero polynomial matrix (entries are polys)."""
-        n = self.n
-        ring = pm.ring
-        coords = [MultiPoly.zero(ring)] * self.dim
         a = pm.a
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    coords[self._offdiag_index[(i, j)]] = a[i][j]
-        acc = MultiPoly.zero(ring)
-        base = self.dim - (n - 1)
-        for k in range(n - 1):
-            acc = acc + a[k][k]
-            coords[base + k] = acc
+        coords = self._expand(lambda i, j: a[i][j], MultiPoly.zero(pm.ring))
         if not pm.trace().is_zero():
             raise ValueError("polynomial matrix has nonzero trace")
         return coords
@@ -408,8 +394,6 @@ def section_coords(L):
 
 def principal_point(L):
     """Invariant values at the principal semisimple element h."""
-    from .linalg import charpoly
-
     chi = charpoly(L.h)  # low to high; chi[n] = 1
     n = L.n
     # c_k is the coefficient of lambda^(n-k)

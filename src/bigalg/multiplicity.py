@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .multipoly import MultiPoly, VarSet, ZERO
+from .bigalgebra import rational_diagonalizer
+from .multipoly import ZERO
 from .linalg import (
     Echelon,
     QMatrix,
@@ -97,8 +98,6 @@ def h_plus_e_transport(rep):
     L = rep.L
     target = L.h + L.e
     eigs = [L.h[i, i] for i in range(L.n)]
-    from .bigalgebra import rational_diagonalizer
-
     s = rational_diagonalizer(target, eigs)
     return rep.gl_transport(s)
 
@@ -183,16 +182,9 @@ def e_limit_zlimit(rep, lam):
         return QMatrix.zeros(rep.dim, 0)
     rd = lie.RootData(rep.L.n)
     wts = [rd.h_pairing(w) for w in rep.weights]
-    ring = VarSet(["w"], laurent=["w"])
-    columns = []
-    for j in range(basis.cols):
-        col = []
-        for i, x in enumerate(basis.col(j)):
-            if x:
-                col.append(MultiPoly.monomial(ring, (-wts[i],), x))
-            else:
-                col.append(MultiPoly.zero(ring))
-        columns.append(col)
+    columns = [
+        [{-wts[i]: x} for i, x in enumerate(basis.col(j))] for j in range(basis.cols)
+    ]
     return limit_of_span(columns)
 
 
@@ -258,6 +250,8 @@ def multiplicity_algebra(rep, gens, lam):
         graded[g] = ech.dim
 
     shift = rd.ip(tuple(m - l for m, l in zip(rep.mu, lam)), rd.rho)
+    assert shift.denominator == 1
+    shift = int(shift)
     hilbert = QPoly({shift - g: d for g, d in graded.items()})
 
     # algebra span of the restricted operators

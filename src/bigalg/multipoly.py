@@ -1,9 +1,8 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 Exponent vectors are packed into single Python integers, 16 bits per
-variable, so that multiplying two monomials is one integer addition.
-Variables declared Laurent carry an offset of 2**15 and may take negative
-exponents; all exponents must stay inside the 16-bit window.
+variable, so that multiplying two monomials is one integer addition.  Every
+exponent lies in 0..2**16 - 1, and the constant monomial is key 0.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from fractions import Fraction
 
 _SHIFT = 16
 _MASK = (1 << _SHIFT) - 1
-_LAURENT_OFFSET = 1 << 15
 
 
 def rat(*args) -> Fraction:
@@ -27,35 +25,23 @@ ONE = rat(1)
 class VarSet:
     """An ordered set of named variables with a fixed packing layout."""
 
-    __slots__ = ("names", "laurent", "index", "offsets", "origin", "_units")
+    __slots__ = ("names", "index", "_units")
 
-    def __init__(self, names, laurent=()):
+    def __init__(self, names):
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")
-        self.laurent = frozenset(laurent)
-        stray = self.laurent - set(self.names)
-        if stray:
-            raise ValueError("laurent variables not in set: %s" % sorted(stray))
         self.index = {nm: i for i, nm in enumerate(self.names)}
-        self.offsets = tuple(
-            _LAURENT_OFFSET if nm in self.laurent else 0 for nm in self.names
-        )
-        self.origin = sum(off << (_SHIFT * i) for i, off in enumerate(self.offsets))
         self._units = tuple(1 << (_SHIFT * i) for i in range(len(self.names)))
 
     def __len__(self):
         return len(self.names)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, VarSet)
-            and self.names == other.names
-            and self.laurent == other.laurent
-        )
+        return isinstance(other, VarSet) and self.names == other.names
 
     def __hash__(self):
-        return hash((self.names, self.laurent))
+        return hash(self.names)
 
     def __repr__(self):
         return "VarSet(%r)" % (self.names,)
@@ -64,23 +50,16 @@ class VarSet:
         if len(exps) != len(self.names):
             raise ValueError("exponent arity mismatch")
         key = 0
-        for i, (e, off) in enumerate(zip(exps, self.offsets)):
-            v = e + off
-            if not 0 <= v <= _MASK:
+        for i, e in enumerate(exps):
+            if not 0 <= e <= _MASK:
                 raise OverflowError(
                     "exponent %s of %s out of packing range" % (e, self.names[i])
                 )
-            key += v << (_SHIFT * i)
+            key += e << (_SHIFT * i)
         return key
 
     def unpack(self, key):
-        return tuple(
-            ((key >> (_SHIFT * i)) & _MASK) - off
-            for i, off in enumerate(self.offsets)
-        )
-
-    def exponent(self, key, i):
-        return ((key >> (_SHIFT * i)) & _MASK) - self.offsets[i]
+        return tuple((key >> (_SHIFT * i)) & _MASK for i in range(len(self.names)))
 
     def total_degree(self, key):
         return sum(self.unpack(key))
@@ -88,10 +67,8 @@ class VarSet:
     def support(self, key):
         """[(i, e)] for every variable i with exponent e != 0, i ascending.
 
-        Walks only the nonzero fields of the key; polynomial rings only.
+        Walks only the nonzero fields of the key.
         """
-        if self.laurent:
-            raise ValueError("support needs a polynomial ring")
         out = []
         while key:
             shift = (key & -key).bit_length() - 1
@@ -130,12 +107,12 @@ class MultiPoly:
         c = rat(c)
         if c == 0:
             return cls.zero(ring)
-        return cls(ring, {ring.origin: c}, _trusted=True)
+        return cls(ring, {0: c}, _trusted=True)
 
     @classmethod
     def variable(cls, ring, name):
         i = ring.index[name]
-        return cls(ring, {ring.origin + ring._units[i]: ONE}, _trusted=True)
+        return cls(ring, {ring._units[i]: ONE}, _trusted=True)
 
     @classmethod
     def monomial(cls, ring, exps, c=1):
@@ -178,14 +155,6 @@ class MultiPoly:
     def coeff(self, exps):
         return self.terms.get(self.ring.pack(exps), ZERO)
 
-    def var_range(self, name):
-        """(min, max) exponent of a variable over the support; None if zero."""
-        if not self.terms:
-            return None
-        i = self.ring.index[name]
-        exps = [self.ring.exponent(k, i) for k in self.terms]
-        return min(exps), max(exps)
-
     # ---------- arithmetic ----------
 
     def __neg__(self):
@@ -221,13 +190,11 @@ class MultiPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        origin = self.ring.origin
         out = {}
         get = out.get
         for k1, c1 in a.items():
-            k0 = k1 - origin
             for k2, c2 in b.items():
-                k = k0 + k2
+                k = k1 + k2
                 s = get(k, ZERO) + c1 * c2
                 if s:
                     out[k] = s
@@ -264,31 +231,14 @@ class MultiPoly:
             return self.ring == other.ring and self.terms == other.terms
         if not self.terms:
             return other == 0
-        if len(self.terms) == 1 and self.ring.origin in self.terms:
-            return self.terms[self.ring.origin] == other
+        if len(self.terms) == 1 and 0 in self.terms:
+            return self.terms[0] == other
         return False
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
 
-    # ---------- shifts and substitution ----------
-
-    def shift_var(self, name, step):
-        """Multiply by name**step (step may be negative for Laurent vars)."""
-        if step == 0 or not self.terms:
-            return self
-        i = self.ring.index[name]
-        unit = self.ring._units[i]
-        off = self.ring.offsets[i]
-        exp = self.ring.exponent
-        delta = step * unit
-        out = {}
-        for k, c in self.terms.items():
-            e = exp(k, i) + step
-            if not -off <= e <= _MASK - off:
-                raise OverflowError("shifted exponent out of packing range")
-            out[k + delta] = c
-        return MultiPoly(self.ring, out, _trusted=True)
+    # ---------- substitution ----------
 
     def subs(self, target_ring, mapping):
         """Substitute each variable by a polynomial (or rational) in target_ring."""
@@ -348,7 +298,7 @@ class MultiPoly:
 
 
 def monomial_values(images, one):
-    """A memoized map from a polynomial-ring key to its monomial at images.
+    """A memoized map from a monomial key to its value at images.
 
     images[i] is the value of variable i and one the identity of a
     commutative ring whose elements need ``*`` by an image.  Each distinct
@@ -375,15 +325,10 @@ def substitute(poly, images, zero, one):
     """poly with variable i replaced by images[i], in any commutative ring.
 
     zero and one are the ring's identities; its elements need ``+``, ``*``
-    by an image and ``*`` by a rational.  A negative exponent raises
-    ValueError.
+    by an image and ``*`` by a rational.
     """
-    ring = poly.ring
-    origin = ring.origin
-    if ring.laurent and any(min(ring.unpack(k)) < 0 for k in poly.terms):
-        raise ValueError("cannot substitute into negative exponent")
     value = monomial_values(images, one)
     total = zero
     for k, c in poly.terms.items():
-        total = total + value(k - origin) * c
+        total = total + value(k) * c
     return total

@@ -37,14 +37,13 @@ def _poly_ints(poly):
     return {k: c.numerator * (den // c.denominator) for k, c in poly.terms.items()}, den
 
 
-def _poly_mul(a, b, origin):
+def _poly_mul(a, b):
     """The product of two polynomials given as {key: int}."""
     out = {}
     get = out.get
     for k1, c1 in a.items():
-        k0 = k1 - origin
         for k2, c2 in b.items():
-            k = k0 + k2
+            k = k1 + k2
             out[k] = get(k, 0) + c1 * c2
     return {k: v for k, v in out.items() if v}
 
@@ -58,14 +57,6 @@ def _add_terms(acc, terms, f):
             acc[k] = s
         else:
             del acc[k]
-
-
-def _support_function(ring):
-    """key -> [(i, e)] of the nonzero exponents of the monomial key."""
-    if not ring.laurent:
-        return ring.support
-    unpack = ring.unpack
-    return lambda key: [(i, e) for i, e in enumerate(unpack(key)) if e]
 
 
 def _content(num, g):
@@ -88,10 +79,10 @@ def _reduced(ring, num, den, cols):
     return PolyMatrix._of(ring, num, den, cols)
 
 
-def _sparse_int_rows(m, origin):
+def _sparse_int_rows(m):
     """m as rows of nonzero (k, {key: int}) pairs and one positive denominator."""
     if isinstance(m, QMatrix):
-        rows = [[(k, {origin: v}) for k, v in enumerate(row) if v] for row in m.num]
+        rows = [[(k, {0: v}) for k, v in enumerate(row) if v] for row in m.num]
         return rows, m.den
     return m.num, m.den
 
@@ -116,7 +107,7 @@ def sum_of_products(ring, rows, cols, terms):
             raise ValueError("shape mismatch")
         for m in (a, b):
             if id(m) not in converted:
-                converted[id(m)] = _sparse_int_rows(m, ring.origin)
+                converted[id(m)] = _sparse_int_rows(m)
         plan.append((s, converted[id(a)], converted[id(b)]))
     return int_sum_of_products(ring, rows, cols, plan)
 
@@ -126,7 +117,6 @@ def int_sum_of_products(ring, rows, cols, plan):
 
     plan is [(s, (rows_a, den_a), (rows_b, den_b))]; shapes are not checked.
     """
-    origin = ring.origin
     weighted = []
     for s, (ra, da), (rb, db) in plan:
         s = _rational(s)
@@ -144,10 +134,9 @@ def int_sum_of_products(ring, rows, cols, plan):
                     entry = acc[j]
                     get = entry.get
                     for k1, c1 in x.items():
-                        k0 = k1 - origin
                         c1 *= scale
                         for k2, c2 in y.items():
-                            key = k0 + k2
+                            key = k1 + k2
                             entry[key] = get(key, 0) + c1 * c2
         row = []
         for j, entry in enumerate(acc):
@@ -168,7 +157,6 @@ def gradient_rows(m):
     rows in the form of ``_sparse_int_rows``, or None when that derivative
     is zero; all of them share the one positive denominator den.  Each term
     c * x^e adds c * e_i to grads[i] for every variable x_i it contains.
-    Only polynomial rings are supported (``VarSet.support``).
     """
     ring = m.ring
     units = ring._units
@@ -252,14 +240,14 @@ class PolyMatrix:
     @classmethod
     def scalar(cls, ring, n, poly):
         terms, den = _poly_ints(poly)
-        if not terms:
+        if not terms or not n:
             return cls.zeros(ring, n, n)
         # the diagonal entries share one dict: stored terms are never mutated
         return cls._of(ring, [[(i, terms)] for i in range(n)], den, n)
 
     @classmethod
     def from_qmatrix(cls, ring, qm):
-        rows, den = _sparse_int_rows(qm, ring.origin)
+        rows, den = _sparse_int_rows(qm)
         return cls._of(ring, rows, den, qm.cols)
 
     # ---------- entries ----------
@@ -406,7 +394,7 @@ class PolyMatrix:
         for row in self.num:
             for _, terms in row:
                 keys.update(terms)
-        support = _support_function(self.ring)
+        support = self.ring.support
         return {k: support(k) for k in keys}
 
     # ---------- evaluation ----------
@@ -419,32 +407,23 @@ class PolyMatrix:
         """
         point = [_rational(values[nm]) for nm in self.ring.names]
         supports = self._supports()
-        lo = [0] * len(point)
         hi = [0] * len(point)
         for support in supports.values():
             for i, e in support:
-                lo[i] = min(lo[i], e)
                 hi[i] = max(hi[i], e)
-        # with every exponent of x = p/q in [lo, hi], lo <= 0 <= hi, scaling
-        # by q^hi * p^-lo makes each monomial the integer p^(e-lo) * q^(hi-e)
-        used = [
-            (i, x.numerator, x.denominator, lo[i], hi[i])
-            for i, x in enumerate(point)
-            if lo[i] or hi[i]
-        ]
+        # with every exponent of x = p/q in [0, hi], scaling by q^hi makes
+        # each monomial the integer p^e * q^(hi-e)
+        used = [(i, x.numerator, x.denominator, hi[i]) for i, x in enumerate(point) if hi[i]]
         scale = 1
-        for _, p, q, low, top in used:
-            scale *= q**top * p**-low
-        if not scale:
-            raise ZeroDivisionError("negative power of zero")
-        sign = 1 if scale > 0 else -1
+        for _, _, q, top in used:
+            scale *= q**top
         value = {}
         for key, support in supports.items():
             exps = dict(support)
-            v = sign
-            for i, p, q, low, top in used:
+            v = 1
+            for i, p, q, top in used:
                 e = exps.get(i, 0)
-                v *= p ** (e - low) * q ** (top - e)
+                v *= p**e * q ** (top - e)
             value[key] = v
         out = []
         for row in self.num:
@@ -452,7 +431,7 @@ class PolyMatrix:
             for j, terms in row:
                 ints[j] = sum(c * value[key] for key, c in terms.items())
             out.append(ints)
-        return QMatrix.from_ints(out, self.den * scale * sign, self.cols)
+        return QMatrix.from_ints(out, self.den * scale, self.cols)
 
     def subs(self, target_ring, mapping):
         """Substitute each variable by a polynomial (or rational) in target_ring.
@@ -462,7 +441,6 @@ class PolyMatrix:
         entry's terms come, a key dropping out where its coefficient
         cancels.
         """
-        origin = target_ring.origin
         images = []
         for nm in self.ring.names:
             img = mapping[nm]
@@ -485,31 +463,29 @@ class PolyMatrix:
         # an image of zero or one term as (key shift, coefficient): its
         # powers only move keys; the powers of the others are kept
         monos = [
-            next(((k - origin, c) for k, c in terms.items()), (0, 0)) if len(terms) < 2 else None
+            next(iter(terms.items()), (0, 0)) if len(terms) < 2 else None
             for terms, _ in images
         ]
-        powers = [[{origin: 1}] for _ in images]
-        support_of = _support_function(self.ring)
+        powers = [[{0: 1}] for _ in images]
+        support_of = self.ring.support
 
         def image_of(key):
             c, shift, wide = scale, 0, []
             for i, e in support_of(key):
-                if e < 0:
-                    raise ValueError("cannot substitute into negative exponent")
                 terms, d = images[i]
                 if d != 1:
                     c //= d**e
                 if monos[i] is None:
                     pw = powers[i]
                     while len(pw) <= e:
-                        pw.append(_poly_mul(pw[-1], terms, origin))
+                        pw.append(_poly_mul(pw[-1], terms))
                     wide.append(pw[e])
                 else:
                     shift += e * monos[i][0]
                     c *= monos[i][1] ** e
-            img = {origin + shift: c} if c else {}
+            img = {shift: c} if c else {}
             for pw in wide:
-                img = _poly_mul(img, pw, origin)
+                img = _poly_mul(img, pw)
             return img
 
         image = {}

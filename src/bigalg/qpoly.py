@@ -1,21 +1,10 @@
-"""Laurent polynomials in the grading variable q with integer coefficients.
-
-Exponents are Fractions in general (half-integer gradings occur before the
-usual shifts), normalized to ints whenever possible.
-"""
+"""Polynomials in the grading variable q and its inverse, with integer coefficients."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-
-def _norm_exp(e):
-    e = Fraction(e)
-    return int(e) if e.denominator == 1 else e
-
 
 class QPoly:
-    """Finitely supported map exponent -> integer coefficient."""
+    """Finitely supported map integer exponent -> integer coefficient."""
 
     __slots__ = ("coeffs",)
 
@@ -24,7 +13,7 @@ class QPoly:
         if coeffs:
             for e, c in dict(coeffs).items():
                 if c:
-                    self.coeffs[_norm_exp(e)] = c
+                    self.coeffs[e] = c
 
     @classmethod
     def q_power(cls, e):
@@ -57,7 +46,7 @@ class QPoly:
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                e = _norm_exp(e1 + e2)
+                e = e1 + e2
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
@@ -103,7 +92,7 @@ class QPoly:
     __repr__ = __str__
 
     def to_pairs_obj(self):
-        return [[str(e) if isinstance(e, Fraction) else e, c] for e, c in self.pairs()]
+        return [[e, c] for e, c in self.pairs()]
 
 
 def geometric_quotient(numer_exps, denom_exps):

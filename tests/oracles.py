@@ -48,7 +48,7 @@ def diff(poly, name):
     unit = ring._units[i]
     out = {}
     for k, c in poly.terms.items():
-        e = ring.exponent(k, i)
+        e = ring.unpack(k)[i]
         if e:
             out[k - unit] = c * e
     return MultiPoly(ring, out, _trusted=True)

@@ -106,6 +106,10 @@ def _verify(payload):
             "--verify: relation 0: exponent -1 of M1 out of packing range",
         ),
         (
+            _verify({"relations": [[{"monomials": [["M1", 1], ["M1", 2]], "coeff": "1"}]]}),
+            "--verify: relation 0: a term names M1 twice",
+        ),
+        (
             ["relations", "--n", "3", "--mu", "1,1", "--gens", "M1,M1"],
             "--gens: M1,M1 names a generator twice",
         ),
@@ -124,7 +128,8 @@ def _verify(payload):
          "grid_two_fields", "grid_not_rational", "relations_unknown_gens",
          "relations_missing_verify_file", "twining_weight_not_self_dual",
          "verify_unknown_variable", "verify_no_relations_key", "verify_top_level_list",
-         "verify_bad_coefficient", "verify_negative_exponent", "relations_repeated_gens",
+         "verify_bad_coefficient", "verify_negative_exponent", "verify_repeated_variable",
+         "relations_repeated_gens",
          "max_degree_zero", "max_degree_negative"],
 )
 def test_bad_input_is_a_usage_error(argv, message, tmp_path):
@@ -139,6 +144,24 @@ def test_bad_input_is_a_usage_error(argv, message, tmp_path):
     last = proc.stderr.splitlines()[-1]
     assert last.startswith("bigalg: error: ") and message in last
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("copies", [1, 400], ids=["short", "long"])
+def test_closed_stdout_ends_quietly(copies, tmp_path):
+    # the reader is gone before the first write: a short output fails at the
+    # final flush, a long one inside print
+    path = tmp_path / "relations.json"
+    path.write_text(json.dumps({"relations": [[{"monomials": [["c2", 1]], "coeff": "0"}]] * copies}))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            CLI + _verify(str(path)), stdout=write, stderr=subprocess.PIPE, text=True
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode != 0
+    assert proc.stderr == ""
 
 
 def test_dimension_bound_spares_commands_without_a_module():

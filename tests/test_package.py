@@ -1,7 +1,7 @@
 """Package hygiene: every module-level private function is referenced, every
 public function and method has a caller in the package, the package
-imports nothing outside the standard library, and no test module imports a
-name it never reads."""
+imports nothing outside the standard library and imports its own modules
+at module top, and no test module imports a name it never reads."""
 
 import ast
 import sys
@@ -140,6 +140,37 @@ def test_package_imports_only_the_standard_library():
 def test_a_third_party_import_is_reported():
     tree = ast.parse("import os.path\nfrom . import lie\nfrom mpmath import mpf\nimport numpy as np\n")
     assert _imported_modules(tree) == {"os", "mpmath", "numpy"}
+
+
+def _function_local_package_imports(tree):
+    """'function:module' for each relative import inside a function body."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [
+                "%s:%s" % (node.name, inner.module or ".")
+                for inner in ast.walk(node)
+                if isinstance(inner, ast.ImportFrom) and inner.level
+            ]
+    return found
+
+
+def test_package_modules_are_imported_at_module_top():
+    local = [
+        "%s:%s" % (name, found)
+        for name, tree in _trees().items()
+        for found in _function_local_package_imports(tree)
+    ]
+    assert not local, "function-local package imports: %s" % local
+
+
+def test_a_function_local_package_import_is_reported():
+    tree = ast.parse(
+        "from . import lie\nimport os\n\n"
+        "def f():\n    from .linalg import charpoly\n    import json\n    return charpoly\n\n"
+        "class A:\n    def g(self):\n        from . import reps\n        return reps\n"
+    )
+    assert _function_local_package_imports(tree) == ["f:linalg", "g:."]
 
 
 def _unread_imports(tree):

@@ -26,12 +26,10 @@ from oracles import (
     medium_operator,
 )
 
-# t is a Laurent variable, so keys below the origin occur
-R = VarSet(["x", "y", "t"], laurent=["t"])
-# substitution needs nonnegative exponents: a polynomial source ring, and a
-# target with a Laurent variable
+R = VarSet(["x", "y", "t"])
+# substitution from S into T
 S = VarSet(["x", "y", "z"])
-T = VarSet(["u", "v"], laurent=["v"])
+T = VarSet(["u", "v"])
 
 _dims = st.integers(0, 4)
 _coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -47,9 +45,9 @@ def _polys_over(ring, exps):
     )
 
 
-_polys = _polys_over(R, st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(-2, 2)))
+_polys = _polys_over(R, st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 4)))
 _s_polys = _polys_over(S, st.tuples(*[st.integers(0, 2)] * 3))
-_t_polys = _polys_over(T, st.tuples(st.integers(0, 2), st.integers(-1, 1)))
+_t_polys = _polys_over(T, st.tuples(st.integers(0, 2), st.integers(0, 2)))
 
 
 @st.composite
@@ -179,7 +177,7 @@ def _term_orders(rows):
 _monomial_images = st.one_of(
     st.just(0),
     _coeffs,
-    st.tuples(st.sampled_from([1, -1]), st.integers(0, 2), st.integers(-1, 1)).map(
+    st.tuples(st.sampled_from([1, -1]), st.integers(0, 2), st.integers(0, 2)).map(
         lambda t: MultiPoly.monomial(T, t[1:], t[0])
     ),
 )
@@ -205,7 +203,6 @@ def test_subs_with_polynomial_images_matches_reference(data, n, m, mapping):
 
 
 _ints = st.integers(-4, 4)
-_nonzero = st.one_of(st.integers(-4, -1), st.integers(1, 4))
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,11 +210,10 @@ _nonzero = st.one_of(st.integers(-4, -1), st.integers(1, 4))
     st.data(),
     _dims,
     _dims,
-    st.fixed_dictionaries({"x": _ints, "y": _ints, "t": _nonzero}),
-    st.fixed_dictionaries({"x": _coeffs, "y": _coeffs, "t": _coeffs.filter(bool)}),
+    st.fixed_dictionaries({nm: _ints for nm in R.names}),
+    st.fixed_dictionaries({nm: _coeffs for nm in R.names}),
 )
 def test_evaluate_matches_reference(data, n, m, integer_point, rational_point):
-    # t takes negative exponents too, so its value is nonzero
     a = _pm(data.draw(_entries(n, m, _polys)), m)
     for point in (integer_point, rational_point):
         got = a.evaluate(point)
@@ -246,26 +242,26 @@ def test_every_operation_keeps_storage_normalized(data, n, c, p, s):
 
 def test_reading_entries_leaves_the_matrix_unchanged():
     x, y, t = (MultiPoly.variable(R, nm) for nm in R.names)
-    rows = [[x.scale(Fraction(1, 2)) + 3, y], [MultiPoly.zero(R), t.shift_var("t", -1)]]
+    rows = [[x.scale(Fraction(1, 2)) + 3, y], [MultiPoly.zero(R), t * t]]
     m = PolyMatrix(R, rows)
     before = PolyMatrix(R, rows)
     a = m.a
     a[0][1] = t
     a[1].append(x)
-    a[0][0].terms[R.origin] = Fraction(7)
-    a[1][0].terms[R.origin] = Fraction(1)
+    a[0][0].terms[0] = Fraction(7)
+    a[1][0].terms[0] = Fraction(1)
     m[0, 1].terms.clear()
     m.first_nonzero()[2].terms.clear()
     m.trace().terms.clear()
     assert m == before
     assert m.a == before.a
-    assert PolyMatrix.identity(R, 2).a[0][0].terms.pop(R.origin) == 1
+    assert PolyMatrix.identity(R, 2).a[0][0].terms.pop(0) == 1
     assert PolyMatrix.identity(R, 2) == PolyMatrix(R, [[1, 0], [0, 1]])
 
 
 def test_cancellation_leaves_no_zero_coefficients():
     x, y, t = (MultiPoly.variable(R, nm) for nm in R.names)
-    a = PolyMatrix(R, [[x * t, Fraction(1, 3)], [y, t.shift_var("t", -3)]])
+    a = PolyMatrix(R, [[x * t, Fraction(1, 3)], [y, t**3]])
     zero = PolyMatrix.zeros(R, 2, 2)
     _check(a.commutator(a), 2, 2, zero.a)
     _check(a.commutator(PolyMatrix.scalar(R, 2, x - y)), 2, 2, zero.a)
@@ -283,10 +279,12 @@ def test_empty_shapes_keep_columns():
     prod = PolyMatrix.zeros(R, 2, 0) * z
     assert (prod.rows, prod.cols) == (2, 3)
     assert prod.is_zero()
+    # no entries to carry the denominator of the scalar
+    _check(PolyMatrix.scalar(R, 0, MultiPoly.const(R, Fraction(1, 2))), 0, 0, [])
 
 
 def test_ring_and_shape_errors():
-    other = VarSet(["x", "y", "t"])
+    other = VarSet(["x", "y", "s"])
     sq = PolyMatrix.zeros(R, 2, 2)
     with pytest.raises(ValueError):
         PolyMatrix(R, [[MultiPoly.zero(other)]])
@@ -310,11 +308,6 @@ def test_ring_and_shape_errors():
         sq * MultiPoly.zero(other)
     with pytest.raises(ValueError):
         PolyMatrix.identity(S, 1).subs(T, {"x": 0, "y": 0, "z": MultiPoly.zero(R)})
-    inverse = PolyMatrix(R, [[MultiPoly.variable(R, "t").shift_var("t", -2)]])
-    with pytest.raises(ValueError):
-        inverse.subs(T, {"x": 0, "y": 0, "t": 1})
-    with pytest.raises(ZeroDivisionError):
-        inverse.evaluate({"x": 1, "y": 1, "t": 0})
 
 
 def _ref_wei_D(elem):
@@ -389,8 +382,3 @@ def test_gradient_rows_match_diff(data, n, m):
                 assert d
                 got[r][col] = MultiPoly(ring, {k: Fraction(v, den) for k, v in d.items()})
         assert got == ref.a
-
-
-def test_gradient_rows_refuse_laurent_rings():
-    with pytest.raises(ValueError):
-        gradient_rows(PolyMatrix(R, [[MultiPoly.variable(R, "x")]]))
