@@ -17,7 +17,7 @@ from .multipoly import MultiPoly, VarSet, rat
 from .linalg import Echelon, same_span
 from . import lie
 from .reps import build_irrep, g_e_invariants
-from .kirillov import commutator, wei_D
+from .kirillov import wei_D
 from .bigalgebra import (
     BigGenerators,
     RelationRing,
@@ -413,7 +413,7 @@ def criterion_9(ws):
         g = ws.gens(n, mu)
         elems = [op.kirillov for op in g.ops]
         commuting = all(
-            commutator(a, b).is_zero() for a, b in combinations(elems, 2)
+            a.commutator(b).is_zero() for a, b in combinations(elems, 2)
         )
         mediums = [op.kirillov for op in g.ops if op.i == 1]
         probes = list(elems)
@@ -421,15 +421,15 @@ def criterion_9(ws):
         if len(elems) > 1:
             probes.append(elems[0] * elems[1])
             probes.append(elems[-1] * elems[0])
-        d1 = wei_D(probes[len(elems)])
+        d1 = wei_D(rep, probes[len(elems)])
         probes.append(d1)
-        probes.append(wei_D(d1))
+        probes.append(wei_D(rep, d1))
         # every medium generator is in elems: once the pairs commute, [m, e]
         # is known to vanish for each e in elems
         if commuting:
             probes = probes[len(elems):]
         central = all(
-            commutator(m, p).is_zero() for m in mediums for p in probes
+            m.commutator(p).is_zero() for m in mediums for p in probes
         )
         fr = freeness_and_rank_check(rep, g.ops, seed=ws.seed)
         good = commuting and central and fr["ok"]

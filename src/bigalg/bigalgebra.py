@@ -29,7 +29,11 @@ from .kirillov import derivation_chain
 
 
 class SectionOperator:
-    """A generator restricted to the Kostant section, with its grading data."""
+    """A generator restricted to the Kostant section, with its grading data.
+
+    ``kirillov`` is the calibrated operator before restriction, a PolyMatrix
+    over ``L.x_ring``; ``mat`` is its restriction, over Q[c_2..c_n].
+    """
 
     __slots__ = ("label", "i", "k", "mat", "degree", "scalar", "kirillov")
 
@@ -57,14 +61,13 @@ class SectionOperator:
         }
 
 
-def restrict_to_section(elem, coords_c, ring_c):
+def restrict_to_section(mat, coords_c, ring_c):
     """Substitute the companion-section coordinates into an operator.
 
     coords_c holds one polynomial in ring_c per x-variable
     (``lie.section_coords``); ``PolyMatrix.subs`` does the substitution.
     """
-    names = elem.mat.ring.names
-    return elem.mat.subs(ring_c, dict(zip(names, coords_c)))
+    return mat.subs(ring_c, dict(zip(mat.ring.names, coords_c)))
 
 
 class BigGenerators:
@@ -79,14 +82,14 @@ class BigGenerators:
         self.by_label = {}
         raw = {}
         for k in range(2, n + 1):
-            for i, elem in enumerate(derivation_chain(rep, k, k - 1), 1):
-                mat_c = restrict_to_section(elem, self._section_coords, self.ring)
-                raw[(i, k)] = (elem, mat_c)
+            for i, mat in enumerate(derivation_chain(rep, k, k - 1), 1):
+                mat_c = restrict_to_section(mat, self._section_coords, self.ring)
+                raw[(i, k)] = (mat, mat_c)
 
         # medium operators: D(c_k * Id) carries the universal factor -1/(4n)
         medium_scalar = rat(-4 * n)
         for k in range(2, n + 1):
-            elem, mat_c = raw[(1, k)]
+            mat, mat_c = raw[(1, k)]
             self._append(
                 SectionOperator(
                     "M%d" % (k - 1),
@@ -94,12 +97,12 @@ class BigGenerators:
                     k,
                     mat_c * medium_scalar,
                     medium_scalar,
-                    elem.scale(medium_scalar),
+                    mat * medium_scalar,
                 )
             )
         for k in range(2, n + 1):
             for i in range(2, k):
-                elem, mat_c = raw[(i, k)]
+                mat, mat_c = raw[(i, k)]
                 label = "N1" if (n == 3 and (i, k) == (2, 3)) else "B%d_%d" % (i, k - i)
                 scalar = ONE
                 if n == 3 and (i, k) == (2, 3):
@@ -107,8 +110,8 @@ class BigGenerators:
                     if s is not None:
                         scalar = s
                 if scalar != 1:
-                    mat_c, elem = mat_c * scalar, elem.scale(scalar)
-                self._append(SectionOperator(label, i, k, mat_c, scalar, elem))
+                    mat_c, mat = mat_c * scalar, mat * scalar
+                self._append(SectionOperator(label, i, k, mat_c, scalar, mat))
 
     def _append(self, op):
         self.ops.append(op)
@@ -476,19 +479,9 @@ def derive_relations(rep, gens, max_degree):
 
 def ideal_graded_dims(rep, gens, relations, max_degree):
     """Dimensions of the span {monomial * relation} per weighted degree."""
-    L = rep.L
-    rr = RelationRing(gens, L.n)
-    rels = []
-    for rel in relations:
-        if rel.ring != rr.ring:
-            # re-express in this ring (labels must match)
-            mapping = {
-                nm: MultiPoly.variable(rr.ring, nm) for nm in rel.ring.names
-            }
-            rel = rel.subs(rr.ring, mapping)
-        rels.append(rel)
+    rr = RelationRing(gens, rep.L.n)
     return {
-        d: ideal_span(rels, rr.ring, rr.weight_vec, d).dim
+        d: ideal_span(relations, rr.ring, rr.weight_vec, d).dim
         for d in range(1, max_degree + 1)
     }
 

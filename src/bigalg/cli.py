@@ -110,25 +110,35 @@ def _config(args):
     return {k: getattr(args, k, None) for k in keys if getattr(args, k, None) is not None}
 
 
+def _write_out(path, text):
+    """Write the --out file; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise UsageError("--out: %s" % exc) from None
+
+
 def emit(args, payload):
     payload = dict(payload)
     payload["config"] = _config(args)
     text = json.dumps(payload, indent=1, sort_keys=True, default=str)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_out(args.out, text)
     print(text)
-
-
-def _cache_dir(args):
-    # an explicit flag wins over the environment variable
-    return args.cache or os.environ.get("BIGALG_CACHE") or None
 
 
 def _load(args):
     L = lie.TypeA(args.n)
     mu = parse_weight(args.mu, args.n)
-    rep = get_rep(L, mu, cache_dir=_cache_dir(args))
+    # an explicit flag wins over the environment variable
+    source, cache_dir = "--cache", args.cache
+    if not cache_dir:
+        source, cache_dir = "BIGALG_CACHE", os.environ.get("BIGALG_CACHE") or None
+    try:
+        rep = get_rep(L, mu, cache_dir=cache_dir)
+    except OSError as exc:
+        raise UsageError("%s: %s" % (source, exc)) from None
     return L, mu, rep
 
 
@@ -346,7 +356,10 @@ def cmd_spectrum(args):
     grid = parse_grid(args.grid)
     skeleton = principal_restriction(gens.ops, L)
     out_csv = args.out or "skeleton.csv"
-    r = emit_skeleton_points(skeleton, grid, out_csv)
+    try:
+        r = emit_skeleton_points(skeleton, grid, out_csv)
+    except OSError as exc:
+        raise UsageError("--out: %s" % exc) from None
     print(
         json.dumps(
             {"csv": out_csv, "rows": r["rows"], "max_residual": r["max_residual"]},
@@ -391,8 +404,7 @@ def cmd_verify_all(args):
     }
     text = json.dumps(payload, indent=1, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_out(args.out, text)
     print(text)
     return 0 if out["all_pass"] else 1
 

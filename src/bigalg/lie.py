@@ -10,13 +10,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .multipoly import MultiPoly, VarSet, rat, ZERO, ONE
-from .linalg import QMatrix, _fractions, charpoly, invert, kernel
+from .multipoly import MultiPoly, VarSet, rat
+from .linalg import QMatrix, _fractions, _int_vector, charpoly, invert, kernel
 from .polymatrix import PolyMatrix
 
 
 class TypeA:
-    """sl_n with cached structure constants, forms, and principal triple."""
+    """sl_n with its basis matrices, Killing form, and principal triple."""
 
     def __init__(self, n):
         if n < 2:
@@ -28,6 +28,7 @@ class TypeA:
         # the basis as sparse {(row, col): int} maps
         sparse = [{(i, j): 1} for i in range(n) for j in range(n) if i != j]
         sparse += [{(k, k): 1, (k + 1, k + 1): -1} for k in range(n - 1)]
+        self._sparse = sparse
         self.basis = [_from_sparse(n, x) for x in sparse]
         self._offdiag_index = {}
         idx = 0
@@ -39,31 +40,14 @@ class TypeA:
         # basis index of the lowering operator E_{i+1,i} of each simple root
         self.lowering_index = [self._offdiag_index[(i + 1, i)] for i in range(n - 1)]
 
-        # structure constants as coordinate vectors of [X_i, X_j], from the
-        # sparse basis
-        self.structure = [
-            [self._sparse_coords(_bracket(x, y)) for y in sparse] for x in sparse
-        ]
-        # Killing form sum_{k,l} structure[i][k][l] * structure[j][l][k] over
-        # ad_i's columns as sparse integer maps: ad[i][k] = {l: constant}
-        ad = []
-        for row in self.structure:
-            cols = []
-            for col in row:
-                assert all(c.denominator == 1 for c in col)
-                cols.append({l: c.numerator for l, c in enumerate(col) if c})
-            ad.append(cols)
-        self.killing_form = QMatrix(
+        # Killing form kappa(X, Y) = 2n tr(XY), read off the sparse basis maps
+        self.killing_form = QMatrix.from_ints(
             [
                 [
-                    sum(
-                        c * ad_j[l].get(k, 0)
-                        for k, col in enumerate(ad_i)
-                        for l, c in col.items()
-                    )
-                    for ad_j in ad
+                    2 * n * sum(u * y.get((c, r), 0) for (r, c), u in x.items())
+                    for y in sparse
                 ]
-                for ad_i in ad
+                for x in sparse
             ]
         )
         self.killing_inv = invert(self.killing_form)
@@ -82,8 +66,8 @@ class TypeA:
 
     # ---------- coordinates ----------
 
-    def _expand(self, entry, zero):
-        """Basis coordinates of the matrix with entries entry(i, j).
+    def _expand(self, rows, zero):
+        """Basis coordinates of the square matrix with the given rows.
 
         Off-diagonal entries are coordinates as they stand; the diagonal's
         running sums give the H-coordinates.  The last diagonal entry is
@@ -92,49 +76,56 @@ class TypeA:
         n = self.n
         coords = [zero] * self.dim
         for (i, j), idx in self._offdiag_index.items():
-            coords[idx] = entry(i, j)
+            coords[idx] = rows[i][j]
         acc = zero
         base = self.dim - (n - 1)
         for k in range(n - 1):
-            acc = acc + entry(k, k)
+            acc = acc + rows[k][k]
             coords[base + k] = acc
         return coords
 
     def coords_of(self, m):
         """Expand a trace-zero n x n matrix over the basis, exactly."""
         num = m.num
-        coords = self._expand(lambda i, j: num[i][j], 0)
+        coords = self._expand(num, 0)
         if coords[-1] + num[-1][-1]:
             raise ValueError("matrix has nonzero trace")
         return _fractions(coords, m.den)
 
-    def _sparse_coords(self, m):
-        """coords_of for a trace-zero integer matrix given as {(row, col): int}."""
-        return _fractions(self._expand(lambda i, j: m.get((i, j), 0), 0), 1)
+    def matrix_of(self, coords):
+        """The n x n matrix sum_i coords[i] X_i; inverse to coords_of."""
+        ints, den = _int_vector(coords)
+        num = [[0] * self.n for _ in range(self.n)]
+        for c, x in zip(ints, self._sparse):
+            if c:
+                for (i, j), v in x.items():
+                    num[i][j] += c * v
+        return QMatrix.from_ints(num, den)
 
     def bracket_coords(self, x, y):
-        """Coordinates of [x, y] from the structure constants."""
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.structure[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    v = row[j]
-                    c = xi * yj
-                    for k in range(self.dim):
-                        if v[k]:
-                            out[k] += c * v[k]
-        return out
+        """Coordinates of the commutator [x, y] of two n x n matrices."""
+        a, b = x.num, y.num
+        m = []
+        for ra, rb in zip(a, b):
+            out = [0] * self.n
+            # row i of xy - yx, skipping the zero entries of x and y
+            for u, v, ak, bk in zip(ra, rb, a, b):
+                if u:
+                    for j, w in enumerate(bk):
+                        out[j] += u * w
+                if v:
+                    for j, w in enumerate(ak):
+                        out[j] -= v * w
+            m.append(out)
+        return _fractions(self._expand(m, 0), x.den * y.den)
 
     def ad_matrix(self, coords):
-        """Matrix of ad(x) acting on coordinate vectors."""
-        cols = []
-        for j in range(self.dim):
-            y = [ZERO] * self.dim
-            y[j] = ONE
-            cols.append(self.bracket_coords(coords, y))
+        """Matrix of ad(x) acting on coordinate vectors; column j is [x, X_j].
+
+        x's matrix is built once, then bracketed with each basis matrix.
+        """
+        x = self.matrix_of(coords)
+        cols = [self.bracket_coords(x, b) for b in self.basis]
         return QMatrix.from_cols(cols, rows=self.dim)
 
     def centralizer(self, coords):
@@ -171,8 +162,7 @@ class TypeA:
 
     def coords_of_polymatrix(self, pm):
         """Coordinates of a trace-zero polynomial matrix (entries are polys)."""
-        a = pm.a
-        coords = self._expand(lambda i, j: a[i][j], MultiPoly.zero(pm.ring))
+        coords = self._expand(pm.a, MultiPoly.zero(pm.ring))
         if not pm.trace().is_zero():
             raise ValueError("polynomial matrix has nonzero trace")
         return coords
@@ -184,17 +174,6 @@ def _from_sparse(n, entries):
     for (i, j), v in entries.items():
         num[i][j] = v
     return QMatrix.from_ints(num)
-
-
-def _bracket(x, y):
-    """[x, y] of integer matrices given as {(row, col): value}."""
-    out = {}
-    for sign, a, b in ((1, x, y), (-1, y, x)):
-        for (r, k), u in a.items():
-            for (k2, c), v in b.items():
-                if k == k2:
-                    out[(r, c)] = out.get((r, c), 0) + sign * u * v
-    return out
 
 
 def charpoly_coeffs_poly(pm):

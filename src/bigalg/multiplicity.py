@@ -237,17 +237,14 @@ def multiplicity_algebra(rep, gens, lam):
     # grading by standard-h eigenvalues on the limit space
     wts = [rd.h_pairing(w) for w in rep.weights]
     mu_rho = rd.ip(rep.mu, rd.rho)
+    # the columns are independent and h-homogeneous: count them per grade
     graded = {}
-    ech_by_grade = {}
-    for j in range(limit.cols):
-        col = limit.col(j)
+    for col in limit.columns():
         k = {wts[i] for i in range(rep.dim) if col[i]}.pop()
         grade = mu_rho - Fraction(k, 2)
         assert grade.denominator == 1
         grade = int(grade)
-        ech_by_grade.setdefault(grade, Echelon()).add(col)
-    for g, ech in ech_by_grade.items():
-        graded[g] = ech.dim
+        graded[grade] = graded.get(grade, 0) + 1
 
     shift = rd.ip(tuple(m - l for m, l in zip(rep.mu, lam)), rd.rho)
     assert shift.denominator == 1

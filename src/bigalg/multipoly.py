@@ -61,9 +61,6 @@ class VarSet:
     def unpack(self, key):
         return tuple((key >> (_SHIFT * i)) & _MASK for i in range(len(self.names)))
 
-    def total_degree(self, key):
-        return sum(self.unpack(key))
-
     def support(self, key):
         """[(i, e)] for every variable i with exponent e != 0, i ascending.
 
@@ -131,14 +128,6 @@ class MultiPoly:
 
     def __len__(self):
         return len(self.terms)
-
-    def is_homogeneous(self):
-        """The common total degree of all terms, or None."""
-        if not self.terms:
-            return 0
-        td = self.ring.total_degree
-        degs = {td(k) for k in self.terms}
-        return degs.pop() if len(degs) == 1 else None
 
     def weighted_degree(self, weights):
         """Max of sum(e_i * weights[name_i]); -1 for zero."""

@@ -510,13 +510,6 @@ class PolyMatrix:
             out.append(out_row)
         return _reduced(target_ring, out, self.den * scale, self.cols)
 
-    def is_homogeneous(self):
-        """Common total degree of all nonzero entries, or None."""
-        degs = {sum(e for _, e in support) for support in self._supports().values()}
-        if not degs:
-            return 0
-        return degs.pop() if len(degs) == 1 else None
-
     def to_obj(self):
         return {
             "variables": list(self.ring.names),

@@ -83,13 +83,12 @@ def _sigma_substitution(L, sg):
     return mapping
 
 
-def sigma_on_element(elem, s, sg):
-    """(sigma F)(x) = S F(sigma x) S^{-1} as a polynomial matrix.
+def sigma_on_element(L, mat, s, sg):
+    """(sigma F)(x) = S F(sigma x) S^{-1} for F = mat over L.x_ring.
 
     s is the intertwiner of the module and sg the coordinate map of sigma.
     """
-    L = elem.rep.L
-    composed = elem.mat.subs(L.x_ring, _sigma_substitution(L, sg))
+    composed = mat.subs(L.x_ring, _sigma_substitution(L, sg))
     s_inv = invert(s)
     return composed.mul_qmatrix_left(s).mul_qmatrix_right(s_inv)
 
@@ -100,10 +99,10 @@ def sigma_eigenvalues(rep, gens):
     sg = sigma_coord_matrix(rep.L)
     out = {}
     for op in gens:
-        image = sigma_on_element(op.kirillov, s, sg)
-        if image == op.kirillov.mat:
+        image = sigma_on_element(rep.L, op.kirillov, s, sg)
+        if image == op.kirillov:
             out[op.label] = 1
-        elif image == -op.kirillov.mat:
+        elif image == -op.kirillov:
             out[op.label] = -1
         else:
             out[op.label] = None

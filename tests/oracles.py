@@ -1,19 +1,19 @@
 """Independent reference computations that only the tests use.
 
 Each one recomputes, the slow and direct way, something the package
-computes another way: the trace form and the basis names of sl_n,
-polynomial-matrix products, substitutions and values entry by entry with
-Fraction coefficients, polynomials at commuting matrices through cached
-powers, the small and medium operators from their defining
-formulas, equivariance and homogeneity as exact polynomial identities,
-rho of the Killing-dual basis as dense matrices, formal derivatives term by
-term, the q-partition function by explicit enumeration, and weight spaces
-by joint eigenspace decomposition.
+computes another way: the trace form, the basis names and the structure
+constants of sl_n, polynomial-matrix products, substitutions and values
+entry by entry with Fraction coefficients, polynomials at commuting
+matrices through cached powers, the small and medium operators from their
+defining formulas, equivariance and homogeneity as exact polynomial
+identities, the common total degree of polynomial entries, rho of the
+Killing-dual basis as dense matrices, formal derivatives term by term, the
+q-partition function by explicit enumeration, and weight spaces by joint
+eigenspace decomposition.
 """
 
 from __future__ import annotations
 
-from bigalg.kirillov import KirillovElement
 from bigalg.linalg import QMatrix, invert, joint_invariant_decomposition
 from bigalg.multipoly import ZERO, MultiPoly, rat
 from bigalg.polymatrix import PolyMatrix
@@ -37,6 +37,94 @@ def basis_names(L):
 def trace_form(L):
     """The Gram matrix tr(X_i X_j) of the trace form on the basis of sl_n."""
     return QMatrix([[(x * y).trace() for y in L.basis] for x in L.basis])
+
+
+def _sparse_basis(n):
+    """The basis of sl_n as {(row, col): int} maps: E_ij (i != j), then H_k."""
+    basis = [{(i, j): 1} for i in range(n) for j in range(n) if i != j]
+    return basis + [{(k, k): 1, (k + 1, k + 1): -1} for k in range(n - 1)]
+
+
+def _sparse_product(x, y):
+    """The product of two matrices given as {(row, col): value} maps."""
+    out = {}
+    for (r, k), u in x.items():
+        for (k2, c), v in y.items():
+            if k == k2:
+                out[(r, c)] = out.get((r, c), 0) + u * v
+    return out
+
+
+def _sparse_coords(n, m):
+    """Basis coordinates of a trace-zero {(row, col): int} matrix.
+
+    Off-diagonal entries are coordinates as they stand; H_k carries the
+    diagonal's running sum m_11 + ... + m_kk.
+    """
+    coords = [m.get((i, j), 0) for i in range(n) for j in range(n) if i != j]
+    acc = 0
+    for k in range(n - 1):
+        acc += m.get((k, k), 0)
+        coords.append(acc)
+    assert acc + m.get((n - 1, n - 1), 0) == 0
+    return coords
+
+
+_STRUCTURE = {}
+
+
+def structure_constants(n):
+    """c[i][j]: integer coordinates of [X_i, X_j] in the basis of sl_n, from
+    products of the sparse basis matrices; cached per n."""
+    if n not in _STRUCTURE:
+        basis = _sparse_basis(n)
+        c = []
+        for x in basis:
+            row = []
+            for y in basis:
+                xy, yx = _sparse_product(x, y), _sparse_product(y, x)
+                bracket = {k: xy.get(k, 0) - yx.get(k, 0) for k in set(xy) | set(yx)}
+                row.append(_sparse_coords(n, bracket))
+            c.append(row)
+        _STRUCTURE[n] = c
+    return _STRUCTURE[n]
+
+
+def killing_by_structure(n):
+    """kappa(X_i, X_j) = tr(ad X_i ad X_j) = sum_{k,l} c^k_il c^l_jk."""
+    c = structure_constants(n)
+    dim = len(c)
+    return QMatrix(
+        [
+            [
+                sum(c[i][l][k] * c[j][k][l] for k in range(dim) for l in range(dim))
+                for j in range(dim)
+            ]
+            for i in range(dim)
+        ]
+    )
+
+
+def bracket_by_structure(n, x, y):
+    """Coordinates of [x, y] = sum_{i,j} x_i y_j [X_i, X_j] for coordinate vectors."""
+    c = structure_constants(n)
+    out = [ZERO] * len(c)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            if xi and yj:
+                for k, v in enumerate(c[i][j]):
+                    out[k] += xi * yj * v
+    return out
+
+
+def is_homogeneous(p):
+    """The common total degree of the terms of a MultiPoly, or of every entry
+    of a PolyMatrix; 0 for zero and None when the degrees differ."""
+    rows = p.a if isinstance(p, PolyMatrix) else [[p]]
+    degs = {sum(q.ring.unpack(k)) for row in rows for q in row for k in q.terms}
+    if not degs:
+        return 0
+    return degs.pop() if len(degs) == 1 else None
 
 
 def diff(poly, name):
@@ -145,14 +233,14 @@ def entry_evaluate(a, values):
 
 
 def small_operator(rep):
-    """A |-> rho(A): the tautological degree-one element."""
+    """A |-> rho(A): the tautological degree-one element, over L.x_ring."""
     L = rep.L
     ring = L.x_ring
     mat = PolyMatrix.zeros(ring, rep.dim, rep.dim)
     for i in range(L.dim):
         xi = MultiPoly.variable(ring, "x%d" % i)
         mat = mat + PolyMatrix.from_qmatrix(ring, rep.rho[i]) * xi
-    return KirillovElement(rep, mat, 1)
+    return mat
 
 
 def medium_operator(rep, k):
@@ -176,7 +264,7 @@ def medium_operator(rep, k):
                 gi = gi + partial.scale(c)
         if gi.terms:
             mat = mat + PolyMatrix.from_qmatrix(L.x_ring, rep.rho[i]) * gi
-    return KirillovElement(rep, mat, k - 1)
+    return mat
 
 
 def dual_rho(rep):
@@ -194,15 +282,16 @@ def dual_rho(rep):
     return rep._dual_rho
 
 
-def equivariance_check(elem):
+def equivariance_check(rep, mat):
     """Infinitesimal equivariance: dF along [X, x] equals [rho(X), F(x)].
 
-    Checked as an exact polynomial-matrix identity for every basis element.
+    Checked as an exact polynomial-matrix identity for every basis element,
+    with the brackets read off the oracle's structure constants.
     """
-    rep = elem.rep
     L = rep.L
     ring = L.x_ring
-    partials = [mat_diff(elem.mat, "x%d" % j) for j in range(L.dim)]
+    c = structure_constants(L.n)
+    partials = [mat_diff(mat, "x%d" % j) for j in range(L.dim)]
     for a in range(L.dim):
         lhs = PolyMatrix.zeros(ring, rep.dim, rep.dim)
         for j in range(L.dim):
@@ -211,28 +300,25 @@ def equivariance_check(elem):
             # j-th coordinate of [X_a, x] as a linear form in x
             form = MultiPoly.zero(ring)
             for i in range(L.dim):
-                c = L.structure[a][i][j]
-                if c:
-                    form = form + MultiPoly.variable(ring, "x%d" % i).scale(c)
+                if c[a][i][j]:
+                    form = form + MultiPoly.variable(ring, "x%d" % i).scale(c[a][i][j])
             if form.terms:
                 lhs = lhs + partials[j] * form
         rho_a = PolyMatrix.from_qmatrix(ring, rep.rho[a])
-        if lhs != rho_a.commutator(elem.mat):
+        if lhs != rho_a.commutator(mat):
             return False
     return True
 
 
-def homogeneity_check(elem, fresh_scale=7):
-    """F(t*x) = t^deg F(x) verified at a generic rational scale factor."""
-    if elem.degree is None:
-        return False
-    ring = elem.rep.L.x_ring
+def homogeneity_check(mat, degree, fresh_scale=7):
+    """F(t*x) = t^degree F(x) verified at a generic rational scale factor."""
+    ring = mat.ring
     t = rat(fresh_scale)
     mapping = {
         nm: MultiPoly.variable(ring, nm).scale(t) for nm in ring.names
     }
-    scaled = elem.mat.subs(ring, mapping)
-    return scaled == elem.mat * (t ** elem.degree)
+    scaled = mat.subs(ring, mapping)
+    return scaled == mat * (t ** degree)
 
 
 # ---------------------------------------------------------------------------

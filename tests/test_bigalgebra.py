@@ -22,6 +22,7 @@ from bigalg.bigalgebra import (
     derive_relations,
     freeness_and_rank_check,
     hilbert_series,
+    ideal_graded_dims,
     ideal_span,
     rational_diagonalizer,
     restrict_to_section,
@@ -29,9 +30,9 @@ from bigalg.bigalgebra import (
     verify_presentation,
     weighted_monomials,
 )
-from bigalg.kirillov import KirillovElement, derivation_chain, scalar_element
+from bigalg.kirillov import derivation_chain
 from bigalg.linalg import Echelon, QMatrix, charpoly, flatten, rank, rational_roots
-from bigalg.multipoly import MultiPoly, rat
+from bigalg.multipoly import MultiPoly, VarSet, rat
 from bigalg.polymatrix import PolyMatrix
 from bigalg.qpoly import QPoly
 from bigalg.reps import build_irrep
@@ -55,14 +56,15 @@ def test_restriction_of_small_operator_is_companion(L2, L3, sl3_standard):
 
 def test_calibrated_m1_equals_small_operator(octet, decuplet, octet_gens, decuplet_gens):
     for rep, gens in [(octet, octet_gens), (decuplet, decuplet_gens)]:
-        assert gens.by_label["M1"].kirillov.mat == small_operator(rep).mat
+        assert gens.by_label["M1"].kirillov == small_operator(rep)
 
 
 def test_scalar_invariant_restricts_to_itself(octet_gens):
     # c_k * Id is a base-ring element: the companion coordinates leave it alone
     ring = octet_gens.ring
+    rep = octet_gens.rep
     rep_mat = restrict_to_section(
-        scalar_element(octet_gens.rep, octet_gens.rep.L.invariant_ck(2)),
+        PolyMatrix.scalar(rep.L.x_ring, rep.dim, rep.L.invariant_ck(2)),
         octet_gens._section_coords,
         ring,
     )
@@ -85,9 +87,9 @@ def test_restriction_matches_generic_substitution():
         ring, coords = lie.section_coords(L)
         mapping = {"x%d" % i: coords[i] for i in range(L.dim)}
         for k in range(2, n + 1):
-            for elem in derivation_chain(rep, k, k - 1):
-                got = restrict_to_section(elem, coords, ring)
-                ref = entry_subs(elem.mat.a, ring, mapping)
+            for mat in derivation_chain(rep, k, k - 1):
+                got = restrict_to_section(mat, coords, ring)
+                ref = entry_subs(mat.a, ring, mapping)
                 assert got.a == ref, (n, mu, k)
                 assert _term_orders(got.a) == _term_orders(ref), (n, mu, k)
 
@@ -113,7 +115,7 @@ def test_restriction_matches_substitution_on_random_elements(
         lambda ts: MultiPoly(x_ring, {x_ring.pack(e): c for e, c in ts})
     )
     mat = PolyMatrix(x_ring, [[data.draw(polys) for _ in range(2)] for _ in range(2)])
-    got = restrict_to_section(KirillovElement(rep, mat), coords, ring)
+    got = restrict_to_section(mat, coords, ring)
     ref = entry_subs(mat.a, ring, {"x%d" % i: c for i, c in enumerate(coords)})
     assert got.a == ref
     assert _term_orders(got.a) == _term_orders(ref)
@@ -123,19 +125,19 @@ def test_restriction_accepts_general_coordinates(octet_gens):
     # the restriction is one PolyMatrix.subs: a coordinate that is not 0 or
     # a +-1 monomial substitutes like any other
     ring = octet_gens.ring
-    elem = derivation_chain(octet_gens.rep, 3, 1)[0]
+    mat = derivation_chain(octet_gens.rep, 3, 1)[0]
     c2 = MultiPoly.variable(ring, "c2")
     for other in (c2 + 1, c2.scale(2), rat(1, 2)):
         coords = list(octet_gens._section_coords)
         coords[0] = other
         mapping = {"x%d" % i: c for i, c in enumerate(coords)}
-        got = restrict_to_section(elem, coords, ring)
-        assert got.a == entry_subs(elem.mat.a, ring, mapping)
+        got = restrict_to_section(mat, coords, ring)
+        assert got.a == entry_subs(mat.a, ring, mapping)
 
 
 # First 16 hex digits of the SHA-256 of the sorted-key JSON of the generator
 # family's report(), of every op's mat.to_obj() and of every op's
-# kirillov.mat.to_obj().  They were computed by an independent construction
+# kirillov.to_obj().  They were computed by an independent construction
 # (one PolyMatrix.diff per variable, the generic PolyMatrix.subs restriction,
 # D^1..D^(i-1) recomputed for each i), so they pin the exact bytes.
 GENERATOR_DIGESTS = [
@@ -173,7 +175,7 @@ def test_generator_bytes_are_pinned(key, digests):
     assert (
         _sha(gens.report()),
         _sha([op.mat.to_obj() for op in gens.ops]),
-        _sha([op.kirillov.mat.to_obj() for op in gens.ops]),
+        _sha([op.kirillov.to_obj() for op in gens.ops]),
     ) == digests
 
 
@@ -365,6 +367,20 @@ def test_ideal_span_is_rank_of_stacked_multiples(octet_gens):
         stacked = [[row.get(j, 0) for j in range(len(coords))] for row in rows]
         expected = rank(QMatrix(stacked)) if stacked else 0
         assert ideal_span(rels, rr.ring, wv, d).dim == expected
+
+
+def test_ideal_dims_need_relations_over_the_relation_ring(decuplet, decuplet_gens):
+    gens = [decuplet_gens.by_label["M1"], decuplet_gens.by_label["M2"]]
+    rr = RelationRing(gens, 3)
+    rels = decuplet_relations(rr.ring)
+    dims = ideal_graded_dims(decuplet, gens, rels, 4)
+    assert dims == {d: ideal_span(rels, rr.ring, rr.weight_vec, d).dim for d in range(1, 5)}
+    # the same relation over a ring with the same names in another order is
+    # not re-expressed: it stops at the product with a monomial
+    other = VarSet(list(reversed(rr.ring.names)))
+    moved = rels[0].subs(other, {nm: MultiPoly.variable(other, nm) for nm in rr.ring.names})
+    with pytest.raises(ValueError, match="variable-set mismatch"):
+        ideal_graded_dims(decuplet, gens, [moved], 6)
 
 
 def test_verify_presentation_negative_control(decuplet, decuplet_gens):

@@ -121,6 +121,8 @@ def _verify(payload):
             ["relations", "--n", "3", "--mu", "1,1", "--max-degree=-1"],
             "--max-degree must be at least 1",
         ),
+        (["rep", "--n", "3", "--mu", "1,1", "--out", "{dir}"], "--out: [Errno 21] Is a directory"),
+        (["rep", "--n", "3", "--mu", "1,1", "--cache", "{file}"], "--cache: [Errno 17] File exists"),
     ],
     ids=["n_below_2", "fractional_mu", "fractional_lambda", "over_bound",
          "wrong_arity", "negative_mu", "brylinski_lambda_not_a_weight",
@@ -130,7 +132,8 @@ def _verify(payload):
          "verify_unknown_variable", "verify_no_relations_key", "verify_top_level_list",
          "verify_bad_coefficient", "verify_negative_exponent", "verify_repeated_variable",
          "relations_repeated_gens",
-         "max_degree_zero", "max_degree_negative"],
+         "max_degree_zero", "max_degree_negative", "out_is_a_directory",
+         "cache_is_a_regular_file"],
 )
 def test_bad_input_is_a_usage_error(argv, message, tmp_path):
     # a JSON value at the end of argv is written to a file passed by its path
@@ -138,6 +141,11 @@ def test_bad_input_is_a_usage_error(argv, message, tmp_path):
         path = tmp_path / "relations.json"
         path.write_text(json.dumps(argv[-1]))
         argv = argv[:-1] + [str(path)]
+    # {dir} names a directory and {file} a regular file, where a path to
+    # write is expected
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")
+    argv = [a.format(dir=tmp_path, file=plain) if a in ("{dir}", "{file}") else a for a in argv]
     proc = run(*argv, check=False)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

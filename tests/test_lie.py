@@ -5,7 +5,7 @@ import pytest
 from bigalg import lie
 from bigalg.linalg import QMatrix, kernel, rank
 from bigalg.multipoly import MultiPoly, rat
-from oracles import trace_form
+from oracles import bracket_by_structure, killing_by_structure, trace_form
 
 
 def test_rank_guard():
@@ -15,7 +15,7 @@ def test_rank_guard():
 
 def test_sl2_dimension_and_killing(L2):
     assert L2.dim == 3
-    # oracle: kappa(h,h) = tr(ad(h)^2) computed from the structure constants
+    # kappa(h,h) = tr(ad(h)^2), with ad(h) built from matrix commutators
     ad_h = L2.ad_matrix(L2.h_coords)
     assert (ad_h * ad_h).trace() == 8
     h = L2.h_coords
@@ -30,14 +30,39 @@ def test_sl2_dimension_and_killing(L2):
     assert val == 8
 
 
-def test_killing_is_2n_times_trace(L2, L3, L4):
-    for L in (L2, L3, L4):
-        assert L.killing_form == trace_form(L) * (2 * L.n)
+def test_killing_is_2n_times_trace():
+    # the package forms 2n tr(XY); the oracle sums tr(ad X_i ad X_j) over
+    # structure constants from products of sparse E_ij
+    for n in range(2, 6):
+        L = lie.TypeA(n)
+        assert L.killing_form == killing_by_structure(n)
+        assert L.killing_form == trace_form(L) * (2 * n)
+        assert L.killing_form * L.killing_inv == QMatrix.identity(L.dim)
+
+
+def test_bracket_matches_structure_constants():
+    rng = random.Random(15)
+    for n in range(2, 5):
+        L = lie.TypeA(n)
+        for _ in range(6):
+            x, y = (
+                [rat(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(L.dim)]
+                for _ in range(2)
+            )
+            xm, ym = L.matrix_of(x), L.matrix_of(y)
+            assert L.coords_of(xm) == x
+            expected = bracket_by_structure(n, x, y)
+            assert L.bracket_coords(xm, ym) == expected
+            assert L.ad_matrix(x).mul_vec(y) == expected
 
 
 def test_jacobi_identity(L3):
     dim = L3.dim
     basis = [[rat(1) if i == j else rat(0) for j in range(dim)] for i in range(dim)]
+
+    def bracket(a, b):
+        return L3.bracket_coords(L3.matrix_of(a), L3.matrix_of(b))
+
     rng = random.Random(5)
     triples = [tuple(rng.sample(range(dim), 3)) for _ in range(12)]
     for i, j, k in triples:
@@ -45,9 +70,9 @@ def test_jacobi_identity(L3):
         total = [
             x + y + z
             for x, y, z in zip(
-                L3.bracket_coords(a, L3.bracket_coords(b, c)),
-                L3.bracket_coords(b, L3.bracket_coords(c, a)),
-                L3.bracket_coords(c, L3.bracket_coords(a, b)),
+                bracket(a, bracket(b, c)),
+                bracket(b, bracket(c, a)),
+                bracket(c, bracket(a, b)),
             )
         ]
         assert all(x == 0 for x in total)
@@ -55,9 +80,9 @@ def test_jacobi_identity(L3):
 
 def test_principal_triple(L3):
     e, f, h = L3.e_coords, L3.coords_of(L3.f), L3.h_coords
-    assert L3.bracket_coords(h, e) == [2 * x for x in e]
-    assert L3.bracket_coords(h, f) == [-2 * x for x in f]
-    assert L3.bracket_coords(e, f) == h
+    assert L3.bracket_coords(L3.h, L3.e) == [2 * x for x in e]
+    assert L3.bracket_coords(L3.h, L3.f) == [-2 * x for x in f]
+    assert L3.bracket_coords(L3.e, L3.f) == h
     assert [L3.h.a[i][i] for i in range(3)] == [2, 0, -2]
     # e is regular nilpotent: centralizer of minimal dimension n-1
     assert len(L3.centralizer(e)) == 2

@@ -11,7 +11,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bigalg.kirillov import KirillovElement, scalar_element, wei_D
+from bigalg.kirillov import wei_D
 from bigalg.linalg import QMatrix
 from bigalg.multipoly import MultiPoly, VarSet
 from bigalg.polymatrix import PolyMatrix, gradient_rows, sum_of_products
@@ -22,6 +22,7 @@ from oracles import (
     entry_rows,
     entry_subs,
     entry_sum_of_products,
+    is_homogeneous,
     mat_diff,
     medium_operator,
 )
@@ -310,12 +311,11 @@ def test_ring_and_shape_errors():
         PolyMatrix.identity(S, 1).subs(T, {"x": 0, "y": 0, "z": MultiPoly.zero(R)})
 
 
-def _ref_wei_D(elem):
+def _ref_wei_D(rep, mat):
     """(1/2) sum_i rho(X^i) dF/dx_i, added up entry by entry."""
-    rep = elem.rep
-    total = [[MultiPoly.zero(elem.mat.ring)] * rep.dim for _ in range(rep.dim)]
+    total = [[MultiPoly.zero(mat.ring)] * rep.dim for _ in range(rep.dim)]
     for i, dual in enumerate(dual_rho(rep)):
-        d = mat_diff(elem.mat, "x%d" % i)
+        d = mat_diff(mat, "x%d" % i)
         for r in range(rep.dim):
             for c in range(rep.dim):
                 for k in range(rep.dim):
@@ -325,15 +325,15 @@ def _ref_wei_D(elem):
 
 
 def test_wei_D_matches_reference(sl3_standard, octet, L3):
-    for elem in (
-        medium_operator(sl3_standard, 3),
-        medium_operator(octet, 3),
-        scalar_element(octet, L3.invariant_ck(3)),
+    for rep, mat, degree in (
+        (sl3_standard, medium_operator(sl3_standard, 3), 2),
+        (octet, medium_operator(octet, 3), 2),
+        (octet, PolyMatrix.scalar(L3.x_ring, octet.dim, L3.invariant_ck(3)), 3),
     ):
-        out = wei_D(elem)
-        assert out.mat.a == _ref_wei_D(elem)
-        assert out.degree == max(elem.degree - 1, 0)
-        _assert_normalized(out.mat)
+        out = wei_D(rep, mat)
+        assert out.a == _ref_wei_D(rep, mat)
+        assert is_homogeneous(out) == degree - 1
+        _assert_normalized(out)
 
 
 def _x_polys(ring):
@@ -356,11 +356,13 @@ def test_wei_D_matches_reference_on_random_elements(sl2_sym4, sl3_standard, data
     mat = PolyMatrix(
         ring, [[data.draw(polys) for _ in range(rep.dim)] for _ in range(rep.dim)]
     )
-    elem = KirillovElement(rep, mat)
-    out = wei_D(elem)
-    assert out.mat.a == _ref_wei_D(elem)
-    assert out.degree == (0 if out.mat.is_zero() else out.mat.is_homogeneous())
-    _assert_normalized(out.mat)
+    out = wei_D(rep, mat)
+    assert out.a == _ref_wei_D(rep, mat)
+    # D lowers the degree of a homogeneous operator by one
+    degree = is_homogeneous(mat)
+    if degree and not out.is_zero():
+        assert is_homogeneous(out) == degree - 1
+    _assert_normalized(out)
 
 
 @settings(max_examples=40, deadline=None)

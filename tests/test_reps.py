@@ -9,7 +9,7 @@ from bigalg.acceptance import BATTERY
 from bigalg.linalg import QMatrix
 from bigalg.multipoly import rat
 from bigalg.reps import build_irrep, g_e_invariants, load_rep, save_rep
-from oracles import weight_spaces
+from oracles import structure_constants, weight_spaces
 
 
 def test_fundamental_dims(L3, L4):
@@ -40,14 +40,10 @@ def test_bracket_fidelity(octet, L2, L3, L4):
         (L4, build_irrep(L4, (1, 0, 1))),
     ]
     for L, rep in modules:
-        basis = [
-            [rat(1) if i == j else rat(0) for j in range(L.dim)]
-            for i in range(L.dim)
-        ]
+        c = structure_constants(L.n)
         for i, j in combinations(range(L.dim), 2):
             lhs = rep.rho[i].commutator(rep.rho[j])
-            rhs = rep.op(L.bracket_coords(basis[i], basis[j]))
-            assert lhs == rhs, (rep.mu, i, j)
+            assert lhs == rep.op(c[i][j]), (rep.mu, i, j)
 
 
 # First 16 hex digits of the SHA-256 of the sorted-key JSON of to_obj(),
