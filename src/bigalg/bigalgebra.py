@@ -207,19 +207,15 @@ def principal_transport(rep):
 
 
 def rational_diagonalizer(m, eigs):
-    """Columns are eigenvectors of m in the order of the given eigenvalues."""
-    cols = []
+    """Columns are eigenvectors of m in the order of the given eigenvalues,
+    each 1 at its first nonzero entry."""
+    out = QMatrix.zeros(m.rows, 0)
     for a in eigs:
-        vecs = kernel(m - QMatrix.identity(m.rows) * a)
-        if len(vecs) != 1:
+        vec = kernel(m - QMatrix.identity(m.rows) * a)
+        if vec.cols != 1:
             raise ValueError("eigenvalue %s is not simple" % a)
-        v = vecs[0]
-        for x in v:
-            if x:
-                v = [y / x for y in v]
-                break
-        cols.append(v)
-    return QMatrix.from_cols(cols, rows=m.rows)
+        out = out.hstack(vec * (1 / next(x for x in vec.col(0) if x)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +368,17 @@ def ideal_span(relations, ring, weight_vec, d):
     order; a relation of degree above d contributes nothing.
     """
     weights = dict(zip(ring.names, weight_vec))
-    index = {m: i for i, m in enumerate(weighted_monomials(weight_vec, d))}
+    index = {ring.pack(m): i for i, m in enumerate(weighted_monomials(weight_vec, d))}
     ech = Echelon()
     for rel in relations:
+        if rel.ring != ring:
+            raise ValueError("variable-set mismatch: %r vs %r" % (rel.ring, ring))
         for mult in weighted_monomials(weight_vec, d - rel.weighted_degree(weights)):
+            # a product of monomials adds their packed keys
+            shift = ring.pack(mult)
             vec = [ZERO] * len(index)
-            for key, c in (rel * MultiPoly.monomial(ring, mult)).terms.items():
-                vec[index[ring.unpack(key)]] = c
+            for key, c in rel.terms.items():
+                vec[index[key + shift]] = c
             ech.add(vec)
     return ech
 
@@ -449,28 +449,23 @@ def derive_relations(rep, gens, max_degree):
             f = den // cden
             for idx, c in coords.items():
                 mat[idx][cidx] = c * f
-        kern = kernel(QMatrix.from_ints(mat, den)) if ncoords else [
-            [ONE if i == j else ZERO for i in range(len(monos))]
-            for j in range(len(monos))
-        ]
+        kern = kernel(QMatrix.from_ints(mat, den, len(monos)))
 
         # span of lower-degree relations times complementary monomials
         old_span = ideal_span(relations, rr.ring, rr.weight_vec, d)
+        keys = [rr.ring.pack(m) for m in monos]
         new_here = []
-        for v in kern:
+        for v in kern.columns():
             if old_span.add(v):
-                poly = MultiPoly.zero(rr.ring)
-                for c, m in zip(v, monos):
-                    if c:
-                        poly = poly + MultiPoly.monomial(rr.ring, m, c)
-                new_here.append(poly)
+                terms = {k: c for k, c in zip(keys, v) if c}
+                new_here.append(MultiPoly(rr.ring, terms, _trusted=True))
         relations += new_here
         info.append(
             {
                 "degree": d,
                 "monomials": len(monos),
-                "kernel": len(kern),
-                "algebra_dim": len(monos) - len(kern),
+                "kernel": kern.cols,
+                "algebra_dim": len(monos) - kern.cols,
                 "new_relations": len(new_here),
             }
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -97,6 +98,8 @@ def check_args(parser, args):
             parse_grid(args.grid)
         except ValueError as exc:
             parser.error("--grid: %s" % exc)
+        if not args.at_principal and not args.out:
+            parser.error("--out: spectrum needs --out for the skeleton CSV, or --at-principal")
     if args.command == "relations":
         if args.max_degree < 1:
             parser.error("--max-degree must be at least 1")
@@ -355,14 +358,13 @@ def cmd_spectrum(args):
         return 0
     grid = parse_grid(args.grid)
     skeleton = principal_restriction(gens.ops, L)
-    out_csv = args.out or "skeleton.csv"
     try:
-        r = emit_skeleton_points(skeleton, grid, out_csv)
+        r = emit_skeleton_points(skeleton, grid, args.out)
     except OSError as exc:
         raise UsageError("--out: %s" % exc) from None
     print(
         json.dumps(
-            {"csv": out_csv, "rows": r["rows"], "max_residual": r["max_residual"]},
+            {"csv": args.out, "rows": r["rows"], "max_residual": r["max_residual"]},
             sort_keys=True,
         )
     )
@@ -409,7 +411,9 @@ def cmd_verify_all(args):
     return 0 if out["all_pass"] else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="bigalg",
         description="Exact workbench for commutative operator algebras of sl_n",

@@ -102,34 +102,30 @@ class TypeA:
                     num[i][j] += c * v
         return QMatrix.from_ints(num, den)
 
-    def bracket_coords(self, x, y):
-        """Coordinates of the commutator [x, y] of two n x n matrices."""
-        a, b = x.num, y.num
-        m = []
-        for ra, rb in zip(a, b):
-            out = [0] * self.n
-            # row i of xy - yx, skipping the zero entries of x and y
-            for u, v, ak, bk in zip(ra, rb, a, b):
-                if u:
-                    for j, w in enumerate(bk):
-                        out[j] += u * w
-                if v:
-                    for j, w in enumerate(ak):
-                        out[j] -= v * w
-            m.append(out)
-        return _fractions(self._expand(m, 0), x.den * y.den)
-
     def ad_matrix(self, coords):
         """Matrix of ad(x) acting on coordinate vectors; column j is [x, X_j].
 
-        x's matrix is built once, then bracketed with each basis matrix.
+        The columns are integer coordinates over the denominator of x's
+        matrix, each read off the commutator with one sparse basis matrix.
         """
         x = self.matrix_of(coords)
-        cols = [self.bracket_coords(x, b) for b in self.basis]
-        return QMatrix.from_cols(cols, rows=self.dim)
+        a, n = x.num, self.n
+        cols = []
+        for basis_map in self._sparse:
+            m = [[0] * n for _ in range(n)]
+            for (r, c), v in basis_map.items():
+                # x X_j adds v * (column r of x) to column c; X_j x
+                # subtracts v * (row c of x) from row r
+                for row_m, row_a in zip(m, a):
+                    row_m[c] += v * row_a[r]
+                target = m[r]
+                for j, w in enumerate(a[c]):
+                    target[j] -= v * w
+            cols.append(self._expand(m, 0))
+        return QMatrix.from_ints([list(row) for row in zip(*cols)], x.den)
 
     def centralizer(self, coords):
-        """Basis of the centralizer of x inside sl_n, as coordinate vectors."""
+        """The centralizer of x inside sl_n, as the columns of coordinate vectors."""
         return kernel(self.ad_matrix(coords))
 
     # ---------- the polynomial coordinate ring of sl_n ----------

@@ -44,7 +44,7 @@ def limit_of_span(columns):
         if rank(lead) == k:
             return lead
         # (c) replace the last column involved in a kernel relation
-        combo = kernel(lead)[0]
+        combo = kernel(lead).col(0)
         pivot = max(i for i, c in enumerate(combo) if c)
         new_col = [{} for _ in range(height)]
         for j, c in enumerate(combo):

@@ -7,7 +7,7 @@ where a matrix is built from them: the constructor, ``from_cols`` and
 ``from_obj``.  Arithmetic, ``kron``, ``hstack`` and every
 elimination read and write the integer rows, and ``Fraction``s are built
 only when a caller reads entries (``m[i, j]``, ``row``, ``col``,
-``columns``, ``flatten``, ``to_obj``, ``str`` and the read-only ``a``).
+``columns``, ``to_obj``, ``str`` and the read-only ``a``).
 
 Products skip zero entries.  Every elimination is one fraction-free
 reduced echelon form: ``Echelon`` keeps primitive integer rows, positive at
@@ -17,6 +17,9 @@ read their answers off the rows an ``Echelon`` holds after taking in the
 integer rows of the matrix.  ``charpoly`` runs Faddeev-LeVerrier on the
 integer matrix.  ``closure`` grows an ``Echelon`` into the span of seeds
 under a set of generators.
+
+A subspace is one QMatrix whose columns span it: ``kernel`` returns the
+null space that way, and span questions compare ranks (``same_span``).
 
 Roots are exact too: gcds, squarefree factors and Sturm sequences of
 primitive integer polynomials come from one pseudo-remainder, and every
@@ -355,10 +358,10 @@ def _integers(vec):
 class Echelon:
     """A growing basis of a subspace in fraction-free reduced echelon form.
 
-    ``add`` and ``contains`` take a rational vector, or a QMatrix taken
-    row-major as its integer rows, without its denominator.  Each pivot row
-    is a primitive integer row, positive at its pivot (the smallest index
-    where it is nonzero) and zero at every other pivot.
+    ``add`` takes a rational vector, or a QMatrix taken row-major as its
+    integer rows, without its denominator.  Each pivot row is a primitive
+    integer row, positive at its pivot (the smallest index where it is
+    nonzero) and zero at every other pivot.
     """
 
     def __init__(self):
@@ -407,9 +410,6 @@ class Echelon:
         """Insert a vector; True iff it enlarged the span."""
         return self._insert(self._reduce(_integers(vec)))
 
-    def contains(self, vec):
-        return not any(self._reduce(_integers(vec)))
-
 
 def _reduced_echelon(rows):
     """The reduced echelon form of integer rows, as (rows, pivot columns).
@@ -431,25 +431,23 @@ def rank(m):
 
 
 def kernel(m):
-    """Basis of the right null space, as a list of rational vectors.
+    """Basis of the right null space, as the columns of a QMatrix.
 
-    Vectors are exact: m * v == 0 identically, and the count equals
-    cols - rank.  Free column f contributes the vector that is 1 at f, 0
-    at the other free columns and -row[f] / row[p] at each pivot p.
+    m * kernel(m) is zero and it has cols - rank columns.  Free column f
+    contributes the column that is 1 at f, 0 at the other free columns and
+    -row[f] / row[p] at each pivot p, over the lcm of the pivot entries.
     """
     rows, pivots = _reduced_echelon(m.num)
     pivot_set = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for row, p in zip(rows, pivots):
-            if row[f]:
-                v[p] = Fraction(-row[f], row[p])
-        basis.append(v)
-    return basis
+    free = [f for f in range(m.cols) if f not in pivot_set]
+    den = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    num = [[den if i == f else 0 for f in free] for i in range(m.cols)]
+    for row, p in zip(rows, pivots):
+        s = -(den // row[p])
+        num[p] = [s * row[f] for f in free]
+    # normalized already: a prime dividing den divides some row[p] as often,
+    # and that primitive row has an entry it does not divide at a free column
+    return QMatrix._of(num, den, len(free))
 
 
 def joint_kernel(mats):
@@ -461,9 +459,18 @@ def joint_kernel(mats):
     return kernel(QMatrix.from_ints(stacked, cols=mats[0].cols))
 
 
-def flatten(m):
-    """The entries of a QMatrix as one row-major list of Fractions."""
-    return _fractions(list(chain.from_iterable(m.num)), m.den)
+def flat_columns(mats):
+    """The QMatrix whose column j holds the entries of mats[j], row-major."""
+    den = lcm(*(m.den for m in mats))
+    cols = [[x * (den // m.den) for row in m.num for x in row] for m in mats]
+    return _reduced([list(row) for row in zip(*cols)], den, len(mats))
+
+
+def independent_columns(m):
+    """The columns of m that are independent of the columns before them."""
+    ech = Echelon()
+    keep = [j for j, col in enumerate(zip(*m.num)) if ech._insert(ech._reduce(list(col)))]
+    return _reduced([[row[j] for j in keep] for row in m.num], m.den, len(keep))
 
 
 def closure(seeds, gens, act):
@@ -486,16 +493,10 @@ def closure(seeds, gens, act):
         frontier = (act(x, g) for x in grown for g in gens)
 
 
-def same_span(vecs_a, vecs_b):
-    ea = Echelon()
-    for v in vecs_a:
-        ea.add(v)
-    eb = Echelon()
-    for v in vecs_b:
-        eb.add(v)
-    if ea.dim != eb.dim:
-        return False
-    return all(ea.contains(v) for v in vecs_b)
+def same_span(a, b):
+    """Whether the columns of a and of b span the same subspace."""
+    r = rank(a)
+    return r == rank(b) == rank(a.hstack(b))
 
 
 def _over_pivots(rows, pivots, start, nrows, cols):
@@ -818,13 +819,10 @@ def joint_invariant_decomposition(mats):
                 for r, _ in rational_roots(sf):
                     sf = _divide_out_root(sf, r)
                     shifted = mb - QMatrix.identity(mb.rows) * r
-                    vecs = kernel(shifted.power(k))
-                    sub = QMatrix.from_cols(vecs, rows=mb.rows)
-                    refined.append((basis * sub, labels + [r]))
+                    refined.append((basis * kernel(shifted.power(k)), labels + [r]))
                 # the irrational cofactor stays one block
                 if len(sf) > 1:
-                    vecs = kernel(_eval_poly_at_matrix(sf, mb).power(k))
-                    sub = QMatrix.from_cols(vecs, rows=mb.rows)
+                    sub = kernel(_eval_poly_at_matrix(sf, mb).power(k))
                     refined.append((basis * sub, labels + [tuple(sf)]))
         blocks = refined
     # deterministic order: by labels as strings, then leave as-is

@@ -12,13 +12,13 @@ from fractions import Fraction
 from operator import mul
 
 from .bigalgebra import rational_diagonalizer
-from .multipoly import ZERO
 from .linalg import (
-    Echelon,
     QMatrix,
     closure,
-    flatten,
+    flat_columns,
+    independent_columns,
     kernel,
+    rank,
     restrict_to_block,
     same_span,
     solve_columns,
@@ -104,11 +104,8 @@ def h_plus_e_transport(rep):
 
 def weight_space_basis(rep, lam, torus="standard"):
     """Columns spanning the lam weight space for the chosen maximal torus."""
-    cols = rep.weight_space_columns(lam)
-    if not cols:
-        return QMatrix.zeros(rep.dim, 0)
-    basis = QMatrix.from_cols(cols, rows=rep.dim)
-    if torus == "standard":
+    basis = rep.weight_basis(lam)
+    if torus == "standard" or not basis.cols:
         return basis
     if torus == "h_plus_e":
         return h_plus_e_transport(rep) * basis
@@ -133,11 +130,10 @@ def brylinski_filtration(rep, lam, torus="standard"):
     p = 0
     prev_dim = 0
     while prev_dim < total:
-        vecs = kernel(power * basis)
-        sub = [basis.mul_vec(v) for v in vecs]
-        dims.append(len(vecs))
+        sub = basis * kernel(power * basis)
+        dims.append(sub.cols)
         subspaces.append(sub)
-        prev_dim = len(vecs)
+        prev_dim = sub.cols
         power = power * e_mat
         p += 1
         if p > rep.dim + 1:
@@ -156,19 +152,13 @@ def brylinski_filtration(rep, lam, torus="standard"):
 
 def e_limit_filtration(rep, lam):
     """sum_p e^p F_p for the torus centralizing h + e."""
-    filt = brylinski_filtration(rep, lam, torus="h_plus_e")
+    images, *rest = brylinski_filtration(rep, lam, torus="h_plus_e")["subspaces"]
     e_mat = rep.rho_e
-    ech = Echelon()
-    vectors = []
     power = QMatrix.identity(rep.dim)
-    for p, sub in enumerate(filt["subspaces"]):
-        if p:
-            power = power * e_mat
-        for v in sub:
-            w = power.mul_vec(v)
-            if ech.add(w):
-                vectors.append(w)
-    return QMatrix.from_cols(vectors, rows=rep.dim) if vectors else QMatrix.zeros(rep.dim, 0)
+    for sub in rest:
+        power = power * e_mat
+        images = images.hstack(power * sub)
+    return independent_columns(images)
 
 
 def e_limit_zlimit(rep, lam):
@@ -192,7 +182,7 @@ def e_limit(rep, lam):
     """The e-limit of a weight space, cross-checked between the two routes."""
     a = e_limit_filtration(rep, lam)
     b = e_limit_zlimit(rep, lam)
-    if a.cols != b.cols or not same_span(a.columns(), b.columns()):
+    if a.cols != b.cols or not same_span(a, b):
         raise RuntimeError("limit constructions disagree (bug)")
     return a
 
@@ -239,8 +229,8 @@ def multiplicity_algebra(rep, gens, lam):
     mu_rho = rd.ip(rep.mu, rd.rho)
     # the columns are independent and h-homogeneous: count them per grade
     graded = {}
-    for col in limit.columns():
-        k = {wts[i] for i in range(rep.dim) if col[i]}.pop()
+    for col in zip(*limit.num):
+        k = {wts[i] for i, x in enumerate(col) if x}.pop()
         grade = mu_rho - Fraction(k, 2)
         assert grade.denominator == 1
         grade = int(grade)
@@ -272,20 +262,20 @@ def _h_stabilize_limit(rep, limit):
     h-stable, so splitting by h-components preserves the span)."""
     rd = lie.RootData(rep.L.n)
     wts = [rd.h_pairing(w) for w in rep.weights]
-    ech = Echelon()
-    vectors = []
-    for j in range(limit.cols):
-        col = limit.col(j)
-        by_k = {}
-        for i, x in enumerate(col):
-            if x:
-                by_k.setdefault(wts[i], [ZERO] * rep.dim)[i] = x
-        for k in sorted(by_k):
-            if ech.add(by_k[k]):
-                vectors.append(by_k[k])
-    if len(vectors) != limit.cols:
+    # (column, h-weight) of each component, columns in order, weights sorted
+    parts = [
+        (j, k)
+        for j, col in enumerate(zip(*limit.num))
+        for k in sorted({wts[i] for i, x in enumerate(col) if x})
+    ]
+    split = [
+        [row[j] if wts[i] == k else 0 for j, k in parts]
+        for i, row in enumerate(limit.num)
+    ]
+    out = independent_columns(QMatrix.from_ints(split, limit.den, len(parts)))
+    if out.cols != limit.cols:
         raise RuntimeError("limit space is not h-stable (bug)")
-    return QMatrix.from_cols(vectors, rows=rep.dim)
+    return out
 
 
 def algebra_structure_table(restricted_ops, dim):
@@ -294,14 +284,12 @@ def algebra_structure_table(restricted_ops, dim):
     _, basis = closure(
         [QMatrix.identity(dim)], list(restricted_ops.values()), mul
     )
-    flat_basis = QMatrix.from_cols([flatten(b) for b in basis], rows=dim * dim)
-    table = {}
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            coeffs = solve_columns(
-                flat_basis, QMatrix.from_cols([flatten(a * b)], rows=dim * dim)
-            )
-            table["%d,%d" % (i, j)] = [str(x) for x in coeffs.col(0)]
+    products = [a * b for a in basis for b in basis]
+    coeffs = solve_columns(flat_columns(basis), flat_columns(products))
+    table = {
+        "%d,%d" % divmod(t, len(basis)): [str(x) for x in coeffs.col(t)]
+        for t in range(coeffs.cols)
+    }
     return {"basis": [b.to_obj() for b in basis], "table": table}
 
 
@@ -312,10 +300,7 @@ def quotient_chain_check(rep, gens, lam):
     mu_min = lie.minuscule_min(rd, rep.mu)
     l_min = e_limit(rep, mu_min)
     l_lam = e_limit(rep, lam)
-    ech = Echelon()
-    for v in l_min.columns():
-        ech.add(v)
-    contained = all(ech.contains(v) for v in l_lam.columns())
+    contained = rank(l_min.hstack(l_lam)) == rank(l_min)
     ok_factor = True
     if contained and l_lam.cols:
         inclusion = solve_columns(l_min, l_lam)
@@ -354,11 +339,7 @@ def minuscule_quotient_check(rep, gens):
         [b * m for m in medium for b in basis_mats], ops_e, mul
     )
 
-    annihilates = all(
-        all(x == 0 for x in m.mul_vec(v))
-        for m in ideal_mats
-        for v in l_min.columns()
-    ) if ideal_mats else True
+    annihilates = all((m * l_min).is_zero() for m in ideal_mats)
 
     return {
         "fiber_dim": fiber_dim,

@@ -15,7 +15,6 @@ import json
 import os
 from itertools import combinations, product
 
-from .multipoly import ZERO, ONE
 from .linalg import (
     Echelon,
     QMatrix,
@@ -170,14 +169,12 @@ class Representation:
     def rho_e(self):
         return self.op(self.L.e_coords)
 
-    def weight_space_columns(self, lam):
+    def weight_basis(self, lam):
+        """The identity columns at the basis indices of weight lam; dim x 0
+        when lam is not a weight."""
         idx = self.weight_table.get(tuple(lam), [])
-        cols = []
-        for i in idx:
-            v = [ZERO] * self.dim
-            v[i] = ONE
-            cols.append(v)
-        return cols
+        num = [[int(i == j) for j in idx] for i in range(self.dim)]
+        return QMatrix.from_ints(num, cols=len(idx))
 
     # ---------- GL transport ----------
 
@@ -304,7 +301,7 @@ def build_irrep(L, mu):
 def g_e_invariants(rep):
     """The joint kernel of the centralizer of the principal nilpotent."""
     cent = rep.L.centralizer(rep.L.e_coords)
-    return joint_kernel([rep.op(x) for x in cent])
+    return joint_kernel([rep.op(x) for x in cent.columns()])
 
 
 # ---------------------------------------------------------------------------

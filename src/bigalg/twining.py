@@ -129,14 +129,8 @@ def sigma_on_invariants(L):
 def jantzen_trace(rep):
     """Trace of the intertwiner on the zero weight space."""
     s = intertwiner(rep)
-    idx = rep.weight_table.get((0,) * (rep.L.n - 1), [])
-    if not idx:
-        return ZERO
-    basis = QMatrix.from_cols(
-        [[ONE if i == j else ZERO for i in range(rep.dim)] for j in idx],
-        rows=rep.dim,
-    )
-    return restrict_to_block(s, basis).trace()
+    # without a zero weight the basis has no columns and the trace is 0
+    return restrict_to_block(s, rep.weight_basis((0,) * (rep.L.n - 1))).trace()
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,11 @@ def bracket_by_structure(n, x, y):
     return out
 
 
+def bracket_coords(L, x, y):
+    """Coordinates of the commutator [x, y] of two n x n matrices."""
+    return L.coords_of(x * y - y * x)
+
+
 def is_homogeneous(p):
     """The common total degree of the terms of a MultiPoly, or of every entry
     of a PolyMatrix; 0 for zero and None when the degrees differ."""

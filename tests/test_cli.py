@@ -1,11 +1,19 @@
+import contextlib
+import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from bigalg import cli
+
 CLI = [sys.executable, "-m", "bigalg.cli"]
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(*args, check=True):
@@ -79,6 +87,7 @@ def _verify(payload):
         ),
         (["spectrum", "--n", "2", "--mu", "4", "--grid", "1:2"], "--grid: expected start:stop:steps"),
         (["spectrum", "--n", "2", "--mu", "4", "--grid", "a:1:3"], "--grid: expected start:stop:steps"),
+        (["spectrum", "--n", "2", "--mu", "4"], "--out: spectrum needs --out for the skeleton CSV"),
         (
             ["relations", "--n", "3", "--mu", "1,1", "--gens", "Q1"],
             "--gens: Q1 is not a generator of the module (M1,M2,N1)",
@@ -127,7 +136,8 @@ def _verify(payload):
     ids=["n_below_2", "fractional_mu", "fractional_lambda", "over_bound",
          "wrong_arity", "negative_mu", "brylinski_lambda_not_a_weight",
          "multalg_lambda_not_a_weight", "qanalogue_n_6", "qanalogue_n_8",
-         "grid_two_fields", "grid_not_rational", "relations_unknown_gens",
+         "grid_two_fields", "grid_not_rational", "spectrum_grid_without_out",
+         "relations_unknown_gens",
          "relations_missing_verify_file", "twining_weight_not_self_dual",
          "verify_unknown_variable", "verify_no_relations_key", "verify_top_level_list",
          "verify_bad_coefficient", "verify_negative_exponent", "verify_repeated_variable",
@@ -289,3 +299,52 @@ def test_twining_command():
     assert payload["intertwiner_valid"] is True
     assert payload["sigma_on_generators"] == {"M1": 1, "M2": -1, "N1": -1}
     assert payload["trace_on_zero_weight"] == "0"
+
+
+def _main(argv):
+    """(exit code, stdout) of one in-process cli.main call."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, buf.getvalue()
+
+
+def test_main_runs_again_after_a_usage_error():
+    good = ["qanalogue", "--n", "3", "--mu", "1,1", "--lambda", "0,0"]
+    first = _main(good)
+    assert first[0] == 0
+    assert _main(["qanalogue", "--n", "3", "--mu", "1,1"]) == (2, "")
+    assert _main(good) == first
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _readme_commands():
+    """The argv of each line of the README's bigalg command block."""
+    blocks = re.findall(r"```\n(.*?)```", README.read_text(), re.S)
+    (block,) = [b for b in blocks if b.startswith("bigalg rep")]
+    # an optional flag in brackets is run with the flag
+    lines = [line.split("#")[0].replace("[", "").replace("]", "") for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines]
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BIGALG_CACHE", raising=False)
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "rep", "ops", "hilbert", "relations", "qanalogue", "brylinski", "multalg",
+        "spectrum", "twining",
+    }
+    for argv in commands:
+        code, out = _main(argv)
+        assert code == 0, argv
+        # the derived relations are the file the --verify line reads
+        if "--max-degree" in argv:
+            (tmp_path / "relations.json").write_text(out)
+        if "--verify" in argv:
+            assert json.loads(out)["all_zero"] is True
+        if argv[0] == "qanalogue":
+            assert json.loads(out)["m"] == [[1, 1], [2, 1]]

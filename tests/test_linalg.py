@@ -19,6 +19,7 @@ from bigalg.linalg import (
     kernel,
     rank,
     rational_roots,
+    same_span,
     solve_columns,
     squarefree_decomposition,
     upoly_eval,
@@ -71,8 +72,10 @@ def plain_rank(rows):
 
 
 def test_kernel_identity_and_zero():
-    assert kernel(QMatrix.identity(3)) == []
-    assert len(kernel(QMatrix.zeros(2, 3))) == 3
+    assert kernel(QMatrix.identity(3)) == QMatrix.zeros(3, 0)
+    assert kernel(QMatrix.zeros(2, 3)) == QMatrix.identity(3)
+    # no rows: every column is free
+    assert kernel(QMatrix.zeros(0, 3)) == QMatrix.identity(3)
 
 
 def test_kernel_random_rank5():
@@ -81,12 +84,9 @@ def test_kernel_random_rank5():
     r = plain_rank(m.a)
     assert r == 5  # generic draw; oracle = independent row reduction
     vecs = kernel(m)
-    assert len(vecs) == 3
-    for v in vecs:
-        assert all(x == 0 for x in m.mul_vec(v))
-    ech = Echelon()
-    for v in vecs:
-        assert ech.add(v)  # independence
+    assert (vecs.rows, vecs.cols) == (8, 3)
+    assert (m * vecs).is_zero()
+    assert plain_rank(vecs.a) == 3  # independence
 
 
 def test_rank_nullity_random():
@@ -96,7 +96,7 @@ def test_rank_nullity_random():
         cols = rng.randint(1, 6)
         m = QMatrix([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
         assert rank(m) == plain_rank(m.a)
-        assert rank(m) + len(kernel(m)) == cols
+        assert rank(m) + kernel(m).cols == cols
 
 
 def test_rref_and_solve():
@@ -414,10 +414,13 @@ def test_echelon_matches_rank_oracle(data, n, k):
     stored = sorted(ech._rows.items())
     assert _is_reduced_primitive([row for _, (row, _) in stored], [p for p, _ in stored])
     assert all(pairs == [(j, x) for j, x in enumerate(row) if x] for _, (row, pairs) in stored)
+    # membership by rank: the stored rows and v have rank dim iff v is in the span
+    rows = [row for _, (row, _) in stored]
     probes = data.draw(_matrices(2, k)) + [_combination(data, vecs, k)]
     for v in probes:
-        assert ech.contains(v) == (plain_rank(vecs + [v]) == plain_rank(vecs))
-    assert ech.contains(probes[-1])
+        inside = plain_rank(vecs + [v]) == plain_rank(vecs)
+        assert (rank(_qm(rows + [v], k)) == ech.dim) == inside
+    assert rank(_qm(rows + [probes[-1]], k)) == ech.dim
 
 
 @settings(max_examples=60, deadline=None)
@@ -519,11 +522,10 @@ def test_kernel_matches_rank_oracle(data, n, k):
     m = _qm(a, k)
     vecs = kernel(m)
     assert rank(m) == plain_rank(a)
-    assert len(vecs) == k - plain_rank(a)
-    for v in vecs:
-        assert all(row == [0] for row in _ref_mul(a, [[x] for x in v], 1))
-    assert _all_fractions(vecs)
-    assert vecs == _ref_kernel(a, k)
+    assert (vecs.rows, vecs.cols) == (k, k - plain_rank(a))
+    assert all(x == 0 for row in _ref_mul(a, vecs.a, vecs.cols) for x in row)
+    assert vecs.columns() == _ref_kernel(a, k)
+    assert vecs == QMatrix.from_cols(_ref_kernel(a, k), rows=k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -535,11 +537,35 @@ def test_joint_kernel_matches_stacked_oracle(data, heights, k):
     blocks = [[[Fraction(x) / s for x in row] for row in b] for b, s in zip(blocks, scales)]
     vecs = joint_kernel([_qm(b, k) for b in blocks])
     stacked = [row for b in blocks for row in b]
-    assert vecs == _ref_kernel(stacked, k)
-    assert len(vecs) == k - plain_rank(stacked)
-    for v in vecs:
-        assert all(row == [0] for row in _ref_mul(stacked, [[x] for x in v], 1))
-    assert _all_fractions(vecs)
+    assert vecs.columns() == _ref_kernel(stacked, k)
+    assert (vecs.rows, vecs.cols) == (k, k - plain_rank(stacked))
+    assert all(x == 0 for row in _ref_mul(stacked, vecs.a, vecs.cols) for x in row)
+
+
+def _echelon_same_span(a, b):
+    """Oracle: the Echelon of a's columns is as big as b's and takes in none of them."""
+    ea, eb = Echelon(), Echelon()
+    for v in a.columns():
+        ea.add(v)
+    for v in b.columns():
+        eb.add(v)
+    return ea.dim == eb.dim and not any(ea.add(v) for v in b.columns())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 5), st.integers(0, 4), st.integers(0, 4), st.booleans())
+def test_same_span_matches_echelon_oracle(data, n, ka, kb, extra):
+    # b's columns are combinations of a's, so the spans often agree; an extra
+    # column may leave a's span.  ka or kb == 0 gives a zero-column matrix
+    ints = st.integers(-3, 3)
+    a = QMatrix.from_ints([[data.draw(ints) for _ in range(ka)] for _ in range(n)], cols=ka)
+    c = QMatrix.from_ints([[data.draw(ints) for _ in range(kb)] for _ in range(ka)], cols=kb)
+    b = a * c * rat(1, data.draw(st.integers(1, 6)))
+    if extra:
+        b = b.hstack(QMatrix.from_ints([[data.draw(ints)] for _ in range(n)]))
+    expected = _echelon_same_span(a, b)
+    assert same_span(a, b) == same_span(b, a) == expected
+    assert same_span(a, a) and same_span(b, b)
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +736,8 @@ def test_closure_matches_word_oracle(data, matrices, ngens):
     assert ech.dim == len(elements) == closed
     assert plain_rank(flat) == len(flat)
     assert plain_rank(flat + [_flat(x) for x in words]) == closed
-    assert all(ech.contains(_flat(x)) for x in words)
+    rows = [row for row, _ in ech._rows.values()]
+    assert plain_rank(rows + [_flat(x) for x in words]) == ech.dim
     # the independent seeds come first, in order
     independent = [
         x for i, x in enumerate(seeds)

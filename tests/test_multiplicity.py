@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from bigalg import lie
-from bigalg.linalg import Echelon, QMatrix, same_span
+from bigalg.linalg import QMatrix, rank, same_span
 from bigalg.multiplicity import (
     _h_stabilize_limit,
     algebra_structure_table,
@@ -113,12 +113,9 @@ def test_e_limit_octet_zero_weight(octet):
     lim = e_limit(octet, (0, 0))
     assert lim.cols == 2
     invariants = g_e_invariants(octet)
-    ech = Echelon()
-    for v in invariants:
-        ech.add(v)
-    assert all(ech.contains(v) for v in lim.columns())
+    assert rank(invariants.hstack(lim)) == rank(invariants)
     # zero is the minuscule class here, so the containment is equality
-    assert same_span(lim.columns(), invariants)
+    assert same_span(lim, invariants)
 
 
 def test_e_limit_methods_agree_battery(octet, decuplet, rd3):
@@ -128,7 +125,7 @@ def test_e_limit_methods_agree_battery(octet, decuplet, rd3):
                 a = e_limit_filtration(rep, lam)
                 b = e_limit_zlimit(rep, lam)
                 assert a.cols == b.cols
-                assert same_span(a.columns(), b.columns())
+                assert same_span(a, b)
 
 
 def test_brylinski_middle_identity(octet, sl2_sym4, rd3, rd2):
@@ -202,11 +199,6 @@ def test_scaled_weight_space_is_torus_eigenspace(octet, L3):
         s = diagonal([Fraction(z) ** i for i in range(3)])
         u = octet.gl_transport(s) * weight_space_basis(octet, (0, 0), torus="h_plus_e")
         hz = [e + z * h for e, h in zip(L3.e_coords, L3.h_coords)]
-        cent = L3.centralizer([x for x in hz])
-        ech = Echelon()
-        for v in u.columns():
-            ech.add(v)
-        for x in cent:
-            m = octet.op(x)
-            for j in range(u.cols):
-                assert ech.contains(m.mul_vec(u.col(j)))
+        cent = L3.centralizer(hz)
+        for x in cent.columns():
+            assert rank(u.hstack(octet.op(x) * u)) == rank(u)

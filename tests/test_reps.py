@@ -143,8 +143,17 @@ def test_weight_multiplicity_against_q_analogue(decuplet):
 
 
 def test_g_e_invariants_dims(octet, decuplet):
-    assert len(g_e_invariants(octet)) == 2
-    assert len(g_e_invariants(decuplet)) == 1
+    assert g_e_invariants(octet).cols == 2
+    assert g_e_invariants(decuplet).cols == 1
+
+
+def test_weight_basis_is_identity_columns(octet):
+    ident = QMatrix.identity(octet.dim)
+    for lam, idx in octet.weight_table.items():
+        expected = QMatrix.from_cols([ident.col(i) for i in idx], rows=octet.dim)
+        assert octet.weight_basis(lam) == expected
+    # (5, 5) is not a weight of the octet
+    assert octet.weight_basis((5, 5)) == QMatrix.zeros(octet.dim, 0)
 
 
 def test_cache_round_trip(tmp_path, L3, octet):
