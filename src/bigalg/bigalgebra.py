@@ -519,6 +519,18 @@ def _image(v, g):
     return g * v
 
 
+def _span_dim(mats, orbit_dim, dim):
+    """Dimension of the unital algebra the matrices generate.
+
+    When they commute pairwise and some vector's orbit is all of Q^dim, it
+    is dim: a commutative algebra A with A.v = V has a.v = 0 only for
+    a = 0, since a.(b.v) = b.(a.v).  Otherwise the span closure decides.
+    """
+    if orbit_dim == dim and all(a * b == b * a for a, b in combinations(mats, 2)):
+        return dim
+    return closure([QMatrix.identity(dim)], mats, mul)[0].dim
+
+
 def freeness_and_rank_check(rep, gens, seed=0):
     """Span, cyclicity, and simple-spectrum evidence at three seeded random points."""
     rng = random.Random(seed)
@@ -527,17 +539,17 @@ def freeness_and_rank_check(rep, gens, seed=0):
     for _ in range(3):
         cvals = random_c_point(rng, n)
         mats = [op.evaluate(cvals) for op in gens]
-        span, _ = closure([QMatrix.identity(rep.dim)], mats, mul)
         vec = QMatrix.from_ints([[rng.choice(_PROBE_POOL)] for _ in range(rep.dim)])
         orbit, _ = closure([vec], mats, _image)
+        span_dim = _span_dim(mats, orbit.dim, rep.dim)
         combo = QMatrix.zeros(rep.dim, rep.dim)
         for m in mats:
             combo = combo + m * rng.choice(_PROBE_POOL)
         report["points"].append(
             {
                 "cvals": cvals,
-                "span_dim": span.dim,
-                "span_ok": span.dim == rep.dim,
+                "span_dim": span_dim,
+                "span_ok": span_dim == rep.dim,
                 "cyclic": orbit.dim == rep.dim,
                 "simple_spectrum": is_squarefree(charpoly(combo)),
             }

@@ -289,10 +289,9 @@ class RootData:
         return tuple(out)
 
     def h_pairing(self, lam):
-        """lam(h) for the principal semisimple h; equals 2(lam, rho)."""
-        two_rho = self.ip(lam, self.rho) * 2
-        assert two_rho.denominator == 1
-        return int(two_rho)
+        """lam(h) for the principal semisimple h; equals 2(lam, rho), and
+        2(omega_i, rho) = i(n - i)."""
+        return sum(c * i * (self.n - i) for i, c in enumerate(lam, 1))
 
 
 def weyl_group(n):

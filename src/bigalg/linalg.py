@@ -426,8 +426,9 @@ def _reduced_echelon(rows):
 
 
 def rank(m):
-    # rank and kernel are invariant under scaling by the common denominator
-    return len(_reduced_echelon(m.num)[1])
+    # rank is invariant under scaling by the common denominator and under
+    # transposition, so the shorter side is eliminated
+    return len(_reduced_echelon(m.num if m.rows <= m.cols else zip(*m.num))[1])
 
 
 def kernel(m):

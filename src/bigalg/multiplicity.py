@@ -94,12 +94,15 @@ def lusztig_m(rd, mu, lam):
 
 def h_plus_e_transport(rep):
     """Transport matrix carrying standard weight spaces to those of the
-    torus centralizing h + e (same integer spectrum as h, conjugate over Q)."""
-    L = rep.L
-    target = L.h + L.e
-    eigs = [L.h[i, i] for i in range(L.n)]
-    s = rational_diagonalizer(target, eigs)
-    return rep.gl_transport(s)
+    torus centralizing h + e (same integer spectrum as h, conjugate over Q).
+    Computed once per module."""
+
+    def compute():
+        L = rep.L
+        eigs = [L.h[i, i] for i in range(L.n)]
+        return rep.gl_transport(rational_diagonalizer(L.h + L.e, eigs))
+
+    return rep.cached("h_plus_e", compute)
 
 
 def weight_space_basis(rep, lam, torus="standard"):
@@ -179,12 +182,20 @@ def e_limit_zlimit(rep, lam):
 
 
 def e_limit(rep, lam):
-    """The e-limit of a weight space, cross-checked between the two routes."""
-    a = e_limit_filtration(rep, lam)
-    b = e_limit_zlimit(rep, lam)
-    if a.cols != b.cols or not same_span(a, b):
-        raise RuntimeError("limit constructions disagree (bug)")
-    return a
+    """The e-limit of a weight space, cross-checked between the two routes.
+
+    Kept per module once the routes agree; a disagreement raises each time.
+    """
+    lam = tuple(lam)
+
+    def compute():
+        a = e_limit_filtration(rep, lam)
+        b = e_limit_zlimit(rep, lam)
+        if a.cols != b.cols or not same_span(a, b):
+            raise RuntimeError("limit constructions disagree (bug)")
+        return a
+
+    return rep.cached(("e_limit", lam), compute)
 
 
 # ---------------------------------------------------------------------------

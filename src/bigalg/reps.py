@@ -153,7 +153,8 @@ class Representation:
         self.weight_table = {}
         for i, w in enumerate(weights):
             self.weight_table.setdefault(w, []).append(i)
-        self._transport_cache = {}
+        # values computed from rho, kept per module: see cached
+        self._memo = {}
 
     # ---------- operators ----------
 
@@ -165,9 +166,18 @@ class Representation:
                 out = out + m * c
         return out
 
+    def cached(self, key, compute):
+        """compute(), kept on this module under key.
+
+        Nothing is kept when compute raises, so a later call raises again.
+        """
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
     @property
     def rho_e(self):
-        return self.op(self.L.e_coords)
+        return self.cached("rho_e", lambda: self.op(self.L.e_coords))
 
     def weight_basis(self, lam):
         """The identity columns at the basis indices of weight lam; dim x 0
@@ -185,19 +195,17 @@ class Representation:
         the full GL_n action; the subspace is GL-stable, so the action
         restricts.  Conjugation by the result realizes rho(s X s^-1).
         """
-        key = (s.den, tuple(map(tuple, s.num)))
-        if key in self._transport_cache:
-            return self._transport_cache[key]
-        n = self.L.n
+        return self.cached(("gl", s.den, tuple(map(tuple, s.num))),
+                           lambda: self._gl_transport(s))
+
+    def _gl_transport(self, s):
         if not self.factors:
-            out = QMatrix.identity(1)
-        else:
-            t = wedge_group_matrix(s, n, self.factors[0])
-            for k in self.factors[1:]:
-                t = t.kron(wedge_group_matrix(s, n, k))
-            out = solve_columns(self.tensor_basis, t * self.tensor_basis)
-        self._transport_cache[key] = out
-        return out
+            return QMatrix.identity(1)
+        n = self.L.n
+        t = wedge_group_matrix(s, n, self.factors[0])
+        for k in self.factors[1:]:
+            t = t.kron(wedge_group_matrix(s, n, k))
+        return solve_columns(self.tensor_basis, t * self.tensor_basis)
 
     # ---------- serialization ----------
 

@@ -8,13 +8,25 @@ matrices through cached powers, the small and medium operators from their
 defining formulas, equivariance and homogeneity as exact polynomial
 identities, the common total degree of polynomial entries, rho of the
 Killing-dual basis as dense matrices, formal derivatives term by term, the
-q-partition function by explicit enumeration, and weight spaces by joint
-eigenspace decomposition.
+q-partition function by explicit enumeration, weight spaces by joint
+eigenspace decomposition, and the freeness report with the span closure
+run at every point.
 """
 
 from __future__ import annotations
 
-from bigalg.linalg import QMatrix, invert, joint_invariant_decomposition
+import random
+from operator import mul
+
+from bigalg.bigalgebra import _PROBE_POOL, _image, random_c_point
+from bigalg.linalg import (
+    QMatrix,
+    charpoly,
+    closure,
+    invert,
+    is_squarefree,
+    joint_invariant_decomposition,
+)
 from bigalg.multipoly import ZERO, MultiPoly, rat
 from bigalg.polymatrix import PolyMatrix
 from bigalg.qpoly import QPoly
@@ -375,3 +387,43 @@ def weight_spaces(rep, torus_elements):
             if isinstance(lab, tuple):
                 raise ValueError("irrational spectrum")
     return blocks
+
+
+def freeness_by_closure(rep, gens, seed=0):
+    """freeness_and_rank_check with the fiber span always read off the span
+    closure of the point values (vectors of length dim^2), never off a
+    cyclic vector.  It draws from the seeded generator in the same order."""
+    rng = random.Random(seed)
+    n = rep.L.n
+    report = {"points": [], "fiber_cyclic": None, "fiber_simple": None}
+    for _ in range(3):
+        cvals = random_c_point(rng, n)
+        mats = [op.evaluate(cvals) for op in gens]
+        span, _ = closure([QMatrix.identity(rep.dim)], mats, mul)
+        vec = QMatrix.from_ints([[rng.choice(_PROBE_POOL)] for _ in range(rep.dim)])
+        orbit, _ = closure([vec], mats, _image)
+        combo = QMatrix.zeros(rep.dim, rep.dim)
+        for m in mats:
+            combo = combo + m * rng.choice(_PROBE_POOL)
+        report["points"].append(
+            {
+                "cvals": cvals,
+                "span_dim": span.dim,
+                "span_ok": span.dim == rep.dim,
+                "cyclic": orbit.dim == rep.dim,
+                "simple_spectrum": is_squarefree(charpoly(combo)),
+            }
+        )
+    zeros = [0] * (n - 1)
+    mats0 = [op.evaluate(zeros) for op in gens]
+    vec = QMatrix.from_ints([[rng.choice(_PROBE_POOL)] for _ in range(rep.dim)])
+    report["fiber_cyclic"] = closure([vec], mats0, _image)[0].dim == rep.dim
+    combo0 = QMatrix.zeros(rep.dim, rep.dim)
+    for m in mats0:
+        combo0 = combo0 + m * rng.choice(_PROBE_POOL)
+    report["fiber_simple"] = is_squarefree(charpoly(combo0))
+    report["ok"] = all(
+        p["span_ok"] and p["cyclic"] and p["simple_spectrum"]
+        for p in report["points"]
+    ) and report["fiber_cyclic"]
+    return report

@@ -31,12 +31,12 @@ from bigalg.bigalgebra import (
     weighted_monomials,
 )
 from bigalg.kirillov import derivation_chain
-from bigalg.linalg import Echelon, QMatrix, charpoly, rank, rational_roots
+from bigalg.linalg import Echelon, QMatrix, charpoly, closure, rank, rational_roots
 from bigalg.multipoly import MultiPoly, VarSet, rat
 from bigalg.polymatrix import PolyMatrix
 from bigalg.qpoly import QPoly
 from bigalg.reps import build_irrep
-from oracles import diagonal, entry_subs, poly_of_commuting, small_operator
+from oracles import diagonal, entry_subs, freeness_by_closure, poly_of_commuting, small_operator
 
 
 def test_restriction_of_small_operator_is_companion(L2, L3, sl3_standard):
@@ -432,6 +432,38 @@ def test_freeness_and_rank(decuplet, decuplet_gens, octet, octet_gens):
     assert fro["ok"] and fro["fiber_cyclic"]
     # the nilpotent point need not have simple spectrum; only recorded
     assert "fiber_simple" in fro
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_freeness_matches_the_closure_oracle(seed, decuplet, decuplet_gens, octet, octet_gens):
+    for rep, gens in ((octet, octet_gens), (decuplet, decuplet_gens)):
+        fast = freeness_and_rank_check(rep, gens.ops, seed=seed)
+        assert fast == freeness_by_closure(rep, gens.ops, seed=seed)
+
+
+def _unit(i, j):
+    return QMatrix.from_ints([[int((r, c) == (i, j)) for c in range(2)] for r in range(2)])
+
+
+def test_span_dim_reads_a_cyclic_vector_of_commuting_values(monkeypatch):
+    # diag(1, 2) and its square commute, and (1, 1) is cyclic for them
+    d = diagonal([1, 2])
+    monkeypatch.setattr(bigalgebra, "closure", None)  # the closure must not run
+    assert bigalgebra._span_dim([d, d * d], 2, 2) == 2
+
+
+def test_span_dim_falls_back_on_a_short_orbit():
+    # the identity commutes with itself, but every orbit is a line
+    assert bigalgebra._span_dim([QMatrix.identity(2)], 1, 2) == 1
+
+
+def test_span_dim_needs_commuting_values():
+    # E12 and E21 carry (1, 1) to both unit vectors, a full orbit, yet they
+    # generate all of M_2: without the commutation guard this would read 2
+    e12, e21 = _unit(0, 1), _unit(1, 0)
+    v = QMatrix.from_ints([[1], [1]])
+    assert closure([v], [e12, e21], bigalgebra._image)[0].dim == 2
+    assert bigalgebra._span_dim([e12, e21], 2, 2) == 4
 
 
 def test_determinism_of_derived_relations(octet, octet_gens):

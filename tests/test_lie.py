@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bigalg import lie
 from bigalg.linalg import QMatrix, kernel, rank
@@ -192,7 +193,9 @@ def test_principal_point_values(L3):
     assert lie.principal_point(L3) == [rat(-4), rat(0)]
 
 
-def test_h_pairing_matches_2_rho_ip():
-    rd = lie.RootData(3)
-    for lam in [(1, 0), (0, 1), (1, 1), (3, 0), (2, 1)]:
-        assert rd.h_pairing(lam) == 2 * rd.ip(lam, rd.rho)
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(2, 7))
+def test_h_pairing_matches_2_rho_ip(data, n):
+    rd = lie.RootData(n)
+    lam = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=n - 1, max_size=n - 1)))
+    assert rd.h_pairing(lam) == 2 * rd.ip(lam, rd.rho)

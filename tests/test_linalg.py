@@ -71,6 +71,24 @@ def plain_rank(rows):
     return len(ref_rref(rows)[1])
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(0, 7), st.integers(0, 7), st.integers(0, 4))
+def test_rank_matches_plain_rank_on_tall_wide_and_square(data, rows, indep, dependent):
+    # the last columns are integer combinations of the first indep ones, so
+    # the rank is at most indep; rows against indep + dependent makes the
+    # matrix tall, wide or square
+    ints = st.integers(-4, 4)
+    base = [[data.draw(ints) for _ in range(indep)] for _ in range(rows)]
+    mix = [[data.draw(ints) for _ in range(dependent)] for _ in range(indep)]
+    a = [
+        row + [sum(x * mix[t][j] for t, x in enumerate(row)) for j in range(dependent)]
+        for row in base
+    ]
+    m = QMatrix.from_ints(a, cols=indep + dependent)
+    assert rank(m) == rank(m.transpose()) == plain_rank(a)
+    assert rank(m) <= min(rows, indep)
+
+
 def test_kernel_identity_and_zero():
     assert kernel(QMatrix.identity(3)) == QMatrix.zeros(3, 0)
     assert kernel(QMatrix.zeros(2, 3)) == QMatrix.identity(3)

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from bigalg import lie
+from bigalg import lie, multiplicity
+from bigalg.limits import limit_of_span
 from bigalg.linalg import QMatrix, rank, same_span
 from bigalg.multiplicity import (
     _h_stabilize_limit,
@@ -19,7 +20,7 @@ from bigalg.multiplicity import (
     weight_space_basis,
 )
 from bigalg.qpoly import QPoly
-from bigalg.reps import g_e_invariants
+from bigalg.reps import build_irrep, g_e_invariants
 from oracles import diagonal, qkostant_bruteforce
 
 
@@ -116,6 +117,37 @@ def test_e_limit_octet_zero_weight(octet):
     assert rank(invariants.hstack(lim)) == rank(invariants)
     # zero is the minuscule class here, so the containment is equality
     assert same_span(lim, invariants)
+
+
+def _count_limit_of_span(monkeypatch, result=None):
+    """Count the calls of limit_of_span from e_limit; result replaces its value."""
+    calls = []
+
+    def counting(columns):
+        calls.append(columns)
+        return limit_of_span(columns) if result is None else result
+
+    monkeypatch.setattr(multiplicity, "limit_of_span", counting)
+    return calls
+
+
+def test_e_limit_is_computed_once_per_module(L3, monkeypatch):
+    rep = build_irrep(L3, (1, 1))  # fresh, so nothing is kept on it yet
+    calls = _count_limit_of_span(monkeypatch)
+    a = e_limit(rep, (0, 0))
+    assert e_limit(rep, [0, 0]) == a
+    assert len(calls) == 1
+
+
+def test_e_limit_keeps_no_disagreement(L3, monkeypatch):
+    # a zero-column limit disagrees with the filtration route's plane; the
+    # error is raised on every call, not kept
+    rep = build_irrep(L3, (1, 1))
+    calls = _count_limit_of_span(monkeypatch, QMatrix.zeros(rep.dim, 0))
+    for _ in range(2):
+        with pytest.raises(RuntimeError):
+            e_limit(rep, (0, 0))
+    assert len(calls) == 2
 
 
 def test_e_limit_methods_agree_battery(octet, decuplet, rd3):

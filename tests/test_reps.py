@@ -167,6 +167,14 @@ def test_cache_round_trip(tmp_path, L3, octet):
     assert back.tensor_basis == octet.tensor_basis
 
 
+def test_a_loaded_module_starts_with_an_empty_memo(tmp_path, L3, octet):
+    octet.rho_e  # keeps rho(e) on the saved module
+    save_rep(octet, str(tmp_path))
+    back = load_rep(L3, (1, 1), str(tmp_path))
+    assert "rho_e" in octet._memo
+    assert back._memo == {}
+
+
 def _set_rho_entry(obj):
     obj["rho"][0][0][0] = "7"
 
