@@ -13,7 +13,7 @@ from itertools import combinations
 from math import isqrt, lcm
 from operator import mul
 
-from .multipoly import MultiPoly, VarSet, monomial_values, rat, substitute, ZERO, ONE
+from .multipoly import MultiPoly, VarSet, monomial_values, rat, substitute, ONE
 from .linalg import (
     Echelon,
     QMatrix,
@@ -161,25 +161,27 @@ class BigGenerators:
     def anchor_eigenvalues(self):
         """Eigenvalue of each generator on the transported highest-weight line."""
         cvals, transport = principal_transport(self.rep)
-        hw = transport.col(0)  # basis vector 0 is the highest-weight vector
-        out = {}
-        for op in self.ops:
-            val = op.evaluate(cvals)
-            out[op.label] = _eigenvalue_on_line(val, hw)
-        return out
+        line = transport * self.rep.weight_basis(self.rep.mu)
+        return {
+            op.label: eigenvalue_on_block(op.evaluate(cvals), line) for op in self.ops
+        }
 
     def report(self):
         return [op.report() for op in self.ops]
 
 
-def _eigenvalue_on_line(mat, vec):
-    image = mat.mul_vec(vec)
-    pivot = next((i for i, x in enumerate(vec) if x), None)
+def eigenvalue_on_block(mat, block):
+    """The scalar t with mat * block == t * block, for a nonzero block of
+    columns; ValueError when mat does not act on it by a scalar."""
+    pivot = next(
+        ((i, j) for i, row in enumerate(block.num) for j, x in enumerate(row) if x), None
+    )
     if pivot is None:
-        raise ValueError("zero vector")
-    t = image[pivot] / vec[pivot]
-    if any(x != t * y for x, y in zip(image, vec)):
-        raise ValueError("vector is not an eigenvector")
+        raise ValueError("zero block")
+    image = mat * block
+    t = image[pivot] / block[pivot]
+    if image != block * t:
+        raise ValueError("matrix is not scalar on the block")
     return t
 
 
@@ -214,7 +216,8 @@ def rational_diagonalizer(m, eigs):
         vec = kernel(m - QMatrix.identity(m.rows) * a)
         if vec.cols != 1:
             raise ValueError("eigenvalue %s is not simple" % a)
-        out = out.hstack(vec * (1 / next(x for x in vec.col(0) if x)))
+        lead = next(c for (c,) in vec.num if c)
+        out = out.hstack(vec * rat(vec.den, lead))
     return out
 
 
@@ -365,7 +368,8 @@ def ideal_span(relations, ring, weight_vec, d):
     """Echelon of all monomial * relation products of weighted degree d.
 
     Vectors are coefficients over weighted_monomials(weight_vec, d), in that
-    order; a relation of degree above d contributes nothing.
+    order, each relation's over their common denominator; a relation of
+    degree above d contributes nothing.
     """
     weights = dict(zip(ring.names, weight_vec))
     index = {ring.pack(m): i for i, m in enumerate(weighted_monomials(weight_vec, d))}
@@ -373,11 +377,15 @@ def ideal_span(relations, ring, weight_vec, d):
     for rel in relations:
         if rel.ring != ring:
             raise ValueError("variable-set mismatch: %r vs %r" % (rel.ring, ring))
+        den = lcm(*(c.denominator for c in rel.terms.values()))
+        ints = [
+            (key, c.numerator * (den // c.denominator)) for key, c in rel.terms.items()
+        ]
         for mult in weighted_monomials(weight_vec, d - rel.weighted_degree(weights)):
             # a product of monomials adds their packed keys
             shift = ring.pack(mult)
-            vec = [ZERO] * len(index)
-            for key, c in rel.terms.items():
+            vec = [0] * len(index)
+            for key, c in ints:
                 vec[index[key + shift]] = c
             ech.add(vec)
     return ech
@@ -457,7 +465,7 @@ def derive_relations(rep, gens, max_degree):
         new_here = []
         for v in kern.columns():
             if old_span.add(v):
-                terms = {k: c for k, c in zip(keys, v) if c}
+                terms = {k: c for k, (c,) in zip(keys, v.a) if c}
                 new_here.append(MultiPoly(rr.ring, terms, _trusted=True))
         relations += new_here
         info.append(

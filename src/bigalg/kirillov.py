@@ -22,29 +22,30 @@ def _dual_rho_rows(rep):
     """rho(X^i) as sparse integer rows over one denominator each.
 
     rho(X^i) = sum_j killing_inv[i][j] rho(X_j) for the Killing-dual basis,
-    in the operand form of ``int_sum_of_products``; built once from the
-    integer rows of rho and cached on the representation.
+    in the operand form of ``int_sum_of_products``; built once per module
+    from the integer rows of killing_inv and of rho, and kept in its memo.
     """
-    cached = getattr(rep, "_dual_rho_rows", None)
-    if cached is None:
-        L = rep.L
+
+    def compute():
+        kinv = rep.L.killing_inv
         sparse = [_sparse_int_rows(m) for m in rep.rho]
-        cached = []
-        for coeffs in map(L.killing_inv.row, range(L.dim)):
+        duals = []
+        for coeffs in kinv.num:
             terms = [(c, sparse[j]) for j, c in enumerate(coeffs) if c]
-            den = lcm(*(c.denominator * d for c, (_, d) in terms))
+            den = lcm(*(d for _, (_, d) in terms))
             acc = [{} for _ in range(rep.dim)]
             for c, (rows, d) in terms:
-                w = c.numerator * (den // (c.denominator * d))
+                w = c * (den // d)
                 for out, row in zip(acc, rows):
                     for k, x in row:
                         out[k] = out.get(k, 0) + w * x[0]
             rows = [
                 [(k, {0: v}) for k, v in sorted(out.items()) if v] for out in acc
             ]
-            cached.append((rows, den))
-        rep._dual_rho_rows = cached
-    return cached
+            duals.append((rows, kinv.den * den))
+        return duals
+
+    return rep.cached("dual_rho_rows", compute)
 
 
 def wei_D(rep, mat):

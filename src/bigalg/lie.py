@@ -1,8 +1,9 @@
 """Structure data for sl_n: basis, forms, roots, Weyl group, principal triple.
 
 The basis is the elementary matrices E_ij (i != j, row-major) followed by
-H_k = E_kk - E_{k+1,k+1}; every coordinate vector in the package refers to
-this order.  Weights are integer tuples in fundamental-weight coordinates.
+H_k = E_kk - E_{k+1,k+1}; every coordinate vector in the package is a
+dim x 1 QMatrix column in this order.  Weights are integer tuples in
+fundamental-weight coordinates.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .multipoly import MultiPoly, VarSet, rat
-from .linalg import QMatrix, _fractions, _int_vector, charpoly, invert, kernel
+from .linalg import QMatrix, charpoly, invert, kernel
 from .polymatrix import PolyMatrix
 
 
@@ -85,22 +86,33 @@ class TypeA:
         return coords
 
     def coords_of(self, m):
-        """Expand a trace-zero n x n matrix over the basis, exactly."""
+        """The coordinate column of a trace-zero n x n matrix, exactly."""
         num = m.num
         coords = self._expand(num, 0)
         if coords[-1] + num[-1][-1]:
             raise ValueError("matrix has nonzero trace")
-        return _fractions(coords, m.den)
+        return QMatrix.from_ints([[c] for c in coords], m.den)
+
+    def coord_ints(self, coords):
+        """The integer entries of a coordinate column, over coords.den.
+
+        Raises ValueError unless coords is a dim x 1 QMatrix.
+        """
+        if coords.rows != self.dim or coords.cols != 1:
+            raise ValueError(
+                "coordinates must be a %d x 1 column, got %d x %d"
+                % (self.dim, coords.rows, coords.cols)
+            )
+        return [c for (c,) in coords.num]
 
     def matrix_of(self, coords):
         """The n x n matrix sum_i coords[i] X_i; inverse to coords_of."""
-        ints, den = _int_vector(coords)
         num = [[0] * self.n for _ in range(self.n)]
-        for c, x in zip(ints, self._sparse):
+        for c, x in zip(self.coord_ints(coords), self._sparse):
             if c:
                 for (i, j), v in x.items():
                     num[i][j] += c * v
-        return QMatrix.from_ints(num, den)
+        return QMatrix.from_ints(num, coords.den)
 
     def ad_matrix(self, coords):
         """Matrix of ad(x) acting on coordinate vectors; column j is [x, X_j].
@@ -125,7 +137,7 @@ class TypeA:
         return QMatrix.from_ints([list(row) for row in zip(*cols)], x.den)
 
     def centralizer(self, coords):
-        """The centralizer of x inside sl_n, as the columns of coordinate vectors."""
+        """The centralizer of x inside sl_n, its coordinate columns spanning it."""
         return kernel(self.ad_matrix(coords))
 
     # ---------- the polynomial coordinate ring of sl_n ----------

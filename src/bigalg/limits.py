@@ -40,11 +40,12 @@ def limit_of_span(columns):
             if v:
                 cols[idx] = [{e - v: c for e, c in p.items()} for p in col]
         # (b) leading coefficient vectors
-        lead = QMatrix.from_cols([[p.get(0, 0) for p in col] for col in cols], rows=height)
+        lead = QMatrix([[col[i].get(0, 0) for col in cols] for i in range(height)])
         if rank(lead) == k:
             return lead
-        # (c) replace the last column involved in a kernel relation
-        combo = kernel(lead).col(0)
+        # (c) replace the last column involved in a kernel relation; its
+        # integer coefficients scale the new column, which the span ignores
+        combo = [row[0] for row in kernel(lead).num]
         pivot = max(i for i, c in enumerate(combo) if c)
         new_col = [{} for _ in range(height)]
         for j, c in enumerate(combo):

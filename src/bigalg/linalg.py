@@ -3,11 +3,10 @@
 A ``QMatrix`` stores integer rows ``num`` over one positive denominator
 ``den``, normalized so that gcd(den, every entry) == 1 (the zero matrix has
 den 1); equal matrices have equal storage.  Rationals become integers only
-where a matrix is built from them: the constructor, ``from_cols`` and
-``from_obj``.  Arithmetic, ``kron``, ``hstack`` and every
-elimination read and write the integer rows, and ``Fraction``s are built
-only when a caller reads entries (``m[i, j]``, ``row``, ``col``,
-``columns``, ``to_obj``, ``str`` and the read-only ``a``).
+where a matrix is built from them: the constructor and ``from_obj``.
+Arithmetic, ``kron``, ``hstack`` and every elimination read and write the
+integer rows, and ``Fraction``s are built only when a caller reads entries
+(``m[i, j]``, ``to_obj``, ``str`` and the read-only ``a``).
 
 Products skip zero entries.  Every elimination is one fraction-free
 reduced echelon form: ``Echelon`` keeps primitive integer rows, positive at
@@ -18,8 +17,10 @@ integer rows of the matrix.  ``charpoly`` runs Faddeev-LeVerrier on the
 integer matrix.  ``closure`` grows an ``Echelon`` into the span of seeds
 under a set of generators.
 
-A subspace is one QMatrix whose columns span it: ``kernel`` returns the
-null space that way, and span questions compare ranks (``same_span``).
+A vector is a rows x 1 QMatrix, and ``columns`` reads a matrix as such
+columns.  A subspace is one QMatrix whose columns span it: ``kernel``
+returns the null space that way, and span questions compare ranks
+(``same_span``).
 
 Roots are exact too: gcds, squarefree factors and Sturm sequences of
 primitive integer polynomials come from one pseudo-remainder, and every
@@ -45,14 +46,6 @@ def _int_rows(a):
     if den == 1:
         return [[x.numerator for x in row] for row in a], 1
     return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
-
-
-def _int_vector(v):
-    """Integer entries and one positive denominator d with v == ints / d."""
-    den = lcm(*{x.denominator for x in v})
-    if den == 1:
-        return [x.numerator for x in v], 1
-    return [x.numerator * (den // x.denominator) for x in v], den
 
 
 def _fractions(ints, den):
@@ -129,15 +122,6 @@ class QMatrix:
     def identity(cls, n):
         return cls._of([[int(i == j) for j in range(n)] for i in range(n)], 1, n)
 
-    @classmethod
-    def from_cols(cls, cols, rows):
-        if not cols:
-            return cls._of([[] for _ in range(rows)], 1, 0)
-        n = len(cols[0])
-        if not n:
-            return cls._of([], 1, len(cols))
-        return cls([[col[i] for col in cols] for i in range(n)])
-
     # ---------- accessors ----------
 
     @property
@@ -151,14 +135,12 @@ class QMatrix:
         v = self.num[i][j]
         return Fraction(v, self.den) if v else ZERO
 
-    def row(self, i):
-        return _fractions(self.num[i], self.den)
-
-    def col(self, j):
-        return _fractions([row[j] for row in self.num], self.den)
-
     def columns(self):
-        return [self.col(j) for j in range(self.cols)]
+        """The columns, each a rows x 1 QMatrix."""
+        return [
+            _reduced([[row[j]] for row in self.num], self.den, 1)
+            for j in range(self.cols)
+        ]
 
     # ---------- arithmetic ----------
 
@@ -192,19 +174,21 @@ class QMatrix:
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
             width = other.cols
-            # row k of other as its nonzero (j, value) pairs
-            sparse_b = [_pairs(row) for row in other.num]
+            # each nonzero row k of other as k and its nonzero (j, value)
+            # pairs, so a sparse column costs its nonzero entries
+            sparse_b = [
+                (k, pairs) for k, pairs in enumerate(map(_pairs, other.num)) if pairs
+            ]
             out = []
             for row in self.num:
                 acc = [0] * width
-                for x, brow in zip(row, sparse_b):
+                for k, brow in sparse_b:
+                    x = row[k]
                     if x:
                         for j, y in brow:
                             acc[j] += x * y
                 out.append(acc)
             return _reduced(out, self.den * other.den, width)
-        if isinstance(other, (list, tuple)):
-            return self.mul_vec(other)
         return self._scaled(rat(other))
 
     def __rmul__(self, other):
@@ -214,15 +198,6 @@ class QMatrix:
         p = c.numerator
         num = [[x * p for x in r] for r in self.num]
         return _reduced(num, self.den * c.denominator, self.cols)
-
-    def mul_vec(self, v):
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        w, dv = _int_vector(v)
-        nonzero = _pairs(w)
-        return _fractions(
-            [sum(row[j] * y for j, y in nonzero) for row in self.num], self.den * dv
-        )
 
     def power(self, k):
         if self.rows != self.cols:
@@ -344,21 +319,10 @@ def _eliminate(row, c, prow, ppairs):
     return out
 
 
-def _integers(vec):
-    """A fresh integer list proportional to vec.
-
-    vec is a rational vector, or a QMatrix taken row-major as its integer
-    rows (spans ignore the scale).
-    """
-    if isinstance(vec, QMatrix):
-        return list(chain.from_iterable(vec.num))
-    return _int_vector(vec)[0]
-
-
 class Echelon:
     """A growing basis of a subspace in fraction-free reduced echelon form.
 
-    ``add`` takes a rational vector, or a QMatrix taken row-major as its
+    ``add`` takes a list of integers, or a QMatrix taken row-major as its
     integer rows, without its denominator.  Each pivot row is a primitive
     integer row, positive at its pivot (the smallest index where it is
     nonzero) and zero at every other pivot.
@@ -408,7 +372,8 @@ class Echelon:
 
     def add(self, vec):
         """Insert a vector; True iff it enlarged the span."""
-        return self._insert(self._reduce(_integers(vec)))
+        ints = chain.from_iterable(vec.num) if isinstance(vec, QMatrix) else vec
+        return self._insert(self._reduce(list(ints)))
 
 
 def _reduced_echelon(rows):
@@ -595,7 +560,7 @@ def upoly_eval(p, x):
 
 def _int_poly(p):
     """The primitive integer polynomial proportional to p; [] for zero."""
-    ints = _int_vector(upoly_trim(list(p)))[0]
+    ints = _int_rows([upoly_trim(list(p))])[0][0]
     return _primitive(ints, -1) if ints else []
 
 

@@ -175,9 +175,8 @@ def e_limit_zlimit(rep, lam):
         return QMatrix.zeros(rep.dim, 0)
     rd = lie.RootData(rep.L.n)
     wts = [rd.h_pairing(w) for w in rep.weights]
-    columns = [
-        [{-wts[i]: x} for i, x in enumerate(basis.col(j))] for j in range(basis.cols)
-    ]
+    # the integer columns: the span ignores the common denominator
+    columns = [[{-wts[i]: x} for i, x in enumerate(col)] for col in zip(*basis.num)]
     return limit_of_span(columns)
 
 
@@ -212,10 +211,17 @@ def reversal_transport(rep):
 
 
 def generators_at_e(rep, gens):
-    """Calibrated generator values at the zero fiber, in the principal-e frame."""
+    """Calibrated generator values at the zero fiber, in the principal-e frame.
+
+    gens are BigGenerators(rep).ops, so each label has one value per module,
+    which is kept in its memo.
+    """
     zeros = [0] * (rep.L.n - 1)
     u = reversal_transport(rep)
-    return [u * op.evaluate(zeros) * u for op in gens]
+    return [
+        rep.cached(("at_e", op.label), lambda op=op: u * op.evaluate(zeros) * u)
+        for op in gens
+    ]
 
 
 def multiplicity_algebra(rep, gens, lam):
@@ -298,8 +304,8 @@ def algebra_structure_table(restricted_ops, dim):
     products = [a * b for a in basis for b in basis]
     coeffs = solve_columns(flat_columns(basis), flat_columns(products))
     table = {
-        "%d,%d" % divmod(t, len(basis)): [str(x) for x in coeffs.col(t)]
-        for t in range(coeffs.cols)
+        "%d,%d" % divmod(t, len(basis)): [str(x) for x in col]
+        for t, col in enumerate(coeffs.transpose().a)
     }
     return {"basis": [b.to_obj() for b in basis], "table": table}
 

@@ -159,12 +159,12 @@ class Representation:
     # ---------- operators ----------
 
     def op(self, coords):
-        """rho of a Lie algebra element given by basis coordinates."""
+        """rho of a Lie algebra element given by its coordinate column."""
         out = QMatrix.zeros(self.dim, self.dim)
-        for c, m in zip(coords, self.rho):
+        for c, m in zip(self.L.coord_ints(coords), self.rho):
             if c:
                 out = out + m * c
-        return out
+        return QMatrix.from_ints(out.num, out.den * coords.den, self.dim)
 
     def cached(self, key, compute):
         """compute(), kept on this module under key.

@@ -20,7 +20,7 @@ from .linalg import (
 )
 from .polymatrix import PolyMatrix
 from . import lie
-from .bigalgebra import _eigenvalue_on_line, principal_transport
+from .bigalgebra import eigenvalue_on_block, principal_transport
 
 
 # ---------------------------------------------------------------------------
@@ -92,17 +92,9 @@ def principal_spectrum(rep, gens):
     medium = [op for op in gens if op.i == 1]
     med_vals = [op.evaluate(cvals) for op in medium]
     table = {}
-    for lam, idx in sorted(rep.weight_table.items()):
-        cols = [transport.col(i) for i in idx]
-        eig_tuple = []
-        for val in med_vals:
-            scalars = {_eigenvalue_on_line(val, c) for c in cols}
-            if len(scalars) != 1:
-                raise ValueError(
-                    "medium generator is not scalar on a weight space"
-                )
-            eig_tuple.append(scalars.pop())
-        table[lam] = tuple(eig_tuple)
+    for lam in sorted(rep.weight_table):
+        block = transport * rep.weight_basis(lam)
+        table[lam] = tuple(eigenvalue_on_block(val, block) for val in med_vals)
 
     tuples = list(table.values())
     injective = len(set(tuples)) == len(tuples)

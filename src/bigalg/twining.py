@@ -11,8 +11,8 @@ from __future__ import annotations
 from operator import mul
 
 from .bigalgebra import ideal_span, weighted_monomials
-from .multipoly import MultiPoly, VarSet, ZERO, ONE
-from .linalg import QMatrix, invert, restrict_to_block
+from .multipoly import MultiPoly, VarSet
+from .linalg import QMatrix, flat_columns, invert, restrict_to_block
 
 
 def pinning_w0(n):
@@ -29,8 +29,7 @@ def sigma_on_matrix(L, x):
 
 def sigma_coord_matrix(L):
     """The linear map on Lie-algebra coordinates induced by sigma."""
-    cols = [L.coords_of(sigma_on_matrix(L, b)) for b in L.basis]
-    return QMatrix.from_cols(cols, rows=L.dim)
+    return flat_columns([L.coords_of(sigma_on_matrix(L, b)) for b in L.basis])
 
 
 def is_sigma_invariant(mu):
@@ -47,22 +46,22 @@ def intertwiner(rep):
         raise ValueError("highest weight is not sigma-invariant")
     n = rep.L.n
     lower_ops = [rep.rho[i] for i in rep.L.lowering_index]
+    highest = rep.weight_basis(rep.mu)
     cols = []
     for word in rep.words:
-        v = [ONE if i == 0 else ZERO for i in range(rep.dim)]
+        v = highest
         for li in word:
             # sigma sends the li-th lowering operator to the (n-li)-th
-            v = lower_ops[n - li - 1].mul_vec(v)
+            v = lower_ops[n - li - 1] * v
         cols.append(v)
-    return QMatrix.from_cols(cols, rows=rep.dim)
+    return flat_columns(cols)
 
 
 def check_intertwiner(rep, s):
     """S rho(X) = rho(sigma X) S for every basis element, exactly."""
     L = rep.L
     sg = sigma_coord_matrix(L)
-    for i in range(L.dim):
-        coords = sg.col(i)
+    for i, coords in enumerate(sg.columns()):
         lhs = s * rep.rho[i]
         rhs = rep.op(coords) * s
         if lhs != rhs:
@@ -74,9 +73,9 @@ def _sigma_substitution(L, sg):
     """x_j -> (sigma x)_j, the linear forms of the coordinate map sg."""
     ring = L.x_ring
     mapping = {}
-    for j in range(L.dim):
+    for j, row in enumerate(sg.a):
         form = MultiPoly.zero(ring)
-        for i, c in enumerate(sg.row(j)):
+        for i, c in enumerate(row):
             if c:
                 form = form + MultiPoly.variable(ring, "x%d" % i).scale(c)
         mapping["x%d" % j] = form

@@ -32,6 +32,16 @@ from bigalg.polymatrix import PolyMatrix
 from bigalg.qpoly import QPoly
 
 
+def column(values):
+    """The QMatrix column with the given entries."""
+    return QMatrix([[x] for x in values])
+
+
+def column_entries(col):
+    """The entries of a QMatrix column, as Fractions."""
+    return [x for (x,) in col.a]
+
+
 def diagonal(entries):
     """The diagonal QMatrix with the given entries."""
     n = len(entries)
@@ -118,7 +128,8 @@ def killing_by_structure(n):
 
 
 def bracket_by_structure(n, x, y):
-    """Coordinates of [x, y] = sum_{i,j} x_i y_j [X_i, X_j] for coordinate vectors."""
+    """Coordinates of [x, y] = sum_{i,j} x_i y_j [X_i, X_j] for coordinate
+    vectors given as lists."""
     c = structure_constants(n)
     out = [ZERO] * len(c)
     for i, xi in enumerate(x):
@@ -130,7 +141,7 @@ def bracket_by_structure(n, x, y):
 
 
 def bracket_coords(L, x, y):
-    """Coordinates of the commutator [x, y] of two n x n matrices."""
+    """The coordinate column of the commutator [x, y] of two n x n matrices."""
     return L.coords_of(x * y - y * x)
 
 
@@ -274,9 +285,9 @@ def medium_operator(rep, k):
     # g = T^{-1} * partials with T the trace-form Gram matrix
     trace_inv = invert(trace_form(L))
     mat = PolyMatrix.zeros(L.x_ring, rep.dim, rep.dim)
-    for i in range(L.dim):
+    for i, row in enumerate(trace_inv.a):
         gi = MultiPoly.zero(L.x_ring)
-        for c, partial in zip(trace_inv.row(i), partials):
+        for c, partial in zip(row, partials):
             if c and partial.terms:
                 gi = gi + partial.scale(c)
         if gi.terms:
@@ -289,9 +300,9 @@ def dual_rho(rep):
     if not hasattr(rep, "_dual_rho"):
         L = rep.L
         duals = []
-        for i in range(L.dim):
+        for row in L.killing_inv.a:
             m = QMatrix.zeros(rep.dim, rep.dim)
-            for j, c in enumerate(L.killing_inv.row(i)):
+            for j, c in enumerate(row):
                 if c:
                     m = m + rep.rho[j] * c
             duals.append(m)
@@ -377,7 +388,7 @@ def qkostant_bruteforce(rd, pi):
 def weight_spaces(rep, torus_elements):
     """Simultaneous eigenspace decomposition under commuting semisimple ops.
 
-    torus_elements are Lie-algebra elements as coordinate vectors; their
+    torus_elements are Lie-algebra elements as coordinate columns; their
     images must commute and act with rational joint spectrum.
     """
     mats = [rep.op(x) for x in torus_elements]

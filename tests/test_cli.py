@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from bigalg import cli
 
 CLI = [sys.executable, "-m", "bigalg.cli"]
 README = Path(__file__).resolve().parent.parent / "README.md"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run(*args, check=True):
@@ -348,3 +350,30 @@ def test_readme_command_block_runs(tmp_path, monkeypatch):
             assert json.loads(out)["all_zero"] is True
         if argv[0] == "qanalogue":
             assert json.loads(out)["m"] == [[1, 1], [2, 1]]
+
+
+def _perfbench_module(name):
+    """A module of the benchmark, read from its file: perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, PERFBENCH / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_command_matches_its_digest(tmp_path):
+    # one fresh cache: the first command of each module builds and saves it,
+    # the others load it
+    gate = _perfbench_module("gate")
+    workloads = _perfbench_module("workloads")
+    table = gate.load_table()
+    cache = str(tmp_path)
+    commands = workloads.cli_all_commands()
+    assert len(commands) == len(table["cli"]) == 91
+    failed = []
+    for argv in commands:
+        code, out = _main(argv + ["--cache", cache])
+        key = workloads.argv_key(argv)
+        error = "exit code %s" % code if code else gate.check_cli(table, key, out, cache)
+        if error:
+            failed.append((key, error))
+    assert not failed

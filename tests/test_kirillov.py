@@ -11,6 +11,7 @@ from bigalg.polymatrix import PolyMatrix
 from bigalg.reps import build_irrep
 from oracles import (
     basis_names,
+    column_entries,
     diagonal,
     equivariance_check,
     evaluate,
@@ -23,8 +24,8 @@ from oracles import (
 
 
 def _at(mat, coords):
-    """The value of an operator-valued polynomial at Lie-algebra coordinates."""
-    return mat.evaluate({"x%d" % i: c for i, c in enumerate(coords)})
+    """The value of an operator-valued polynomial at a Lie-algebra coordinate column."""
+    return mat.evaluate({"x%d" % i: c for i, c in enumerate(column_entries(coords))})
 
 
 def _scalar(rep, poly):
@@ -35,7 +36,7 @@ def _scalar(rep, poly):
 def test_small_operator_evaluations(octet, sl3_standard, L3):
     m1 = small_operator(octet)
     assert _at(m1, L3.h_coords) == octet.op(L3.h_coords)
-    assert _at(m1, [0] * L3.dim).is_zero()
+    assert _at(m1, QMatrix.zeros(L3.dim, 1)).is_zero()
     # the builder reproduces the defining basis for the standard module,
     # so evaluating the small operator at a point returns that very matrix
     m1_std = small_operator(sl3_standard)
@@ -58,7 +59,7 @@ def test_invariant_ck_basics(L3):
     zeros = {nm: 0 for nm in L3.x_ring.names}
     assert evaluate(L3.invariant_ck(2), zeros) == 0
     assert evaluate(L3.invariant_ck(3), zeros) == 0
-    values = dict(zip(L3.x_ring.names, L3.h_coords))
+    values = dict(zip(L3.x_ring.names, column_entries(L3.h_coords)))
     assert evaluate(L3.invariant_ck(2), values) == -4
     with pytest.raises(ValueError):
         L3.invariant_ck(4)
@@ -79,7 +80,7 @@ def test_medium_k3_is_traceless_adjugate(octet, L3):
     adj_tl = adj_h - QMatrix.identity(3) * trace_part
     expected = octet.op(L3.coords_of(adj_tl)) * rat(-1)
     assert _at(med, L3.h_coords) == expected
-    assert _at(med, [0] * L3.dim).is_zero()
+    assert _at(med, QMatrix.zeros(L3.dim, 1)).is_zero()
 
 
 def test_wei_d_of_constant_vanishes(octet):

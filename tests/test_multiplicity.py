@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from bigalg import lie, multiplicity
+from bigalg.bigalgebra import BigGenerators, SectionOperator
 from bigalg.limits import limit_of_span
 from bigalg.linalg import QMatrix, rank, same_span
 from bigalg.multiplicity import (
@@ -12,11 +13,13 @@ from bigalg.multiplicity import (
     e_limit,
     e_limit_filtration,
     e_limit_zlimit,
+    generators_at_e,
     lusztig_m,
     minuscule_quotient_check,
     multiplicity_algebra,
     qkostant_partition,
     quotient_chain_check,
+    reversal_transport,
     weight_space_basis,
 )
 from bigalg.qpoly import QPoly
@@ -105,8 +108,7 @@ def test_e_limit_highest_weight_is_extreme_line(octet, rd3):
     assert lim.cols == 1
     # the limit line is an h-weight line at the top pairing
     wts = {rd3.h_pairing(w) for w in octet.weights}
-    col = lim.col(0)
-    support = {rd3.h_pairing(octet.weights[i]) for i, x in enumerate(col) if x}
+    support = {rd3.h_pairing(octet.weights[i]) for i, (x,) in enumerate(lim.a) if x}
     assert support == {max(wts)}
 
 
@@ -150,6 +152,26 @@ def test_e_limit_keeps_no_disagreement(L3, monkeypatch):
     assert len(calls) == 2
 
 
+def test_generators_at_e_are_conjugated_once_per_module(L3, monkeypatch):
+    rep = build_irrep(L3, (1, 1))  # fresh, so nothing is kept on it yet
+    gens = BigGenerators(rep).ops
+    evaluate = SectionOperator.evaluate
+    calls = []
+
+    def counting(op, cvals):
+        calls.append(op.label)
+        return evaluate(op, cvals)
+
+    monkeypatch.setattr(SectionOperator, "evaluate", counting)
+    for lam in ((0, 0), (1, 1)):
+        multiplicity_algebra(rep, gens, lam)
+    assert sorted(calls) == sorted(op.label for op in gens)
+    monkeypatch.undo()
+    u = reversal_transport(rep)
+    zeros = [0] * (L3.n - 1)
+    assert generators_at_e(rep, gens) == [u * op.evaluate(zeros) * u for op in gens]
+
+
 def test_e_limit_methods_agree_battery(octet, decuplet, rd3):
     for rep in (octet, decuplet):
         for lam in rep.weight_table:
@@ -170,9 +192,8 @@ def test_brylinski_middle_identity(octet, sl2_sym4, rd3, rd2):
             limit = _h_stabilize_limit(rep, e_limit(rep, lam))
             wts = [rd.h_pairing(w) for w in rep.weights]
             pairs = {}
-            for j in range(limit.cols):
-                col = limit.col(j)
-                k = {wts[i] for i, x in enumerate(col) if x}.pop()
+            for col in limit.columns():
+                k = {wts[i] for i, (x,) in enumerate(col.a) if x}.pop()
                 pairs[k] = pairs.get(k, 0) + 1
             shift = rd.ip(lam, rd.rho)
             middle = QPoly({Fraction(k, 2) - shift: d for k, d in pairs.items()})
@@ -230,7 +251,7 @@ def test_scaled_weight_space_is_torus_eigenspace(octet, L3):
         # the h+e weight space under the scaling diag(1, z, z^2)
         s = diagonal([Fraction(z) ** i for i in range(3)])
         u = octet.gl_transport(s) * weight_space_basis(octet, (0, 0), torus="h_plus_e")
-        hz = [e + z * h for e, h in zip(L3.e_coords, L3.h_coords)]
+        hz = L3.e_coords + L3.h_coords * z
         cent = L3.centralizer(hz)
         for x in cent.columns():
             assert rank(u.hstack(octet.op(x) * u)) == rank(u)

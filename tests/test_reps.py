@@ -6,10 +6,11 @@ import pytest
 
 from bigalg import lie
 from bigalg.acceptance import BATTERY
+from bigalg.kirillov import _dual_rho_rows
 from bigalg.linalg import QMatrix
 from bigalg.multipoly import rat
 from bigalg.reps import build_irrep, g_e_invariants, load_rep, save_rep
-from oracles import structure_constants, weight_spaces
+from oracles import column, structure_constants, weight_spaces
 
 
 def test_fundamental_dims(L3, L4):
@@ -43,7 +44,7 @@ def test_bracket_fidelity(octet, L2, L3, L4):
         c = structure_constants(L.n)
         for i, j in combinations(range(L.dim), 2):
             lhs = rep.rho[i].commutator(rep.rho[j])
-            assert lhs == rep.op(c[i][j]), (rep.mu, i, j)
+            assert lhs == rep.op(column(c[i][j])), (rep.mu, i, j)
 
 
 # First 16 hex digits of the SHA-256 of the sorted-key JSON of to_obj(),
@@ -103,10 +104,26 @@ def test_weights_weyl_invariant(decuplet):
     assert sum(mult.values()) == decuplet.dim
 
 
+def test_coordinates_must_be_a_column_of_length_dim(octet, L3):
+    # zip would cut a wrong length to the basis; each is refused instead
+    for coords in (
+        QMatrix([[1]]),
+        QMatrix([[1]] * 20),
+        QMatrix([[1], [0]]),
+        QMatrix([[1] * L3.dim]),
+    ):
+        for use in (octet.op, L3.matrix_of, L3.ad_matrix, L3.centralizer):
+            with pytest.raises(ValueError):
+                use(coords)
+    first = column([int(i == 0) for i in range(L3.dim)])
+    assert octet.op(first) == octet.rho[0]
+    assert L3.matrix_of(first) == L3.basis[0]
+
+
 def test_weight_spaces_standard_cartan(octet, decuplet, L3):
     torus = [
-        [rat(1) if i == L3.dim - 2 else rat(0) for i in range(L3.dim)],
-        [rat(1) if i == L3.dim - 1 else rat(0) for i in range(L3.dim)],
+        column([rat(1) if i == L3.dim - 2 else rat(0) for i in range(L3.dim)]),
+        column([rat(1) if i == L3.dim - 1 else rat(0) for i in range(L3.dim)]),
     ]
     blocks = weight_spaces(octet, torus)
     dims = sorted(b.cols for b, _ in blocks)
@@ -118,7 +135,7 @@ def test_weight_spaces_standard_cartan(octet, decuplet, L3):
 def test_weight_spaces_irrational_spectrum_rejected(L2):
     std = build_irrep(L2, (1,))
     # e + 2f acts on the standard module with eigenvalues +-sqrt(2)
-    x = [a + 2 * b for a, b in zip(L2.e_coords, L2.coords_of(L2.f))]
+    x = L2.e_coords + L2.coords_of(L2.f) * 2
     with pytest.raises(ValueError):
         weight_spaces(std, [x])
 
@@ -127,7 +144,7 @@ def test_weight_spaces_trivial_rep(L3):
     triv = build_irrep(L3, (0, 0))
     assert triv.dim == 1
     assert triv.weight_table == {(0, 0): [0]}
-    torus = [[rat(1) if i == L3.dim - 2 else rat(0) for i in range(L3.dim)]]
+    torus = [column([rat(1) if i == L3.dim - 2 else rat(0) for i in range(L3.dim)])]
     blocks = weight_spaces(triv, torus)
     assert len(blocks) == 1 and blocks[0][1] == (rat(0),)
 
@@ -150,7 +167,7 @@ def test_g_e_invariants_dims(octet, decuplet):
 def test_weight_basis_is_identity_columns(octet):
     ident = QMatrix.identity(octet.dim)
     for lam, idx in octet.weight_table.items():
-        expected = QMatrix.from_cols([ident.col(i) for i in idx], rows=octet.dim)
+        expected = QMatrix([[ident[r, i] for i in idx] for r in range(octet.dim)])
         assert octet.weight_basis(lam) == expected
     # (5, 5) is not a weight of the octet
     assert octet.weight_basis((5, 5)) == QMatrix.zeros(octet.dim, 0)
@@ -169,9 +186,10 @@ def test_cache_round_trip(tmp_path, L3, octet):
 
 def test_a_loaded_module_starts_with_an_empty_memo(tmp_path, L3, octet):
     octet.rho_e  # keeps rho(e) on the saved module
+    _dual_rho_rows(octet)  # and the operands of the derivation D
     save_rep(octet, str(tmp_path))
     back = load_rep(L3, (1, 1), str(tmp_path))
-    assert "rho_e" in octet._memo
+    assert {"rho_e", "dual_rho_rows"} <= set(octet._memo)
     assert back._memo == {}
 
 

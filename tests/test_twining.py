@@ -20,7 +20,7 @@ from bigalg.twining import (
     sigma_on_invariants,
     sigma_on_matrix,
 )
-from oracles import bracket_coords
+from oracles import bracket_coords, column
 
 
 def test_sigma_fixes_principal_triple(L3):
@@ -38,13 +38,13 @@ def test_sigma_is_involution(L3, L4):
 
         rng = random.Random(1)
         for _ in range(4):
-            x = [rat(rng.randint(-2, 2)) for _ in range(L.dim)]
-            y = [rat(rng.randint(-2, 2)) for _ in range(L.dim)]
-            sx = sg.mul_vec(x)
-            sy = sg.mul_vec(y)
+            x = column([rat(rng.randint(-2, 2)) for _ in range(L.dim)])
+            y = column([rat(rng.randint(-2, 2)) for _ in range(L.dim)])
+            sx = sg * x
+            sy = sg * y
             xy = bracket_coords(L, L.matrix_of(x), L.matrix_of(y))
             sxy = bracket_coords(L, L.matrix_of(sx), L.matrix_of(sy))
-            assert sxy == sg.mul_vec(xy)
+            assert sxy == sg * xy
 
 
 def test_sigma_requires_invariant_weight(L3):
