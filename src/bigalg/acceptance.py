@@ -413,18 +413,17 @@ def criterion_9(ws):
             a.commutator(b).is_zero() for a, b in combinations(elems, 2)
         )
         mediums = [op.kirillov for op in g.ops if op.i == 1]
-        probes = list(elems)
-        probes.append(elems[0] * elems[0])
-        if len(elems) > 1:
-            probes.append(elems[0] * elems[1])
-            probes.append(elems[-1] * elems[0])
-        d1 = wei_D(rep, probes[len(elems)])
-        probes.append(d1)
-        probes.append(wei_D(rep, d1))
+        square = elems[0] * elems[0]
+        d1 = wei_D(rep, square)
+        probes = [d1, wei_D(rep, d1)]
         # every medium generator is in elems: once the pairs commute, [m, e]
-        # is known to vanish for each e in elems
-        if commuting:
-            probes = probes[len(elems):]
+        # vanishes for each e in elems, and so does [m, ab] = [m, a] b +
+        # a [m, b] for each product; only the derivation probes are left
+        if not commuting:
+            products = [square]
+            if len(elems) > 1:
+                products += [elems[0] * elems[1], elems[-1] * elems[0]]
+            probes = elems + products + probes
         central = all(
             m.commutator(p).is_zero() for m in mediums for p in probes
         )

@@ -62,8 +62,14 @@ class TypeA:
         self.e_coords = self.coords_of(e)
         self.h_coords = self.coords_of(h)
 
-        self._x_ring = None
-        self._ck = {}
+        # values computed from the structure data, kept per algebra: see cached
+        self._memo = {}
+
+    def cached(self, key, compute):
+        """compute(), kept on this algebra under key."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     # ---------- coordinates ----------
 
@@ -144,9 +150,7 @@ class TypeA:
 
     @property
     def x_ring(self):
-        if self._x_ring is None:
-            self._x_ring = VarSet(["x%d" % i for i in range(self.dim)])
-        return self._x_ring
+        return self.cached("x_ring", lambda: VarSet(["x%d" % i for i in range(self.dim)]))
 
     def generic_matrix(self):
         """The tautological matrix sum_i x_i X_i over the coordinate ring."""
@@ -164,9 +168,10 @@ class TypeA:
         """c_k = coefficient of lambda^(n-k) in det(lambda*I - A), A generic."""
         if not 2 <= k <= self.n:
             raise ValueError("invariant index k must satisfy 2 <= k <= n")
-        if not self._ck:
-            self._ck = dict(enumerate(charpoly_coeffs_poly(self.generic_matrix())))
-        return self._ck[k]
+        ck = self.cached(
+            "ck", lambda: dict(enumerate(charpoly_coeffs_poly(self.generic_matrix())))
+        )
+        return ck[k]
 
     def coords_of_polymatrix(self, pm):
         """Coordinates of a trace-zero polynomial matrix (entries are polys)."""

@@ -546,13 +546,6 @@ def upoly_trim(p):
     return p
 
 
-def upoly_eval(p, x):
-    total = ZERO
-    for c in reversed(p):
-        total = total * x + c
-    return total
-
-
 # ---------------------------------------------------------------------------
 # exact roots, on integer polynomials (coefficients low to high)
 # ---------------------------------------------------------------------------
@@ -628,12 +621,18 @@ def _squarefree_factors(f):
     return out
 
 
-def _sign(f, u, v):
-    """The sign of f(u / v) for integers u and v > 0."""
+def _homogenized(f, u, v):
+    """v^deg f(u / v) for an integer polynomial f of degree deg and integers u, v."""
     h, w = 0, 1
     for c in reversed(f):
         h = h * u + c * w
         w *= v
+    return h
+
+
+def _sign(f, u, v):
+    """The sign of f(u / v) for integers u and v > 0."""
+    h = _homogenized(f, u, v)
     return (h > 0) - (h < 0)
 
 
@@ -694,6 +693,19 @@ def real_roots(p):
         return a / (1 << k) != b / (1 << k)
 
     return sorted((b / (1 << k), mult) for _, mult, _, b, k in _roots(p, wide))
+
+
+def upoly_at_floats(p, xs):
+    """p(x) for each float x, exact and then rounded to the nearest double:
+    p's denominators are cleared once, and each x = u / v is evaluated on
+    integers (int / int rounds correctly)."""
+    (f,), d = _int_rows([p])
+    deg = len(f) - 1
+    out = []
+    for x in xs:
+        u, v = x.as_integer_ratio()
+        out.append(_homogenized(f, u, v) / (d * v**deg))
+    return out
 
 
 def rational_roots(p):

@@ -16,7 +16,7 @@ from .linalg import (
     charpoly,
     joint_invariant_decomposition,
     real_roots,
-    upoly_eval,
+    upoly_at_floats,
 )
 from .polymatrix import PolyMatrix
 from . import lie
@@ -186,10 +186,10 @@ def emit_skeleton_points(skeleton, grid, out_path):
         for label, mat in skeleton["ops"]:
             chi = charpoly(mat.evaluate({skeleton["param"]: param}))
             branches = [x for x, mult in real_roots(chi) for _ in range(mult)]
-            for b_idx, b in enumerate(branches):
-                # exact characteristic polynomial at the emitted float
-                res = abs(float(upoly_eval(chi, Fraction(b))))
-                residual_bound = max(residual_bound, res)
+            # exact characteristic polynomial at the emitted floats
+            values = upoly_at_floats(chi, branches)
+            for b_idx, (b, val) in enumerate(zip(branches, values)):
+                residual_bound = max(residual_bound, abs(val))
                 rows.append((float(param), label, b_idx, b))
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -28,8 +28,10 @@ def sigma_on_matrix(L, x):
 
 
 def sigma_coord_matrix(L):
-    """The linear map on Lie-algebra coordinates induced by sigma."""
-    return flat_columns([L.coords_of(sigma_on_matrix(L, b)) for b in L.basis])
+    """The linear map on Lie-algebra coordinates induced by sigma, kept on L."""
+    return L.cached(
+        "sigma", lambda: flat_columns([L.coords_of(sigma_on_matrix(L, b)) for b in L.basis])
+    )
 
 
 def is_sigma_invariant(mu):
@@ -40,21 +42,26 @@ def intertwiner(rep):
     """S with S rho(X) S^{-1} = rho(sigma X), normalized on the highest line.
 
     Built by applying the index-flipped lowering words to the highest-weight
-    vector; uniqueness up to scale follows from irreducibility.
+    vector, once per module; uniqueness up to scale follows from
+    irreducibility.
     """
     if not is_sigma_invariant(rep.mu):
         raise ValueError("highest weight is not sigma-invariant")
-    n = rep.L.n
-    lower_ops = [rep.rho[i] for i in rep.L.lowering_index]
-    highest = rep.weight_basis(rep.mu)
-    cols = []
-    for word in rep.words:
-        v = highest
-        for li in word:
-            # sigma sends the li-th lowering operator to the (n-li)-th
-            v = lower_ops[n - li - 1] * v
-        cols.append(v)
-    return flat_columns(cols)
+
+    def compute():
+        n = rep.L.n
+        lower_ops = [rep.rho[i] for i in rep.L.lowering_index]
+        highest = rep.weight_basis(rep.mu)
+        cols = []
+        for word in rep.words:
+            v = highest
+            for li in word:
+                # sigma sends the li-th lowering operator to the (n-li)-th
+                v = lower_ops[n - li - 1] * v
+            cols.append(v)
+        return flat_columns(cols)
+
+    return rep.cached("intertwiner", compute)
 
 
 def check_intertwiner(rep, s):

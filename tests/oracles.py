@@ -32,6 +32,14 @@ from bigalg.polymatrix import PolyMatrix
 from bigalg.qpoly import QPoly
 
 
+def upoly_eval(p, x):
+    """p(x) for coefficients p low to high, in Fraction arithmetic."""
+    total = ZERO
+    for c in reversed(p):
+        total = total * x + c
+    return total
+
+
 def column(values):
     """The QMatrix column with the given entries."""
     return QMatrix([[x] for x in values])

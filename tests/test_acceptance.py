@@ -5,14 +5,20 @@ runs once per module through ``run_all`` (criterion 12 writes its figures to
 a temporary directory of its own); each test checks its criterion's entry
 and prints its PASS/FAIL line so a full run reads as a checklist.  The
 results must also hash to the digests the benchmark's output gate checks.
+Criterion 9's probe choice is checked apart, on one module at a time.
 """
 
 import importlib.util
+from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from bigalg import acceptance
+from bigalg.kirillov import wei_D
+from bigalg.multipoly import MultiPoly
+from bigalg.polymatrix import PolyMatrix
 
 # the benchmark's output gate, read from its file: perfbench is not a package
 _GATE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "gate.py"
@@ -106,3 +112,71 @@ def test_battery_matches_the_benchmark_digests(battery):
     want = gate.load_table()["battery"]["0"]
     got = {str(r["id"]): gate.criterion_digest(r) for r in battery["results"]}
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# criterion 9: which commutators it takes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", ["octet_gens", "decuplet_gens"])
+def test_mediums_commute_with_the_products_criterion_9_skips(request, family):
+    # once the generators commute, criterion 9 leaves these to the Leibniz rule
+    ops = request.getfixturevalue(family).ops
+    elems = [op.kirillov for op in ops]
+    products = [elems[0] * elems[0], elems[0] * elems[1], elems[-1] * elems[0]]
+    for m in (op.kirillov for op in ops if op.i == 1):
+        for p in products:
+            assert m.commutator(p).is_zero()
+
+
+def _criterion_9_on(monkeypatch, rep, ops):
+    """criterion_9 on rep alone with the generators ops, the freeness check
+    stubbed out: the module's details and each commutator's (left, right)."""
+    calls = []
+    commutator = PolyMatrix.commutator
+
+    def counted(a, b):
+        calls.append((a, b))
+        return commutator(a, b)
+
+    monkeypatch.setattr(PolyMatrix, "commutator", counted)
+    monkeypatch.setattr(acceptance, "BATTERY", [(rep.L.n, rep.mu)])
+    monkeypatch.setattr(
+        acceptance,
+        "freeness_and_rank_check",
+        lambda rep, ops, seed: {"ok": True, "points": [], "fiber_cyclic": True},
+    )
+    ws = SimpleNamespace(
+        seed=0, rep=lambda n, mu: rep, gens=lambda n, mu: SimpleNamespace(ops=ops)
+    )
+    result = acceptance.criterion_9(ws)
+    return result["details"]["sl%d %s" % (rep.L.n, rep.mu)], calls
+
+
+def test_criterion_9_probes_derivations_only_once_the_generators_commute(
+    monkeypatch, octet, octet_gens
+):
+    elems = [op.kirillov for op in octet_gens.ops]
+    mediums = [op.kirillov for op in octet_gens.ops if op.i == 1]
+    details, calls = _criterion_9_on(monkeypatch, octet, octet_gens.ops)
+    assert details["pairwise_commute"] and details["medium_central_on_probes"]
+    d1 = wei_D(octet, elems[0] * elems[0])
+    probes = [d1, wei_D(octet, d1)]
+    assert calls == list(combinations(elems, 2)) + [(m, p) for m in mediums for p in probes]
+
+
+def test_criterion_9_tests_every_probe_when_a_pair_does_not_commute(monkeypatch, octet, octet_gens):
+    ring = octet.L.x_ring
+    # a scalar medium commutes with every probe, so no check stops early
+    m = PolyMatrix.scalar(ring, octet.dim, MultiPoly.variable(ring, "x0"))
+    n1 = octet_gens.by_label["N1"].kirillov
+    r = PolyMatrix.from_qmatrix(ring, octet.rho[0])
+    assert not n1.commutator(r).is_zero()
+    ops = [SimpleNamespace(kirillov=k, i=i) for k, i in ((m, 1), (n1, 2), (r, 2))]
+    details, calls = _criterion_9_on(monkeypatch, octet, ops)
+    assert not details["pairwise_commute"]
+    assert details["medium_central_on_probes"]
+    d1 = wei_D(octet, m * m)
+    probes = [m, n1, r, m * m, m * n1, r * m, d1, wei_D(octet, d1)]
+    assert calls == [(m, n1), (m, r), (n1, r)] + [(m, p) for p in probes]

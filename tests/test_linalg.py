@@ -22,10 +22,10 @@ from bigalg.linalg import (
     same_span,
     solve_columns,
     squarefree_decomposition,
-    upoly_eval,
+    upoly_at_floats,
 )
 from bigalg.multipoly import ONE, ZERO, rat
-from oracles import diagonal
+from oracles import diagonal, upoly_eval
 
 
 def upoly_mul(p, q):
@@ -915,6 +915,18 @@ def test_real_roots_are_correctly_rounded(factors):
         above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
         assert (below * below - d) * (above * above - d) < 0
         assert (x > 0) == (root[0] == "sqrt")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.fractions(-10**6, 10**6, max_denominator=10**4), min_size=1, max_size=8),
+    st.lists(
+        st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e6, 1e6), st.floats(-1e-6, 1e-6)),
+        max_size=6,
+    ),
+)
+def test_upoly_at_floats_is_the_rounded_exact_value(p, xs):
+    assert upoly_at_floats(p, xs) == [float(upoly_eval(p, Fraction(x))) for x in xs]
 
 
 @settings(max_examples=80, deadline=None)
