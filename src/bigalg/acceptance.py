@@ -41,8 +41,8 @@ from .spectra import (
     decuplet_identities,
     emit_skeleton_points,
     octet_identities,
+    principal_eigen_table,
     principal_restriction,
-    principal_spectrum,
     verify_quantum_number_identities,
 )
 from .twining import (
@@ -452,7 +452,7 @@ def criterion_10(ws):
     ok = True
     for n, mu in BATTERY:
         rep = ws.rep(n, mu)
-        ps = principal_spectrum(rep, ws.gens(n, mu).ops)
+        ps = principal_eigen_table(rep, ws.gens(n, mu).ops)
         details["sl%d %s" % (n, mu)] = {"injective": ps["injective"]}
         ok = ok and ps["injective"]
     dec = verify_quantum_number_identities(

@@ -19,8 +19,10 @@ from .linalg import (
     QMatrix,
     charpoly,
     closure,
+    flat_columns,
     is_squarefree,
     kernel,
+    rank,
 )
 from .polymatrix import PolyMatrix
 from .qpoly import QPoly, geometric_quotient
@@ -258,29 +260,48 @@ def _ad_grade(rep, mat):
     return grades.pop() if len(grades) == 1 else None
 
 
-def _fiber_dims(mats, degrees, max_degree, dim):
-    """Dimension of the span of the degree-d generator monomials, d <= max_degree.
+def _graded_spans(seed, mats, degrees, max_degree, act):
+    """Dimension of span(A_d * seed) for each d <= max_degree, and its basis.
 
-    The values commute, so the degree-d span is the sum over generators g of
-    span(degree d - deg g) * M_g: only the values that enlarged their
-    degree's span are multiplied by each generator.
+    A_d is the span of the generator monomials of weighted degree d.  The
+    values commute, so A_d * seed is the sum over generators g of
+    act(A_{d - g} * seed, M_g): only the elements that enlarged their
+    degree's span are acted on.  Returns (dims, elements).
     """
-    spans = {}  # degree -> the values that enlarged its span
+    spans = {}  # degree -> the elements that enlarged its span
     dims = []
     for d in range(max_degree + 1):
         ech = Echelon()
         if d:
             products = (
-                val * m
+                act(x, m)
                 for m, g in zip(mats, degrees)
                 if 0 < g <= d
-                for val in spans[d - g]
+                for x in spans[d - g]
             )
         else:
-            products = [QMatrix.identity(dim)]
-        spans[d] = [val for val in products if ech.add(val)]
+            products = [seed]
+        spans[d] = [x for x in products if ech.add(x)]
         dims.append(ech.dim)
-    return dims
+    return dims, [x for xs in spans.values() for x in xs]
+
+
+def _fiber_dims(mats, degrees, max_degree, dim):
+    """Dimension of the span of the degree-d generator monomials, d <= max_degree.
+
+    Read off the orbit of v = e_0 (the highest-weight vector of a module):
+    when the values commute pairwise and the vectors A_d * v of all degrees
+    span Q^dim, then A * v = V, so a -> a * v is injective on A (see
+    _span_dim) and dim A_d = dim A_d * v.  Otherwise the degree-d products
+    of the dim x dim values are spanned.
+    """
+    e0 = QMatrix.from_ints([[int(i == 0)] for i in range(dim)])
+    dims, orbit = _graded_spans(e0, mats, degrees, max_degree, lambda v, m: m * v)
+    if rank(flat_columns(orbit)) == dim and _commute_pairwise(mats):
+        return dims
+    return _graded_spans(
+        QMatrix.identity(dim), mats, degrees, max_degree, lambda x, m: x * m
+    )[0]
 
 
 def hilbert_series(rep, gens):
@@ -527,6 +548,10 @@ def _image(v, g):
     return g * v
 
 
+def _commute_pairwise(mats):
+    return all(a * b == b * a for a, b in combinations(mats, 2))
+
+
 def _span_dim(mats, orbit_dim, dim):
     """Dimension of the unital algebra the matrices generate.
 
@@ -534,7 +559,7 @@ def _span_dim(mats, orbit_dim, dim):
     is dim: a commutative algebra A with A.v = V has a.v = 0 only for
     a = 0, since a.(b.v) = b.(a.v).  Otherwise the span closure decides.
     """
-    if orbit_dim == dim and all(a * b == b * a for a, b in combinations(mats, 2)):
+    if orbit_dim == dim and _commute_pairwise(mats):
         return dim
     return closure([QMatrix.identity(dim)], mats, mul)[0].dim
 

@@ -79,16 +79,13 @@ def principal_restriction(gens, L):
 # ---------------------------------------------------------------------------
 
 
-def principal_spectrum(rep, gens):
-    """Joint spectrum of the generators over the principal semisimple point.
+def principal_eigen_table(rep, gens):
+    """Joint spectrum of the medium generators over the principal semisimple point.
 
     Medium generators act by scalars on the transported weight spaces; the
-    map weight -> tuple of those scalars must be injective.  The full
-    generator family is then split by joint invariant decomposition, with
-    irrational blocks (if any) kept unsplit.
+    map weight -> tuple of those scalars must be injective.
     """
     cvals, transport = principal_transport(rep)
-
     medium = [op for op in gens if op.i == 1]
     med_vals = [op.evaluate(cvals) for op in medium]
     table = {}
@@ -97,23 +94,26 @@ def principal_spectrum(rep, gens):
         table[lam] = tuple(eigenvalue_on_block(val, block) for val in med_vals)
 
     tuples = list(table.values())
-    injective = len(set(tuples)) == len(tuples)
-
-    all_vals = [op.evaluate(cvals) for op in gens]
-    blocks = joint_invariant_decomposition(all_vals)
-    unsplit = [
-        (basis, labels)
-        for basis, labels in blocks
-        if any(isinstance(lab, tuple) for lab in labels)
-    ]
     return {
         "point": cvals,
         "medium_labels": [op.label for op in medium],
         "eigen_table": table,
-        "injective": injective,
-        "blocks": blocks,
-        "unsplit_blocks": unsplit,
+        "injective": len(set(tuples)) == len(tuples),
     }
+
+
+def principal_spectrum(rep, gens):
+    """principal_eigen_table, with the full generator family split by joint
+    invariant decomposition; irrational blocks (if any) are kept unsplit."""
+    out = principal_eigen_table(rep, gens)
+    blocks = joint_invariant_decomposition([op.evaluate(out["point"]) for op in gens])
+    out["blocks"] = blocks
+    out["unsplit_blocks"] = [
+        (basis, labels)
+        for basis, labels in blocks
+        if any(isinstance(lab, tuple) for lab in labels)
+    ]
+    return out
 
 
 def quantum_number_identity_ring():

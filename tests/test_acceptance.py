@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from bigalg import acceptance
+from bigalg import acceptance, spectra
 from bigalg.kirillov import wei_D
 from bigalg.multipoly import MultiPoly
 from bigalg.polymatrix import PolyMatrix
@@ -28,8 +28,13 @@ _spec.loader.exec_module(gate)
 
 
 @pytest.fixture(scope="module")
-def battery():
-    return acceptance.run_all(seed=0, ws=acceptance.Workspace(seed=0))
+def workspace():
+    return acceptance.Workspace(seed=0)
+
+
+@pytest.fixture(scope="module")
+def battery(workspace):
+    return acceptance.run_all(seed=0, ws=workspace)
 
 
 def _result(battery, crit_id):
@@ -90,6 +95,17 @@ def test_criterion_09_commutativity_evidence(battery):
 def test_criterion_10_principal_spectrum(battery):
     result = _result(battery, 10)
     assert result["pass"], result["details"]
+
+
+def test_criterion_10_splits_no_fiber(monkeypatch, battery, workspace):
+    # criterion 10 reads the eigen table alone, never the joint blocks
+    def refuse(mats):
+        raise AssertionError("joint_invariant_decomposition ran")
+
+    monkeypatch.setattr(spectra, "joint_invariant_decomposition", refuse)
+    result = acceptance.criterion_10(workspace)
+    assert result["pass"]
+    assert result["details"] == _result(battery, 10)["details"]
 
 
 def test_criterion_11_twining(battery):

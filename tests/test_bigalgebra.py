@@ -276,6 +276,79 @@ def test_fiber_dims_match_monomial_enumeration(key):
     )
 
 
+def _unit(i, j):
+    return QMatrix.from_ints([[int((r, c) == (i, j)) for c in range(2)] for r in range(2)])
+
+
+def _seeds_spanned(monkeypatch):
+    """Record the width of each seed _fiber_dims spans from."""
+    widths = []
+    graded_spans = bigalgebra._graded_spans
+
+    def recorded(seed, *args):
+        widths.append(seed.cols)
+        return graded_spans(seed, *args)
+
+    monkeypatch.setattr(bigalgebra, "_graded_spans", recorded)
+    return widths
+
+
+@pytest.mark.parametrize(
+    "key", list(BATTERY) + [(3, (2, 2)), (4, (1, 1, 0)), (3, (3, 2))], ids=str
+)
+def test_fiber_dims_are_certified_by_the_highest_weight_vector(monkeypatch, key):
+    n, mu = key
+    rep = build_irrep(lie.TypeA(n), mu)
+    ops = BigGenerators(rep).ops
+    mats = [op.evaluate([0] * (n - 1)) for op in ops]
+    degrees = [op.degree for op in ops]
+    top = closed_numerator(rep.L, mu).max_exp() + 1
+    want = _oracle_fiber_dims(mats, degrees, top, rep.dim)
+    widths = _seeds_spanned(monkeypatch)
+    assert _fiber_dims(mats, degrees, top, rep.dim) == want
+    assert widths == [1]  # the dim x dim values were never spanned
+
+
+def test_fiber_dims_need_commuting_values(monkeypatch):
+    # E12 and E21 carry e_0 to e_1 and back, so the orbit spans Q^2, yet
+    # A_1 = span(E12, E21) has dimension 2 while A_1 * e_0 is the line of e_1
+    # (degree one only: above it, words in E12 and E21 are not monomials)
+    mats, degrees = [_unit(0, 1), _unit(1, 0)], [1, 1]
+    widths = _seeds_spanned(monkeypatch)
+    assert _fiber_dims(mats, degrees, 1, 2) == _oracle_fiber_dims(mats, degrees, 1, 2)
+    assert widths == [1, 2]
+
+
+def test_fiber_dims_fall_back_on_a_short_orbit(monkeypatch):
+    # diag(0, 1, 1) kills e_0, and no vector is cyclic for it: A_d * e_0 = 0
+    # for d > 0, while A_d is the line of diag(0, 1, 1)
+    mats, degrees = [diagonal([0, 1, 1])], [1]
+    widths = _seeds_spanned(monkeypatch)
+    dims = _fiber_dims(mats, degrees, 3, 3)
+    assert dims == _oracle_fiber_dims(mats, degrees, 3, 3) == [1, 1, 1, 1]
+    assert widths == [1, 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 4))
+def test_fiber_dims_of_polynomials_in_one_matrix(data, dim):
+    # polynomials in one matrix X commute; e_0 is cyclic for them or not
+    # depending on X, so both paths are drawn
+    entries = st.integers(-2, 2)
+    row = st.lists(entries, min_size=dim, max_size=dim)
+    x = QMatrix.from_ints(data.draw(st.lists(row, min_size=dim, max_size=dim)))
+    coeffs = st.lists(entries, min_size=2, max_size=4)
+    mats = []
+    for cs in data.draw(st.lists(coeffs, min_size=1, max_size=3)):
+        val = QMatrix.zeros(dim, dim)
+        for k, c in enumerate(cs):
+            val = val + x.power(k) * c
+        mats.append(val)
+    degrees = data.draw(st.lists(st.integers(1, 2), min_size=len(mats), max_size=len(mats)))
+    top = data.draw(st.integers(0, 6))
+    assert _fiber_dims(mats, degrees, top, dim) == _oracle_fiber_dims(mats, degrees, top, dim)
+
+
 def test_derive_relations_sl2(L2):
     rep = build_irrep(L2, (4,))
     g = BigGenerators(rep)
@@ -439,10 +512,6 @@ def test_freeness_matches_the_closure_oracle(seed, decuplet, decuplet_gens, octe
     for rep, gens in ((octet, octet_gens), (decuplet, decuplet_gens)):
         fast = freeness_and_rank_check(rep, gens.ops, seed=seed)
         assert fast == freeness_by_closure(rep, gens.ops, seed=seed)
-
-
-def _unit(i, j):
-    return QMatrix.from_ints([[int((r, c) == (i, j)) for c in range(2)] for r in range(2)])
 
 
 def test_span_dim_reads_a_cyclic_vector_of_commuting_values(monkeypatch):

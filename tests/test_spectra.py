@@ -3,6 +3,8 @@ import math
 import os
 from fractions import Fraction
 
+import pytest
+
 from bigalg import lie
 from bigalg.bigalgebra import BigGenerators
 from bigalg.linalg import QMatrix, restrict_to_block
@@ -14,6 +16,7 @@ from bigalg.spectra import (
     emit_skeleton_points,
     invariants_along_principal_line,
     octet_identities,
+    principal_eigen_table,
     principal_restriction,
     principal_spectrum,
     skeleton_pullback,
@@ -128,6 +131,16 @@ def test_principal_spectrum_sl2_standard(L2):
     g = BigGenerators(std)
     ps = principal_spectrum(std, g.ops)
     assert ps["eigen_table"] == {(1,): (rat(1),), (-1,): (rat(-1),)}
+
+
+@pytest.mark.parametrize("module", ["octet", "decuplet"])
+def test_principal_spectrum_adds_the_blocks_to_the_eigen_table(request, module):
+    rep = request.getfixturevalue(module)
+    ops = request.getfixturevalue(module + "_gens").ops
+    ps = principal_spectrum(rep, ops)
+    blocks = {k: ps.pop(k) for k in ("blocks", "unsplit_blocks")}
+    assert blocks["blocks"]
+    assert ps == principal_eigen_table(rep, ops)
 
 
 def test_quantum_number_identities(decuplet, decuplet_gens, octet, octet_gens):
