@@ -63,15 +63,6 @@ class SectionOperator:
         }
 
 
-def restrict_to_section(mat, coords_c, ring_c):
-    """Substitute the companion-section coordinates into an operator.
-
-    coords_c holds one polynomial in ring_c per x-variable
-    (``lie.section_coords``); ``PolyMatrix.subs`` does the substitution.
-    """
-    return mat.subs(ring_c, dict(zip(mat.ring.names, coords_c)))
-
-
 class BigGenerators:
     """The calibrated generator family of one representation."""
 
@@ -79,13 +70,15 @@ class BigGenerators:
         self.rep = rep
         L = rep.L
         n = L.n
-        self.ring, self._section_coords = lie.section_coords(L)
+        self.ring, coords = lie.section_coords(L)
+        # x -> the companion-section coordinates: each is 0, 1 or -c_k
+        section = dict(zip(L.x_ring.names, coords))
         self.ops = []
         self.by_label = {}
         raw = {}
         for k in range(2, n + 1):
             for i, mat in enumerate(derivation_chain(rep, k, k - 1), 1):
-                mat_c = restrict_to_section(mat, self._section_coords, self.ring)
+                mat_c = mat.subs(self.ring, section)
                 raw[(i, k)] = (mat, mat_c)
 
         # medium operators: D(c_k * Id) carries the universal factor -1/(4n)

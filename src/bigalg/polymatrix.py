@@ -12,8 +12,9 @@ only when a caller reads entries (``m[i, j]``, ``first_nonzero``,
 Every product of matrices goes through ``int_sum_of_products``: output
 entries accumulate Python ints over the product of the operands'
 denominators.  ``sum_of_products`` checks rings and shapes and hands it the
-rows of each operand (``_sparse_int_rows``).  ``subs`` and ``evaluate``
-find the image of each distinct monomial once.
+rows of each operand (``_sparse_int_rows``).  ``subs`` puts a monomial in
+place of each variable, finding the image of each distinct monomial once;
+``evaluate`` is ``subs`` into the constants.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .multipoly import MultiPoly, rat
+from .multipoly import MultiPoly, VarSet, rat
 from .linalg import QMatrix
 
 
@@ -31,21 +32,13 @@ def _rational(x):
     return x if isinstance(x, (int, Fraction)) else rat(x)
 
 
+_CONSTANTS = VarSet(())  # the ring of the values at a point
+
+
 def _poly_ints(poly):
     """A polynomial's terms as {key: int} and one positive denominator."""
     den = lcm(*{c.denominator for c in poly.terms.values()})
     return {k: c.numerator * (den // c.denominator) for k, c in poly.terms.items()}, den
-
-
-def _poly_mul(a, b):
-    """The product of two polynomials given as {key: int}."""
-    out = {}
-    get = out.get
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = k1 + k2
-            out[k] = get(k, 0) + c1 * c2
-    return {k: v for k, v in out.items() if v}
 
 
 def _add_terms(acc, terms, f):
@@ -388,106 +381,63 @@ class PolyMatrix:
     def is_zero(self):
         return not any(self.num)
 
-    def _supports(self):
-        """{key: [(i, e)] of its nonzero exponents} for each distinct monomial."""
-        keys = set()
-        for row in self.num:
-            for _, terms in row:
-                keys.update(terms)
-        support = self.ring.support
-        return {k: support(k) for k in keys}
-
-    # ---------- evaluation ----------
-
-    def evaluate(self, values):
-        """The QMatrix of values at a rational point given as {name: value}.
-
-        Each distinct monomial is evaluated once, as an integer over one
-        common denominator.
-        """
-        point = [_rational(values[nm]) for nm in self.ring.names]
-        supports = self._supports()
-        hi = [0] * len(point)
-        for support in supports.values():
-            for i, e in support:
-                hi[i] = max(hi[i], e)
-        # with every exponent of x = p/q in [0, hi], scaling by q^hi makes
-        # each monomial the integer p^e * q^(hi-e)
-        used = [(i, x.numerator, x.denominator, hi[i]) for i, x in enumerate(point) if hi[i]]
-        scale = 1
-        for _, _, q, top in used:
-            scale *= q**top
-        value = {}
-        for key, support in supports.items():
-            exps = dict(support)
-            v = 1
-            for i, p, q, top in used:
-                e = exps.get(i, 0)
-                v *= p**e * q ** (top - e)
-            value[key] = v
-        out = []
-        for row in self.num:
-            ints = [0] * self.cols
-            for j, terms in row:
-                ints[j] = sum(c * value[key] for key, c in terms.items())
-            out.append(ints)
-        return QMatrix.from_ints(out, self.den * scale, self.cols)
+    # ---------- substitution ----------
 
     def subs(self, target_ring, mapping):
-        """Substitute each variable by a polynomial (or rational) in target_ring.
+        """Substitute each variable by a monomial of target_ring.
 
-        The image of each distinct monomial is computed once, as integers
-        over one common denominator.  Terms add up in the order the
-        entry's terms come, a key dropping out where its coefficient
-        cancels.
+        mapping[name] is a rational (zero included) or a MultiPoly over
+        target_ring with at most one term; an image of two or more terms
+        raises ValueError.  Terms add up in the order the entry's terms
+        come, a key dropping out where its coefficient cancels.
         """
-        images = []
+        num, den = self._substituted(target_ring, mapping)
+        return _reduced(target_ring, num, den, self.cols)
+
+    def evaluate(self, values):
+        """The QMatrix of values at a rational point given as {name: value}:
+        the substitution of ``subs`` into the constant ring."""
+        num, den = self._substituted(_CONSTANTS, values)
+        ints = [[0] * self.cols for _ in num]
+        for out, row in zip(ints, num):
+            for j, terms in row:
+                out[j] = terms[0]
+        return QMatrix.from_ints(ints, den, self.cols)
+
+    def _substituted(self, target_ring, mapping):
+        """The rows and denominator of ``subs``, not yet normalized.
+
+        Each distinct monomial of self goes to one key and one integer over
+        scale = prod q_i^top_i, with q_i the denominator of variable i's
+        coefficient and top_i its highest exponent.
+        """
+        images = []  # (key, p, q) for the image p/q * x^key of each variable
         for nm in self.ring.names:
             img = mapping[nm]
-            if not isinstance(img, MultiPoly):
-                img = MultiPoly.const(target_ring, img)
-            elif img.ring is not target_ring and img.ring != target_ring:
-                raise ValueError("substitution image in wrong ring")
-            images.append(_poly_ints(img))
-        # the image of a monomial goes over prod den_i^top_i, top_i the
-        # highest exponent of variable i; that is 1 when the images are
-        # integral, and the images can then be found as the terms come
-        scale = 1
-        if any(d != 1 for _, d in images):
-            tops = [0] * len(images)
-            for support in self._supports().values():
-                for i, e in support:
-                    tops[i] = max(tops[i], e)
-            for (_, d), top in zip(images, tops):
-                scale *= d**top
-        # an image of zero or one term as (key shift, coefficient): its
-        # powers only move keys; the powers of the others are kept
-        monos = [
-            next(iter(terms.items()), (0, 0)) if len(terms) < 2 else None
-            for terms, _ in images
-        ]
-        powers = [[{0: 1}] for _ in images]
+            key = 0
+            if isinstance(img, MultiPoly):
+                if img.ring is not target_ring and img.ring != target_ring:
+                    raise ValueError("substitution image in wrong ring")
+                if len(img.terms) > 1:
+                    raise ValueError("substitution image %s of %s is not a monomial" % (img, nm))
+                key, img = next(iter(img.terms.items()), (0, 0))
+            img = _rational(img)
+            images.append((key, img.numerator, img.denominator))
         support_of = self.ring.support
-
-        def image_of(key):
-            c, shift, wide = scale, 0, []
-            for i, e in support_of(key):
-                terms, d = images[i]
-                if d != 1:
-                    c //= d**e
-                if monos[i] is None:
-                    pw = powers[i]
-                    while len(pw) <= e:
-                        pw.append(_poly_mul(pw[-1], terms))
-                    wide.append(pw[e])
-                else:
-                    shift += e * monos[i][0]
-                    c *= monos[i][1] ** e
-            img = {shift: c} if c else {}
-            for pw in wide:
-                img = _poly_mul(img, pw)
-            return img
-
+        # scale is 1 when the images are integral; each monomial's image is
+        # then found as its terms come, without a pass for the tops
+        scale = 1
+        if any(q != 1 for _, _, q in images):
+            keys = set()
+            for row in self.num:
+                for _, terms in row:
+                    keys.update(terms)
+            tops = [0] * len(images)
+            for key in keys:
+                for i, e in support_of(key):
+                    tops[i] = max(tops[i], e)
+            for (_, _, q), top in zip(images, tops):
+                scale *= q**top
         image = {}
         out = []
         for row in self.num:
@@ -498,8 +448,14 @@ class PolyMatrix:
                 for key, c in terms.items():
                     img = image.get(key)
                     if img is None:
-                        img = image[key] = image_of(key)
-                    for k, v in img.items():
+                        shift, v = 0, scale
+                        for i, e in support_of(key):
+                            k, p, q = images[i]
+                            shift += e * k
+                            v = v // q**e * p**e
+                        img = image[key] = shift, v
+                    k, v = img
+                    if v:
                         s = get(k, 0) + c * v
                         if s:
                             acc[k] = s
@@ -508,7 +464,7 @@ class PolyMatrix:
                 if acc:
                     out_row.append((j, acc))
             out.append(out_row)
-        return _reduced(target_ring, out, self.den * scale, self.cols)
+        return out, self.den * scale
 
     def to_obj(self):
         return {

@@ -350,7 +350,8 @@ def load_rep(L, mu, cache_dir):
         words = [tuple(w) for w in obj["basis_words"]]
         rho = [QMatrix.from_obj(o) for o in obj["rho"]]
         header = (obj["version"], obj["n"], obj["mu"], obj["dim"])
-    except (ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError, ZeroDivisionError, OverflowError):
+        # OverflowError: an entry Infinity; ZeroDivisionError: an entry "p/0"
         return None
     rd = lie.RootData(n)
     dim = rd.weyl_dim(mu)

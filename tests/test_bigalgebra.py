@@ -25,7 +25,6 @@ from bigalg.bigalgebra import (
     ideal_graded_dims,
     ideal_span,
     rational_diagonalizer,
-    restrict_to_section,
     substitute_relation,
     verify_presentation,
     weighted_monomials,
@@ -61,12 +60,10 @@ def test_calibrated_m1_equals_small_operator(octet, decuplet, octet_gens, decupl
 
 def test_scalar_invariant_restricts_to_itself(octet_gens):
     # c_k * Id is a base-ring element: the companion coordinates leave it alone
-    ring = octet_gens.ring
     rep = octet_gens.rep
-    rep_mat = restrict_to_section(
-        PolyMatrix.scalar(rep.L.x_ring, rep.dim, rep.L.invariant_ck(2)),
-        octet_gens._section_coords,
-        ring,
+    ring, coords = lie.section_coords(rep.L)
+    rep_mat = PolyMatrix.scalar(rep.L.x_ring, rep.dim, rep.L.invariant_ck(2)).subs(
+        ring, {"x%d" % i: c for i, c in enumerate(coords)}
     )
     c2 = MultiPoly.variable(ring, "c2")
     for i in range(rep_mat.rows):
@@ -88,7 +85,7 @@ def test_restriction_matches_generic_substitution():
         mapping = {"x%d" % i: coords[i] for i in range(L.dim)}
         for k in range(2, n + 1):
             for mat in derivation_chain(rep, k, k - 1):
-                got = restrict_to_section(mat, coords, ring)
+                got = mat.subs(ring, mapping)
                 ref = entry_subs(mat.a, ring, mapping)
                 assert got.a == ref, (n, mu, k)
                 assert _term_orders(got.a) == _term_orders(ref), (n, mu, k)
@@ -115,24 +112,27 @@ def test_restriction_matches_substitution_on_random_elements(
         lambda ts: MultiPoly(x_ring, {x_ring.pack(e): c for e, c in ts})
     )
     mat = PolyMatrix(x_ring, [[data.draw(polys) for _ in range(2)] for _ in range(2)])
-    got = restrict_to_section(mat, coords, ring)
-    ref = entry_subs(mat.a, ring, {"x%d" % i: c for i, c in enumerate(coords)})
+    mapping = {"x%d" % i: c for i, c in enumerate(coords)}
+    got = mat.subs(ring, mapping)
+    ref = entry_subs(mat.a, ring, mapping)
     assert got.a == ref
     assert _term_orders(got.a) == _term_orders(ref)
 
 
 def test_restriction_accepts_general_coordinates(octet_gens):
-    # the restriction is one PolyMatrix.subs: a coordinate that is not 0 or
-    # a +-1 monomial substitutes like any other
-    ring = octet_gens.ring
+    # the restriction is one PolyMatrix.subs: a coordinate that is a
+    # monomial other than 0 or +-c_k substitutes like any other, and one of
+    # two terms is refused
     mat = derivation_chain(octet_gens.rep, 3, 1)[0]
+    ring, coords = lie.section_coords(octet_gens.rep.L)
     c2 = MultiPoly.variable(ring, "c2")
-    for other in (c2 + 1, c2.scale(2), rat(1, 2)):
-        coords = list(octet_gens._section_coords)
-        coords[0] = other
-        mapping = {"x%d" % i: c for i, c in enumerate(coords)}
-        got = restrict_to_section(mat, coords, ring)
-        assert got.a == entry_subs(mat.a, ring, mapping)
+    mapping = {"x%d" % i: c for i, c in enumerate(coords)}
+    for other in (c2.scale(2), rat(1, 2)):
+        mapping["x0"] = other
+        assert mat.subs(ring, mapping).a == entry_subs(mat.a, ring, mapping)
+    mapping["x0"] = c2 + 1
+    with pytest.raises(ValueError):
+        mat.subs(ring, mapping)
 
 
 # First 16 hex digits of the SHA-256 of the sorted-key JSON of the generator

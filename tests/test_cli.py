@@ -215,6 +215,21 @@ def test_corrupted_cache_entry_is_rebuilt(tmp_path):
     assert path.read_text() == good
 
 
+@pytest.mark.parametrize("bad", ["1/0", float("inf")], ids=["zero_denominator", "infinity"])
+def test_unparsable_cache_entry_is_rebuilt(tmp_path, bad):
+    # an entry whose numbers do not parse is refused and written anew
+    argv = ["rep", "--n", "2", "--mu", "2", "--cache", str(tmp_path)]
+    first = run(*argv).stdout
+    (name,) = os.listdir(tmp_path)
+    path = tmp_path / name
+    good = path.read_text()
+    obj = json.loads(good)
+    obj["rho"][0][0][0] = bad
+    path.write_text(json.dumps(obj, sort_keys=True))
+    assert run(*argv).stdout == first
+    assert path.read_text() == good
+
+
 def test_cache_env_var(tmp_path):
     env = dict(os.environ, BIGALG_CACHE=str(tmp_path))
     proc = subprocess.run(

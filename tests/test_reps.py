@@ -231,10 +231,20 @@ def _ragged_rho(obj):
     obj["rho"][3][2].pop()
 
 
+def _zero_denominator(obj):
+    obj["rho"][0][0][0] = "1/0"
+
+
+def _infinite_entry(obj):
+    # written out as the JSON extension Infinity
+    obj["rho"][0][0][0] = float("inf")
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_set_rho_entry, _swap_words, _drop_word, _bad_letter, _zero_words,
-     _empty, _other_mu, _short_rho, _ragged_rho, None],
+     _empty, _other_mu, _short_rho, _ragged_rho, _zero_denominator, _infinite_entry,
+     None],
     ids=lambda f: "truncated" if f is None else f.__name__.lstrip("_"),
 )
 def test_corrupted_cache_entry_is_refused(tmp_path, L3, octet, corrupt):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import os
 from fractions import Fraction
@@ -199,3 +200,23 @@ def test_emit_csv(tmp_path, sl2_sym4_gens, L2):
         by_key.setdefault((param, gen), []).append(float(value))
     for values in by_key.values():
         assert values == sorted(values)
+
+
+# First 16 hex digits of the SHA-256 of the CSV that emit_skeleton_points
+# writes for the principal-line pullback (n >= 4) on the grid -4..1 in ten
+# steps, with its row count.
+_PRINCIPAL_SKELETON_PINS = {
+    (0, 1, 0): (300, "86b68467e0c106e2"),
+    (1, 0, 0): (136, "c1190fa694701463"),
+}
+
+
+@pytest.mark.parametrize("mu", sorted(_PRINCIPAL_SKELETON_PINS))
+def test_principal_line_skeleton_csv_is_pinned(tmp_path, L4, mu):
+    rows, digest = _PRINCIPAL_SKELETON_PINS[mu]
+    skeleton = principal_restriction(BigGenerators(build_irrep(L4, mu)).ops, L4)
+    path = os.path.join(tmp_path, "skeleton.csv")
+    report = emit_skeleton_points(skeleton, ("-4", "1", 10), path)
+    with open(path, "rb") as fh:
+        got = hashlib.sha256(fh.read()).hexdigest()[:16]
+    assert (report["rows"], got) == (rows, digest)
