@@ -24,7 +24,7 @@ from .linalg import (
     kernel,
     rank,
 )
-from .polymatrix import PolyMatrix
+from .polymatrix import PolyMatrix, coefficient_columns
 from .qpoly import QPoly, geometric_quotient
 from . import lie
 from .kirillov import derivation_chain
@@ -423,20 +423,6 @@ def substitute_relation(rel, gens_by_label, ring_c, dim):
     )
 
 
-def _monomial_vector_index(val, coord_index):
-    """Sparse integer coordinates of a PolyMatrix over (entry, c-monomial) pairs.
-
-    Returns ({index in coord_index: int}, den), the coordinates being those
-    integers over den; a pair seen for the first time gets the next index.
-    """
-    coords = {}
-    for i, row in enumerate(val.num):
-        for j, terms in row:
-            for key, c in terms.items():
-                coords[coord_index.setdefault((i, j, key), len(coord_index))] = c
-    return coords, val.den
-
-
 def derive_relations(rep, gens, max_degree):
     """Minimal new relations among generator monomials, degree by degree.
 
@@ -459,19 +445,7 @@ def derive_relations(rep, gens, max_degree):
     info = []
     for d in range(1, max_degree + 1):
         monos = rr.monomials_of_degree(d)
-        coord_index = {}
-        vectors = []
-        for exps in monos:
-            vectors.append(_monomial_vector_index(value(rr.ring.pack(exps)), coord_index))
-        ncoords = len(coord_index)
-        # the columns over one common denominator
-        den = lcm(*(cden for _, cden in vectors))
-        mat = [[0] * len(monos) for _ in range(ncoords)]
-        for cidx, (coords, cden) in enumerate(vectors):
-            f = den // cden
-            for idx, c in coords.items():
-                mat[idx][cidx] = c * f
-        kern = kernel(QMatrix.from_ints(mat, den, len(monos)))
+        kern = kernel(coefficient_columns([value(rr.ring.pack(exps)) for exps in monos]))
 
         # span of lower-degree relations times complementary monomials
         old_span = ideal_span(relations, rr.ring, rr.weight_vec, d)
@@ -557,6 +531,17 @@ def _span_dim(mats, orbit_dim, dim):
     return closure([QMatrix.identity(dim)], mats, mul)[0].dim
 
 
+def _probe(rng, mats, dim):
+    """The orbit dimension of a random vector under mats, then whether a
+    random combination of mats has a simple spectrum, drawn in that order."""
+    vec = QMatrix.from_ints([[rng.choice(_PROBE_POOL)] for _ in range(dim)])
+    orbit_dim = closure([vec], mats, _image)[0].dim
+    combo = QMatrix.zeros(dim, dim)
+    for m in mats:
+        combo = combo + m * rng.choice(_PROBE_POOL)
+    return orbit_dim, is_squarefree(charpoly(combo))
+
+
 def freeness_and_rank_check(rep, gens, seed=0):
     """Span, cyclicity, and simple-spectrum evidence at three seeded random points."""
     rng = random.Random(seed)
@@ -565,30 +550,21 @@ def freeness_and_rank_check(rep, gens, seed=0):
     for _ in range(3):
         cvals = random_c_point(rng, n)
         mats = [op.evaluate(cvals) for op in gens]
-        vec = QMatrix.from_ints([[rng.choice(_PROBE_POOL)] for _ in range(rep.dim)])
-        orbit, _ = closure([vec], mats, _image)
-        span_dim = _span_dim(mats, orbit.dim, rep.dim)
-        combo = QMatrix.zeros(rep.dim, rep.dim)
-        for m in mats:
-            combo = combo + m * rng.choice(_PROBE_POOL)
+        orbit_dim, simple = _probe(rng, mats, rep.dim)
+        span_dim = _span_dim(mats, orbit_dim, rep.dim)
         report["points"].append(
             {
                 "cvals": cvals,
                 "span_dim": span_dim,
                 "span_ok": span_dim == rep.dim,
-                "cyclic": orbit.dim == rep.dim,
-                "simple_spectrum": is_squarefree(charpoly(combo)),
+                "cyclic": orbit_dim == rep.dim,
+                "simple_spectrum": simple,
             }
         )
-    zeros = [0] * (n - 1)
-    mats0 = [op.evaluate(zeros) for op in gens]
-    vec = QMatrix.from_ints([[rng.choice(_PROBE_POOL)] for _ in range(rep.dim)])
-    report["fiber_cyclic"] = closure([vec], mats0, _image)[0].dim == rep.dim
-    combo0 = QMatrix.zeros(rep.dim, rep.dim)
-    for m in mats0:
-        combo0 = combo0 + m * rng.choice(_PROBE_POOL)
+    orbit_dim, simple = _probe(rng, [op.evaluate([0] * (n - 1)) for op in gens], rep.dim)
+    report["fiber_cyclic"] = orbit_dim == rep.dim
     # the nilpotent point is not generic: record, do not require
-    report["fiber_simple"] = is_squarefree(charpoly(combo0))
+    report["fiber_simple"] = simple
     report["ok"] = all(
         p["span_ok"] and p["cyclic"] and p["simple_spectrum"]
         for p in report["points"]

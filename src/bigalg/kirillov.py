@@ -10,60 +10,40 @@ studied downstream.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .multipoly import rat
-from .polymatrix import PolyMatrix, _sparse_int_rows, gradient_rows, int_sum_of_products
+from .polymatrix import PolyMatrix, sum_of_products
 
 _HALF = rat(1, 2)
 
 
-def _dual_rho_rows(rep):
-    """rho(X^i) as sparse integer rows over one denominator each.
+def _dual_rho(rep):
+    """rho(X^i) as constant PolyMatrix over L.x_ring, once per module; the
+    coordinates of X^i are column i of the symmetric killing_inv."""
+    L = rep.L
 
-    rho(X^i) = sum_j killing_inv[i][j] rho(X_j) for the Killing-dual basis,
-    in the operand form of ``int_sum_of_products``; built once per module
-    from the integer rows of killing_inv and of rho, and kept in its memo.
-    """
+    def duals():
+        return [PolyMatrix.from_qmatrix(L.x_ring, rep.op(c)) for c in L.killing_inv.columns()]
 
-    def compute():
-        kinv = rep.L.killing_inv
-        sparse = [_sparse_int_rows(m) for m in rep.rho]
-        duals = []
-        for coeffs in kinv.num:
-            terms = [(c, sparse[j]) for j, c in enumerate(coeffs) if c]
-            den = lcm(*(d for _, (_, d) in terms))
-            acc = [{} for _ in range(rep.dim)]
-            for c, (rows, d) in terms:
-                w = c * (den // d)
-                for out, row in zip(acc, rows):
-                    for k, x in row:
-                        out[k] = out.get(k, 0) + w * x[0]
-            rows = [
-                [(k, {0: v}) for k, v in sorted(out.items()) if v] for out in acc
-            ]
-            duals.append((rows, kinv.den * den))
-        return duals
-
-    return rep.cached("dual_rho_rows", compute)
+    return rep.cached("dual_rho", duals)
 
 
 def wei_D(rep, mat):
     """D(F) = (1/2) sum_i rho(X^i) dF/dx_i; lowers the degree by one.
 
-    F is a rep.dim x rep.dim PolyMatrix over rep.L.x_ring.  All partials
-    come from one ``gradient_rows`` pass and go, with the integer rows of
-    rho(X^i), straight into the integer product core.
+    F is a rep.dim x rep.dim PolyMatrix over rep.L.x_ring; its partials come
+    from one ``gradient`` pass.
     """
     ring = rep.L.x_ring
     if mat.ring != ring:
         raise ValueError("variable-set mismatch")
     if mat.rows != rep.dim or mat.cols != rep.dim:
         raise ValueError("shape mismatch")
-    duals = _dual_rho_rows(rep)
-    grads, den = gradient_rows(mat)
-    plan = [(_HALF, duals[i], (g, den)) for i, g in enumerate(grads) if g is not None]
-    return int_sum_of_products(ring, rep.dim, rep.dim, plan)
+    terms = [
+        (_HALF, dual, grad)
+        for dual, grad in zip(_dual_rho(rep), mat.gradient())
+        if grad is not None
+    ]
+    return sum_of_products(ring, rep.dim, rep.dim, terms)
 
 
 def derivation_chain(rep, k, steps):

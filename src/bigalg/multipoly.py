@@ -2,12 +2,16 @@
 
 Exponent vectors are packed into single Python integers, 16 bits per
 variable, so that multiplying two monomials is one integer addition.  Every
-exponent lies in 0..2**16 - 1, and the constant monomial is key 0.
+exponent lies in 0..2**15 - 1, so that a sum of two keys cannot carry into
+the next field; a product past the range raises OverflowError.  The
+constant monomial is key 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 _SHIFT = 16
 _MASK = (1 << _SHIFT) - 1
@@ -25,7 +29,7 @@ ONE = rat(1)
 class VarSet:
     """An ordered set of named variables with a fixed packing layout."""
 
-    __slots__ = ("names", "index", "_units")
+    __slots__ = ("names", "index", "_units", "_tops")
 
     def __init__(self, names):
         self.names = tuple(names)
@@ -33,6 +37,8 @@ class VarSet:
             raise ValueError("duplicate variable names")
         self.index = {nm: i for i, nm in enumerate(self.names)}
         self._units = tuple(1 << (_SHIFT * i) for i in range(len(self.names)))
+        # the top bit of every field, which no packed exponent sets
+        self._tops = sum(self._units) << (_SHIFT - 1)
 
     def __len__(self):
         return len(self.names)
@@ -51,12 +57,18 @@ class VarSet:
             raise ValueError("exponent arity mismatch")
         key = 0
         for i, e in enumerate(exps):
-            if not 0 <= e <= _MASK:
+            if not 0 <= e <= _MASK >> 1:
                 raise OverflowError(
                     "exponent %s of %s out of packing range" % (e, self.names[i])
                 )
             key += e << (_SHIFT * i)
         return key
+
+    def check_key(self, key):
+        """Raise OverflowError unless key, a sum of two packed keys or the
+        bitwise or of such sums, keeps its exponents in the packing range."""
+        if key & self._tops:
+            raise OverflowError("exponent past %d in a product" % (_MASK >> 1))
 
     def unpack(self, key):
         return tuple((key >> (_SHIFT * i)) & _MASK for i in range(len(self.names)))
@@ -189,6 +201,7 @@ class MultiPoly:
                     out[k] = s
                 elif k in out:
                     del out[k]
+        self.ring.check_key(reduce(or_, out, 0))
         return MultiPoly(self.ring, out, _trusted=True)
 
     def __rmul__(self, other):

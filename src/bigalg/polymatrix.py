@@ -5,22 +5,24 @@ denominator ``den``: row i lists (col, {packed key: int}) for each nonzero
 entry, in ascending col order, with no zero coefficient, and
 gcd(den, every coefficient) == 1 (the zero matrix has den 1); equal
 matrices have equal storage.  Every operation reads and writes these
-integers.  ``MultiPoly`` entries with ``Fraction`` coefficients are built
-only when a caller reads entries (``m[i, j]``, ``first_nonzero``,
-``trace``, ``to_obj`` and the read-only ``a``).
+integers, and no other module does.  ``MultiPoly`` entries with ``Fraction``
+coefficients are built only when a caller reads entries (``m[i, j]``,
+``first_nonzero``, ``trace``, ``to_obj`` and the read-only ``a``).
 
-Every product of matrices goes through ``int_sum_of_products``: output
-entries accumulate Python ints over the product of the operands'
-denominators.  ``sum_of_products`` checks rings and shapes and hands it the
-rows of each operand (``_sparse_int_rows``).  ``subs`` puts a monomial in
-place of each variable, finding the image of each distinct monomial once;
-``evaluate`` is ``subs`` into the constants.
+Every product of matrices goes through ``sum_of_products``: output entries
+accumulate Python ints over the product of the operands' denominators.
+``gradient`` gives every partial derivative in one pass, and
+``coefficient_columns`` the coefficients of several matrices as columns.
+``subs`` puts a monomial in place of each variable, finding the image of
+each distinct monomial once; ``evaluate`` is ``subs`` into the constants.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
 
 from .multipoly import MultiPoly, VarSet, rat
 from .linalg import QMatrix
@@ -33,12 +35,6 @@ def _rational(x):
 
 
 _CONSTANTS = VarSet(())  # the ring of the values at a point
-
-
-def _poly_ints(poly):
-    """A polynomial's terms as {key: int} and one positive denominator."""
-    den = lcm(*{c.denominator for c in poly.terms.values()})
-    return {k: c.numerator * (den // c.denominator) for k, c in poly.terms.items()}, den
 
 
 def _add_terms(acc, terms, f):
@@ -86,10 +82,11 @@ def sum_of_products(ring, rows, cols, terms):
     A and B are PolyMatrix or QMatrix; each PolyMatrix must be over ``ring``
     and each product must have shape rows x cols.  Each operand is converted
     once, even when it appears in several terms; zero entries are skipped on
-    both sides.
+    both sides.  Each output entry's keys are checked against the packing
+    range once, not each term pair's.
     """
     converted = {}
-    plan = []
+    weighted = []
     for s, a, b in terms:
         for m in (a, b):
             if isinstance(m, PolyMatrix) and m.ring is not ring and m.ring != ring:
@@ -101,24 +98,15 @@ def sum_of_products(ring, rows, cols, terms):
         for m in (a, b):
             if id(m) not in converted:
                 converted[id(m)] = _sparse_int_rows(m)
-        plan.append((s, converted[id(a)], converted[id(b)]))
-    return int_sum_of_products(ring, rows, cols, plan)
-
-
-def int_sum_of_products(ring, rows, cols, plan):
-    """sum_of_products on operands already in the form of ``_sparse_int_rows``.
-
-    plan is [(s, (rows_a, den_a), (rows_b, den_b))]; shapes are not checked.
-    """
-    weighted = []
-    for s, (ra, da), (rb, db) in plan:
         s = _rational(s)
+        (ra, da), (rb, db) = converted[id(a)], converted[id(b)]
         weighted.append((s.numerator, s.denominator * da * db, ra, rb))
     den = lcm(*(d for _, d, _, _ in weighted))
     # the integer weight of each term over the common denominator den
     weighted = [(num * (den // d), ra, rb) for num, d, ra, rb in weighted if num]
 
     out = []
+    seen = 0  # the bitwise or of every output key
     for i in range(rows):
         acc = [{} for _ in range(cols)]
         for scale, ra, rb in weighted:
@@ -138,43 +126,35 @@ def int_sum_of_products(ring, rows, cols, plan):
                     entry = {key: v for key, v in entry.items() if v}
                     if not entry:
                         continue
+                seen = reduce(or_, entry, seen)
                 row.append((j, entry))
         out.append(row)
+    ring.check_key(seen)
     return _reduced(ring, out, den, cols)
 
 
-def gradient_rows(m):
-    """Every partial derivative of m in one pass over its terms.
+def coefficient_columns(mats):
+    """The QMatrix whose column j holds the coefficients of mats[j].
 
-    Returns (grads, den): grads[i] holds d m / d(variable i) as sparse integer
-    rows in the form of ``_sparse_int_rows``, or None when that derivative
-    is zero; all of them share the one positive denominator den.  Each term
-    c * x^e adds c * e_i to grads[i] for every variable x_i it contains.
+    There is one row per (row, col, monomial) that some matrix has, in the
+    order first seen going through the matrices, then their rows, entries
+    and terms; each column is over the common denominator of the matrices.
     """
-    ring = m.ring
-    units = ring._units
-    grads = [None] * len(units)
-    supports = {}  # a monomial recurs across entries; walk its key once
-    partials = {}  # id of an entry's terms -> {i: its d/dx_i}, shared
-    for r, row in enumerate(m.num):
-        for col, terms in row:
-            entry = partials.get(id(terms))
-            if entry is None:
-                entry = partials[id(terms)] = {}
+    index = {}
+    for m in mats:
+        for i, row in enumerate(m.num):
+            for j, terms in row:
+                for key in terms:
+                    index.setdefault((i, j, key), len(index))
+    den = lcm(*(m.den for m in mats))
+    out = [[0] * len(mats) for _ in index]
+    for col, m in enumerate(mats):
+        f = den // m.den
+        for i, row in enumerate(m.num):
+            for j, terms in row:
                 for key, c in terms.items():
-                    support = supports.get(key)
-                    if support is None:
-                        support = supports[key] = ring.support(key)
-                    for i, e in support:
-                        d = entry.get(i)
-                        if d is None:
-                            d = entry[i] = {}
-                        d[key - units[i]] = c * e
-            for i, d in entry.items():
-                if grads[i] is None:
-                    grads[i] = [[] for _ in range(m.rows)]
-                grads[i][r].append((col, d))
-    return grads, m.den
+                    out[index[i, j, key]][col] = c * f
+    return QMatrix.from_ints(out, den, len(mats))
 
 
 class PolyMatrix:
@@ -232,7 +212,8 @@ class PolyMatrix:
 
     @classmethod
     def scalar(cls, ring, n, poly):
-        terms, den = _poly_ints(poly)
+        den = lcm(*{c.denominator for c in poly.terms.values()})
+        terms = {k: c.numerator * (den // c.denominator) for k, c in poly.terms.items()}
         if not terms or not n:
             return cls.zeros(ring, n, n)
         # the diagonal entries share one dict: stored terms are never mutated
@@ -319,17 +300,13 @@ class PolyMatrix:
             raise ValueError("shape mismatch")
 
     def __mul__(self, other):
-        if isinstance(other, PolyMatrix):
+        if isinstance(other, (PolyMatrix, QMatrix)):
             return sum_of_products(self.ring, self.rows, other.cols, [(1, self, other)])
         if isinstance(other, MultiPoly):
             if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("variable-set mismatch")
-            # self times the scalar matrix other * Id
-            terms, den = _poly_ints(other)
-            scalar = [[(j, terms)] for j in range(self.cols)] if terms else [[]] * self.cols
-            return int_sum_of_products(
-                self.ring, self.rows, self.cols, [(1, (self.num, self.den), (scalar, den))]
-            )
+            scalar = PolyMatrix.scalar(self.ring, self.cols, other)
+            return sum_of_products(self.ring, self.rows, self.cols, [(1, self, scalar)])
         return self._scaled(_rational(other))
 
     def __rmul__(self, other):
@@ -352,21 +329,56 @@ class PolyMatrix:
         ]
         return PolyMatrix._of(self.ring, num, self.den // a * q // g, self.cols)
 
-    def mul_qmatrix_left(self, qm):
-        """Constant-matrix times polynomial-matrix product."""
-        if qm.cols != self.rows:
-            raise ValueError("shape mismatch")
-        return sum_of_products(self.ring, qm.rows, self.cols, [(1, qm, self)])
-
-    def mul_qmatrix_right(self, qm):
-        if self.cols != qm.rows:
-            raise ValueError("shape mismatch")
-        return sum_of_products(self.ring, self.rows, qm.cols, [(1, self, qm)])
-
     def commutator(self, other):
         return sum_of_products(
             self.ring, self.rows, other.cols, [(1, self, other), (-1, other, self)]
         )
+
+    def gradient(self):
+        """Every partial derivative of self, in one pass over its terms.
+
+        Entry i is d self / d(variable i), or None when that derivative is
+        zero.  Each term c * x^e adds c * e_i to entry i for every variable
+        x_i it contains; each partial is then divided by the common factor of
+        its coefficients and den, so that its storage is normalized.
+        """
+        ring = self.ring
+        units = ring._units
+        grads = [None] * len(units)
+        contents = [self.den] * len(units)  # gcd of den and each partial's coefficients
+        supports = {}  # a monomial recurs across entries; walk its key once
+        partials = {}  # id of an entry's terms -> {i: its d/dx_i}, shared
+        for r, row in enumerate(self.num):
+            for col, terms in row:
+                entry = partials.get(id(terms))
+                if entry is None:
+                    entry = partials[id(terms)] = {}
+                    for key, c in terms.items():
+                        support = supports.get(key)
+                        if support is None:
+                            support = supports[key] = ring.support(key)
+                        for i, e in support:
+                            d = entry.get(i)
+                            if d is None:
+                                d = entry[i] = {}
+                            v = d[key - units[i]] = c * e
+                            if v % contents[i]:
+                                contents[i] = gcd(contents[i], v)
+                for i, d in entry.items():
+                    if grads[i] is None:
+                        grads[i] = [[] for _ in range(self.rows)]
+                    grads[i][r].append((col, d))
+        # divide each partial by its content, once per distinct dict
+        for entry in partials.values():
+            for i, d in entry.items():
+                q = contents[i]
+                if q != 1:
+                    for k in d:
+                        d[k] //= q
+        return [
+            None if g is None else PolyMatrix._of(ring, g, self.den // q, self.cols)
+            for g, q in zip(grads, contents)
+        ]
 
     def __eq__(self, other):
         return (
@@ -409,9 +421,11 @@ class PolyMatrix:
 
         Each distinct monomial of self goes to one key and one integer over
         scale = prod q_i^top_i, with q_i the denominator of variable i's
-        coefficient and top_i its highest exponent.
+        coefficient and top_i its highest exponent.  The key is packed from
+        the image's exponents, so one past the packing range raises
+        OverflowError.
         """
-        images = []  # (key, p, q) for the image p/q * x^key of each variable
+        images = []  # (support of key, p, q) for the image p/q * x^key of each variable
         for nm in self.ring.names:
             img = mapping[nm]
             key = 0
@@ -422,8 +436,10 @@ class PolyMatrix:
                     raise ValueError("substitution image %s of %s is not a monomial" % (img, nm))
                 key, img = next(iter(img.terms.items()), (0, 0))
             img = _rational(img)
-            images.append((key, img.numerator, img.denominator))
+            images.append((target_ring.support(key), img.numerator, img.denominator))
         support_of = self.ring.support
+        pack = target_ring.pack
+        width = len(target_ring)
         # scale is 1 when the images are integral; each monomial's image is
         # then found as its terms come, without a pass for the tops
         scale = 1
@@ -448,12 +464,15 @@ class PolyMatrix:
                 for key, c in terms.items():
                     img = image.get(key)
                     if img is None:
-                        shift, v = 0, scale
+                        exps, v = [0] * width, scale
                         for i, e in support_of(key):
-                            k, p, q = images[i]
-                            shift += e * k
+                            support, p, q = images[i]
                             v = v // q**e * p**e
-                        img = image[key] = shift, v
+                            if not v:  # a zero image: no key to pack
+                                break
+                            for t, f in support:
+                                exps[t] += e * f
+                        img = image[key] = (pack(exps) if v else 0), v
                     k, v = img
                     if v:
                         s = get(k, 0) + c * v

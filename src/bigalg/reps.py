@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import combinations, product
+from itertools import combinations, compress, product
+from math import lcm
 
 from .linalg import (
     Echelon,
@@ -160,11 +161,16 @@ class Representation:
 
     def op(self, coords):
         """rho of a Lie algebra element given by its coordinate column."""
-        out = QMatrix.zeros(self.dim, self.dim)
-        for c, m in zip(self.L.coord_ints(coords), self.rho):
-            if c:
-                out = out + m * c
-        return QMatrix.from_ints(out.num, out.den * coords.den, self.dim)
+        terms = [(c, m) for c, m in zip(self.L.coord_ints(coords), self.rho) if c]
+        den = lcm(*(m.den for _, m in terms))
+        num = [[0] * self.dim for _ in range(self.dim)]
+        cols = range(self.dim)
+        for c, m in terms:
+            f = c * (den // m.den)
+            for out, row in zip(num, m.num):
+                for k in compress(cols, row):  # the nonzero entries of row
+                    out[k] += f * row[k]
+        return QMatrix.from_ints(num, den * coords.den, self.dim)
 
     def cached(self, key, compute):
         """compute(), kept on this module under key.

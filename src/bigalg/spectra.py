@@ -29,10 +29,11 @@ from .bigalgebra import eigenvalue_on_block, principal_transport
 
 
 def skeleton_set_c3_zero(gens):
-    """The rank-two shortcut: kill c_3 and keep c_2 as the line parameter."""
+    """The shortcut for rank at most two: keep c_2 as the line parameter and
+    send c_3, when there is one, to zero."""
     ring = gens[0].mat.ring
-    if "c3" not in ring.index or len(ring.names) != 2:
-        raise ValueError("set_c3_zero requires exactly the invariants c2, c3")
+    if ring.names not in (("c2",), ("c2", "c3")):
+        raise ValueError("set_c3_zero requires the invariants c2 or c2, c3")
     tring = VarSet(["c2"])
     mapping = {"c2": MultiPoly.variable(tring, "c2"), "c3": 0}
     ops = [(op.label, op.mat.subs(tring, mapping)) for op in gens]
@@ -62,14 +63,11 @@ def skeleton_pullback(gens, L):
 def principal_restriction(gens, L):
     """The generators restricted to one line parameter, for the figures.
 
-    sl_2 keeps its section ring, whose only coordinate c2 is the parameter;
-    sl_3 sets c3 = 0; from sl_4 on the operators are pulled back along the
-    principal line e + t*f.
+    Up to sl_3, c2 is the parameter and every other c_k is set to zero;
+    from sl_4 on the operators are pulled back along the principal line
+    e + t*f.
     """
-    if L.n == 2:
-        ops = [(op.label, op.mat) for op in gens]
-        return {"param": "c2", "ring": gens[0].mat.ring, "ops": ops}
-    if L.n == 3:
+    if L.n <= 3:
         return skeleton_set_c3_zero(gens)
     return skeleton_pullback(gens, L)
 

@@ -13,6 +13,7 @@ from operator import mul
 from .bigalgebra import ideal_span, weighted_monomials
 from .multipoly import MultiPoly, VarSet
 from .linalg import QMatrix, flat_columns, invert, restrict_to_block
+from .polymatrix import sum_of_products
 
 
 def pinning_w0(n):
@@ -95,8 +96,8 @@ def sigma_on_element(L, mat, s, sg):
     s is the intertwiner of the module and sg the coordinate map of sigma.
     """
     composed = mat.subs(L.x_ring, _sigma_substitution(L, sg))
-    s_inv = invert(s)
-    return composed.mul_qmatrix_left(s).mul_qmatrix_right(s_inv)
+    conjugated = sum_of_products(L.x_ring, s.rows, composed.cols, [(1, s, composed)])
+    return conjugated * invert(s)
 
 
 def sigma_eigenvalues(rep, gens):

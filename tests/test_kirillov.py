@@ -7,7 +7,7 @@ from bigalg import lie
 from bigalg.kirillov import derivation_chain, wei_D
 from bigalg.linalg import QMatrix, invert
 from bigalg.multipoly import MultiPoly, rat
-from bigalg.polymatrix import PolyMatrix
+from bigalg.polymatrix import PolyMatrix, sum_of_products
 from bigalg.reps import build_irrep
 from oracles import (
     basis_names,
@@ -177,7 +177,7 @@ def wei_D_in_basis(rep, mat, t):
             if t.a[i][j]:
                 d = d + mat_diff(mat, "x%d" % i) * t.a[i][j]
         if not d.is_zero():
-            total = total + d.mul_qmatrix_left(duals[j])
+            total = total + sum_of_products(ring, rep.dim, rep.dim, [(1, duals[j], d)])
     return total * rat(1, 2)
 
 

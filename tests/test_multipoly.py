@@ -66,10 +66,22 @@ def test_scaling_and_power(xy):
 def test_exponents_stay_in_the_packing_window(xy):
     ring, x, y = xy
     assert MultiPoly.const(ring, 5).terms == {0: 5}
-    assert ring.unpack(ring.pack((0, 2**16 - 1))) == (0, 2**16 - 1)
-    for exps in ((-1, 0), (0, 2**16)):
+    assert ring.unpack(ring.pack((0, 2**15 - 1))) == (0, 2**15 - 1)
+    for exps in ((-1, 0), (0, 2**15), (2**16, 0)):
         with pytest.raises(OverflowError):
             ring.pack(exps)
+
+
+def test_a_product_past_the_packing_window_raises(xy):
+    # x^20000 * x^20000 would carry out of x's field into y's
+    ring, x, y = xy
+    big = MultiPoly.monomial(ring, (20000, 0))
+    with pytest.raises(OverflowError):
+        big * big
+    with pytest.raises(OverflowError):
+        (big + y) * (big - 1)
+    top = MultiPoly.monomial(ring, (2**14, 0)) * MultiPoly.monomial(ring, (2**14 - 1, 1))
+    assert ring.unpack(next(iter(top.terms))) == (2**15 - 1, 1)
 
 
 def test_homogeneity_and_degrees(xy):

@@ -1,7 +1,8 @@
 """Package hygiene: every module-level private function is referenced, every
 public function and method has a caller in the package, the package
 imports nothing outside the standard library and imports its own modules
-at module top, and no test module imports a name it never reads."""
+at module top, no package module imports another's private name, and no
+test module imports a name it never reads."""
 
 import ast
 import sys
@@ -171,6 +172,39 @@ def test_a_function_local_package_import_is_reported():
         "class A:\n    def g(self):\n        from . import reps\n        return reps\n"
     )
     assert _function_local_package_imports(tree) == ["f:linalg", "g:."]
+
+
+def _private_package_imports(tree):
+    """'module:name' for each _-prefixed name imported from a package module."""
+    return [
+        "%s:%s" % (node.module or ".", alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or node.module.split(".")[0] == "bigalg")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_no_package_module_imports_a_private_name():
+    private = [
+        "%s:%s" % (name, found)
+        for name, tree in _trees().items()
+        for found in _private_package_imports(tree)
+    ]
+    assert not private, "private names imported across package modules: %s" % private
+
+
+def test_a_private_package_import_is_reported():
+    tree = ast.parse(
+        "from __future__ import annotations\nfrom os import _exit\n"
+        "from .polymatrix import PolyMatrix, _sparse_int_rows\n"
+        "from bigalg.linalg import _reduced, kernel\n\n"
+        "def f():\n    from . import _hidden\n    return _hidden\n"
+    )
+    assert _private_package_imports(tree) == [
+        "polymatrix:_sparse_int_rows", "bigalg.linalg:_reduced", ".:_hidden"
+    ]
 
 
 def _unread_imports(tree):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from bigalg.kirillov import wei_D
 from bigalg.linalg import QMatrix
 from bigalg.multipoly import MultiPoly, VarSet
-from bigalg.polymatrix import PolyMatrix, gradient_rows, sum_of_products
+from bigalg.polymatrix import PolyMatrix, coefficient_columns, sum_of_products
 from oracles import (
     dual_rho,
     entry_evaluate,
@@ -119,10 +119,11 @@ def test_commutator_matches_reference(data, n):
 def test_qmatrix_products_match_reference(data, n, k, m):
     q = _qm(data.draw(_entries(n, k, _coeffs)), k)
     p = _pm(data.draw(_entries(k, m, _polys)), m)
-    _check(p.mul_qmatrix_left(q), n, m, entry_product(R, entry_rows(q, R), p.a, m))
+    left = sum_of_products(R, n, m, [(1, q, p)])
+    _check(left, n, m, entry_product(R, entry_rows(q, R), p.a, m))
     p = _pm(data.draw(_entries(n, k, _polys)), k)
     q = _qm(data.draw(_entries(k, m, _coeffs)), m)
-    _check(p.mul_qmatrix_right(q), n, m, entry_product(R, p.a, entry_rows(q, R), m))
+    _check(p * q, n, m, entry_product(R, p.a, entry_rows(q, R), m))
 
 
 @settings(max_examples=30, deadline=None)
@@ -241,7 +242,7 @@ def test_every_operation_keeps_storage_normalized(data, n, c, p, s):
         a, src, PolyMatrix.zeros(R, n, n), PolyMatrix.identity(R, n),
         PolyMatrix.scalar(R, n, p), PolyMatrix.scalar(S, n, s), PolyMatrix.from_qmatrix(R, q),
         a + b, a - b, -a, a * b, a * p, a * c, c * a,
-        a.mul_qmatrix_left(q), a.mul_qmatrix_right(q), a.commutator(b),
+        sum_of_products(R, n, n, [(1, q, a)]), a * q, a.commutator(b),
         sum_of_products(R, n, n, [(c, a, q), (1, q, b)]), src.subs(T, mapping),
     ]
     for m in results:
@@ -307,9 +308,9 @@ def test_ring_and_shape_errors():
     with pytest.raises(ValueError):
         sq.commutator(PolyMatrix.zeros(R, 3, 3))
     with pytest.raises(ValueError):
-        sq.mul_qmatrix_left(QMatrix.zeros(2, 3))
+        sum_of_products(R, 2, 2, [(1, QMatrix.zeros(2, 3), sq)])
     with pytest.raises(ValueError):
-        sq.mul_qmatrix_right(QMatrix.zeros(3, 2))
+        sq * QMatrix.zeros(3, 2)
     with pytest.raises(ValueError):
         sum_of_products(R, 3, 2, [(1, sq, sq)])
     with pytest.raises(ValueError):
@@ -374,20 +375,57 @@ def test_wei_D_matches_reference_on_random_elements(sl2_sym4, sl3_standard, data
 
 @settings(max_examples=40, deadline=None)
 @given(st.data(), _dims, _dims)
-def test_gradient_rows_match_diff(data, n, m):
+def test_gradient_matches_diff(data, n, m):
     ring = VarSet(["x", "y", "z"])
     polys = _x_polys(ring)
     mat = PolyMatrix(ring, [[data.draw(polys) for _ in range(m)] for _ in range(n)])
-    grads, den = gradient_rows(mat)
-    for i, name in enumerate(ring.names):
+    grads = mat.gradient()
+    assert len(grads) == len(ring)
+    for grad, name in zip(grads, ring.names):
         ref = mat_diff(mat, name)
-        if grads[i] is None:
+        if grad is None:
             assert ref.is_zero()
             continue
-        got = [[MultiPoly.zero(ring)] * m for _ in range(n)]
-        for r, row in enumerate(grads[i]):
-            assert [col for col, _ in row] == sorted({col for col, _ in row})
-            for col, d in row:
-                assert d
-                got[r][col] = MultiPoly(ring, {k: Fraction(v, den) for k, v in d.items()})
-        assert got == ref.a
+        assert not grad.is_zero()
+        _check(grad, n, m, ref.a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), _dims, _dims, st.integers(0, 4))
+def test_coefficient_columns_match_entries(data, n, m, count):
+    mats = [_pm(data.draw(_entries(n, m, _polys)), m) for _ in range(count)]
+    got = coefficient_columns(mats)
+    # one row per (row, col, monomial) in the order first seen
+    index = {}
+    for mat in mats:
+        for i, row in enumerate(mat.a):
+            for j, p in enumerate(row):
+                for key in p.terms:
+                    index.setdefault((i, j, key), len(index))
+    ref = [[Fraction(0)] * count for _ in index]
+    for col, mat in enumerate(mats):
+        for i, row in enumerate(mat.a):
+            for j, p in enumerate(row):
+                for key, c in p.terms.items():
+                    ref[index[i, j, key]][col] = c
+    assert (got.rows, got.cols) == (len(index), count)
+    assert got.a == ref
+
+
+def test_packed_exponents_past_the_range_raise():
+    # a product key would carry out of t's field into u's
+    x = MultiPoly.variable(S, "x")
+    t = MultiPoly.monomial(T, (20000, 0))
+    square = PolyMatrix(S, [[x * x]])
+    with pytest.raises(OverflowError):
+        square.subs(T, {"x": t, "y": 0, "z": 1})
+    tm = PolyMatrix(T, [[t]])
+    with pytest.raises(OverflowError):
+        tm * tm
+    with pytest.raises(OverflowError):
+        tm * t
+    # exponents up to 2**15 - 1 are still packed
+    u = MultiPoly.monomial(T, (0, 16383))
+    assert square.subs(T, {"x": u, "y": 0, "z": 1})[0, 0] == MultiPoly.monomial(T, (0, 32766))
+    low, high = (PolyMatrix(T, [[MultiPoly.monomial(T, (e, 0))]]) for e in (16383, 16384))
+    assert (low * high)[0, 0] == MultiPoly.monomial(T, (32767, 0))

@@ -6,7 +6,7 @@ import pytest
 
 from bigalg import lie
 from bigalg.acceptance import BATTERY
-from bigalg.kirillov import _dual_rho_rows
+from bigalg.kirillov import derivation_chain
 from bigalg.linalg import QMatrix
 from bigalg.multipoly import rat
 from bigalg.reps import build_irrep, g_e_invariants, load_rep, save_rep
@@ -186,10 +186,10 @@ def test_cache_round_trip(tmp_path, L3, octet):
 
 def test_a_loaded_module_starts_with_an_empty_memo(tmp_path, L3, octet):
     octet.rho_e  # keeps rho(e) on the saved module
-    _dual_rho_rows(octet)  # and the operands of the derivation D
+    derivation_chain(octet, 2, 1)  # and rho(X^i), the operands of D
     save_rep(octet, str(tmp_path))
     back = load_rep(L3, (1, 1), str(tmp_path))
-    assert {"rho_e", "dual_rho_rows"} <= set(octet._memo)
+    assert {"rho_e", "dual_rho"} <= set(octet._memo)
     assert back._memo == {}
 
 

@@ -203,18 +203,21 @@ def test_emit_csv(tmp_path, sl2_sym4_gens, L2):
 
 
 # First 16 hex digits of the SHA-256 of the CSV that emit_skeleton_points
-# writes for the principal-line pullback (n >= 4) on the grid -4..1 in ten
-# steps, with its row count.
+# writes for principal_restriction (c3 = 0 up to n = 3, the principal-line
+# pullback from n = 4 on) on the grid -4..1 in ten steps, with its row count.
 _PRINCIPAL_SKELETON_PINS = {
+    (4,): (47, "16241ee120f74188"),
+    (1, 1): (240, "30970d4dd68008b9"),
     (0, 1, 0): (300, "86b68467e0c106e2"),
     (1, 0, 0): (136, "c1190fa694701463"),
 }
 
 
 @pytest.mark.parametrize("mu", sorted(_PRINCIPAL_SKELETON_PINS))
-def test_principal_line_skeleton_csv_is_pinned(tmp_path, L4, mu):
+def test_principal_line_skeleton_csv_is_pinned(tmp_path, mu):
     rows, digest = _PRINCIPAL_SKELETON_PINS[mu]
-    skeleton = principal_restriction(BigGenerators(build_irrep(L4, mu)).ops, L4)
+    L = lie.TypeA(len(mu) + 1)
+    skeleton = principal_restriction(BigGenerators(build_irrep(L, mu)).ops, L)
     path = os.path.join(tmp_path, "skeleton.csv")
     report = emit_skeleton_points(skeleton, ("-4", "1", 10), path)
     with open(path, "rb") as fh:
