@@ -429,6 +429,15 @@ def derive_relations(rep, gens, max_degree):
     Returns (relations, info) where relations are polynomials in the labels
     and the c_k, and info records per-degree monomial counts, kernel sizes,
     and algebra dimensions.
+
+    The generators must commute over R = Q[c_2..c_n].  When their fiber
+    values (at c = 0) also carry e_0 to all of Q^dim, an element b of the
+    algebra B they generate is zero exactly when b * e_0 is: by Nakayama
+    at c = 0, B * e_0 is all of V over R localized there, and b * e_0 = 0
+    gives b * (a * e_0) = a * (b * e_0) = 0 for every a in B.  The
+    monomials are then compared by their dim x 1 columns at e_0, which
+    have the same kernel as their dim x dim values; any other family is
+    compared by its values.
     """
     for a, b in combinations(gens, 2):
         if not a.mat.commutator(b.mat).is_zero():
@@ -436,10 +445,16 @@ def derive_relations(rep, gens, max_degree):
     L = rep.L
     rr = RelationRing(gens, L.n)
     ring_c = gens[0].mat.ring
-    value = monomial_values(
-        _relation_images(rr.ring, {op.label: op for op in gens}, ring_c),
-        PolyMatrix.identity(ring_c, rep.dim),
-    )
+    images = _relation_images(rr.ring, {op.label: op for op in gens}, ring_c)
+    e0 = QMatrix.from_ints([[int(i == 0)] for i in range(rep.dim)])
+    fiber = [op.evaluate([0] * (L.n - 1)) for op in gens]
+    if _orbit_dim(e0, fiber) == rep.dim:
+        # the row e_0^T * b^T is (b * e_0)^T: each image acts on the right
+        images = [m.transpose() if isinstance(m, PolyMatrix) else m for m in images]
+        seed = PolyMatrix.from_qmatrix(ring_c, e0.transpose())
+    else:
+        seed = PolyMatrix.identity(ring_c, rep.dim)
+    value = monomial_values(images, seed)
 
     relations = []
     info = []
@@ -531,11 +546,16 @@ def _span_dim(mats, orbit_dim, dim):
     return closure([QMatrix.identity(dim)], mats, mul)[0].dim
 
 
+def _orbit_dim(vec, mats):
+    """Dimension of the span of the column vec under the words in mats."""
+    return closure([vec], mats, _image)[0].dim
+
+
 def _probe(rng, mats, dim):
     """The orbit dimension of a random vector under mats, then whether a
     random combination of mats has a simple spectrum, drawn in that order."""
     vec = QMatrix.from_ints([[rng.choice(_PROBE_POOL)] for _ in range(dim)])
-    orbit_dim = closure([vec], mats, _image)[0].dim
+    orbit_dim = _orbit_dim(vec, mats)
     combo = QMatrix.zeros(dim, dim)
     for m in mats:
         combo = combo + m * rng.choice(_PROBE_POOL)

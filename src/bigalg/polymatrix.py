@@ -329,6 +329,13 @@ class PolyMatrix:
         ]
         return PolyMatrix._of(self.ring, num, self.den // a * q // g, self.cols)
 
+    def transpose(self):
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.num):
+            for j, terms in row:
+                out[j].append((i, terms))
+        return PolyMatrix._of(self.ring, out, self.den, self.rows)
+
     def commutator(self, other):
         return sum_of_products(
             self.ring, self.rows, other.cols, [(1, self, other), (-1, other, self)]

@@ -25,7 +25,8 @@ def pinning_w0(n):
 
 def sigma_on_matrix(L, x):
     w0 = pinning_w0(L.n)
-    return -(w0 * x.transpose() * invert(w0))
+    # w0 is a signed permutation matrix: its inverse is its transpose
+    return -(w0 * x.transpose() * w0.transpose())
 
 
 def sigma_coord_matrix(L):
@@ -90,23 +91,25 @@ def _sigma_substitution(L, sg):
     return mapping
 
 
-def sigma_on_element(L, mat, s, sg):
+def sigma_on_element(L, mat, s, s_inv, sg):
     """(sigma F)(x) = S F(sigma x) S^{-1} for F = mat over L.x_ring.
 
-    s is the intertwiner of the module and sg the coordinate map of sigma.
+    s is the intertwiner of the module, s_inv its inverse and sg the
+    coordinate map of sigma.
     """
     composed = mat.subs(L.x_ring, _sigma_substitution(L, sg))
     conjugated = sum_of_products(L.x_ring, s.rows, composed.cols, [(1, s, composed)])
-    return conjugated * invert(s)
+    return conjugated * s_inv
 
 
 def sigma_eigenvalues(rep, gens):
     """sigma acts on each calibrated generator by a sign; report them."""
     s = intertwiner(rep)
+    s_inv = invert(s)
     sg = sigma_coord_matrix(rep.L)
     out = {}
     for op in gens:
-        image = sigma_on_element(rep.L, op.kirillov, s, sg)
+        image = sigma_on_element(rep.L, op.kirillov, s, s_inv, sg)
         if image == op.kirillov:
             out[op.label] = 1
         elif image == -op.kirillov:

@@ -2,6 +2,7 @@ import hashlib
 import json
 from collections import Counter
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from bigalg.acceptance import (
 from bigalg.bigalgebra import (
     BigGenerators,
     RelationRing,
+    SectionOperator,
     _fiber_dims,
     closed_numerator,
     derive_relations,
@@ -379,6 +381,126 @@ def test_derive_relations_octet_degree_two(octet, octet_gens):
     lead = first.coeff((2, 0, 0, 0))
     assert lead != 0
     assert first.scale(3 / lead) == octet_big_relations(rr.ring)[0]
+
+
+def _derived(rep, gens, top):
+    rels, info = derive_relations(rep, gens, top)
+    return [str(r) for r in rels], info
+
+
+def _by_values(rep, gens, top):
+    """derive_relations on the dim x dim values: the e_0 certificate refused."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bigalgebra, "_orbit_dim", lambda vec, mats: -1)
+        return _derived(rep, gens, top)
+
+
+def _on_the_column(rep, gens, top):
+    """derive_relations on the columns at e_0, certified or not."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bigalgebra, "_orbit_dim", lambda vec, mats: rep.dim)
+        return _derived(rep, gens, top)
+
+
+def _refuse(*args):
+    raise AssertionError("this path of derive_relations must not run")
+
+
+# every derive_relations call of the battery (criteria 1, 3 and 11), then the
+# CLI's relations modules with all generators at the default degree
+COLUMN_CASES = (
+    [((2, (k,)), ["M1"], k + 2) for k in range(1, 7)]
+    + [((3, (3, 0)), ["M1", "M2"], 6), ((2, (1,)), None, 8)]
+    + [
+        (key, None, 6)
+        for key in [(2, (4,)), (2, (6,)), (3, (1, 1)), (3, (3, 0)), (3, (2, 1)), (4, (0, 1, 0))]
+    ]
+)
+
+
+@pytest.mark.parametrize("key, labels, top", COLUMN_CASES, ids=str)
+def test_relations_are_searched_on_the_highest_weight_column(monkeypatch, key, labels, top):
+    n, mu = key
+    rep = build_irrep(lie.TypeA(n), mu)
+    g = BigGenerators(rep)
+    gens = g.ops if labels is None else [g.by_label[x] for x in labels]
+    want = _by_values(rep, gens, top)
+    unpatched = _derived(rep, gens, top)
+    monkeypatch.setattr(PolyMatrix, "identity", _refuse)  # the matrix seed
+    assert _derived(rep, gens, top) == unpatched == want
+
+
+def test_relations_of_a_short_orbit_sub_family_use_the_values(monkeypatch, octet, octet_gens):
+    # M1 and M2 alone do not carry e_0 to all of the octet, so nothing
+    # certifies its column
+    gens = [octet_gens.by_label["M1"], octet_gens.by_label["M2"]]
+    monkeypatch.setattr(PolyMatrix, "transpose", _refuse)  # the column path
+    rels, info = derive_relations(octet, gens, 6)
+    assert len(rels) == 3
+    assert [row["new_relations"] for row in info] == [0, 0, 0, 2, 1, 0]
+
+
+def _hand_built(n, mats, degrees):
+    """A rep stand-in and section operators A0, A1, ... with the given values
+    over Q[c_2..c_n] and degrees."""
+    ops = [
+        SectionOperator("A%d" % i, 1, 1 + d, m, 1, None)
+        for i, (m, d) in enumerate(zip(mats, degrees))
+    ]
+    return SimpleNamespace(L=SimpleNamespace(n=n), dim=mats[0].rows), ops
+
+
+@pytest.mark.parametrize(
+    "rows, new",
+    [
+        # diag(0, 1, 1): no relation in any degree, as A0^d and c2^e * A0^f
+        # differ at the entries of e_1 and e_2
+        (lambda c2: [[0, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0, 0]),
+        # e_1 -> e_2 -> c2 * e_1: A0^3 = c2 * A0 in degree 3
+        (lambda c2: [[0, 0, 0], [0, 0, c2], [0, 1, 0]], [0, 0, 1, 0]),
+    ],
+    ids=["diag_0_1_1", "rotation"],
+)
+def test_relations_of_hand_built_short_orbit_families(monkeypatch, rows, new):
+    ring = VarSet(["c2"])
+    a0 = PolyMatrix(ring, rows(MultiPoly.variable(ring, "c2")))
+    rep, ops = _hand_built(2, [a0], [1])
+    # A0 kills e_0, so the column at e_0 would read A0 = 0 in degree 1
+    assert _on_the_column(rep, ops, 4)[0][0] == "A0"
+    monkeypatch.setattr(PolyMatrix, "transpose", _refuse)  # the column path
+    rels, info = derive_relations(rep, ops, 4)
+    assert [row["new_relations"] for row in info] == new
+    if rels:
+        (rel,) = rels
+        rr = RelationRing(ops, 2).ring
+        x, c2 = MultiPoly.variable(rr, "A0"), MultiPoly.variable(rr, "c2")
+        assert rel.scale(1 / rel.coeff((3, 0))) == x * x * x - c2 * x
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(2, 3))
+def test_relations_on_the_column_match_the_values(data, dim, n):
+    # polynomials in one integer matrix X with coefficients a + b * c_k
+    # commute over R; e_0 is cyclic for their fiber values or not depending
+    # on X, so both paths are drawn, and the values are the oracle
+    ring = VarSet(["c%d" % k for k in range(2, n + 1)])
+    entries = st.integers(-2, 2)
+    row = st.lists(entries, min_size=dim, max_size=dim)
+    x = QMatrix.from_ints(data.draw(st.lists(row, min_size=dim, max_size=dim)))
+    powers = [PolyMatrix.from_qmatrix(ring, x.power(k)) for k in range(3)]
+    rational = st.fractions(-2, 2, max_denominator=3)
+    mats = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        mat = PolyMatrix.zeros(ring, dim, dim)
+        for p in powers:
+            c = MultiPoly.variable(ring, data.draw(st.sampled_from(ring.names)))
+            coeff = MultiPoly.const(ring, data.draw(rational)) + c.scale(data.draw(rational))
+            mat = mat + p * coeff
+        mats.append(mat)
+    degrees = data.draw(st.lists(st.integers(1, 2), min_size=len(mats), max_size=len(mats)))
+    rep, ops = _hand_built(n, mats, degrees)
+    top = data.draw(st.integers(1, 4))
+    assert _derived(rep, ops, top) == _by_values(rep, ops, top)
 
 
 def test_reference_relations_in_derived_span(octet, decuplet, octet_gens, decuplet_gens):

@@ -151,7 +151,6 @@ def wei_D_in_basis(rep, mat, t):
     """D computed in the transformed basis X'_j = sum_i T_ij X_i."""
     L = rep.L
     ring = L.x_ring
-    t_inv = invert(t)
     # rho of the new basis elements and the new Killing matrix
     new_rho = []
     for j in range(L.dim):

@@ -244,9 +244,19 @@ def test_every_operation_keeps_storage_normalized(data, n, c, p, s):
         a + b, a - b, -a, a * b, a * p, a * c, c * a,
         sum_of_products(R, n, n, [(1, q, a)]), a * q, a.commutator(b),
         sum_of_products(R, n, n, [(c, a, q), (1, q, b)]), src.subs(T, mapping),
+        a.transpose(),
     ]
     for m in results:
         _assert_normalized(m)
+
+
+def test_transpose_swaps_rows_and_columns():
+    x, y, t = (MultiPoly.variable(R, nm) for nm in R.names)
+    m = PolyMatrix(R, [[x, Fraction(1, 3)], [y, 0], [0, x * t]])
+    _check(m.transpose(), 2, 3, [list(col) for col in zip(*m.a)])
+    assert m.transpose().transpose() == m
+    # the shape survives a side of length zero
+    assert (PolyMatrix.zeros(R, 0, 3).transpose().rows, PolyMatrix.zeros(R, 3, 0).transpose().cols) == (3, 3)
 
 
 def test_reading_entries_leaves_the_matrix_unchanged():

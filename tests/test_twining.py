@@ -6,7 +6,7 @@ from bigalg.acceptance import (
     sl2_rank1_relation,
 )
 from bigalg.bigalgebra import BigGenerators, RelationRing
-from bigalg.linalg import QMatrix
+from bigalg.linalg import QMatrix, invert
 from bigalg.multipoly import MultiPoly, VarSet, rat
 from bigalg.reps import build_irrep
 from bigalg.twining import (
@@ -66,10 +66,11 @@ def test_sigma_eigenvalues_on_generators(octet, octet_gens):
 
 def test_sigma_squares_to_identity_on_generators(octet, octet_gens):
     s = intertwiner(octet)
+    s_inv = invert(s)
     sg = sigma_coord_matrix(octet.L)
     for op in octet_gens.ops:
-        once = sigma_on_element(octet.L, op.kirillov, s, sg)
-        assert sigma_on_element(octet.L, once, s, sg) == op.kirillov
+        once = sigma_on_element(octet.L, op.kirillov, s, s_inv, sg)
+        assert sigma_on_element(octet.L, once, s, s_inv, sg) == op.kirillov
 
 
 def test_sigma_on_invariants_parity(L3, L4):
