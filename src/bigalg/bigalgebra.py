@@ -70,9 +70,10 @@ class BigGenerators:
         self.rep = rep
         L = rep.L
         n = L.n
-        self.ring, coords = lie.section_coords(L)
+        self.ring = VarSet(["c%d" % k for k in range(2, n + 1)])
+        cvars = [MultiPoly.variable(self.ring, nm) for nm in self.ring.names]
         # x -> the companion-section coordinates: each is 0, 1 or -c_k
-        section = dict(zip(L.x_ring.names, coords))
+        section = dict(zip(L.x_ring.names, lie.section_coords(L, cvars)))
         self.ops = []
         self.by_label = {}
         raw = {}
@@ -198,7 +199,7 @@ def principal_transport(rep):
     """
     L = rep.L
     cvals = lie.principal_point(L)
-    a0 = lie.companion_point(L.n, cvals)
+    a0 = L.matrix_of(QMatrix([[c] for c in lie.section_coords(L, cvals)]))
     eigs = [L.h[i, i] for i in range(L.n)]
     return cvals, rep.gl_transport(rational_diagonalizer(a0, eigs))
 
@@ -322,7 +323,6 @@ def hilbert_series(rep, gens):
 
     fiber_dims = _fiber_dims(mats, degrees, dmax + 1, rep.dim)
 
-    closed_dims = [closed.coeffs.get(d, 0) for d in range(dmax + 1)]
     fiber_poly = QPoly({d: c for d, c in enumerate(fiber_dims) if c})
     equal = fiber_poly == closed
     return {
@@ -332,7 +332,6 @@ def hilbert_series(rep, gens):
         "dim": rep.dim,
         "dim_ok": closed.eval_at_one() == rep.dim,
         "stabilized": all(c == 0 for c in fiber_dims[dmax + 1:]),
-        "closed_dims": closed_dims,
     }
 
 
@@ -466,9 +465,9 @@ def derive_relations(rep, gens, max_degree):
         old_span = ideal_span(relations, rr.ring, rr.weight_vec, d)
         keys = [rr.ring.pack(m) for m in monos]
         new_here = []
-        for v in kern.columns():
-            if old_span.add(v):
-                terms = {k: c for k, (c,) in zip(keys, v.a) if c}
+        for col in zip(*kern.num):
+            if old_span.add(list(col)):
+                terms = {k: rat(c, kern.den) for k, c in zip(keys, col) if c}
                 new_here.append(MultiPoly(rr.ring, terms, _trusted=True))
         relations += new_here
         info.append(

@@ -75,8 +75,8 @@ def check_args(parser, args):
         return
     if args.n < 2:
         parser.error("--n must be at least 2")
-    if args.command == "qanalogue" and args.n > PARTITION_N_BOUND:
-        parser.error("--n: qanalogue needs n <= %d" % PARTITION_N_BOUND)
+    if args.command in ("qanalogue", "brylinski") and args.n > PARTITION_N_BOUND:
+        parser.error("--n: %s needs n <= %d" % (args.command, PARTITION_N_BOUND))
     for flag, dest in (("--mu", "mu"), ("--lambda", "lam")):
         text = getattr(args, dest, None)
         if text is None:

@@ -73,28 +73,28 @@ class TypeA:
 
     # ---------- coordinates ----------
 
-    def _expand(self, rows, zero):
-        """Basis coordinates of the square matrix with the given rows.
+    def _expand(self, rows):
+        """Basis coordinates of the square integer matrix with the given rows.
 
         Off-diagonal entries are coordinates as they stand; the diagonal's
         running sums give the H-coordinates.  The last diagonal entry is
         not read, so the caller checks the trace.
         """
         n = self.n
-        coords = [zero] * self.dim
+        coords = [0] * self.dim
         for (i, j), idx in self._offdiag_index.items():
             coords[idx] = rows[i][j]
-        acc = zero
+        acc = 0
         base = self.dim - (n - 1)
         for k in range(n - 1):
-            acc = acc + rows[k][k]
+            acc += rows[k][k]
             coords[base + k] = acc
         return coords
 
     def coords_of(self, m):
         """The coordinate column of a trace-zero n x n matrix, exactly."""
         num = m.num
-        coords = self._expand(num, 0)
+        coords = self._expand(num)
         if coords[-1] + num[-1][-1]:
             raise ValueError("matrix has nonzero trace")
         return QMatrix.from_ints([[c] for c in coords], m.den)
@@ -139,7 +139,7 @@ class TypeA:
                 target = m[r]
                 for j, w in enumerate(a[c]):
                     target[j] -= v * w
-            cols.append(self._expand(m, 0))
+            cols.append(self._expand(m))
         return QMatrix.from_ints([list(row) for row in zip(*cols)], x.den)
 
     def centralizer(self, coords):
@@ -172,13 +172,6 @@ class TypeA:
             "ck", lambda: dict(enumerate(charpoly_coeffs_poly(self.generic_matrix())))
         )
         return ck[k]
-
-    def coords_of_polymatrix(self, pm):
-        """Coordinates of a trace-zero polynomial matrix (entries are polys)."""
-        coords = self._expand(pm.a, MultiPoly.zero(pm.ring))
-        if not pm.trace().is_zero():
-            raise ValueError("polynomial matrix has nonzero trace")
-        return coords
 
 
 def _from_sparse(n, entries):
@@ -227,7 +220,6 @@ class RootData:
         # positive roots alpha_i + ... + alpha_j as index pairs (1-based)
         self.positive = [(i, j) for i in range(1, r + 1) for j in range(i, r + 1)]
         self.rho = (1,) * r
-        self.degrees = list(range(2, n + 1))
 
     def root_weight(self, ij):
         """A positive root in fundamental-weight coordinates."""
@@ -351,36 +343,22 @@ def minuscule_min(rd, mu):
 # ---------------------------------------------------------------------------
 
 
-def c_ring(n):
-    return VarSet(["c%d" % k for k in range(2, n + 1)])
+def section_coords(L, cvals):
+    """Coordinates of the companion matrix at cvals = (c_2, ..., c_n).
 
-
-def companion_symbolic(n):
-    """Companion matrix with char poly lambda^n + c_2 lambda^(n-2) + ... + c_n."""
-    ring = c_ring(n)
-    m = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        m[i + 1][i] = 1
-    for i in range(n - 1):
-        # row i of the last column carries -c_{n-i}
-        m[i][n - 1] = -MultiPoly.variable(ring, "c%d" % (n - i))
-    return ring, PolyMatrix(ring, m)
-
-
-def companion_point(n, cvals):
-    """Companion matrix at rational invariant values (c_2, ..., c_n)."""
+    Its characteristic polynomial is lambda^n + c_2 lambda^(n-2) + ... + c_n.
+    The pattern has 1 at E_{i+1,i}, -c_{n-i} at E_{i,n-1} and a zero
+    diagonal, so every other coordinate, the H-coordinates included, is 0.
+    The values may be numbers or polynomials.
+    """
+    n = L.n
     if len(cvals) != n - 1:
         raise ValueError("need %d invariant values" % (n - 1))
-    a = [[int(i == j + 1) for j in range(n)] for i in range(n)]
+    coords = [0] * L.dim
     for i in range(n - 1):
-        a[i][n - 1] = -rat(cvals[n - 2 - i])
-    return QMatrix(a)
-
-
-def section_coords(L):
-    """Coordinates of the symbolic companion matrix over Q[c_2..c_n]."""
-    ring, m = companion_symbolic(L.n)
-    return ring, L.coords_of_polymatrix(m)
+        coords[L.lowering_index[i]] = 1
+        coords[L._offdiag_index[(i, n - 1)]] = -cvals[n - 2 - i]
+    return coords
 
 
 def principal_point(L):

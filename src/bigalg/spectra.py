@@ -18,7 +18,6 @@ from .linalg import (
     real_roots,
     upoly_at_floats,
 )
-from .polymatrix import PolyMatrix
 from . import lie
 from .bigalgebra import eigenvalue_on_block, principal_transport
 
@@ -41,14 +40,18 @@ def skeleton_set_c3_zero(gens):
 
 
 def invariants_along_principal_line(L):
-    """c_k(e + t*f) as polynomials in the line parameter t."""
+    """c_k(e + t*f) as polynomials in the line parameter t.
+
+    D = diag(1, t^(1/2), t, ...) conjugates t^(1/2) (e + f) to e + t*f, so
+    c_k(e + t*f) = c_k(e + f) t^(k/2); for odd k, diag(1, -1, 1, ...)
+    conjugates e + f to -(e + f), so c_k(e + f) = 0.
+    """
     tring = VarSet(["t"])
-    t = MultiPoly.variable(tring, "t")
-    line = PolyMatrix.from_qmatrix(tring, L.e) + PolyMatrix.from_qmatrix(
-        tring, L.f
-    ) * t
-    coeffs = lie.charpoly_coeffs_poly(line)
-    return tring, [coeffs[k] for k in range(2, L.n + 1)]
+    n = L.n
+    chi = charpoly(L.e + L.f)  # low to high; c_k is the coefficient of lambda^(n-k)
+    return tring, [
+        MultiPoly.monomial(tring, (k // 2,), chi[n - k]) for k in range(2, n + 1)
+    ]
 
 
 def skeleton_pullback(gens, L):

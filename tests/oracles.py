@@ -9,8 +9,8 @@ defining formulas, equivariance and homogeneity as exact polynomial
 identities, the common total degree of polynomial entries, rho of the
 Killing-dual basis as dense matrices, formal derivatives term by term, the
 q-partition function by explicit enumeration, weight spaces by joint
-eigenspace decomposition, and the freeness report with the span closure
-run at every point.
+eigenspace decomposition, the freeness report with the span closure run
+at every point, and the companion matrix entry by entry.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from operator import mul
 
+from bigalg import lie
 from bigalg.bigalgebra import _PROBE_POOL, _image, random_c_point
 from bigalg.linalg import (
     QMatrix,
@@ -27,7 +28,7 @@ from bigalg.linalg import (
     is_squarefree,
     joint_invariant_decomposition,
 )
-from bigalg.multipoly import ZERO, MultiPoly, rat
+from bigalg.multipoly import ZERO, MultiPoly, VarSet, rat
 from bigalg.polymatrix import PolyMatrix
 from bigalg.qpoly import QPoly
 
@@ -54,6 +55,26 @@ def diagonal(entries):
     """The diagonal QMatrix with the given entries."""
     n = len(entries)
     return QMatrix([[x if i == j else 0 for j in range(n)] for i, x in enumerate(entries)])
+
+
+def companion(cvals):
+    """Rows of the companion matrix of lambda^n + c_2 lambda^(n-2) + ... + c_n
+    at cvals = (c_2, ..., c_n): 1 below the diagonal, and minus the
+    coefficient of lambda^i in row i of the last column."""
+    n = len(cvals) + 1
+    # the coefficient of lambda^i for i < n is c_(n-i), with c_1 = 0
+    low = list(reversed(cvals)) + [0]
+    return [
+        [1 if i == j + 1 else (-low[i] if j == n - 1 else 0) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def symbolic_section(L):
+    """The ring Q[c_2..c_n] and the section coordinates over it."""
+    ring = VarSet(["c%d" % k for k in range(2, L.n + 1)])
+    cvars = [MultiPoly.variable(ring, nm) for nm in ring.names]
+    return ring, lie.section_coords(L, cvars)
 
 
 def basis_names(L):

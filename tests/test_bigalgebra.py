@@ -37,7 +37,15 @@ from bigalg.multipoly import MultiPoly, VarSet, rat
 from bigalg.polymatrix import PolyMatrix
 from bigalg.qpoly import QPoly
 from bigalg.reps import build_irrep
-from oracles import diagonal, entry_subs, freeness_by_closure, poly_of_commuting, small_operator
+from oracles import (
+    companion,
+    diagonal,
+    entry_subs,
+    freeness_by_closure,
+    poly_of_commuting,
+    small_operator,
+    symbolic_section,
+)
 
 
 def test_restriction_of_small_operator_is_companion(L2, L3, sl3_standard):
@@ -51,8 +59,8 @@ def test_restriction_of_small_operator_is_companion(L2, L3, sl3_standard):
     assert m1.mat.a[1][1].is_zero()
     # sl3 standard restricts to the companion of the cubic
     g3 = BigGenerators(sl3_standard)
-    _, comp = lie.companion_symbolic(3)
-    assert g3.by_label["M1"].mat == comp
+    cvars = [MultiPoly.variable(g3.ring, nm) for nm in g3.ring.names]
+    assert g3.by_label["M1"].mat == PolyMatrix(g3.ring, companion(cvars))
 
 
 def test_calibrated_m1_equals_small_operator(octet, decuplet, octet_gens, decuplet_gens):
@@ -63,7 +71,7 @@ def test_calibrated_m1_equals_small_operator(octet, decuplet, octet_gens, decupl
 def test_scalar_invariant_restricts_to_itself(octet_gens):
     # c_k * Id is a base-ring element: the companion coordinates leave it alone
     rep = octet_gens.rep
-    ring, coords = lie.section_coords(rep.L)
+    ring, coords = symbolic_section(rep.L)
     rep_mat = PolyMatrix.scalar(rep.L.x_ring, rep.dim, rep.L.invariant_ck(2)).subs(
         ring, {"x%d" % i: c for i, c in enumerate(coords)}
     )
@@ -83,7 +91,7 @@ def test_restriction_matches_generic_substitution():
     for n, mu in BATTERY:
         L = lie.TypeA(n)
         rep = build_irrep(L, mu)
-        ring, coords = lie.section_coords(L)
+        ring, coords = symbolic_section(L)
         mapping = {"x%d" % i: coords[i] for i in range(L.dim)}
         for k in range(2, n + 1):
             for mat in derivation_chain(rep, k, k - 1):
@@ -102,7 +110,7 @@ def test_restriction_matches_substitution_on_random_elements(
     # cancel, and come back, and put even powers on the -c_k coordinates
     rep = data.draw(st.sampled_from([sl2_sym4, sl3_standard]))
     L = rep.L
-    ring, coords = lie.section_coords(L)
+    ring, coords = symbolic_section(L)
     x_ring = L.x_ring
     live = [i for i, c in enumerate(coords) if c]
     variables = st.one_of(st.sampled_from(live), st.integers(0, L.dim - 1))
@@ -126,7 +134,7 @@ def test_restriction_accepts_general_coordinates(octet_gens):
     # monomial other than 0 or +-c_k substitutes like any other, and one of
     # two terms is refused
     mat = derivation_chain(octet_gens.rep, 3, 1)[0]
-    ring, coords = lie.section_coords(octet_gens.rep.L)
+    ring, coords = symbolic_section(octet_gens.rep.L)
     c2 = MultiPoly.variable(ring, "c2")
     mapping = {"x%d" % i: c for i, c in enumerate(coords)}
     for other in (c2.scale(2), rat(1, 2)):
@@ -208,7 +216,7 @@ def test_calibration_anchors(decuplet_gens, octet_gens, sl2_sym4_gens):
 
 
 def test_rational_diagonalizer():
-    m = lie.companion_point(3, [-4, 0])
+    m = QMatrix(companion([-4, 0]))
     s = rational_diagonalizer(m, [2, 0, -2])
     assert m * s == s * diagonal([2, 0, -2])
 

@@ -87,6 +87,10 @@ def _verify(payload):
             ["qanalogue", "--n", "8", "--mu", "1,0,0,0,0,0,0", "--lambda", "0,0,0,0,0,0,0"],
             "--n: qanalogue needs n <= 5",
         ),
+        (
+            ["brylinski", "--n", "6", "--mu", "1,0,0,0,0", "--lambda", "1,0,0,0,0"],
+            "--n: brylinski needs n <= 5",
+        ),
         (["spectrum", "--n", "2", "--mu", "4", "--grid", "1:2"], "--grid: expected start:stop:steps"),
         (["spectrum", "--n", "2", "--mu", "4", "--grid", "a:1:3"], "--grid: expected start:stop:steps"),
         (["spectrum", "--n", "2", "--mu", "4"], "--out: spectrum needs --out for the skeleton CSV"),
@@ -138,7 +142,8 @@ def _verify(payload):
     ids=["n_below_2", "fractional_mu", "fractional_lambda", "over_bound",
          "wrong_arity", "negative_mu", "brylinski_lambda_not_a_weight",
          "multalg_lambda_not_a_weight", "qanalogue_n_6", "qanalogue_n_8",
-         "grid_two_fields", "grid_not_rational", "spectrum_grid_without_out",
+         "brylinski_n_6", "grid_two_fields", "grid_not_rational",
+         "spectrum_grid_without_out",
          "relations_unknown_gens",
          "relations_missing_verify_file", "twining_weight_not_self_dual",
          "verify_unknown_variable", "verify_no_relations_key", "verify_top_level_list",

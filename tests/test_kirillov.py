@@ -3,7 +3,6 @@ from itertools import combinations
 
 import pytest
 
-from bigalg import lie
 from bigalg.kirillov import derivation_chain, wei_D
 from bigalg.linalg import QMatrix, invert
 from bigalg.multipoly import MultiPoly, rat
@@ -12,6 +11,7 @@ from bigalg.reps import build_irrep
 from oracles import (
     basis_names,
     column_entries,
+    companion,
     diagonal,
     equivariance_check,
     evaluate,
@@ -40,7 +40,7 @@ def test_small_operator_evaluations(octet, sl3_standard, L3):
     # the builder reproduces the defining basis for the standard module,
     # so evaluating the small operator at a point returns that very matrix
     m1_std = small_operator(sl3_standard)
-    a = lie.companion_point(3, [5, -2])
+    a = QMatrix(companion([5, -2]))
     assert _at(m1_std, L3.coords_of(a)) == a
 
 

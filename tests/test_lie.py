@@ -5,12 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from bigalg import lie
 from bigalg.linalg import QMatrix, kernel, rank
-from bigalg.multipoly import MultiPoly, rat
+from bigalg.multipoly import MultiPoly, VarSet, rat
+from bigalg.polymatrix import PolyMatrix
 from oracles import (
     bracket_by_structure,
     bracket_coords,
     column,
+    companion,
     killing_by_structure,
+    symbolic_section,
     trace_form,
 )
 
@@ -131,8 +134,9 @@ def test_weyl_invariance_of_inner_product():
 
 
 def test_companion_sl2_explicit():
-    ring, m = lie.companion_symbolic(2)
+    ring = VarSet(["c2"])
     c2 = MultiPoly.variable(ring, "c2")
+    m = PolyMatrix(ring, companion([c2]))
     assert m.a[0][0].is_zero() and m.a[1][1].is_zero()
     assert m.a[1][0] == 1
     assert m.a[0][1] == -c2
@@ -142,23 +146,51 @@ def test_companion_sl2_explicit():
     assert coeffs[2] == c2
 
 
-def test_companion_sl3_char_poly():
-    ring, m = lie.companion_symbolic(3)
-    coeffs = lie.charpoly_coeffs_poly(m)
+def test_companion_sl3_char_poly(L3):
+    ring = VarSet(["c2", "c3"])
+    cvars = [MultiPoly.variable(ring, nm) for nm in ring.names]
+    coeffs = lie.charpoly_coeffs_poly(PolyMatrix(ring, companion(cvars)))
     assert coeffs[1].is_zero()
-    assert coeffs[2] == MultiPoly.variable(ring, "c2")
-    assert coeffs[3] == MultiPoly.variable(ring, "c3")
-    nil = lie.companion_point(3, [0, 0])
+    assert coeffs[2] == cvars[0]
+    assert coeffs[3] == cvars[1]
+    nil = L3.matrix_of(column(lie.section_coords(L3, [0, 0])))
     assert rank(nil) == 2
     assert (nil.power(3)).is_zero()
+
+
+def test_section_pattern_is_the_companion():
+    # sum_i coords_i X_i over Q[c_2..c_n] against the companion built entry
+    # by entry, and its characteristic polynomial lambda^n + sum c_k lambda^(n-k)
+    for n in range(2, 8):
+        L = lie.TypeA(n)
+        ring, coords = symbolic_section(L)
+        m = PolyMatrix.zeros(ring, n, n)
+        for c, x in zip(coords, L.basis):
+            m = m + PolyMatrix.from_qmatrix(ring, x) * c
+        cvars = [MultiPoly.variable(ring, nm) for nm in ring.names]
+        assert m == PolyMatrix(ring, companion(cvars)), n
+        coeffs = lie.charpoly_coeffs_poly(m)
+        assert coeffs[0] == 1 and coeffs[1].is_zero(), n
+        assert coeffs[2:] == cvars, n
+
+
+def test_numeric_section_is_the_companion():
+    rng = random.Random(24)
+    for n in range(2, 8):
+        L = lie.TypeA(n)
+        for _ in range(3):
+            cvals = [rat(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n - 1)]
+            got = L.matrix_of(column(lie.section_coords(L, cvals)))
+            assert got == QMatrix(companion(cvals)), (n, cvals)
+    with pytest.raises(ValueError):
+        lie.section_coords(lie.TypeA(3), [1])
 
 
 def test_companion_regular_at_random_points(L3):
     rng = random.Random(9)
     for _ in range(4):
         cvals = [rng.choice([x for x in range(-9, 10) if x]) for _ in range(2)]
-        a = lie.companion_point(3, cvals)
-        coords = L3.coords_of(a)
+        coords = column(lie.section_coords(L3, cvals))
         assert L3.centralizer(coords).cols == 2
 
 

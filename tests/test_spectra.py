@@ -10,6 +10,7 @@ from bigalg import lie
 from bigalg.bigalgebra import BigGenerators
 from bigalg.linalg import QMatrix, restrict_to_block
 from bigalg.multipoly import MultiPoly, VarSet, rat
+from bigalg.polymatrix import PolyMatrix
 from bigalg.reps import build_irrep
 from bigalg.spectra import (
     branch_multiset_at,
@@ -31,6 +32,16 @@ def test_principal_line_invariants(L3):
     t = MultiPoly.variable(tring, "t")
     assert cvals[0] == t.scale(-4)  # c_2 along e + t f is linear
     assert cvals[1].is_zero()  # c_3 vanishes identically on the line
+
+
+def test_principal_line_invariants_match_the_polynomial_line():
+    # oracle: Faddeev-LeVerrier over Q[t] on the PolyMatrix line e + t*f
+    for n in range(2, 8):
+        L = lie.TypeA(n)
+        tring, cvals = invariants_along_principal_line(L)
+        t = MultiPoly.variable(tring, "t")
+        e, f = (PolyMatrix.from_qmatrix(tring, m) for m in (L.e, L.f))
+        assert cvals == lie.charpoly_coeffs_poly(e + f * t)[2:], n
 
 
 def test_principal_restriction_follows_n(sl2_sym4_gens, octet_gens, L2, L3, L4):
@@ -61,7 +72,6 @@ def test_skeleton_relations_specialize(decuplet, decuplet_gens, L3):
     m2 = by_label["M2"]
     ring = sk["ring"]
     c2 = MultiPoly.variable(ring, "c2")
-    from bigalg.polymatrix import PolyMatrix
 
     def scal(p):
         return PolyMatrix.scalar(ring, 10, p)
@@ -210,6 +220,9 @@ _PRINCIPAL_SKELETON_PINS = {
     (1, 1): (240, "30970d4dd68008b9"),
     (0, 1, 0): (300, "86b68467e0c106e2"),
     (1, 0, 0): (136, "c1190fa694701463"),
+    # sl5: the first pins on which an odd invariant, c_5, vanishes on the line
+    (1, 0, 0, 0): (358, "1da934bc9ed9f422"),
+    (0, 1, 0, 0): (716, "696657e8027663e6"),
 }
 
 
