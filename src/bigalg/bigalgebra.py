@@ -49,9 +49,11 @@ class SectionOperator:
         self.kirillov = kirillov
 
     def evaluate(self, cvals):
-        ring = self.mat.ring
-        values = {nm: v for nm, v in zip(ring.names, cvals)}
-        return self.mat.evaluate(values)
+        """The QMatrix value at cvals = (c_2, ..., c_n)."""
+        names = self.mat.ring.names
+        if len(cvals) != len(names):
+            raise ValueError("need %d invariant values" % len(names))
+        return self.mat.evaluate(dict(zip(names, cvals)))
 
     def report(self):
         return {

@@ -11,39 +11,28 @@ studied downstream.
 from __future__ import annotations
 
 from .multipoly import rat
-from .polymatrix import PolyMatrix, sum_of_products
+from .polymatrix import PolyMatrix, derivation_sum
 
 _HALF = rat(1, 2)
 
 
 def _dual_rho(rep):
-    """rho(X^i) as constant PolyMatrix over L.x_ring, once per module; the
-    coordinates of X^i are column i of the symmetric killing_inv."""
-    L = rep.L
-
-    def duals():
-        return [PolyMatrix.from_qmatrix(L.x_ring, rep.op(c)) for c in L.killing_inv.columns()]
-
-    return rep.cached("dual_rho", duals)
+    """rho(X^i) as QMatrix, once per module; the coordinates of X^i are
+    column i of the symmetric killing_inv."""
+    return rep.cached("dual_rho", lambda: [rep.op(c) for c in rep.L.killing_inv.columns()])
 
 
 def wei_D(rep, mat):
     """D(F) = (1/2) sum_i rho(X^i) dF/dx_i; lowers the degree by one.
 
-    F is a rep.dim x rep.dim PolyMatrix over rep.L.x_ring; its partials come
-    from one ``gradient`` pass.
+    F is a rep.dim x rep.dim PolyMatrix over rep.L.x_ring; D is one
+    ``derivation_sum`` pass over its terms.
     """
-    ring = rep.L.x_ring
-    if mat.ring != ring:
+    if mat.ring != rep.L.x_ring:
         raise ValueError("variable-set mismatch")
     if mat.rows != rep.dim or mat.cols != rep.dim:
         raise ValueError("shape mismatch")
-    terms = [
-        (_HALF, dual, grad)
-        for dual, grad in zip(_dual_rho(rep), mat.gradient())
-        if grad is not None
-    ]
-    return sum_of_products(ring, rep.dim, rep.dim, terms)
+    return derivation_sum(_dual_rho(rep), mat, _HALF)
 
 
 def derivation_chain(rep, k, steps):

@@ -11,8 +11,8 @@ coefficients are built only when a caller reads entries (``m[i, j]``,
 
 Every product of matrices goes through ``sum_of_products``: output entries
 accumulate Python ints over the product of the operands' denominators.
-``gradient`` gives every partial derivative in one pass, and
-``coefficient_columns`` the coefficients of several matrices as columns.
+``derivation_sum`` gives sum_a M_a * df/dx_a in one pass over f's terms,
+and ``coefficient_columns`` the coefficients of several matrices as columns.
 ``subs`` puts a monomial in place of each variable, finding the image of
 each distinct monomial once; ``evaluate`` is ``subs`` into the constants.
 """
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import compress
 from math import gcd, lcm
 from operator import or_
 
@@ -131,6 +132,77 @@ def sum_of_products(ring, rows, cols, terms):
         out.append(row)
     ring.check_key(seen)
     return _reduced(ring, out, den, cols)
+
+
+def derivation_sum(mats, f, scale):
+    """The PolyMatrix scale * sum_a mats[a] * df/d(variable a), in one pass.
+
+    mats is a list of QMatrix, one per variable of f.ring, all with f.rows
+    columns and one row count (f.rows when f.ring has no variables).  Each
+    term c * x^e of entry (k, j) of f meets column k of mats[a] once for every
+    variable a of x^e: it adds v * c * e_a at key e - u_a to entry (i, j) for
+    each nonzero (i, v) of that column.  No partial derivative is formed as
+    a matrix, and the result is normalized once.
+    """
+    ring = f.ring
+    units = ring._units
+    if len(mats) != len(units):
+        raise ValueError("need %d matrices, one per variable" % len(units))
+    rows = mats[0].rows if mats else f.rows
+    if any(m.rows != rows or m.cols != f.rows for m in mats):
+        raise ValueError("shape mismatch")
+    s = _rational(scale)
+    den = lcm(*(m.den for m in mats))
+    # column k of mats[a] as its nonzero (i, s.numerator * den * entry); most
+    # rows of a rho(X^a) are zero, and any() skips them at C speed
+    ks = range(f.rows)
+    columns = []
+    for m in mats:
+        w = s.numerator * (den // m.den)
+        cols = [[] for _ in ks]
+        for i, r in enumerate(m.num):
+            if any(r):
+                for k in compress(ks, r):
+                    cols[k].append((i, r[k] * w))
+        columns.append(cols)
+    supports = {}  # a monomial recurs across entries; walk its key once
+    partials = {}  # id of an entry's terms -> [(a, its d/dx_a)], shared
+    acc = [{} for _ in range(rows)]  # output row i: {j: {key: int}}
+    for k, row in enumerate(f.num):
+        for j, terms in row:
+            entry = partials.get(id(terms))
+            if entry is None:
+                grads = {}
+                for key, c in terms.items():
+                    support = supports.get(key)
+                    if support is None:
+                        support = supports[key] = ring.support(key)
+                    for a, e in support:
+                        d = grads.get(a)
+                        if d is None:
+                            d = grads[a] = {}
+                        d[key - units[a]] = c * e
+                entry = partials[id(terms)] = list(grads.items())
+            for a, d in entry:
+                for i, v in columns[a][k]:
+                    out = acc[i].get(j)
+                    if out is None:
+                        acc[i][j] = {key: v * c for key, c in d.items()}
+                        continue
+                    get = out.get
+                    for key, c in d.items():
+                        out[key] = get(key, 0) + v * c
+    num = []
+    for entries in acc:
+        row = []
+        for j in sorted(entries):
+            out = entries[j]
+            if 0 in out.values():
+                out = {key: v for key, v in out.items() if v}
+            if out:
+                row.append((j, out))
+        num.append(row)
+    return _reduced(ring, num, f.den * den * s.denominator, f.cols)
 
 
 def coefficient_columns(mats):
@@ -340,52 +412,6 @@ class PolyMatrix:
         return sum_of_products(
             self.ring, self.rows, other.cols, [(1, self, other), (-1, other, self)]
         )
-
-    def gradient(self):
-        """Every partial derivative of self, in one pass over its terms.
-
-        Entry i is d self / d(variable i), or None when that derivative is
-        zero.  Each term c * x^e adds c * e_i to entry i for every variable
-        x_i it contains; each partial is then divided by the common factor of
-        its coefficients and den, so that its storage is normalized.
-        """
-        ring = self.ring
-        units = ring._units
-        grads = [None] * len(units)
-        contents = [self.den] * len(units)  # gcd of den and each partial's coefficients
-        supports = {}  # a monomial recurs across entries; walk its key once
-        partials = {}  # id of an entry's terms -> {i: its d/dx_i}, shared
-        for r, row in enumerate(self.num):
-            for col, terms in row:
-                entry = partials.get(id(terms))
-                if entry is None:
-                    entry = partials[id(terms)] = {}
-                    for key, c in terms.items():
-                        support = supports.get(key)
-                        if support is None:
-                            support = supports[key] = ring.support(key)
-                        for i, e in support:
-                            d = entry.get(i)
-                            if d is None:
-                                d = entry[i] = {}
-                            v = d[key - units[i]] = c * e
-                            if v % contents[i]:
-                                contents[i] = gcd(contents[i], v)
-                for i, d in entry.items():
-                    if grads[i] is None:
-                        grads[i] = [[] for _ in range(self.rows)]
-                    grads[i][r].append((col, d))
-        # divide each partial by its content, once per distinct dict
-        for entry in partials.values():
-            for i, d in entry.items():
-                q = contents[i]
-                if q != 1:
-                    for k in d:
-                        d[k] //= q
-        return [
-            None if g is None else PolyMatrix._of(ring, g, self.den // q, self.cols)
-            for g, q in zip(grads, contents)
-        ]
 
     def __eq__(self, other):
         return (

@@ -149,7 +149,9 @@ def test_restriction_accepts_general_coordinates(octet_gens):
 # family's report(), of every op's mat.to_obj() and of every op's
 # kirillov.to_obj().  They were computed by an independent construction
 # (one PolyMatrix.diff per variable, the generic PolyMatrix.subs restriction,
-# D^1..D^(i-1) recomputed for each i), so they pin the exact bytes.
+# D^1..D^(i-1) recomputed for each i), so they pin the exact bytes.  The sl5
+# rows came from the earlier form of D, which took every partial derivative
+# as a matrix and multiplied it by rho(X^i), before ``derivation_sum``.
 GENERATOR_DIGESTS = [
     ((2, (1,)), ('685407ac1c5aed42', '5960c1ddf8c24840', 'e67daac2cdce3698')),
     ((2, (2,)), ('685407ac1c5aed42', '80a4df39259b70d7', '5d555d3b276c1f1b')),
@@ -167,6 +169,9 @@ GENERATOR_DIGESTS = [
     ((4, (0, 1, 0)), ('bc67e8df33891233', '1e669e33fe2098fa', '4c759175de77e5a2')),
     ((3, (2, 2)), ('1ba64ba6aada3b22', '89b4bf3cbe7c2d99', '3c86ee5f985ba670')),
     ((4, (1, 1, 0)), ('bc67e8df33891233', '2abb057ec599d221', '345da2c5a1afa8db')),
+    ((5, (1, 0, 0, 1)), ('ef0ca1be7216d1b7', '7a68b6b89765101d', 'ce0eacec6b2fbb7e')),
+    ((5, (0, 1, 0, 0)), ('ef0ca1be7216d1b7', '1fb51e3b02fee889', 'ca6997c509fb7e85')),
+    ((5, (1, 0, 0, 0)), ('ef0ca1be7216d1b7', 'd63283ae271243dd', 'ec1c1744b845951c')),
 ]
 
 
@@ -195,6 +200,15 @@ def test_evaluate_at_principal_point(octet, octet_gens, L3):
     # oracle: eigenvalues are the h-pairings of the weights, with multiplicity
     expected = Counter(rd.h_pairing(w) for w in octet.weights)
     assert rational_roots(charpoly(val)) == sorted(expected.items())
+
+
+def test_evaluate_refuses_a_wrong_number_of_invariant_values(octet_gens):
+    # Q[c2, c3]: a third value is not dropped, a missing one is named
+    op = octet_gens.by_label["M1"]
+    for cvals in ([1, 2, 99], [1], []):
+        with pytest.raises(ValueError, match="need 2 invariant values"):
+            op.evaluate(cvals)
+    assert op.evaluate([1, 2]) == op.mat.evaluate({"c2": 1, "c3": 2})
 
 
 def test_evaluate_scalar(octet_gens):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from bigalg.kirillov import wei_D
 from bigalg.linalg import QMatrix
 from bigalg.multipoly import MultiPoly, VarSet
-from bigalg.polymatrix import PolyMatrix, coefficient_columns, sum_of_products
+from bigalg.polymatrix import PolyMatrix, coefficient_columns, derivation_sum, sum_of_products
 from oracles import (
     dual_rho,
     entry_evaluate,
@@ -244,7 +244,8 @@ def test_every_operation_keeps_storage_normalized(data, n, c, p, s):
         a + b, a - b, -a, a * b, a * p, a * c, c * a,
         sum_of_products(R, n, n, [(1, q, a)]), a * q, a.commutator(b),
         sum_of_products(R, n, n, [(c, a, q), (1, q, b)]), src.subs(T, mapping),
-        a.transpose(),
+        a.transpose(), derivation_sum([q, QMatrix.zeros(n, n), q], a, c),
+        derivation_sum([q] * 3, PolyMatrix.scalar(R, n, p), c),
     ]
     for m in results:
         _assert_normalized(m)
@@ -290,6 +291,10 @@ def test_cancellation_leaves_no_zero_coefficients():
     b = PolyMatrix(R, [[x, x + y]])
     c = PolyMatrix(R, [[-x], [x]])
     _check(b * c, 1, 1, [[x * y]])
+    # d/dx of row 0 minus d/dy of row 1: 1 - 1 in column 0, 1 + t - 1 in column 1
+    f = PolyMatrix(R, [[x, x + x * t], [y, y]])
+    mats = [QMatrix([[1, 0]]), QMatrix([[0, -1]]), QMatrix.zeros(1, 2)]
+    _check(derivation_sum(mats, f, Fraction(1, 2)), 1, 2, [[MultiPoly.zero(R), t.scale(Fraction(1, 2))]])
 
 
 def test_empty_shapes_keep_columns():
@@ -383,21 +388,55 @@ def test_wei_D_matches_reference_on_random_elements(sl2_sym4, sl3_standard, data
     _assert_normalized(out)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data(), _dims, _dims)
-def test_gradient_matches_diff(data, n, m):
+def _ref_derivation_sum(mats, f, scale):
+    """scale * sum_a mats[a] * df/d(variable a), added up entry by entry."""
+    rows = mats[0].rows
+    total = [[MultiPoly.zero(f.ring)] * f.cols for _ in range(rows)]
+    for m, name in zip(mats, f.ring.names):
+        d = mat_diff(f, name).a
+        for i in range(rows):
+            for k in range(f.rows):
+                if m.a[i][k]:
+                    for j in range(f.cols):
+                        total[i][j] = total[i][j] + d[k][j].scale(m.a[i][k] * scale)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), _dims, _dims, _dims, _coeffs)
+def test_derivation_sum_matches_diff(data, n, m, r, scale):
+    # F is n x m, or a scalar n x n whose diagonal shares one dict; the r x n
+    # matrices may be zero, and F may lack some variables altogether
     ring = VarSet(["x", "y", "z"])
-    polys = _x_polys(ring)
-    mat = PolyMatrix(ring, [[data.draw(polys) for _ in range(m)] for _ in range(n)])
-    grads = mat.gradient()
-    assert len(grads) == len(ring)
-    for grad, name in zip(grads, ring.names):
-        ref = mat_diff(mat, name)
-        if grad is None:
-            assert ref.is_zero()
-            continue
-        assert not grad.is_zero()
-        _check(grad, n, m, ref.a)
+    present = data.draw(st.lists(st.booleans(), min_size=3, max_size=3))
+    exps = st.tuples(*[st.integers(0, 2) if p else st.just(0) for p in present])
+    polys = _polys_over(ring, exps)
+    if data.draw(st.booleans()):
+        f = PolyMatrix.scalar(ring, n, data.draw(polys))
+        m = n
+    else:
+        f = _pm(data.draw(_entries(n, m, polys)), m, ring)
+    mats = [
+        QMatrix.zeros(r, n) if data.draw(st.booleans()) else _qm(data.draw(_entries(r, n, _coeffs)), n)
+        for _ in ring.names
+    ]
+    _check(derivation_sum(mats, f, scale), r, m, _ref_derivation_sum(mats, f, scale))
+
+
+def test_derivation_sum_refuses_wrong_matrices():
+    x = MultiPoly.variable(R, "x")
+    f = PolyMatrix(R, [[x, 1], [0, x * x], [1, 0]])  # 3 x 2 over three variables
+    good = [QMatrix.identity(3)] * 3
+    assert derivation_sum(good, f, 1) == mat_diff(f, "x")
+    for mats in (good[:2], good + good[:1], []):
+        with pytest.raises(ValueError):
+            derivation_sum(mats, f, 1)
+    # a matrix with the wrong column count, or a row count unlike the others
+    for odd in (QMatrix.zeros(3, 2), QMatrix.zeros(2, 3)):
+        with pytest.raises(ValueError):
+            derivation_sum([odd] + good[1:], f, 1)
+        with pytest.raises(ValueError):
+            derivation_sum(good[:2] + [odd], f, 1)
 
 
 @settings(max_examples=30, deadline=None)
