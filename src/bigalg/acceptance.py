@@ -20,11 +20,11 @@ from .reps import build_irrep, g_e_invariants
 from .kirillov import wei_D
 from .bigalgebra import (
     BigGenerators,
-    RelationRing,
     derive_relations,
     freeness_and_rank_check,
     hilbert_series,
     ideal_graded_dims,
+    relation_ring,
     verify_presentation,
 )
 from .multiplicity import (
@@ -174,7 +174,7 @@ def octet_medium_relations(ring):
 
 
 def sl2_rank1_relation():
-    ring = VarSet(["M1", "c2"])
+    ring = VarSet(["M1", "c2"], [1, 2])
     return MultiPoly.variable(ring, "M1") ** 2 + MultiPoly.variable(ring, "c2")
 
 
@@ -191,8 +191,8 @@ def criterion_1(ws):
         rep = ws.rep(2, (n,))
         gens = [ws.gens(2, (n,)).by_label["M1"]]
         rels, info = derive_relations(rep, gens, n + 2)
-        rr = RelationRing(gens, 2)
-        expected = sl2_product_relation(rr.ring, n)
+        ring = relation_ring(gens, 2)
+        expected = sl2_product_relation(ring, n)
         entry = {"new_by_degree": {row["degree"]: row["new_relations"] for row in info}}
         good = (
             len(rels) == 1
@@ -205,7 +205,7 @@ def criterion_1(ws):
         )
         if good:
             got = rels[0]
-            lead = got.coeff(tuple(n + 1 if nm == "M1" else 0 for nm in rr.ring.names))
+            lead = got.coeff(tuple(n + 1 if nm == "M1" else 0 for nm in ring.names))
             good = lead != 0 and got.scale(1 / lead) == expected
         entry["matches_product"] = good
         details["n=%d" % n] = entry
@@ -216,8 +216,8 @@ def criterion_1(ws):
 def criterion_2(ws):
     rep = ws.rep(3, (1, 0))
     gens = [ws.gens(3, (1, 0)).by_label["M1"]]
-    rr = RelationRing(gens, 3)
-    rel = sl3_standard_relation(rr.ring)
+    ring = relation_ring(gens, 3)
+    rel = sl3_standard_relation(ring)
     rep_out = verify_presentation(rep, gens, [rel])
     return {
         "id": 2,
@@ -231,8 +231,8 @@ def criterion_3(ws):
     rep = ws.rep(3, (3, 0))
     g = ws.gens(3, (3, 0))
     gens = [g.by_label["M1"], g.by_label["M2"]]
-    rr = RelationRing(gens, 3)
-    reference = decuplet_relations(rr.ring)
+    ring = relation_ring(gens, 3)
+    reference = decuplet_relations(ring)
     ver = verify_presentation(rep, gens, reference)
     derived, _ = derive_relations(rep, gens, 6)
     dims_reference = ideal_graded_dims(rep, gens, reference, 6)
@@ -255,10 +255,10 @@ def criterion_4(ws):
     g = ws.gens(3, (1, 1))
     big_gens = [g.by_label["M1"], g.by_label["N1"]]
     med_gens = [g.by_label["M1"], g.by_label["M2"]]
-    rr_big = RelationRing(big_gens, 3)
-    rr_med = RelationRing(med_gens, 3)
-    ver_big = verify_presentation(rep, big_gens, octet_big_relations(rr_big.ring))
-    ver_med = verify_presentation(rep, med_gens, octet_medium_relations(rr_med.ring))
+    ring_big = relation_ring(big_gens, 3)
+    ring_med = relation_ring(med_gens, 3)
+    ver_big = verify_presentation(rep, big_gens, octet_big_relations(ring_big))
+    ver_med = verify_presentation(rep, med_gens, octet_medium_relations(ring_med))
     m1 = g.by_label["M1"].mat
     m2 = g.by_label["M2"].mat
     n1 = g.by_label["N1"].mat
@@ -482,10 +482,10 @@ def criterion_11(ws):
     inv_parity = sigma_on_invariants(ws.lie(3))
     parity_ok = inv_parity == {2: 1, 3: -1}
 
-    rr_big = RelationRing([g.by_label["M1"], g.by_label["N1"]], 3)
-    rr_med = RelationRing([g.by_label["M1"], g.by_label["M2"]], 3)
+    ring_big = relation_ring([g.by_label["M1"], g.by_label["N1"]], 3)
+    ring_med = relation_ring([g.by_label["M1"], g.by_label["M2"]], 3)
     co = coinvariant_octet_report(
-        octet_big_relations(rr_big.ring) + octet_medium_relations(rr_med.ring),
+        octet_big_relations(ring_big) + octet_medium_relations(ring_med),
         sl2_rank1_relation(),
     )
     # independent rank-one algebra dimensions

@@ -72,7 +72,7 @@ class BigGenerators:
         self.rep = rep
         L = rep.L
         n = L.n
-        self.ring = VarSet(["c%d" % k for k in range(2, n + 1)])
+        self.ring = VarSet(["c%d" % k for k in range(2, n + 1)], range(2, n + 1))
         cvars = [MultiPoly.variable(self.ring, nm) for nm in self.ring.names]
         # x -> the companion-section coordinates: each is 0, 1 or -c_k
         section = dict(zip(L.x_ring.names, lie.section_coords(L, cvars)))
@@ -240,17 +240,9 @@ def closed_numerator(L, mu):
 
 
 def _ad_grade(rep, mat):
-    """Grade of a fiber operator from its ad-weight; None for mixed weights."""
-    rd = lie.RootData(rep.L.n)
-    wts = [rd.h_pairing(w) for w in rep.weights]
-    grades = set()
-    for i, row in enumerate(mat.num):
-        for j, x in enumerate(row):
-            if x:
-                delta = wts[i] - wts[j]
-                if delta % 2:
-                    return None
-                grades.add(-delta // 2)
+    """Grade of a fiber operator in the module's grading; None for mixed grades."""
+    deg = rep.grades
+    grades = {deg[i] - deg[j] for i, row in enumerate(mat.num) for j, x in enumerate(row) if x}
     if not grades:
         return 0
     return grades.pop() if len(grades) == 1 else None
@@ -342,52 +334,40 @@ def hilbert_series(rep, gens):
 # ---------------------------------------------------------------------------
 
 
-class RelationRing:
-    """Polynomial ring on generator labels and the invariants c_k."""
-
-    def __init__(self, gens, n):
-        self.gen_labels = [op.label for op in gens]
-        self.c_names = ["c%d" % k for k in range(2, n + 1)]
-        self.ring = VarSet(self.gen_labels + self.c_names)
-        self.weights = {}
-        for op in gens:
-            self.weights[op.label] = op.degree
-        for k in range(2, n + 1):
-            self.weights["c%d" % k] = k
-        self.weight_vec = [self.weights[nm] for nm in self.ring.names]
-
-    def monomials_of_degree(self, d):
-        return weighted_monomials(self.weight_vec, d)
+def relation_ring(gens, n):
+    """The polynomial ring on the generator labels and c_2..c_n, graded by
+    the generators' degrees and deg c_k = k."""
+    names = [op.label for op in gens] + ["c%d" % k for k in range(2, n + 1)]
+    return VarSet(names, [op.degree for op in gens] + list(range(2, n + 1)))
 
 
-def weighted_monomials(weight_vec, d):
-    """Exponent tuples of weighted degree d, deterministic order."""
+def weighted_monomials(ring, d):
+    """Exponent tuples of weighted degree d in ring, deterministic order."""
     out = []
-    nvars = len(weight_vec)
+    weights = ring.weights
+    nvars = len(weights)
 
     def rec(i, remaining, acc):
         if i == nvars:
             if remaining == 0:
                 out.append(tuple(acc))
             return
-        w = weight_vec[i]
-        top = remaining // w if w else 0
-        for e in range(top, -1, -1):
+        w = weights[i]
+        for e in range(remaining // w, -1, -1):
             rec(i + 1, remaining - e * w, acc + [e])
 
     rec(0, d, [])
     return out
 
 
-def ideal_span(relations, ring, weight_vec, d):
+def ideal_span(relations, ring, d):
     """Echelon of all monomial * relation products of weighted degree d.
 
-    Vectors are coefficients over weighted_monomials(weight_vec, d), in that
+    Vectors are coefficients over weighted_monomials(ring, d), in that
     order, each relation's over their common denominator; a relation of
     degree above d contributes nothing.
     """
-    weights = dict(zip(ring.names, weight_vec))
-    index = {ring.pack(m): i for i, m in enumerate(weighted_monomials(weight_vec, d))}
+    index = {ring.pack(m): i for i, m in enumerate(weighted_monomials(ring, d))}
     ech = Echelon()
     for rel in relations:
         if rel.ring != ring:
@@ -396,7 +376,7 @@ def ideal_span(relations, ring, weight_vec, d):
         ints = [
             (key, c.numerator * (den // c.denominator)) for key, c in rel.terms.items()
         ]
-        for mult in weighted_monomials(weight_vec, d - rel.weighted_degree(weights)):
+        for mult in weighted_monomials(ring, d - rel.weighted_degree()):
             # a product of monomials adds their packed keys
             shift = ring.pack(mult)
             vec = [0] * len(index)
@@ -444,9 +424,9 @@ def derive_relations(rep, gens, max_degree):
         if not a.mat.commutator(b.mat).is_zero():
             raise ValueError("generators do not commute")
     L = rep.L
-    rr = RelationRing(gens, L.n)
+    ring = relation_ring(gens, L.n)
     ring_c = gens[0].mat.ring
-    images = _relation_images(rr.ring, {op.label: op for op in gens}, ring_c)
+    images = _relation_images(ring, {op.label: op for op in gens}, ring_c)
     e0 = QMatrix.from_ints([[int(i == 0)] for i in range(rep.dim)])
     fiber = [op.evaluate([0] * (L.n - 1)) for op in gens]
     if _orbit_dim(e0, fiber) == rep.dim:
@@ -460,17 +440,17 @@ def derive_relations(rep, gens, max_degree):
     relations = []
     info = []
     for d in range(1, max_degree + 1):
-        monos = rr.monomials_of_degree(d)
-        kern = kernel(coefficient_columns([value(rr.ring.pack(exps)) for exps in monos]))
+        monos = weighted_monomials(ring, d)
+        keys = [ring.pack(m) for m in monos]
+        kern = kernel(coefficient_columns([value(k) for k in keys]))
 
         # span of lower-degree relations times complementary monomials
-        old_span = ideal_span(relations, rr.ring, rr.weight_vec, d)
-        keys = [rr.ring.pack(m) for m in monos]
+        old_span = ideal_span(relations, ring, d)
         new_here = []
         for col in zip(*kern.num):
             if old_span.add(list(col)):
                 terms = {k: rat(c, kern.den) for k, c in zip(keys, col) if c}
-                new_here.append(MultiPoly(rr.ring, terms, _trusted=True))
+                new_here.append(MultiPoly(ring, terms, _trusted=True))
         relations += new_here
         info.append(
             {
@@ -486,17 +466,14 @@ def derive_relations(rep, gens, max_degree):
 
 def ideal_graded_dims(rep, gens, relations, max_degree):
     """Dimensions of the span {monomial * relation} per weighted degree."""
-    rr = RelationRing(gens, rep.L.n)
-    return {
-        d: ideal_span(relations, rr.ring, rr.weight_vec, d).dim
-        for d in range(1, max_degree + 1)
-    }
+    ring = relation_ring(gens, rep.L.n)
+    return {d: ideal_span(relations, ring, d).dim for d in range(1, max_degree + 1)}
 
 
 def verify_presentation(rep, gens, relations):
     """Substitute calibrated operators into relations; report each value.
 
-    relations: list of MultiPoly over a RelationRing-compatible ring.
+    relations: list of MultiPoly over the relation_ring of gens.
     """
     ring_c = gens[0].mat.ring
     by_label = {op.label: op for op in gens}

@@ -13,9 +13,9 @@ from . import lie
 from .acceptance import run_all
 from .bigalgebra import (
     BigGenerators,
-    RelationRing,
     derive_relations,
     hilbert_series,
+    relation_ring,
     verify_presentation,
 )
 from .multipoly import MultiPoly, rat
@@ -258,7 +258,7 @@ def cmd_relations(args):
     else:
         gens = gens_all.ops
     if args.verify:
-        rels = _relations_from_payload(RelationRing(gens, args.n).ring, payload)
+        rels = _relations_from_payload(relation_ring(gens, args.n), payload)
         ver = verify_presentation(rep, gens, rels)
         report = [{"relation": r["relation"], "zero": r["zero"]} for r in ver["relations"]]
         emit(args, {"verified": report, "all_zero": ver["all_zero"]})

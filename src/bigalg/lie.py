@@ -238,15 +238,6 @@ class RootData:
         i, j = ij
         return sum(lam[k - 1] for k in range(i, j + 1))
 
-    def ip(self, lam, mu):
-        """Basic inner product of two weights (rational)."""
-        total = Fraction(0)
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if lam[i] and mu[j]:
-                    total += lam[i] * mu[j] * self.cartan_inv[i, j]
-        return total
-
     def is_dominant(self, lam):
         return all(c >= 0 for c in lam)
 
@@ -296,11 +287,6 @@ class RootData:
                 return None
             out.append(int(x))
         return tuple(out)
-
-    def h_pairing(self, lam):
-        """lam(h) for the principal semisimple h; equals 2(lam, rho), and
-        2(omega_i, rho) = i(n - i)."""
-        return sum(c * i * (self.n - i) for i, c in enumerate(lam, 1))
 
 
 def weyl_group(n):

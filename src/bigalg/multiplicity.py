@@ -8,7 +8,6 @@ alternating Weyl sum over the q-counted partition function on the other.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
 from .bigalgebra import rational_diagonalizer
@@ -167,16 +166,17 @@ def e_limit_filtration(rep, lam):
 def e_limit_zlimit(rep, lam):
     """Limit of the scaled weight space as the torus parameter goes to zero.
 
-    Each standard-h-weight-m component of a basis vector scales by w^(-m);
-    after per-column normalization the valuation echelon produces the limit.
+    Each standard-h-weight-m component of a basis vector scales by w^(-m),
+    that is by w^(2 deg) up to a common factor, with deg the module's
+    principal grading; after per-column normalization the valuation
+    echelon produces the limit.
     """
     basis = weight_space_basis(rep, lam, torus="h_plus_e")
     if basis.cols == 0:
         return QMatrix.zeros(rep.dim, 0)
-    rd = lie.RootData(rep.L.n)
-    wts = [rd.h_pairing(w) for w in rep.weights]
+    deg = rep.grades
     # the integer columns: the span ignores the common denominator
-    columns = [[{-wts[i]: x} for i, x in enumerate(col)] for col in zip(*basis.num)]
+    columns = [[{2 * deg[i]: x} for i, x in enumerate(col)] for col in zip(*basis.num)]
     return limit_of_span(columns)
 
 
@@ -228,7 +228,6 @@ def multiplicity_algebra(rep, gens, lam):
     """The restriction of the zero-fiber algebra to the e-limit of a weight
     space, together with its grading and cross-checks."""
     lam = tuple(lam)
-    rd = lie.RootData(rep.L.n)
     # the limit span is h-stable, so it admits an h-homogeneous basis
     limit = _h_stabilize_limit(rep, e_limit(rep, lam))
     ops_e = generators_at_e(rep, gens)
@@ -241,21 +240,16 @@ def multiplicity_algebra(rep, gens, lam):
                 "limit space is not invariant under %s (bug)" % op.label
             )
 
-    # grading by standard-h eigenvalues on the limit space
-    wts = [rd.h_pairing(w) for w in rep.weights]
-    mu_rho = rd.ip(rep.mu, rd.rho)
-    # the columns are independent and h-homogeneous: count them per grade
+    # the columns are independent and homogeneous in the module's principal
+    # grading: count them per degree
+    deg = rep.grades
     graded = {}
     for col in zip(*limit.num):
-        k = {wts[i] for i, x in enumerate(col) if x}.pop()
-        grade = mu_rho - Fraction(k, 2)
-        assert grade.denominator == 1
-        grade = int(grade)
+        grade = {deg[i] for i, x in enumerate(col) if x}.pop()
         graded[grade] = graded.get(grade, 0) + 1
 
-    shift = rd.ip(tuple(m - l for m, l in zip(rep.mu, lam)), rd.rho)
-    assert shift.denominator == 1
-    shift = int(shift)
+    # the degree of lam; e_limit has checked that lam is a weight
+    shift = deg[rep.weight_table[lam][0]]
     hilbert = QPoly({shift - g: d for g, d in graded.items()})
 
     # algebra span of the restricted operators
@@ -276,17 +270,18 @@ def multiplicity_algebra(rep, gens, lam):
 
 def _h_stabilize_limit(rep, limit):
     """Replace limit columns by h-weight-homogeneous ones (the limit is
-    h-stable, so splitting by h-components preserves the span)."""
-    rd = lie.RootData(rep.L.n)
-    wts = [rd.h_pairing(w) for w in rep.weights]
-    # (column, h-weight) of each component, columns in order, weights sorted
+    h-stable, so splitting by h-components preserves the span).  The
+    h-weight of e_i is h(mu) - 2 deg e_i, so the components are the
+    homogeneous parts of the principal grading."""
+    deg = rep.grades
+    # (column, degree) of each component, columns in order, degrees descending
     parts = [
         (j, k)
         for j, col in enumerate(zip(*limit.num))
-        for k in sorted({wts[i] for i, x in enumerate(col) if x})
+        for k in sorted({deg[i] for i, x in enumerate(col) if x}, reverse=True)
     ]
     split = [
-        [row[j] if wts[i] == k else 0 for j, k in parts]
+        [row[j] if deg[i] == k else 0 for j, k in parts]
         for i, row in enumerate(limit.num)
     ]
     out = independent_columns(QMatrix.from_ints(split, limit.den, len(parts)))

@@ -27,14 +27,23 @@ ONE = rat(1)
 
 
 class VarSet:
-    """An ordered set of named variables with a fixed packing layout."""
+    """An ordered set of named variables with a fixed packing layout.
 
-    __slots__ = ("names", "index", "_units", "_tops")
+    Each variable carries a positive integer weight, 1 unless given; a
+    monomial's degree is the weighted sum of its exponents.
+    """
 
-    def __init__(self, names):
+    __slots__ = ("names", "weights", "index", "_units", "_tops")
+
+    def __init__(self, names, weights=None):
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")
+        self.weights = (1,) * len(self.names) if weights is None else tuple(weights)
+        if len(self.weights) != len(self.names):
+            raise ValueError("need one weight per variable")
+        if not all(isinstance(w, int) and w > 0 for w in self.weights):
+            raise ValueError("weights must be positive integers")
         self.index = {nm: i for i, nm in enumerate(self.names)}
         self._units = tuple(1 << (_SHIFT * i) for i in range(len(self.names)))
         # the top bit of every field, which no packed exponent sets
@@ -44,13 +53,17 @@ class VarSet:
         return len(self.names)
 
     def __eq__(self, other):
-        return isinstance(other, VarSet) and self.names == other.names
+        return (
+            isinstance(other, VarSet)
+            and self.names == other.names
+            and self.weights == other.weights
+        )
 
     def __hash__(self):
-        return hash(self.names)
+        return hash((self.names, self.weights))
 
     def __repr__(self):
-        return "VarSet(%r)" % (self.names,)
+        return "VarSet(%r, %r)" % (self.names, self.weights)
 
     def pack(self, exps):
         if len(exps) != len(self.names):
@@ -72,6 +85,10 @@ class VarSet:
 
     def unpack(self, key):
         return tuple((key >> (_SHIFT * i)) & _MASK for i in range(len(self.names)))
+
+    def degree(self, key):
+        """The weighted degree of the monomial key."""
+        return sum(e * w for e, w in zip(self.unpack(key), self.weights))
 
     def support(self, key):
         """[(i, e)] for every variable i with exponent e != 0, i ascending.
@@ -141,17 +158,9 @@ class MultiPoly:
     def __len__(self):
         return len(self.terms)
 
-    def weighted_degree(self, weights):
-        """Max of sum(e_i * weights[name_i]); -1 for zero."""
-        if not self.terms:
-            return -1
-        ws = [weights[nm] for nm in self.ring.names]
-        best = None
-        for k in self.terms:
-            e = self.ring.unpack(k)
-            d = sum(ei * wi for ei, wi in zip(e, ws))
-            best = d if best is None else max(best, d)
-        return best
+    def weighted_degree(self):
+        """The largest weighted degree of a term; -1 for zero."""
+        return max(map(self.ring.degree, self.terms), default=-1)
 
     def coeff(self, exps):
         return self.terms.get(self.ring.pack(exps), ZERO)

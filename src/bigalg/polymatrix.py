@@ -441,7 +441,16 @@ class PolyMatrix:
 
     def evaluate(self, values):
         """The QMatrix of values at a rational point given as {name: value}:
-        the substitution of ``subs`` into the constant ring."""
+        the substitution of ``subs`` into the constant ring.  values must
+        name each variable once and nothing else; ValueError names a
+        missing or an extra one."""
+        if values.keys() != self.ring.index.keys():
+            missing = [nm for nm in self.ring.names if nm not in values]
+            extra = sorted(str(nm) for nm in values if nm not in self.ring.index)
+            raise ValueError(
+                "evaluate needs a value for each of %s: missing [%s], extra [%s]"
+                % (", ".join(self.ring.names), ", ".join(missing), ", ".join(extra))
+            )
         num, den = self._substituted(_CONSTANTS, values)
         ints = [[0] * self.cols for _ in num]
         for out, row in zip(ints, num):

@@ -149,6 +149,9 @@ class Representation:
         self.rho = rho  # one QMatrix per Lie-algebra basis element
         self.weights = weights  # weight tuple per basis vector
         self.words = words  # lowering word per basis vector
+        # the principal grading deg e_i = (h(mu) - h(w_i)) / 2: each lowering
+        # step subtracts a simple root alpha, and alpha(h) = 2
+        self.grades = [len(word) for word in words]
         self.tensor_basis = tensor_basis  # columns: basis vectors in tensor coords
         self.factors = factors  # exterior-power exponents of the ambient tensor
         self.weight_table = {}

@@ -33,7 +33,7 @@ def skeleton_set_c3_zero(gens):
     ring = gens[0].mat.ring
     if ring.names not in (("c2",), ("c2", "c3")):
         raise ValueError("set_c3_zero requires the invariants c2 or c2, c3")
-    tring = VarSet(["c2"])
+    tring = VarSet(["c2"], [2])
     mapping = {"c2": MultiPoly.variable(tring, "c2"), "c3": 0}
     ops = [(op.label, op.mat.subs(tring, mapping)) for op in gens]
     return {"param": "c2", "ring": tring, "ops": ops}

@@ -8,8 +8,6 @@ lowering words of the basis.
 
 from __future__ import annotations
 
-from operator import mul
-
 from .bigalgebra import ideal_span, weighted_monomials
 from .multipoly import MultiPoly, VarSet
 from .linalg import QMatrix, flat_columns, invert, restrict_to_block
@@ -148,11 +146,11 @@ def jantzen_trace(rep):
 # ---------------------------------------------------------------------------
 
 
-def _is_multiple(poly, divisor, ring, weight_vec):
+def _is_multiple(poly, divisor, ring):
     """True when divisor divides poly over Q; both weighted-homogeneous."""
-    d = poly.weighted_degree(dict(zip(ring.names, weight_vec)))
-    span = ideal_span([divisor], ring, weight_vec, d)
-    return ideal_span([divisor, poly], ring, weight_vec, d).dim == span.dim
+    d = poly.weighted_degree()
+    span = ideal_span([divisor], ring, d)
+    return ideal_span([divisor, poly], ring, d).dim == span.dim
 
 
 def fixed_scheme_relations(relations, ring):
@@ -180,19 +178,17 @@ def coinvariant_octet_report(octet_relations, sl2_relation):
     octet_relations live in variables (M1, N1, c2, c3) and the medium ones
     in (M1, M2, c2, c3); sl2_relation lives in (M1, c2).
     """
-    ring = VarSet(["M1", "c2"])
+    ring = VarSet(["M1", "c2"], [1, 2])
     images = fixed_scheme_relations(octet_relations, ring)
     if not images:
         raise ValueError("no surviving relations")
-    weights = {"M1": 1, "c2": 2}
-    weight_vec = [weights[nm] for nm in ring.names]
     for p in images:
-        if len({sum(map(mul, ring.unpack(key), weight_vec)) for key in p.terms}) > 1:
+        if len({ring.degree(key) for key in p.terms}) > 1:
             raise ValueError("survivor %s is not weighted-homogeneous" % p)
     # the minimal-degree survivor is the parabola; all others are multiples
-    images.sort(key=lambda p: p.weighted_degree(weights))
+    images.sort(key=MultiPoly.weighted_degree)
     parabola = images[0]
-    multiples = all(_is_multiple(p, parabola, ring, weight_vec) for p in images[1:])
+    multiples = all(_is_multiple(p, parabola, ring) for p in images[1:])
 
     # dictionary: rescale c2 so the rank-one relation matches the parabola
     m1 = MultiPoly.variable(ring, "M1")
@@ -215,8 +211,7 @@ def coinvariant_octet_report(octet_relations, sl2_relation):
 
     # graded dimensions of the quotient ring Q[c2, M1]/(parabola)
     dims = {
-        d: len(weighted_monomials(weight_vec, d))
-        - ideal_span([par], ring, weight_vec, d).dim
+        d: len(weighted_monomials(ring, d)) - ideal_span([par], ring, d).dim
         for d in range(9)
     }
     return {

@@ -10,7 +10,8 @@ identities, the common total degree of polynomial entries, rho of the
 Killing-dual basis as dense matrices, formal derivatives term by term, the
 q-partition function by explicit enumeration, weight spaces by joint
 eigenspace decomposition, the freeness report with the span closure run
-at every point, and the companion matrix entry by entry.
+at every point, the companion matrix entry by entry, and the pairings of
+weights with rho and with the principal h.
 """
 
 from __future__ import annotations
@@ -376,6 +377,26 @@ def homogeneity_check(mat, degree, fresh_scale=7):
     }
     scaled = mat.subs(ring, mapping)
     return scaled == mat * (t ** degree)
+
+
+# ---------------------------------------------------------------------------
+# pairings of weights
+# ---------------------------------------------------------------------------
+
+
+def ip(rd, lam, mu):
+    """The basic inner product of two weights, through the inverse Cartan
+    matrix."""
+    return sum(
+        (lam[i] * mu[j] * rd.cartan_inv[i, j] for i in range(rd.rank) for j in range(rd.rank)),
+        ZERO,
+    )
+
+
+def h_pairing(rd, lam):
+    """lam(h) for the principal h = diag(n - 1, n - 3, ..., 1 - n), read off
+    lam's diagonal coordinates."""
+    return sum(v * (rd.n - 1 - 2 * k) for k, v in enumerate(rd.to_eps(lam)))
 
 
 # ---------------------------------------------------------------------------

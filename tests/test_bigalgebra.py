@@ -17,7 +17,6 @@ from bigalg.acceptance import (
 )
 from bigalg.bigalgebra import (
     BigGenerators,
-    RelationRing,
     SectionOperator,
     _fiber_dims,
     closed_numerator,
@@ -27,6 +26,7 @@ from bigalg.bigalgebra import (
     ideal_graded_dims,
     ideal_span,
     rational_diagonalizer,
+    relation_ring,
     substitute_relation,
     verify_presentation,
     weighted_monomials,
@@ -42,6 +42,7 @@ from oracles import (
     diagonal,
     entry_subs,
     freeness_by_closure,
+    h_pairing,
     poly_of_commuting,
     small_operator,
     symbolic_section,
@@ -192,13 +193,27 @@ def test_generator_bytes_are_pinned(key, digests):
         _sha([op.mat.to_obj() for op in gens.ops]),
         _sha([op.kirillov.to_obj() for op in gens.ops]),
     ) == digests
+    # homogeneity over R = Q[c_2..c_n], deg c_k = k: each term of entry
+    # (r, s) carries e_s to e_r and raises the principal degree by op.degree
+    # (a zero operator, such as B2_1 on sl4 (0,1,0), has no terms)
+    ring, grades = gens.ring, gens.rep.grades
+    assert ring.weights == tuple(range(2, n + 1))
+    for op in gens.ops:
+        degrees = {
+            ring.degree(key) + grades[r] - grades[s]
+            for r, row in enumerate(op.mat.a)
+            for s, p in enumerate(row)
+            for key in p.terms
+        }
+        assert degrees <= {op.degree}, op.label
+    assert not gens.by_label["M1"].mat.is_zero()
 
 
 def test_evaluate_at_principal_point(octet, octet_gens, L3):
     rd = lie.RootData(3)
     val = octet_gens.by_label["M1"].evaluate([-4, 0])
     # oracle: eigenvalues are the h-pairings of the weights, with multiplicity
-    expected = Counter(rd.h_pairing(w) for w in octet.weights)
+    expected = Counter(h_pairing(rd, w) for w in octet.weights)
     assert rational_roots(charpoly(val)) == sorted(expected.items())
 
 
@@ -252,6 +267,27 @@ def test_hilbert_series_examples(octet, decuplet, octet_gens, decuplet_gens, L2)
         h2 = hilbert_series(rep, g.ops)
         assert h2["equal"]
         assert h2["numerator"] == QPoly({d: 1 for d in range(n + 1)})
+
+
+@pytest.mark.parametrize(
+    "rows, degree",
+    [
+        # e_0 -> e_1 raises the grade by one, not by the stated two
+        ([[0, 0], [1, 0]], 2),
+        # the identity and e_0 -> e_1 together: grades zero and one
+        ([[1, 0], [1, 1]], 1),
+    ],
+    ids=["wrong_degree", "mixed_grades"],
+)
+def test_hilbert_series_refuses_a_fiber_value_off_its_degree(L2, rows, degree):
+    rep = build_irrep(L2, (1,))
+    ring = BigGenerators(rep).ring
+    op = SectionOperator("A0", 1, 1 + degree, PolyMatrix(ring, rows), 1, None)
+    with pytest.raises(ValueError, match="fiber value of A0 has unexpected grade"):
+        hilbert_series(rep, [op])
+    # e_0 -> e_1 with its true degree passes the check
+    true = SectionOperator("A0", 1, 2, PolyMatrix(ring, [[0, 0], [1, 0]]), 1, None)
+    assert hilbert_series(rep, [true])["dim"] == 2
 
 
 def _monomial_values(mats, degrees, max_degree, dim):
@@ -378,8 +414,7 @@ def test_derive_relations_sl2(L2):
     g = BigGenerators(rep)
     rels, info = derive_relations(rep, g.ops, 6)
     assert len(rels) == 1
-    rr = RelationRing(g.ops, 2)
-    expected = sl2_product_relation(rr.ring, 4)
+    expected = sl2_product_relation(relation_ring(g.ops, 2), 4)
     lead = rels[0].coeff((5, 0))
     assert rels[0].scale(1 / lead) == expected
 
@@ -389,8 +424,7 @@ def test_derive_relations_sl3_standard(sl3_standard):
     gens = [g.by_label["M1"]]
     rels, info = derive_relations(sl3_standard, gens, 4)
     assert len(rels) == 1
-    rr = RelationRing(gens, 3)
-    expected = sl3_standard_relation(rr.ring)
+    expected = sl3_standard_relation(relation_ring(gens, 3))
     lead = rels[0].coeff((3, 0, 0))
     assert rels[0].scale(1 / lead) == expected
 
@@ -398,11 +432,10 @@ def test_derive_relations_sl3_standard(sl3_standard):
 def test_derive_relations_octet_degree_two(octet, octet_gens):
     gens = [octet_gens.by_label["M1"], octet_gens.by_label["N1"]]
     rels, info = derive_relations(octet, gens, 4)
-    rr = RelationRing(gens, 3)
     first = rels[0]
     lead = first.coeff((2, 0, 0, 0))
     assert lead != 0
-    assert first.scale(3 / lead) == octet_big_relations(rr.ring)[0]
+    assert first.scale(3 / lead) == octet_big_relations(relation_ring(gens, 3))[0]
 
 
 def _derived(rep, gens, top):
@@ -494,8 +527,8 @@ def test_relations_of_hand_built_short_orbit_families(monkeypatch, rows, new):
     assert [row["new_relations"] for row in info] == new
     if rels:
         (rel,) = rels
-        rr = RelationRing(ops, 2).ring
-        x, c2 = MultiPoly.variable(rr, "A0"), MultiPoly.variable(rr, "c2")
+        ring = relation_ring(ops, 2)
+        x, c2 = MultiPoly.variable(ring, "A0"), MultiPoly.variable(ring, "c2")
         assert rel.scale(1 / rel.coeff((3, 0))) == x * x * x - c2 * x
 
 
@@ -535,47 +568,47 @@ def test_reference_relations_in_derived_span(octet, decuplet, octet_gens, decupl
     ]
     for rep, gens, make, deg in cases:
         derived, _ = derive_relations(rep, gens, deg)
-        rr = RelationRing(gens, 3)
-        weights = rr.weights
-        for target in make(rr.ring):
-            d = target.weighted_degree(weights)
-            monos = rr.monomials_of_degree(d)
+        ring = relation_ring(gens, 3)
+        for target in make(ring):
+            d = target.weighted_degree()
+            monos = weighted_monomials(ring, d)
             index = {m: i for i, m in enumerate(monos)}
             from bigalg.multipoly import ZERO
 
             multiples = []
             for rel in derived:
-                rd_deg = rel.weighted_degree(weights)
+                rd_deg = rel.weighted_degree()
                 if rd_deg > d:
                     continue
-                for mult in rr.monomials_of_degree(d - rd_deg):
-                    prod = rel * MultiPoly.monomial(rr.ring, mult)
+                for mult in weighted_monomials(ring, d - rd_deg):
+                    prod = rel * MultiPoly.monomial(ring, mult)
                     vec = [ZERO] * len(monos)
                     for key, c in prod.terms.items():
-                        vec[index[rr.ring.unpack(key)]] = c
+                        vec[index[ring.unpack(key)]] = c
                     multiples.append(vec)
             vec = [ZERO] * len(monos)
             for key, c in target.terms.items():
-                vec[index[rr.ring.unpack(key)]] = c
+                vec[index[ring.unpack(key)]] = c
             # membership by rank: the target leaves the rank of the multiples as it is
             assert rank(QMatrix(multiples + [vec])) == rank(QMatrix(multiples))
 
 
 def test_ideal_span_is_rank_of_stacked_multiples(octet_gens):
     gens = [octet_gens.by_label["M1"], octet_gens.by_label["N1"]]
-    rr = RelationRing(gens, 3)
-    rels = octet_big_relations(rr.ring)
-    wv = rr.weight_vec
+    ring = relation_ring(gens, 3)
+    rels = octet_big_relations(ring)
+    wv = ring.weights
+    assert wv == (1, 1, 2, 3)  # M1, N1, c2, c3
     for d in range(8):
         # every exponent tuple of weighted degree d, by brute force
         box = product(*(range(d // w + 1) for w in wv))
         monos = {e for e in box if sum(x * w for x, w in zip(e, wv)) == d}
-        assert sorted(weighted_monomials(wv, d)) == sorted(monos)
+        assert sorted(weighted_monomials(ring, d)) == sorted(monos)
         coords, rows = {}, []
         for rel in rels:
             for e in product(*(range(d + 1) for _ in wv)):
-                prod = rel * MultiPoly.monomial(rr.ring, e)
-                if prod.weighted_degree(rr.weights) != d:
+                prod = rel * MultiPoly.monomial(ring, e)
+                if prod.weighted_degree() != d:
                     continue
                 row = {}
                 for key, c in prod.terms.items():
@@ -583,28 +616,28 @@ def test_ideal_span_is_rank_of_stacked_multiples(octet_gens):
                 rows.append(row)
         stacked = [[row.get(j, 0) for j in range(len(coords))] for row in rows]
         expected = rank(QMatrix(stacked)) if stacked else 0
-        assert ideal_span(rels, rr.ring, wv, d).dim == expected
+        assert ideal_span(rels, ring, d).dim == expected
 
 
 def test_ideal_dims_need_relations_over_the_relation_ring(decuplet, decuplet_gens):
     gens = [decuplet_gens.by_label["M1"], decuplet_gens.by_label["M2"]]
-    rr = RelationRing(gens, 3)
-    rels = decuplet_relations(rr.ring)
+    ring = relation_ring(gens, 3)
+    rels = decuplet_relations(ring)
     dims = ideal_graded_dims(decuplet, gens, rels, 4)
-    assert dims == {d: ideal_span(rels, rr.ring, rr.weight_vec, d).dim for d in range(1, 5)}
-    # the same relation over a ring with the same names in another order is
-    # not re-expressed: it stops at the product with a monomial
-    other = VarSet(list(reversed(rr.ring.names)))
-    moved = rels[0].subs(other, {nm: MultiPoly.variable(other, nm) for nm in rr.ring.names})
+    assert dims == {d: ideal_span(rels, ring, d).dim for d in range(1, 5)}
+    # the same relation over a ring with the same names and weights in
+    # another order is not re-expressed: it stops at the product with a monomial
+    other = VarSet(reversed(ring.names), reversed(ring.weights))
+    moved = rels[0].subs(other, {nm: MultiPoly.variable(other, nm) for nm in ring.names})
     with pytest.raises(ValueError, match="variable-set mismatch"):
         ideal_graded_dims(decuplet, gens, [moved], 6)
 
 
 def test_verify_presentation_negative_control(decuplet, decuplet_gens):
     gens = [decuplet_gens.by_label["M1"], decuplet_gens.by_label["M2"]]
-    rr = RelationRing(gens, 3)
-    good = decuplet_relations(rr.ring)
-    bad = good[0] + MultiPoly.variable(rr.ring, "c2") ** 2  # wrong by 1*c2^2
+    ring = relation_ring(gens, 3)
+    good = decuplet_relations(ring)
+    bad = good[0] + MultiPoly.variable(ring, "c2") ** 2  # wrong by 1*c2^2
     report = verify_presentation(decuplet, gens, [bad])
     assert not report["all_zero"]
     assert "first_nonzero" in report["relations"][0]
@@ -617,7 +650,7 @@ def test_substitute_relation_matches_commuting_matrices(octet_gens, decuplet_gen
     # operators, evaluated at rational points c, against the relation at the
     # generators' values at c and c_k * I
     gens = data.draw(st.sampled_from([octet_gens, decuplet_gens]))
-    ring = RelationRing(gens.ops, 3).ring
+    ring = relation_ring(gens.ops, 3)
     exps = st.tuples(*[st.integers(0, 2)] * len(ring.names))
     coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
     rel = data.draw(

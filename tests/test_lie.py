@@ -12,6 +12,8 @@ from oracles import (
     bracket_coords,
     column,
     companion,
+    h_pairing,
+    ip,
     killing_by_structure,
     symbolic_section,
     trace_form,
@@ -94,9 +96,9 @@ def test_principal_triple(L3):
 def test_root_data(L3):
     rd = lie.RootData(3)
     assert len(rd.positive) == 3
-    assert rd.ip(rd.rho, rd.root_weight((1, 2))) == 2
+    assert ip(rd, rd.rho, rd.root_weight((1, 2))) == 2
     for i in range(1, 3):
-        assert rd.ip(rd.rho, rd.simple_root(i)) == 1
+        assert ip(rd, rd.rho, rd.simple_root(i)) == 1
     assert rd.weyl_dim((3, 0)) == 10
     assert rd.weyl_dim((1, 1)) == 8
 
@@ -128,8 +130,8 @@ def test_weyl_invariance_of_inner_product():
     for perm, _ in lie.weyl_group(4):
         for lam in weights:
             for mu in weights:
-                assert rd.ip(lam, mu) == rd.ip(
-                    lie.weyl_act(rd, perm, lam), lie.weyl_act(rd, perm, mu)
+                assert ip(rd, lam, mu) == ip(
+                    rd, lie.weyl_act(rd, perm, lam), lie.weyl_act(rd, perm, mu)
                 )
 
 
@@ -229,4 +231,4 @@ def test_principal_point_values(L3):
 def test_h_pairing_matches_2_rho_ip(data, n):
     rd = lie.RootData(n)
     lam = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=n - 1, max_size=n - 1)))
-    assert rd.h_pairing(lam) == 2 * rd.ip(lam, rd.rho)
+    assert h_pairing(rd, lam) == 2 * ip(rd, lam, rd.rho)

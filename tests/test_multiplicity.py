@@ -24,7 +24,7 @@ from bigalg.multiplicity import (
 )
 from bigalg.qpoly import QPoly
 from bigalg.reps import build_irrep, g_e_invariants
-from oracles import diagonal, qkostant_bruteforce
+from oracles import diagonal, h_pairing, ip, qkostant_bruteforce
 
 
 @pytest.fixture(scope="module")
@@ -107,8 +107,8 @@ def test_e_limit_highest_weight_is_extreme_line(octet, rd3):
     lim = e_limit(octet, (1, 1))
     assert lim.cols == 1
     # the limit line is an h-weight line at the top pairing
-    wts = {rd3.h_pairing(w) for w in octet.weights}
-    support = {rd3.h_pairing(octet.weights[i]) for i, (x,) in enumerate(lim.a) if x}
+    wts = {h_pairing(rd3, w) for w in octet.weights}
+    support = {h_pairing(rd3, octet.weights[i]) for i, (x,) in enumerate(lim.a) if x}
     assert support == {max(wts)}
 
 
@@ -190,12 +190,12 @@ def test_brylinski_middle_identity(octet, sl2_sym4, rd3, rd2):
                 continue
             jump = brylinski_filtration(rep, lam)["jump"]
             limit = _h_stabilize_limit(rep, e_limit(rep, lam))
-            wts = [rd.h_pairing(w) for w in rep.weights]
+            wts = [h_pairing(rd, w) for w in rep.weights]
             pairs = {}
             for col in limit.columns():
                 k = {wts[i] for i, (x,) in enumerate(col.a) if x}.pop()
                 pairs[k] = pairs.get(k, 0) + 1
-            shift = rd.ip(lam, rd.rho)
+            shift = ip(rd, lam, rd.rho)
             middle = QPoly({Fraction(k, 2) - shift: d for k, d in pairs.items()})
             assert middle == jump
 

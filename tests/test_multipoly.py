@@ -88,7 +88,41 @@ def test_homogeneity_and_degrees(xy):
     ring, x, y = xy
     assert is_homogeneous(x * x + x * y) == 2
     assert is_homogeneous(x * x + y) is None
-    assert (x * x * y).weighted_degree({"x": 1, "y": 3}) == 5
+    assert (x * x * y).weighted_degree() == 3
+    graded = VarSet(["x", "y"], [1, 3])
+    gx, gy = MultiPoly.variable(graded, "x"), MultiPoly.variable(graded, "y")
+    assert (gx * gx * gy).weighted_degree() == 5
+    assert (gx * gx * gy + gx).weighted_degree() == 5  # the largest term's
+    assert graded.degree(graded.pack((2, 1))) == 5
+    assert graded.degree(0) == 0
+
+
+def test_weighted_degree_of_zero_is_minus_one():
+    assert MultiPoly.zero(VarSet(["x"], [4])).weighted_degree() == -1
+    assert MultiPoly.zero(VarSet([])).weighted_degree() == -1
+
+
+@pytest.mark.parametrize(
+    "weights", [[1], [1, 2, 3], [0, 1], [1, -2], [1, 1.5], []], ids=repr
+)
+def test_varset_refuses_bad_weights(weights):
+    with pytest.raises(ValueError):
+        VarSet(["x", "y"], weights)
+
+
+def test_varset_weights_are_part_of_the_ring():
+    plain, graded = VarSet(["c2", "c3"]), VarSet(["c2", "c3"], [2, 3])
+    assert plain.weights == (1, 1)
+    assert plain == VarSet(["c2", "c3"], [1, 1])
+    assert hash(plain) == hash(VarSet(["c2", "c3"], (1, 1)))
+    assert graded == VarSet(("c2", "c3"), range(2, 4))
+    assert plain != graded and hash(plain) != hash(graded)
+    assert len({plain, graded}) == 2
+    # polynomials over the two rings neither compare equal nor mix
+    a, b = MultiPoly.variable(plain, "c2"), MultiPoly.variable(graded, "c2")
+    assert a != b
+    with pytest.raises(ValueError, match="variable-set mismatch"):
+        a + b
 
 
 def test_evaluate_and_subs(xy):

@@ -230,6 +230,22 @@ def test_evaluate_matches_reference(data, n, m, integer_point, rational_point):
         assert got.a == entry_evaluate(a.a, point)
 
 
+def test_evaluate_names_a_missing_or_extra_variable():
+    # Q[x, y, t]: a value for a name outside the ring is not dropped, and a
+    # missing value is named, not a bare KeyError
+    x = MultiPoly.variable(R, "x")
+    a = PolyMatrix(R, [[x]])
+    with pytest.raises(ValueError, match=r"missing \[t\], extra \[\]"):
+        a.evaluate({"x": 1, "y": 2})
+    with pytest.raises(ValueError, match=r"missing \[\], extra \[c9\]"):
+        a.evaluate({"x": 1, "y": 2, "t": 3, "c9": 5})
+    with pytest.raises(ValueError, match=r"missing \[y, t\], extra \[z\]"):
+        a.evaluate({"x": 1, "z": 2})
+    assert a.evaluate({"t": 3, "y": 2, "x": 5}) == QMatrix([[5]])
+    # subs still takes images of names outside the ring
+    assert a.subs(T, {"x": 2, "y": 0, "t": 1, "c3": 0}) == PolyMatrix(T, [[2]])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data(), _dims, _scalars, _polys, _s_polys)
 def test_every_operation_keeps_storage_normalized(data, n, c, p, s):

@@ -10,7 +10,7 @@ from bigalg.kirillov import derivation_chain
 from bigalg.linalg import QMatrix
 from bigalg.multipoly import rat
 from bigalg.reps import build_irrep, g_e_invariants, load_rep, save_rep
-from oracles import column, structure_constants, weight_spaces
+from oracles import column, h_pairing, structure_constants, weight_spaces
 
 
 def test_fundamental_dims(L3, L4):
@@ -87,6 +87,10 @@ def test_module_bytes_are_pinned(key, digests):
     assert (
         _sha(rep.to_obj()), _sha(rep.tensor_basis.to_obj()), _sha(rep.weights)
     ) == digests
+    # the principal grading deg e_i = (h(mu) - h(w_i)) / 2, with e_0 in degree 0
+    rd = lie.RootData(n)
+    assert rep.grades == [(h_pairing(rd, mu) - h_pairing(rd, w)) / 2 for w in rep.weights]
+    assert rep.grades[0] == 0
 
 
 def test_weyl_dimension_agreement(L3):
@@ -179,6 +183,7 @@ def test_cache_round_trip(tmp_path, L3, octet):
     assert back is not None
     assert back.dim == octet.dim
     assert back.words == octet.words
+    assert back.weights == octet.weights and back.grades == octet.grades
     for a, b in zip(back.rho, octet.rho):
         assert a == b
     assert back.tensor_basis == octet.tensor_basis

@@ -5,7 +5,7 @@ from bigalg.acceptance import (
     octet_medium_relations,
     sl2_rank1_relation,
 )
-from bigalg.bigalgebra import BigGenerators, RelationRing
+from bigalg.bigalgebra import BigGenerators, relation_ring
 from bigalg.linalg import QMatrix, invert
 from bigalg.multipoly import MultiPoly, VarSet, rat
 from bigalg.reps import build_irrep
@@ -80,13 +80,9 @@ def test_sigma_on_invariants_parity(L3, L4):
 
 
 def test_fixed_scheme_single_parabola(octet_gens):
-    rr_big = RelationRing(
-        [octet_gens.by_label["M1"], octet_gens.by_label["N1"]], 3
-    )
-    rr_med = RelationRing(
-        [octet_gens.by_label["M1"], octet_gens.by_label["M2"]], 3
-    )
-    rels = octet_big_relations(rr_big.ring) + octet_medium_relations(rr_med.ring)
+    ring_big = relation_ring([octet_gens.by_label["M1"], octet_gens.by_label["N1"]], 3)
+    ring_med = relation_ring([octet_gens.by_label["M1"], octet_gens.by_label["M2"]], 3)
+    rels = octet_big_relations(ring_big) + octet_medium_relations(ring_med)
     co = coinvariant_octet_report(rels, sl2_rank1_relation())
     assert co["all_multiples_of_parabola"]
     # the parabola is 3(M1^2 + 4 c2)
@@ -108,11 +104,9 @@ def test_coinvariants_match_rank_one_algebra(L2, octet_gens):
     g2 = BigGenerators(std)
     _, info = derive_relations(std, g2.ops, 8)
     dims = {row["degree"]: row["algebra_dim"] for row in info}
-    rr_big = RelationRing(
-        [octet_gens.by_label["M1"], octet_gens.by_label["N1"]], 3
-    )
+    ring_big = relation_ring([octet_gens.by_label["M1"], octet_gens.by_label["N1"]], 3)
     co = coinvariant_octet_report(
-        octet_big_relations(rr_big.ring), sl2_rank1_relation()
+        octet_big_relations(ring_big), sl2_rank1_relation()
     )
     for d in range(1, 9):
         assert co["quotient_dims"][d] == dims[d]
@@ -133,7 +127,7 @@ def test_jantzen_trace_full_space(octet):
 
 
 def _octet_relation_ring():
-    return VarSet(["M1", "N1", "c2", "c3"])
+    return VarSet(["M1", "N1", "c2", "c3"], [1, 1, 2, 3])
 
 
 def test_coinvariants_report_a_survivor_off_the_parabola():
