@@ -88,11 +88,8 @@ class Workspace:
         return self._gens[key]
 
     def dominant_weights(self, n, mu):
-        rd = lie.RootData(n)
         rep = self.rep(n, mu)
-        return sorted(
-            lam for lam in rep.weight_table if rd.is_dominant(lam)
-        )
+        return sorted(lam for lam in rep.weight_table if lie.is_dominant(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +297,8 @@ def criterion_6(ws):
     ok = True
     for n, mu in BATTERY:
         rep = ws.rep(n, mu)
-        rd = lie.RootData(n)
         for lam in ws.dominant_weights(n, mu):
-            m = lusztig_m(rd, mu, lam)
+            m = lusztig_m(mu, lam)
             j_std = brylinski_filtration(rep, lam, torus="standard")["jump"]
             j_he = brylinski_filtration(rep, lam, torus="h_plus_e")["jump"]
             good = (
@@ -331,8 +327,7 @@ def criterion_7(ws):
     ok = True
     for n, mu in BATTERY:
         rep = ws.rep(n, mu)
-        rd = lie.RootData(n)
-        mu_min = lie.minuscule_min(rd, mu)
+        mu_min = lie.minuscule_min(mu)
         invariants = g_e_invariants(rep)
         inv_rank = rank(invariants)
         for lam in ws.dominant_weights(n, mu):
@@ -359,14 +354,13 @@ def criterion_8(ws):
     ok = True
     for n, mu in BATTERY:
         rep = ws.rep(n, mu)
-        rd = lie.RootData(n)
         gens = ws.gens(n, mu).ops
         mq = minuscule_quotient_check(rep, gens)
         good_rep = mq["dims_match"] and mq["ideal_annihilates_limit"]
         entry_rep = {"minuscule_quotient": mq}
         for lam in ws.dominant_weights(n, mu):
             ma = multiplicity_algebra(rep, gens, lam)
-            m = lusztig_m(rd, mu, lam)
+            m = lusztig_m(mu, lam)
             chain = quotient_chain_check(rep, gens, lam)
             good = (
                 ma["hilbert"] == m

@@ -224,19 +224,10 @@ def rational_diagonalizer(m, eigs):
 # ---------------------------------------------------------------------------
 
 
-def root_pairing_exponents(L, mu):
-    rd = lie.RootData(L.n)
-    numer = []
-    denom = []
-    for ij in rd.positive:
-        numer.append(rd.pairing_root(tuple(m + 1 for m in mu), ij))
-        denom.append(rd.pairing_root(rd.rho, ij))
-    return numer, denom
-
-
-def closed_numerator(L, mu):
-    numer, denom = root_pairing_exponents(L, mu)
-    return geometric_quotient(numer, denom)
+def closed_numerator(mu):
+    """Weyl's q-dimension: the product over the positive roots alpha of
+    (1 - q^<mu + rho, alpha^v>) / (1 - q^<rho, alpha^v>)."""
+    return geometric_quotient(*lie.weyl_factors(mu))
 
 
 def _ad_grade(rep, mat):
@@ -302,7 +293,7 @@ def hilbert_series(rep, gens):
     """
     L = rep.L
     mu = rep.mu
-    closed = closed_numerator(L, mu)
+    closed = closed_numerator(mu)
     dmax = closed.max_exp() or 0
 
     zeros = [0] * (L.n - 1)

@@ -88,7 +88,7 @@ def check_args(parser, args):
         if dest == "mu" and args.command == "twining" and not is_sigma_invariant(weight):
             parser.error("--mu: twining needs a weight equal to its reverse, got %s" % text)
         if dest == "mu" and args.builds_rep:
-            dim = lie.RootData(args.n).weyl_dim(weight)
+            dim = lie.weyl_dim(weight)
             if dim > DIM_BOUND:
                 parser.error(
                     "--mu: module dimension %d exceeds the bound %d" % (dim, DIM_BOUND)
@@ -281,8 +281,7 @@ def cmd_brylinski(args):
     _, mu, rep = _load(args)
     lam = _module_weight(args, rep)
     filt = brylinski_filtration(rep, lam, torus=args.torus)
-    rd = lie.RootData(args.n)
-    m = lusztig_m(rd, mu, lam)
+    m = lusztig_m(mu, lam)
     emit(
         args,
         {
@@ -296,10 +295,9 @@ def cmd_brylinski(args):
 
 
 def cmd_qanalogue(args):
-    rd = lie.RootData(args.n)
     mu = parse_weight(args.mu, args.n)
     lam = parse_weight(args.lam, args.n)
-    m = lusztig_m(rd, mu, lam)
+    m = lusztig_m(mu, lam)
     emit(args, {"m": m.to_pairs_obj()})
     return 0
 

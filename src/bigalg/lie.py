@@ -8,11 +8,11 @@ fundamental-weight coordinates.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
+from math import prod
 
 from .multipoly import MultiPoly, VarSet, rat
-from .linalg import QMatrix, charpoly, invert, kernel
+from .linalg import QMatrix, charpoly, kernel
 from .polymatrix import PolyMatrix
 
 
@@ -23,7 +23,6 @@ class TypeA:
         if n < 2:
             raise ValueError("rank parameter must satisfy n >= 2")
         self.n = n
-        self.rank = n - 1
         self.dim = n * n - 1
 
         # the basis as sparse {(row, col): int} maps
@@ -41,17 +40,17 @@ class TypeA:
         # basis index of the lowering operator E_{i+1,i} of each simple root
         self.lowering_index = [self._offdiag_index[(i + 1, i)] for i in range(n - 1)]
 
-        # Killing form kappa(X, Y) = 2n tr(XY), read off the sparse basis maps
-        self.killing_form = QMatrix.from_ints(
-            [
-                [
-                    2 * n * sum(u * y.get((c, r), 0) for (r, c), u in x.items())
-                    for y in sparse
-                ]
-                for x in sparse
-            ]
-        )
-        self.killing_inv = invert(self.killing_form)
+        # the inverse of the Killing form kappa(X, Y) = 2n tr(XY): kappa pairs
+        # E_ij only with E_ji, to 2n, and H_k with H_l to 2n C_kl, so its
+        # inverse is 1/(2n) at each (E_ij, E_ji) and n C^-1 / (2n^2) on the
+        # H block
+        inv = [[0] * self.dim for _ in range(self.dim)]
+        for (i, j), idx in self._offdiag_index.items():
+            inv[idx][self._offdiag_index[(j, i)]] = n
+        base = self.dim - (n - 1)
+        for k, row in enumerate(_n_cartan_inv(n)):
+            inv[base + k][base:] = row
+        self.killing_inv = QMatrix.from_ints(inv, 2 * n * n)
 
         # principal triple e = sum E_{i,i+1}, f = sum i(n-i) E_{i+1,i},
         # h = diag(n-1, n-3, ..., 1-n)
@@ -199,94 +198,72 @@ def charpoly_coeffs_poly(pm):
 
 
 # ---------------------------------------------------------------------------
-# weights and roots
+# weights and roots: a weight of sl_n is a tuple of n - 1 integers, so each
+# function reads n off its weight
 # ---------------------------------------------------------------------------
 
 
+def _n_cartan_inv(n):
+    """The integer matrix n C^-1 for the Cartan matrix C of sl_n: its (i, j)
+    entry is min(i, j) (n - max(i, j)), 1-based (Bourbaki, Lie Groups,
+    ch. VI, plate I)."""
+    return [[min(i, j) * (n - max(i, j)) for j in range(1, n)] for i in range(1, n)]
+
+
+def positive_roots(n):
+    """The positive roots alpha_i + ... + alpha_j (i <= j) of sl_n as 0/1
+    tuples of simple-root coordinates."""
+    r = n - 1
+    return [tuple(int(i <= k <= j) for k in range(r)) for i in range(r) for j in range(i, r)]
+
+
+def simple_root(n, i):
+    """alpha_i (1-based) in fundamental-weight coordinates: row i of the
+    Cartan matrix."""
+    return tuple(2 if k == i else -int(abs(k - i) == 1) for k in range(1, n))
+
+
+def is_dominant(lam):
+    return all(c >= 0 for c in lam)
+
+
+def weyl_factors(mu):
+    """The lists <mu + rho, alpha^v> and <rho, alpha^v> over the positive
+    roots; <lam, alpha^v> is the sum of lam's coordinates on alpha's support."""
+    roots = positive_roots(len(mu) + 1)
+    return (
+        [sum(m + 1 for m, a in zip(mu, root) if a) for root in roots],
+        [sum(root) for root in roots],
+    )
+
+
+def weyl_dim(mu):
+    """dim V^mu by Weyl's product formula."""
+    numer, denom = weyl_factors(mu)
+    return prod(numer) // prod(denom)
+
+
+def root_coords(pi):
+    """Simple-root coordinates (n C^-1) pi / n; None unless all are
+    nonnegative integers."""
+    n = len(pi) + 1
+    out = []
+    for row in _n_cartan_inv(n):
+        x, rest = divmod(sum(c * p for c, p in zip(row, pi)), n)
+        if rest or x < 0:
+            return None
+        out.append(x)
+    return tuple(out)
+
+
 class RootData:
-    """Root-lattice combinatorics for sl_n in fundamental-weight coordinates."""
+    """The dominance test as perfbench/selftest.py reads it:
+    RootData(n).is_dominant(lam)."""
 
     def __init__(self, n):
         self.n = n
-        self.rank = n - 1
-        r = self.rank
-        self.cartan = QMatrix(
-            [
-                [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(r)]
-                for i in range(r)
-            ]
-        )
-        self.cartan_inv = invert(self.cartan)
-        # positive roots alpha_i + ... + alpha_j as index pairs (1-based)
-        self.positive = [(i, j) for i in range(1, r + 1) for j in range(i, r + 1)]
-        self.rho = (1,) * r
 
-    def root_weight(self, ij):
-        """A positive root in fundamental-weight coordinates."""
-        i, j = ij
-        out = [0] * self.rank
-        for k in range(i, j + 1):
-            for l in range(self.rank):
-                out[l] += int(self.cartan[l, k - 1])
-        return tuple(out)
-
-    def simple_root(self, i):
-        return self.root_weight((i, i))
-
-    def pairing_root(self, lam, ij):
-        """(lam, alpha) with the basic normalization; always an integer."""
-        i, j = ij
-        return sum(lam[k - 1] for k in range(i, j + 1))
-
-    def is_dominant(self, lam):
-        return all(c >= 0 for c in lam)
-
-    def weyl_dim(self, mu):
-        num = 1
-        den = 1
-        for ij in self.positive:
-            num *= self.pairing_root(tuple(m + 1 for m in mu), ij)
-            den *= self.pairing_root(self.rho, ij)
-        assert num % den == 0
-        return num // den
-
-    def to_eps(self, lam):
-        """Coordinates in the diagonal basis: v_k - v_{k+1} = lam_k, sum v = 0."""
-        partial = [Fraction(0)]
-        for c in reversed(lam):
-            partial.append(partial[-1] + c)
-        v = list(reversed(partial))  # v_k - v_{k+1} = lam_k, v_n = 0
-        shift = sum(v) / self.n
-        return [x - shift for x in v]
-
-    def from_eps(self, v):
-        out = []
-        for k in range(self.n - 1):
-            d = v[k] - v[k + 1]
-            assert d.denominator == 1
-            out.append(int(d))
-        return tuple(out)
-
-    def weight_lattice_class(self, lam):
-        """Class of the weight in P/Q = Z/n."""
-        return sum((k + 1) * c for k, c in enumerate(lam)) % self.n
-
-    def root_coords_rational(self, lam):
-        """Simple-root coordinates as Fractions."""
-        v = [Fraction(0)] * self.rank
-        for i in range(self.rank):
-            for j in range(self.rank):
-                v[i] += lam[j] * self.cartan_inv[i, j]
-        return v
-
-    def root_coords(self, lam):
-        """Simple-root coordinates; None unless all are nonnegative integers."""
-        out = []
-        for x in self.root_coords_rational(lam):
-            if x.denominator != 1 or x < 0:
-                return None
-            out.append(int(x))
-        return tuple(out)
+    is_dominant = staticmethod(is_dominant)
 
 
 def weyl_group(n):
@@ -307,21 +284,27 @@ def weyl_group(n):
     return out
 
 
-def weyl_act(rd, perm, lam):
-    v = rd.to_eps(lam)
-    return rd.from_eps([v[perm[i]] for i in range(rd.n)])
+def weyl_act(perm, lam):
+    """The Weyl element perm applied to lam.
+
+    Up to a common shift, lam's diagonal coordinates are the partial sums
+    v_k = lam_k + ... + lam_{n-1} (v_n = 0), and lam_k = v_k - v_{k+1}, in
+    which the shift cancels.
+    """
+    v = [sum(lam[k:]) for k in range(len(lam) + 1)]
+    w = [v[p] for p in perm]
+    return tuple(a - b for a, b in zip(w, w[1:]))
 
 
-def minuscule_min(rd, mu):
-    """The unique dominant weight in mu + Q that is zero or minuscule."""
-    if not rd.is_dominant(mu):
+def minuscule_min(mu):
+    """The unique dominant weight in mu + Q that is zero or minuscule.
+
+    omega_k lies in class k of P/Q = Z/n, so mu lies in class sum k mu_k.
+    """
+    if not is_dominant(mu):
         raise ValueError("weight must be dominant")
-    c = rd.weight_lattice_class(mu)
-    if c == 0:
-        return (0,) * rd.rank
-    out = [0] * rd.rank
-    out[c - 1] = 1
-    return tuple(out)
+    c = sum(k * m for k, m in enumerate(mu, 1)) % (len(mu) + 1)
+    return tuple(int(k == c) for k in range(1, len(mu) + 1))
 
 
 # ---------------------------------------------------------------------------

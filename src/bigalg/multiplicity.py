@@ -34,23 +34,18 @@ from . import lie
 PARTITION_N_BOUND = 5
 
 
-def qkostant_partition(rd, pi):
+def qkostant_partition(pi):
     """P_q(pi): multisets of positive roots summing to pi, q-counted by size.
 
     pi is a weight in fundamental coordinates; the value is zero unless pi
     is a nonnegative integer combination of simple roots.
     """
-    if rd.n > PARTITION_N_BOUND:
+    n = len(pi) + 1
+    if n > PARTITION_N_BOUND:
         raise ValueError("partition-function guard: n <= %d" % PARTITION_N_BOUND)
-    target = rd.root_coords(pi)
+    target = lie.root_coords(pi)
     if target is None:
         return QPoly()
-    roots_rc = []
-    for i, j in rd.positive:
-        vec = [0] * rd.rank
-        for k in range(i, j + 1):
-            vec[k - 1] += 1
-        roots_rc.append(tuple(vec))
 
     # bounded DP over the box [0, target]
     def points_upto(bound):
@@ -61,9 +56,9 @@ def qkostant_partition(rd, pi):
 
     pts = points_upto(target)
     dp = {p: QPoly() for p in pts}
-    dp[(0,) * rd.rank] = QPoly.one()
+    dp[(0,) * len(pi)] = QPoly.one()
     q = QPoly.q_power(1)
-    for r in roots_rc:
+    for r in lie.positive_roots(n):
         for p in pts:  # lex increasing, so p - r is already updated
             prev = tuple(a - b for a, b in zip(p, r))
             if all(x >= 0 for x in prev) and dp[prev]:
@@ -71,16 +66,16 @@ def qkostant_partition(rd, pi):
     return dp[target]
 
 
-def lusztig_m(rd, mu, lam):
+def lusztig_m(mu, lam):
     """The alternating Weyl sum of P_q over w(mu+rho) - lam - rho."""
-    if not (rd.is_dominant(mu) and rd.is_dominant(lam)):
+    if not (lie.is_dominant(mu) and lie.is_dominant(lam)):
         raise ValueError("both weights must be dominant")
     mu_rho = tuple(m + 1 for m in mu)
     out = QPoly()
-    for perm, sign in lie.weyl_group(rd.n):
-        shifted = lie.weyl_act(rd, perm, mu_rho)
+    for perm, sign in lie.weyl_group(len(mu) + 1):
+        shifted = lie.weyl_act(perm, mu_rho)
         pi = tuple(s - l - 1 for s, l in zip(shifted, lam))
-        p = qkostant_partition(rd, pi)
+        p = qkostant_partition(pi)
         if p:
             out = out + p.scale(sign)
     return out
@@ -308,8 +303,7 @@ def algebra_structure_table(restricted_ops, dim):
 def quotient_chain_check(rep, gens, lam):
     """lim of the lam space sits inside the lim of the minuscule space, and
     restriction to the smaller space factors through the bigger one."""
-    rd = lie.RootData(rep.L.n)
-    mu_min = lie.minuscule_min(rd, rep.mu)
+    mu_min = lie.minuscule_min(rep.mu)
     l_min = e_limit(rep, mu_min)
     l_lam = e_limit(rep, lam)
     contained = rank(l_min.hstack(l_lam)) == rank(l_min)
@@ -335,8 +329,7 @@ def quotient_chain_check(rep, gens, lam):
 def minuscule_quotient_check(rep, gens):
     """Q at the minuscule weight equals the zero fiber modulo the medium
     values: dimensions match and the medium ideal annihilates the limit."""
-    rd = lie.RootData(rep.L.n)
-    mu_min = lie.minuscule_min(rd, rep.mu)
+    mu_min = lie.minuscule_min(rep.mu)
     l_min = e_limit(rep, mu_min)
     ops_e = generators_at_e(rep, gens)
     labels = [op.label for op in gens]

@@ -273,8 +273,7 @@ def build_irrep(L, mu):
     mu = tuple(mu)
     if len(mu) != n - 1 or any(c < 0 for c in mu):
         raise ValueError("weight must be dominant with %d coordinates" % (n - 1))
-    rd = lie.RootData(n)
-    target_dim = rd.weyl_dim(mu)
+    target_dim = lie.weyl_dim(mu)
     if target_dim > DIM_BOUND:
         raise ValueError(
             "dimension %d exceeds bound %d" % (target_dim, DIM_BOUND)
@@ -296,7 +295,7 @@ def build_irrep(L, mu):
             cand = _act(lowering[li], vectors[vi])
             if not cand:
                 continue
-            alpha = rd.simple_root(li + 1)
+            alpha = lie.simple_root(n, li + 1)
             w = tuple(a - b for a, b in zip(weights[vi], alpha))
             ech = level.setdefault(w, Echelon())
             if ech.add(_dense(cand, index)):
@@ -362,8 +361,7 @@ def load_rep(L, mu, cache_dir):
     except (ValueError, KeyError, TypeError, ZeroDivisionError, OverflowError):
         # OverflowError: an entry Infinity; ZeroDivisionError: an entry "p/0"
         return None
-    rd = lie.RootData(n)
-    dim = rd.weyl_dim(mu)
+    dim = lie.weyl_dim(mu)
     if (
         header != (CACHE_VERSION, n, list(mu), dim)
         or len(words) != dim
@@ -381,7 +379,7 @@ def load_rep(L, mu, cache_dir):
         w = mu
         for li in word:
             v = _act(lowering[li - 1], v)
-            w = tuple(a - b for a, b in zip(w, rd.simple_root(li)))
+            w = tuple(a - b for a, b in zip(w, lie.simple_root(n, li)))
         if not v:
             return None
         vectors.append(v)

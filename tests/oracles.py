@@ -10,8 +10,9 @@ identities, the common total degree of polynomial entries, rho of the
 Killing-dual basis as dense matrices, formal derivatives term by term, the
 q-partition function by explicit enumeration, weight spaces by joint
 eigenspace decomposition, the freeness report with the span closure run
-at every point, the companion matrix entry by entry, and the pairings of
-weights with rho and with the principal h.
+at every point, the companion matrix entry by entry, and sl_n's inverse
+Cartan matrix by elimination, with the root coordinates, diagonal
+coordinates and pairings of weights read through it.
 """
 
 from __future__ import annotations
@@ -384,19 +385,42 @@ def homogeneity_check(mat, degree, fresh_scale=7):
 # ---------------------------------------------------------------------------
 
 
-def ip(rd, lam, mu):
-    """The basic inner product of two weights, through the inverse Cartan
-    matrix."""
-    return sum(
-        (lam[i] * mu[j] * rd.cartan_inv[i, j] for i in range(rd.rank) for j in range(rd.rank)),
-        ZERO,
+def cartan_inv(n):
+    """The inverse of sl_n's tridiagonal Cartan matrix, by elimination."""
+    r = n - 1
+    return invert(
+        QMatrix([[2 if i == j else -int(abs(i - j) == 1) for j in range(r)] for i in range(r)])
     )
 
 
-def h_pairing(rd, lam):
+def root_coords_rational(pi):
+    """The simple-root coordinates C^-1 pi of a weight, as Fractions."""
+    c = cartan_inv(len(pi) + 1)
+    return [sum((c[i, j] * p for j, p in enumerate(pi)), ZERO) for i in range(len(pi))]
+
+
+def eps(lam):
+    """lam's diagonal coordinates: sum_i lam_i omega_i, where omega_i is
+    e_1 + ... + e_i - (i/n)(e_1 + ... + e_n)."""
+    n = len(lam) + 1
+    return [
+        sum((c * (int(k < i) - rat(i, n)) for i, c in enumerate(lam, 1)), ZERO)
+        for k in range(n)
+    ]
+
+
+def ip(lam, mu):
+    """The basic inner product of two weights, through the inverse Cartan
+    matrix."""
+    c = cartan_inv(len(lam) + 1)
+    return sum((x * y * c[i, j] for i, x in enumerate(lam) for j, y in enumerate(mu)), ZERO)
+
+
+def h_pairing(lam):
     """lam(h) for the principal h = diag(n - 1, n - 3, ..., 1 - n), read off
     lam's diagonal coordinates."""
-    return sum(v * (rd.n - 1 - 2 * k) for k, v in enumerate(rd.to_eps(lam)))
+    n = len(lam) + 1
+    return sum(v * (n - 1 - 2 * k) for k, v in enumerate(eps(lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,17 +428,20 @@ def h_pairing(rd, lam):
 # ---------------------------------------------------------------------------
 
 
-def qkostant_bruteforce(rd, pi):
+def qkostant_bruteforce(pi):
     """Independent oracle: explicit enumeration of root multisets."""
-    target = rd.root_coords(pi)
-    if target is None:
+    coords = root_coords_rational(pi)
+    if any(x.denominator != 1 or x < 0 for x in coords):
         return QPoly()
+    target = tuple(int(x) for x in coords)
+    r = len(pi)
     roots_rc = []
-    for i, j in rd.positive:
-        vec = [0] * rd.rank
-        for k in range(i, j + 1):
-            vec[k - 1] += 1
-        roots_rc.append(tuple(vec))
+    for i in range(r):
+        for j in range(i, r):
+            vec = [0] * r
+            for k in range(i, j + 1):
+                vec[k] += 1
+            roots_rc.append(tuple(vec))
 
     counts = {}
 

@@ -210,10 +210,9 @@ def test_generator_bytes_are_pinned(key, digests):
 
 
 def test_evaluate_at_principal_point(octet, octet_gens, L3):
-    rd = lie.RootData(3)
     val = octet_gens.by_label["M1"].evaluate([-4, 0])
     # oracle: eigenvalues are the h-pairings of the weights, with multiplicity
-    expected = Counter(h_pairing(rd, w) for w in octet.weights)
+    expected = Counter(h_pairing(w) for w in octet.weights)
     assert rational_roots(charpoly(val)) == sorted(expected.items())
 
 
@@ -330,10 +329,16 @@ def test_fiber_dims_match_monomial_enumeration(key):
     ops = BigGenerators(rep).ops
     mats = [op.evaluate([0] * (n - 1)) for op in ops]
     degrees = [op.degree for op in ops]
-    top = closed_numerator(rep.L, mu).max_exp() + 2
+    top = closed_numerator(mu).max_exp() + 2
     assert _fiber_dims(mats, degrees, top, rep.dim) == _oracle_fiber_dims(
         mats, degrees, top, rep.dim
     )
+
+
+def test_weyl_dim_is_the_q_dimension_at_one():
+    for n in range(2, 6):
+        for mu in product(range(4), repeat=n - 1):
+            assert lie.weyl_dim(mu) == closed_numerator(mu).eval_at_one(), mu
 
 
 def _unit(i, j):
@@ -362,7 +367,7 @@ def test_fiber_dims_are_certified_by_the_highest_weight_vector(monkeypatch, key)
     ops = BigGenerators(rep).ops
     mats = [op.evaluate([0] * (n - 1)) for op in ops]
     degrees = [op.degree for op in ops]
-    top = closed_numerator(rep.L, mu).max_exp() + 1
+    top = closed_numerator(mu).max_exp() + 1
     want = _oracle_fiber_dims(mats, degrees, top, rep.dim)
     widths = _seeds_spanned(monkeypatch)
     assert _fiber_dims(mats, degrees, top, rep.dim) == want

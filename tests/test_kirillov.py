@@ -20,6 +20,7 @@ from oracles import (
     mat_diff,
     medium_operator,
     small_operator,
+    trace_form,
 )
 
 
@@ -159,7 +160,7 @@ def wei_D_in_basis(rep, mat, t):
             if t.a[i][j]:
                 m = m + rep.rho[i] * t.a[i][j]
         new_rho.append(m)
-    kappa = t.transpose() * L.killing_form * t
+    kappa = t.transpose() * (trace_form(L) * (2 * L.n)) * t
     kappa_inv = invert(kappa)
     duals = []
     for j in range(L.dim):

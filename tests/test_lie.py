@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,14 +11,19 @@ from bigalg.polymatrix import PolyMatrix
 from oracles import (
     bracket_by_structure,
     bracket_coords,
+    cartan_inv,
     column,
     companion,
+    eps,
     h_pairing,
     ip,
     killing_by_structure,
+    root_coords_rational,
     symbolic_section,
     trace_form,
 )
+
+RHO3 = (1, 1)
 
 
 def test_rank_guard():
@@ -31,9 +37,10 @@ def test_sl2_dimension_and_killing(L2):
     ad_h = L2.ad_matrix(L2.h_coords)
     assert (ad_h * ad_h).trace() == 8
     h = L2.h_coords
+    killing = trace_form(L2) * 4
     val = sum(
         (
-            h[i, 0] * L2.killing_form.a[i][j] * h[j, 0]
+            h[i, 0] * killing.a[i][j] * h[j, 0]
             for i in range(L2.dim)
             for j in range(L2.dim)
         ),
@@ -47,9 +54,15 @@ def test_killing_is_2n_times_trace():
     # structure constants from products of sparse E_ij
     for n in range(2, 6):
         L = lie.TypeA(n)
-        assert L.killing_form == killing_by_structure(n)
-        assert L.killing_form == trace_form(L) * (2 * n)
-        assert L.killing_form * L.killing_inv == QMatrix.identity(L.dim)
+        assert killing_by_structure(n) == trace_form(L) * (2 * n)
+        assert killing_by_structure(n) * L.killing_inv == QMatrix.identity(L.dim)
+
+
+def test_killing_inv_is_the_inverse_of_2n_times_trace():
+    # killing_inv is written down from n C^-1; the oracle is the trace form
+    for n in range(2, 9):
+        L = lie.TypeA(n)
+        assert L.killing_inv * (trace_form(L) * (2 * n)) == QMatrix.identity(L.dim), n
 
 
 def test_bracket_matches_structure_constants():
@@ -94,13 +107,31 @@ def test_principal_triple(L3):
 
 
 def test_root_data(L3):
-    rd = lie.RootData(3)
-    assert len(rd.positive) == 3
-    assert ip(rd, rd.rho, rd.root_weight((1, 2))) == 2
+    assert len(lie.positive_roots(3)) == 3
+    highest = tuple(a + b for a, b in zip(lie.simple_root(3, 1), lie.simple_root(3, 2)))
+    assert ip(RHO3, highest) == 2
     for i in range(1, 3):
-        assert ip(rd, rd.rho, rd.simple_root(i)) == 1
-    assert rd.weyl_dim((3, 0)) == 10
-    assert rd.weyl_dim((1, 1)) == 8
+        assert ip(RHO3, lie.simple_root(3, i)) == 1
+    assert lie.weyl_dim((3, 0)) == 10
+    assert lie.weyl_dim((1, 1)) == 8
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(2, 7))
+def test_root_coords_is_the_inverse_cartan(data, n):
+    pi = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=n - 1, max_size=n - 1)))
+    exact = root_coords_rational(pi)
+    got = lie.root_coords(pi)
+    if any(x.denominator != 1 or x < 0 for x in exact):
+        assert got is None
+    else:
+        assert got == tuple(exact)
+
+
+def test_simple_roots_are_the_cartan_rows():
+    for n in range(2, 8):
+        c = QMatrix([lie.simple_root(n, i) for i in range(1, n)])
+        assert c * cartan_inv(n) == QMatrix.identity(n - 1), n
 
 
 def test_weyl_group():
@@ -108,7 +139,6 @@ def test_weyl_group():
     assert len(w2) == 2 and sorted(s for _, s in w2) == [-1, 1]
     w3 = lie.weyl_group(3)
     assert len(w3) == 6 and sum(s for _, s in w3) == 0
-    rd = lie.RootData(3)
     longest = max(
         w3,
         key=lambda ps: sum(
@@ -118,21 +148,27 @@ def test_weyl_group():
             if ps[0][i] > ps[0][j]
         ),
     )
-    assert lie.weyl_act(rd, longest[0], rd.rho) == (-1, -1)
+    assert lie.weyl_act(longest[0], RHO3) == (-1, -1)
     with pytest.raises(ValueError):
         lie.weyl_group(8)
 
 
 def test_weyl_invariance_of_inner_product():
-    rd = lie.RootData(4)
     rng = random.Random(2)
     weights = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(5)]
     for perm, _ in lie.weyl_group(4):
         for lam in weights:
             for mu in weights:
-                assert ip(rd, lam, mu) == ip(
-                    rd, lie.weyl_act(rd, perm, lam), lie.weyl_act(rd, perm, mu)
-                )
+                assert ip(lam, mu) == ip(lie.weyl_act(perm, lam), lie.weyl_act(perm, mu))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(2, 6))
+def test_weyl_act_permutes_diagonal_coordinates(data, n):
+    lam = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=n - 1, max_size=n - 1)))
+    perm = data.draw(st.permutations(range(n)))
+    v = eps(lam)
+    assert eps(lie.weyl_act(perm, lam)) == [v[p] for p in perm]
 
 
 def test_companion_sl2_explicit():
@@ -215,11 +251,22 @@ def test_centralizer_examples(L3):
 
 
 def test_minuscule_min():
-    rd3 = lie.RootData(3)
-    assert lie.minuscule_min(rd3, (1, 1)) == (0, 0)
-    assert lie.minuscule_min(rd3, (3, 0)) == (0, 0)  # 3*w1 = 0 mod root lattice
-    rd2 = lie.RootData(2)
-    assert lie.minuscule_min(rd2, (5,)) == (1,)
+    assert lie.minuscule_min((1, 1)) == (0, 0)
+    assert lie.minuscule_min((3, 0)) == (0, 0)  # 3*w1 = 0 mod root lattice
+    assert lie.minuscule_min((5,)) == (1,)
+    with pytest.raises(ValueError):
+        lie.minuscule_min((1, -1))
+
+
+def test_minuscule_min_is_in_the_class_mod_the_root_lattice():
+    # 0 or a fundamental weight, differing from mu by a nonnegative integer
+    # combination of simple roots (mu is dominant, so it lies above)
+    for n in range(2, 6):
+        for mu in product(range(4), repeat=n - 1):
+            low = lie.minuscule_min(mu)
+            assert sorted(low) in ([0] * (n - 1), [0] * (n - 2) + [1]), (n, mu)
+            diff = root_coords_rational(tuple(a - b for a, b in zip(mu, low)))
+            assert all(x.denominator == 1 and x >= 0 for x in diff), (n, mu)
 
 
 def test_principal_point_values(L3):
@@ -229,6 +276,5 @@ def test_principal_point_values(L3):
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.integers(2, 7))
 def test_h_pairing_matches_2_rho_ip(data, n):
-    rd = lie.RootData(n)
     lam = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=n - 1, max_size=n - 1)))
-    assert h_pairing(rd, lam) == 2 * ip(rd, lam, rd.rho)
+    assert h_pairing(lam) == 2 * ip(lam, (1,) * (n - 1))

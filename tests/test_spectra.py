@@ -25,6 +25,7 @@ from bigalg.spectra import (
     skeleton_set_c3_zero,
     verify_quantum_number_identities,
 )
+from oracles import eps
 
 
 def test_principal_line_invariants(L3):
@@ -112,11 +113,10 @@ def test_principal_spectrum_decuplet(decuplet, decuplet_gens):
     assert ps["eigen_table"][(3, 0)] == (6, 4)
     assert not ps["unsplit_blocks"]
     # full dictionary: the joint values are exactly the (4 I_3, 4 Y) pairs
-    rd = lie.RootData(3)
     expected = set()
     for lam in decuplet.weight_table:
-        eps = rd.to_eps(lam)
-        expected.add((4 * Fraction(eps[0] - eps[1], 2), 4 * (-eps[2])))
+        v = eps(lam)
+        expected.add((4 * Fraction(v[0] - v[1], 2), 4 * (-v[2])))
     got = {
         (Fraction(int(a.numerator), int(a.denominator)),
          Fraction(int(b.numerator), int(b.denominator)))
