@@ -6,7 +6,8 @@ then close up under the lowering operators, echelonizing one weight level
 at a time.  A tensor vector is sparse, a dict from keys (one sorted subset
 per exterior factor) to integers, and the Lie algebra acts on it factor by
 factor.  Basis vectors remember their lowering word, which keeps every
-derived basis reproducible.
+derived basis reproducible, and each rho(X_b) is solved one weight space
+at a time.
 """
 
 from __future__ import annotations
@@ -52,27 +53,33 @@ def _wedge(entries, s):
     return out
 
 
-def _act(x, vec):
-    """The sparse tensor vector x . vec, for an n x n integer matrix x.
+def _action(x):
+    """The map vec -> x . vec on sparse tensor vectors, for an n x n integer
+    matrix x.
 
     x acts on each exterior factor as a derivation, and on the tensor
-    product as the sum over the factors.
+    product as the sum over the factors.  One entry list and one table of
+    subset moves serve every vector the map is applied to.
     """
     if x.den != 1:
         raise ValueError("the action needs an integer matrix")
     entries = [
         (a, b, c) for a, row in enumerate(x.num) for b, c in enumerate(row) if c
     ]
-    moves = {}  # subset -> its image under x, shared by all keys and factors
-    out = {}
-    for key, coef in vec.items():
-        for f, s in enumerate(key):
-            if s not in moves:
-                moves[s] = _wedge(entries, s)
-            for t, c in moves[s]:
-                k = key[:f] + (t,) + key[f + 1:]
-                out[k] = out.get(k, 0) + coef * c
-    return {k: c for k, c in out.items() if c}
+    moves = {}  # subset -> its image under x, shared by all vectors and factors
+
+    def act(vec):
+        out = {}
+        for key, coef in vec.items():
+            for f, s in enumerate(key):
+                if s not in moves:
+                    moves[s] = _wedge(entries, s)
+                for t, c in moves[s]:
+                    k = key[:f] + (t,) + key[f + 1:]
+                    out[k] = out.get(k, 0) + coef * c
+        return {k: c for k, c in out.items() if c}
+
+    return act
 
 
 def _dense(vec, index):
@@ -91,20 +98,58 @@ def _matrix(vectors, index):
     return QMatrix.from_ints(num, 1, len(vectors))
 
 
-def _carries(r, x, vectors):
-    """True iff sum_i r[i][j] vectors[i] == x . vectors[j] for every j.
+def _solve_rho(images, vectors, weights):
+    """Each rho(X_b) from its images X_b . vectors, one weight space at a time.
+
+    An image of a weight vector lies in a single weight space w, so it is
+    solved against the vectors of weight w alone, restricted to the tensor
+    keys they use.  Raises ValueError when an image leaves their span.
+    """
+    spaces = {}  # weight -> (its vector indices, the (b, j) of its images)
+    home = {}  # tensor key -> the weight of the vectors that use it
+    for i, (vec, w) in enumerate(zip(vectors, weights)):
+        spaces.setdefault(w, ([], []))[0].append(i)
+        home.update(dict.fromkeys(vec, w))
+    for b, row in enumerate(images):
+        for j, image in enumerate(row):
+            if image:
+                w = home.get(next(iter(image)))
+                if w is None or any(home.get(key) != w for key in image):
+                    raise ValueError("target not in span of basis")
+                spaces[w][1].append((b, j))
+    blocks = []
+    for idx, targets in spaces.values():
+        if targets:
+            keys = dict.fromkeys(key for i in idx for key in vectors[i])
+            rows = {key: r for r, key in enumerate(keys)}
+            target = _matrix([images[b][j] for b, j in targets], rows)
+            basis = _matrix([vectors[i] for i in idx], rows)
+            blocks.append((idx, targets, solve_columns(basis, target)))
+    # one denominator for all: from_ints normalizes each matrix
+    den = lcm(*(x.den for _, _, x in blocks))
+    dim = len(vectors)
+    nums = [[[0] * dim for _ in range(dim)] for _ in images]
+    for idx, targets, x in blocks:
+        f = den // x.den
+        for i, row in zip(idx, x.num):
+            for (b, j), y in zip(targets, row):
+                nums[b][i][j] = f * y
+    return [QMatrix.from_ints(num, den, dim) for num in nums]
+
+
+def _carries(r, images, vectors):
+    """True iff sum_i r[i][j] vectors[i] == images[j] for every j.
 
     Both sides are compared as integer vectors, scaled by r.den.
     """
-    for j, vec in enumerate(vectors):
+    for col, target in zip(zip(*r.num), images):
         image = {}
-        for row, v in zip(r.num, vectors):
-            c = row[j]
-            if c:
-                for key, y in v.items():
-                    image[key] = image.get(key, 0) + c * y
-        target = {k: r.den * c for k, c in _act(x, vec).items()}
-        if {k: c for k, c in image.items() if c} != target:
+        for c, v in zip(compress(col, col), compress(vectors, col)):
+            for key, y in v.items():
+                image[key] = image.get(key, 0) + c * y
+        if {k: c for k, c in image.items() if c} != {
+            k: r.den * c for k, c in target.items()
+        }:
             return False
     return True
 
@@ -245,8 +290,8 @@ def _ambient(n, mu):
 
 
 def _lowering(L):
-    """The lowering operators E_{i+1,i}, one per simple root."""
-    return [L.basis[i] for i in L.lowering_index]
+    """The actions of the lowering operators E_{i+1,i}, one per simple root."""
+    return [_action(L.basis[i]) for i in L.lowering_index]
 
 
 def _module(L, mu, factors, index, vectors, weights, words, rho=None):
@@ -256,14 +301,12 @@ def _module(L, mu, factors, index, vectors, weights, words, rho=None):
     given rho is checked against those images instead, and None is returned
     when one of them does not match.
     """
-    basis = _matrix(vectors, index)
+    images = (list(map(_action(x), vectors)) for x in L.basis)
     if rho is None:
-        rho = [
-            solve_columns(basis, _matrix([_act(x, v) for v in vectors], index))
-            for x in L.basis
-        ]
-    elif not all(_carries(r, x, vectors) for r, x in zip(rho, L.basis)):
+        rho = _solve_rho(list(images), vectors, weights)
+    elif not all(_carries(r, im, vectors) for r, im in zip(rho, images)):
         return None
+    basis = _matrix(vectors, index)
     return Representation(L, mu, len(vectors), rho, weights, words, basis, factors)
 
 
@@ -292,7 +335,7 @@ def build_irrep(L, mu):
     vi = 0
     while vi < len(vectors):
         for li in range(n - 1):
-            cand = _act(lowering[li], vectors[vi])
+            cand = lowering[li](vectors[vi])
             if not cand:
                 continue
             alpha = lie.simple_root(n, li + 1)
@@ -341,8 +384,9 @@ def save_rep(rep, cache_dir):
 def load_rep(L, mu, cache_dir):
     """Read a cached module; None when the entry is missing or corrupted.
 
-    The tensor vectors are replayed from the stored lowering words, and each
-    stored rho(X_b) must carry them to the tensor action X_b . vectors.  Their
+    The tensor vectors are replayed from the stored lowering words, each word
+    extending the longest of its prefixes replayed before it, and each stored
+    rho(X_b) must carry them to the tensor action X_b . vectors.  Their
     span is then a nonzero submodule of V^mu, hence all of it, so an entry
     with Weyl-dimension many nonzero vectors that passes is a basis of V^mu
     with its exact matrices.
@@ -372,18 +416,20 @@ def load_rep(L, mu, cache_dir):
         return None
     factors, index, hw = _ambient(n, mu)
     lowering = _lowering(L)
-    vectors = []
-    weights = []
+    replayed = {(): (hw, mu)}  # word -> (vector, weight)
     for word in words:
-        v = hw
-        w = mu
-        for li in word:
-            v = _act(lowering[li - 1], v)
+        k = 0
+        while k < len(word) and word[: k + 1] in replayed:
+            k += 1
+        v, w = replayed[word[:k]]
+        for li in word[k:]:
+            v = lowering[li - 1](v)
             w = tuple(a - b for a, b in zip(w, lie.simple_root(n, li)))
-        if not v:
-            return None
-        vectors.append(v)
-        weights.append(w)
+            if not v:
+                return None
+        replayed[word] = (v, w)
+    vectors = [replayed[word][0] for word in words]
+    weights = [replayed[word][1] for word in words]
     return _module(L, mu, factors, index, vectors, weights, words, rho)
 
 

@@ -10,9 +10,10 @@ identities, the common total degree of polynomial entries, rho of the
 Killing-dual basis as dense matrices, formal derivatives term by term, the
 q-partition function by explicit enumeration, weight spaces by joint
 eigenspace decomposition, the freeness report with the span closure run
-at every point, the companion matrix entry by entry, and sl_n's inverse
+at every point, the companion matrix entry by entry, sl_n's inverse
 Cartan matrix by elimination, with the root coordinates, diagonal
-coordinates and pairings of weights read through it.
+coordinates and pairings of weights read through it, and a module's rho
+solved against the whole tensor ambient.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import random
 from operator import mul
 
-from bigalg import lie
+from bigalg import lie, reps
 from bigalg.bigalgebra import _PROBE_POOL, _image, random_c_point
 from bigalg.linalg import (
     QMatrix,
@@ -29,6 +30,7 @@ from bigalg.linalg import (
     invert,
     is_squarefree,
     joint_invariant_decomposition,
+    solve_columns,
 )
 from bigalg.multipoly import ZERO, MultiPoly, VarSet, rat
 from bigalg.polymatrix import PolyMatrix
@@ -515,3 +517,26 @@ def freeness_by_closure(rep, gens, seed=0):
         for p in report["points"]
     ) and report["fiber_cyclic"]
     return report
+
+
+def tensor_vectors(rep):
+    """The module's basis as sparse tensor vectors, with the ambient's key
+    index: the columns of tensor_basis read back through their keys."""
+    _, index, _ = reps._ambient(rep.L.n, rep.mu)
+    keys = list(index)
+    vectors = [
+        {keys[r]: x for r, x in enumerate(col) if x} for col in zip(*rep.tensor_basis.num)
+    ]
+    return vectors, index
+
+
+def rho_over_the_ambient(rep):
+    """Each rho(X_b) from one solve_columns of its images against the whole
+    tensor basis, every tensor row at once."""
+    vectors, index = tensor_vectors(rep)
+    return [
+        solve_columns(
+            rep.tensor_basis, reps._matrix(list(map(reps._action(x), vectors)), index)
+        )
+        for x in rep.L.basis
+    ]

@@ -9,8 +9,16 @@ from bigalg.acceptance import BATTERY
 from bigalg.kirillov import derivation_chain
 from bigalg.linalg import QMatrix
 from bigalg.multipoly import rat
+from bigalg import reps
 from bigalg.reps import build_irrep, g_e_invariants, load_rep, save_rep
-from oracles import column, h_pairing, structure_constants, weight_spaces
+from oracles import (
+    column,
+    h_pairing,
+    rho_over_the_ambient,
+    structure_constants,
+    tensor_vectors,
+    weight_spaces,
+)
 
 
 def test_fundamental_dims(L3, L4):
@@ -90,6 +98,41 @@ def test_module_bytes_are_pinned(key, digests):
     # the principal grading deg e_i = (h(mu) - h(w_i)) / 2, with e_0 in degree 0
     assert rep.grades == [(h_pairing(mu) - h_pairing(w)) / 2 for w in rep.weights]
     assert rep.grades[0] == 0
+
+
+@pytest.mark.parametrize(
+    "n, mu", [(3, (3, 2)), (4, (1, 1, 1)), (5, (1, 0, 0, 1)), (6, (1, 0, 0, 0, 1))]
+)
+def test_rho_per_weight_equals_the_whole_ambient_solve(n, mu):
+    rep = build_irrep(lie.TypeA(n), mu)
+    oracle = rho_over_the_ambient(rep)
+    assert _sha([m.to_obj() for m in rep.rho]) == _sha([m.to_obj() for m in oracle])
+    assert rep.rho == oracle
+
+
+@pytest.mark.parametrize("drop", [7, 4], ids=["lowest", "zero-weight"])
+def test_a_family_not_closed_under_the_action_is_refused(L3, octet, drop):
+    # without the lowest-weight vector, the images that land on its weight
+    # leave the span of the rest; without one of the two weight-0 vectors,
+    # those that land on weight 0 do
+    vectors, index = tensor_vectors(octet)
+    keep = [i for i in range(octet.dim) if i != drop]
+    with pytest.raises(ValueError, match="not in span"):
+        reps._module(
+            L3, (1, 1), octet.factors, index, [vectors[i] for i in keep],
+            [octet.weights[i] for i in keep], [octet.words[i] for i in keep],
+        )
+
+
+@pytest.mark.parametrize("other", [None, (1,)], ids=["unused-key", "other-weight"])
+def test_an_image_off_the_keys_of_its_weight_is_refused(other):
+    # the image's first key is used by the weight-0 vector, its second by no
+    # vector, or by a vector of another weight
+    vectors = [{("a",): 1}] + ([{("b",): 1}] if other else [])
+    weights = [(0,)] + ([other] if other else [])
+    images = [[{("a",): 1, ("b",): 1}] + [{}] * (len(vectors) - 1)]
+    with pytest.raises(ValueError, match="not in span"):
+        reps._solve_rho(images, vectors, weights)
 
 
 def test_weyl_dimension_agreement(L3):
@@ -194,6 +237,23 @@ def test_a_loaded_module_starts_with_an_empty_memo(tmp_path, L3, octet):
     assert back._memo == {}
 
 
+def test_a_load_replays_each_word_with_one_lowering(tmp_path, monkeypatch, L3, decuplet):
+    # a built module's words are prefix-closed: each extends a stored word
+    save_rep(decuplet, str(tmp_path))
+    lowerings = []
+    lowering = reps._lowering
+
+    def counted(L):
+        def count(act):
+            return lambda vec: lowerings.append(vec) or act(vec)
+
+        return [count(act) for act in lowering(L)]
+
+    monkeypatch.setattr(reps, "_lowering", counted)
+    assert load_rep(L3, (3, 0), str(tmp_path)) is not None
+    assert len(lowerings) == decuplet.dim - 1
+
+
 def _set_rho_entry(obj):
     obj["rho"][0][0][0] = "7"
 
@@ -241,11 +301,23 @@ def _infinite_entry(obj):
     obj["rho"][0][0][0] = float("inf")
 
 
+def _long_word(obj):
+    obj["basis_words"][-1] = [1, 2] * 5000
+
+
+def _orphan_word(obj):
+    # (2, 1, 1) is not stored, so the replay extends (2, 1); the word lands
+    # on twice the lowest-weight vector (1, 2, 1, 2) that it replaces, which
+    # the stored rho does not carry
+    assert obj["basis_words"][-1] == [1, 2, 1, 2]
+    obj["basis_words"][-1] = [2, 1, 1, 2]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_set_rho_entry, _swap_words, _drop_word, _bad_letter, _zero_words,
      _empty, _other_mu, _short_rho, _ragged_rho, _zero_denominator, _infinite_entry,
-     None],
+     _long_word, _orphan_word, None],
     ids=lambda f: "truncated" if f is None else f.__name__.lstrip("_"),
 )
 def test_corrupted_cache_entry_is_refused(tmp_path, L3, octet, corrupt):
