@@ -4,18 +4,18 @@ A ``QMatrix`` stores integer rows ``num`` over one positive denominator
 ``den``, normalized so that gcd(den, every entry) == 1 (the zero matrix has
 den 1); equal matrices have equal storage.  Rationals become integers only
 where a matrix is built from them: the constructor and ``from_obj``.
-Arithmetic, ``kron``, ``hstack`` and every elimination read and write the
-integer rows, and ``Fraction``s are built only when a caller reads entries
+Arithmetic, ``hstack`` and every elimination read and write the integer
+rows, and ``Fraction``s are built only when a caller reads entries
 (``m[i, j]``, ``to_obj``, ``str`` and the read-only ``a``).
 
 Products skip zero entries.  Every elimination is one fraction-free
 reduced echelon form: ``Echelon`` keeps primitive integer rows, positive at
 their smallest-index pivots and zero at the other pivots, and ``rank``,
-``kernel``, ``joint_kernel``, ``invert`` and ``solve_columns``
-read their answers off the rows an ``Echelon`` holds after taking in the
-integer rows of the matrix.  ``charpoly`` runs Faddeev-LeVerrier on the
-integer matrix.  ``closure`` grows an ``Echelon`` into the span of seeds
-under a set of generators.
+``kernel``, ``joint_kernel``, ``invert``, ``column_solver`` and
+``solve_columns`` read their answers off the rows an ``Echelon`` holds
+after taking in the integer rows of the matrix.  ``charpoly`` runs
+Faddeev-LeVerrier on the integer matrix.  ``closure`` grows an ``Echelon``
+into the span of seeds under a set of generators.
 
 A vector is a rows x 1 QMatrix, and ``columns`` reads a matrix as such
 columns.  A subspace is one QMatrix whose columns span it: ``kernel``
@@ -240,17 +240,6 @@ class QMatrix:
 
     def commutator(self, other):
         return self * other - other * self
-
-    def kron(self, other):
-        zero_block = [0] * other.cols
-        out = []
-        for r in self.num:
-            for s in other.num:
-                ints = []
-                for x in r:
-                    ints.extend([x * y for y in s] if x else zero_block)
-                out.append(ints)
-        return _reduced(out, self.den * other.den, self.cols * other.cols)
 
     def hstack(self, other):
         if self.rows != other.rows:
@@ -485,6 +474,43 @@ def invert(m):
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
     return _over_pivots(rows, pivots, n, n, n)
+
+
+def column_solver(basis):
+    """The map target -> X with basis * X == target, for a basis of
+    independent columns; one elimination serves every target.
+
+    The reduced echelon form of basis^T, each row followed by the unit row
+    that records it, is read off at its pivots: row r is e_r * basis^T, with
+    the entry d_r at the r-th pivot and zero at the others.  So basis is
+    invertible at the pivot rows, with the inverse whose columns are
+    e_r / d_r, and X is that inverse times target at those rows.  basis * X
+    then equals target at the pivot rows, and at the other rows iff target
+    lies in the span; the map raises ValueError when it does not.
+    """
+    n, k = basis.rows, basis.cols
+    unit = [0] * k
+    rows, pivots = _reduced_echelon(
+        [*col, *unit[:i], 1, *unit[i + 1:]] for i, col in enumerate(zip(*basis.num))
+    )
+    if pivots and pivots[-1] >= n:
+        raise ValueError("basis columns are dependent")
+    inverse = _over_pivots(rows, pivots, n, k, k).transpose()
+    if basis.den != 1:
+        inverse = basis.den * inverse
+    rest = sorted(set(range(n)) - set(pivots))
+    below = _reduced([basis.num[i] for i in rest], basis.den, k)
+
+    def solve(target):
+        num, den, cols = target.num, target.den, target.cols
+        # the product normalizes what it returns, so the pivot rows of target
+        # enter it as they are
+        x = inverse * QMatrix._of([num[p] for p in pivots], den, cols)
+        if below * x != _reduced([num[i] for i in rest], den, cols):
+            raise ValueError("target not in span of basis")
+        return x
+
+    return solve
 
 
 def solve_columns(basis, target):

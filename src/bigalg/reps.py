@@ -1,25 +1,32 @@
 """Irreducible sl_n modules with exact matrices and weight decompositions.
 
-A module V^mu is generated inside the tensor product of fundamental
-(exterior-power) representations: start from the highest-weight vector,
-then close up under the lowering operators, echelonizing one weight level
-at a time.  A tensor vector is sparse, a dict from keys (one sorted subset
-per exterior factor) to integers, and the Lie algebra acts on it factor by
-factor.  Basis vectors remember their lowering word, which keeps every
-derived basis reproducible, and each rho(X_b) is solved one weight space
-at a time.
+A module V^mu is generated inside the tensor product over k of the
+symmetric powers Sym^{mu_k}(Lambda^k C^n), whose Cartan component it is
+(Fulton and Harris, Representation Theory, Lecture 15): start from the
+highest-weight vector, then close up under the lowering operators,
+echelonizing one weight level at a time.  A tensor vector is sparse, a dict
+from keys to integers.  A key holds one sorted k-subset per unit of mu_k,
+and the subsets of each run of equal exterior powers are sorted, so a key
+is a monomial of the symmetric powers and the ambient's size is polynomial
+in mu.  The Lie algebra acts on a key run by run as a derivation, and GL_n
+through the minors of its matrix.  Basis vectors remember their lowering
+word, which keeps every derived basis reproducible, and each rho(X_b) is
+solved one weight space at a time.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from itertools import combinations, compress, product
+from bisect import bisect
+from functools import cache
+from itertools import combinations, combinations_with_replacement, compress
 from math import lcm
 
 from .linalg import (
     Echelon,
     QMatrix,
+    column_solver,
     joint_kernel,
     solve_columns,
 )
@@ -29,8 +36,15 @@ CACHE_VERSION = 1
 DIM_BOUND = 400  # largest module dimension built
 
 
+@cache
 def subsets(n, k):
-    return [tuple(s) for s in combinations(range(n), k)]
+    return tuple(combinations(range(n), k))
+
+
+def _insert(run, t):
+    """The sorted run with t added."""
+    j = bisect(run, t)
+    return run[:j] + (t,) + run[j:]
 
 
 def _wedge(entries, s):
@@ -53,33 +67,129 @@ def _wedge(entries, s):
     return out
 
 
-def _action(x):
+def _action(x, runs):
     """The map vec -> x . vec on sparse tensor vectors, for an n x n integer
-    matrix x.
+    matrix x and the runs of the ambient's keys.
 
-    x acts on each exterior factor as a derivation, and on the tensor
-    product as the sum over the factors.  One entry list and one table of
-    subset moves serve every vector the map is applied to.
+    x acts on each exterior factor as a derivation, and on a symmetric power
+    and the tensor product as the sum over the factors: a subset repeated m
+    times in its run moves once with coefficient m, and the run is sorted
+    again.  One entry list, one table of subset moves and one table of run
+    moves serve every vector the map is applied to.
     """
     if x.den != 1:
         raise ValueError("the action needs an integer matrix")
     entries = [
         (a, b, c) for a, row in enumerate(x.num) for b, c in enumerate(row) if c
     ]
-    moves = {}  # subset -> its image under x, shared by all vectors and factors
+    # a run of one subset is moved through the subset table, without slicing
+    # the key: most factors of most modules are such runs, and sending them
+    # through move as well makes the builds of such modules ~15% slower
+    singles = [lo for lo, hi in runs if hi - lo == 1]
+    longs = [(lo, hi) for lo, hi in runs if hi - lo > 1]
+    wedges = {}  # subset -> its image under x, shared by all vectors and runs
+    moves = {}  # run of two or more subsets -> its image under x
+
+    def move(run):
+        out = {}
+        for i, s in enumerate(run):
+            if i and run[i - 1] == s:
+                continue  # moved with the first copy
+            if s not in wedges:
+                wedges[s] = _wedge(entries, s)
+            m = run.count(s)
+            rest = run[:i] + run[i + 1:]
+            for t, c in wedges[s]:
+                r = _insert(rest, t)
+                out[r] = out.get(r, 0) + m * c
+        return [(r, c) for r, c in out.items() if c]
 
     def act(vec):
         out = {}
         for key, coef in vec.items():
-            for f, s in enumerate(key):
-                if s not in moves:
-                    moves[s] = _wedge(entries, s)
-                for t, c in moves[s]:
+            for f in singles:
+                s = key[f]
+                if s not in wedges:
+                    wedges[s] = _wedge(entries, s)
+                for t, c in wedges[s]:
                     k = key[:f] + (t,) + key[f + 1:]
+                    out[k] = out.get(k, 0) + coef * c
+            for lo, hi in longs:
+                run = key[lo:hi]
+                if run not in moves:
+                    moves[run] = move(run)
+                for r, c in moves[run]:
+                    k = key[:lo] + r + key[hi:]
                     out[k] = out.get(k, 0) + coef * c
         return {k: c for k, c in out.items() if c}
 
     return act
+
+
+def _induced(s, runs):
+    """The map vec -> s . vec on sparse tensor vectors, for an invertible
+    n x n matrix s and the runs of the ambient's keys, with integer
+    coefficients over s.den ** (the total size of a key's subsets).
+
+    s acts on each exterior factor by the column of k x k minors of s.num
+    at its subset, and on a symmetric power and the tensor product factor
+    by factor, one run after another.  A run's image is the image of the
+    run without its last subset times the column of that subset, each term
+    sorted again.  One table of run images, prefixes and single subsets
+    included, serves every vector.
+    """
+    n = len(s.num)
+    moves = {}  # run -> its image under s
+
+    def move(run):
+        if len(run) == 1:
+            c = run[0]
+            rows = [[row[j] for j in c] for row in s.num]  # the columns c of s
+            return [
+                ((r,), m) for r in subsets(n, len(c)) if (m := _det([rows[i] for i in r]))
+            ]
+        head, last = run[:-1], run[-1:]
+        for part in (head, last):
+            if part not in moves:
+                moves[part] = move(part)
+        out = {}
+        for r, a in moves[head]:
+            for (t,), m in moves[last]:
+                k = _insert(r, t)
+                out[k] = out.get(k, 0) + a * m
+        return [(r, a) for r, a in out.items() if a]
+
+    def act(vec):
+        for lo, hi in runs:
+            out = {}
+            for key, coef in vec.items():
+                run = key[lo:hi]
+                if run not in moves:
+                    moves[run] = move(run)
+                head, tail = key[:lo], key[hi:]
+                for r, c in moves[run]:
+                    k = head + r + tail
+                    out[k] = out.get(k, 0) + coef * c
+            vec = out
+        return vec
+
+    return act
+
+
+def _det(a):
+    n = len(a)
+    if n == 1:
+        return a[0][0]
+    if n == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    total = 0
+    sign = 1
+    for j in range(n):
+        if a[0][j]:
+            minor = [[a[i][c] for c in range(n) if c != j] for i in range(1, n)]
+            total += sign * a[0][j] * _det(minor)
+        sign = -sign
+    return total
 
 
 def _dense(vec, index):
@@ -89,13 +199,13 @@ def _dense(vec, index):
     return col
 
 
-def _matrix(vectors, index):
-    """The sparse tensor vectors as the columns of a dense QMatrix."""
+def _matrix(vectors, index, den=1):
+    """The sparse tensor vectors over den as the columns of a dense QMatrix."""
     num = [[0] * len(vectors) for _ in index]
     for j, vec in enumerate(vectors):
         for key, c in vec.items():
             num[index[key]][j] = c
-    return QMatrix.from_ints(num, 1, len(vectors))
+    return QMatrix.from_ints(num, den, len(vectors))
 
 
 def _solve_rho(images, vectors, weights):
@@ -154,40 +264,10 @@ def _carries(r, images, vectors):
     return True
 
 
-def wedge_group_matrix(s, n, k):
-    """Minor matrix of an invertible n x n matrix on k-subsets.
-
-    Each k x k minor of s is the minor of its integer rows over den**k.
-    """
-    subs = subsets(n, k)
-    num = s.num
-    minors = [
-        [_det([[num[r][c] for c in colset] for r in rowset]) for colset in subs]
-        for rowset in subs
-    ]
-    return QMatrix.from_ints(minors, s.den**k)
-
-
-def _det(a):
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    total = 0
-    sign = 1
-    for j in range(n):
-        if a[0][j]:
-            minor = [[a[i][c] for c in range(n) if c != j] for i in range(1, n)]
-            total += sign * a[0][j] * _det(minor)
-        sign = -sign
-    return total
-
-
 class Representation:
     """An irreducible sl_n module with exact matrices for the fixed basis."""
 
-    def __init__(self, L, mu, dim, rho, weights, words, tensor_basis, factors):
+    def __init__(self, L, mu, dim, rho, weights, words, vectors, index, runs):
         self.L = L
         self.mu = tuple(mu)
         self.dim = dim
@@ -197,12 +277,13 @@ class Representation:
         # the principal grading deg e_i = (h(mu) - h(w_i)) / 2: each lowering
         # step subtracts a simple root alpha, and alpha(h) = 2
         self.grades = [len(word) for word in words]
-        self.tensor_basis = tensor_basis  # columns: basis vectors in tensor coords
-        self.factors = factors  # exterior-power exponents of the ambient tensor
+        self.vectors = vectors  # basis vectors as sparse tensor vectors
+        self.index = index  # tensor key -> its row in tensor_basis
+        self.runs = runs  # (start, end) in a key of each symmetric power
         self.weight_table = {}
         for i, w in enumerate(weights):
             self.weight_table.setdefault(w, []).append(i)
-        # values computed from rho, kept per module: see cached
+        # values computed on first read, kept per module: see cached
         self._memo = {}
 
     # ---------- operators ----------
@@ -233,6 +314,11 @@ class Representation:
     def rho_e(self):
         return self.cached("rho_e", lambda: self.op(self.L.e_coords))
 
+    @property
+    def tensor_basis(self):
+        """The basis vectors as the columns of a tensor dim x dim QMatrix."""
+        return self.cached("tensor_basis", lambda: _matrix(self.vectors, self.index))
+
     def weight_basis(self, lam):
         """The identity columns at the basis indices of weight lam; dim x 0
         when lam is not a weight."""
@@ -245,21 +331,21 @@ class Representation:
     def gl_transport(self, s):
         """The action of an invertible rational matrix on this module.
 
-        V^mu sits inside a tensor product of exterior powers, which carries
-        the full GL_n action; the subspace is GL-stable, so the action
-        restricts.  Conjugation by the result realizes rho(s X s^-1).
+        V^mu sits inside a tensor product of symmetric powers of exterior
+        powers, which carries the full GL_n action; the subspace is
+        GL-stable, so the action restricts.  Conjugation by the result
+        realizes rho(s X s^-1).
         """
         return self.cached(("gl", s.den, tuple(map(tuple, s.num))),
                            lambda: self._gl_transport(s))
 
     def _gl_transport(self, s):
-        if not self.factors:
-            return QMatrix.identity(1)
-        n = self.L.n
-        t = wedge_group_matrix(s, n, self.factors[0])
-        for k in self.factors[1:]:
-            t = t.kron(wedge_group_matrix(s, n, k))
-        return solve_columns(self.tensor_basis, t * self.tensor_basis)
+        images = list(map(_induced(s, self.runs), self.vectors))
+        den = s.den ** sum(k * m for k, m in enumerate(self.mu, 1))
+        # one elimination of tensor_basis, kept on the module, serves every
+        # transport of it
+        solve = self.cached("solver", lambda: column_solver(self.tensor_basis))
+        return solve(_matrix(images, self.index, den))
 
     # ---------- serialization ----------
 
@@ -275,39 +361,43 @@ class Representation:
 
 
 def _ambient(n, mu):
-    """The tensor product of exterior powers that holds V^mu.
+    """The tensor product of symmetric powers of exterior powers that holds
+    V^mu.
 
-    Returns its factors (the exponents), the position of each key in the
-    Kronecker order of its basis, and the highest-weight vector, which spans
-    its one-dimensional weight-mu space.
+    A key holds one k-subset per unit of mu_k, in runs of equal k.  Returns
+    the (start, end) positions of the runs in a key, the position of each
+    key in the order of the basis (the product over k of the sorted
+    mu_k-multisets of k-subsets, flattened), and the highest-weight vector,
+    which spans its one-dimensional weight-mu space.
     """
-    factors = [k for k in range(1, n) for _ in range(mu[k - 1])]
-    index = {
-        key: i
-        for i, key in enumerate(product(*(subsets(n, k) for k in factors)))
-    }
-    return factors, index, {tuple(tuple(range(k)) for k in factors): 1}
+    runs, keys, hw = [], [()], ()
+    for k, m in enumerate(mu, 1):
+        if m:
+            runs.append((len(hw), len(hw) + m))
+            hw += (tuple(range(k)),) * m
+            power = list(combinations_with_replacement(subsets(n, k), m))
+            keys = [key + run for key in keys for run in power]
+    return runs, dict(zip(keys, range(len(keys)))), {hw: 1}
 
 
-def _lowering(L):
+def _lowering(L, runs):
     """The actions of the lowering operators E_{i+1,i}, one per simple root."""
-    return [_action(L.basis[i]) for i in L.lowering_index]
+    return [_action(L.basis[i], runs) for i in L.lowering_index]
 
 
-def _module(L, mu, factors, index, vectors, weights, words, rho=None):
+def _module(L, mu, runs, index, vectors, weights, words, rho=None):
     """The Representation on the span of the sparse tensor vectors.
 
     Without rho, each rho(X_b) is solved from the images X_b . vectors.  A
     given rho is checked against those images instead, and None is returned
     when one of them does not match.
     """
-    images = (list(map(_action(x), vectors)) for x in L.basis)
+    images = (list(map(_action(x, runs), vectors)) for x in L.basis)
     if rho is None:
         rho = _solve_rho(list(images), vectors, weights)
     elif not all(_carries(r, im, vectors) for r, im in zip(rho, images)):
         return None
-    basis = _matrix(vectors, index)
-    return Representation(L, mu, len(vectors), rho, weights, words, basis, factors)
+    return Representation(L, mu, len(vectors), rho, weights, words, vectors, index, runs)
 
 
 def build_irrep(L, mu):
@@ -322,8 +412,8 @@ def build_irrep(L, mu):
             "dimension %d exceeds bound %d" % (target_dim, DIM_BOUND)
         )
 
-    factors, index, hw = _ambient(n, mu)
-    lowering = _lowering(L)
+    runs, index, hw = _ambient(n, mu)
+    lowering = _lowering(L, runs)
 
     # closure under lowering operators, echelonizing per weight level
     ech = Echelon()
@@ -354,7 +444,7 @@ def build_irrep(L, mu):
             "closure produced %d vectors, Weyl dimension is %d"
             % (len(vectors), target_dim)
         )
-    return _module(L, mu, factors, index, vectors, weights, words)
+    return _module(L, mu, runs, index, vectors, weights, words)
 
 
 def g_e_invariants(rep):
@@ -414,8 +504,8 @@ def load_rep(L, mu, cache_dir):
         or any(li not in range(1, n) for word in words for li in word)
     ):
         return None
-    factors, index, hw = _ambient(n, mu)
-    lowering = _lowering(L)
+    runs, index, hw = _ambient(n, mu)
+    lowering = _lowering(L, runs)
     replayed = {(): (hw, mu)}  # word -> (vector, weight)
     for word in words:
         k = 0
@@ -430,7 +520,7 @@ def load_rep(L, mu, cache_dir):
         replayed[word] = (v, w)
     vectors = [replayed[word][0] for word in words]
     weights = [replayed[word][1] for word in words]
-    return _module(L, mu, factors, index, vectors, weights, words, rho)
+    return _module(L, mu, runs, index, vectors, weights, words, rho)
 
 
 def get_rep(L, mu, cache_dir=None):

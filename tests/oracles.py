@@ -12,18 +12,24 @@ q-partition function by explicit enumeration, weight spaces by joint
 eigenspace decomposition, the freeness report with the span closure run
 at every point, the companion matrix entry by entry, sl_n's inverse
 Cartan matrix by elimination, with the root coordinates, diagonal
-coordinates and pairings of weights read through it, and a module's rho
-solved against the whole tensor ambient.
+coordinates and pairings of weights read through it, and a module built
+in the tensor product of exterior powers with one factor per unit of mu
+(the ambient before symmetrization), with its vectors folded into the
+symmetric ambient and its rho solved against the whole of that ambient.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import combinations, product
+from math import factorial, prod
 from operator import mul
 
-from bigalg import lie, reps
+from bigalg import lie
 from bigalg.bigalgebra import _PROBE_POOL, _image, random_c_point
 from bigalg.linalg import (
+    Echelon,
     QMatrix,
     charpoly,
     closure,
@@ -519,24 +525,121 @@ def freeness_by_closure(rep, gens, seed=0):
     return report
 
 
-def tensor_vectors(rep):
-    """The module's basis as sparse tensor vectors, with the ambient's key
-    index: the columns of tensor_basis read back through their keys."""
-    _, index, _ = reps._ambient(rep.L.n, rep.mu)
-    keys = list(index)
-    vectors = [
-        {keys[r]: x for r, x in enumerate(col) if x} for col in zip(*rep.tensor_basis.num)
-    ]
-    return vectors, index
+def _wedge_move(x, s):
+    """x . e_s on the exterior power, for a sorted subset s and an integer
+    matrix x: each point b of s replaced by every a with x[a][b] != 0, and
+    the subset sorted with the sign of its permutation."""
+    out = {}
+    for i, b in enumerate(s):
+        for a, row in enumerate(x.num):
+            if row[b] and (a == b or a not in s):
+                t = s[:i] + (a,) + s[i + 1:]
+                inversions = sum(u > v for j, u in enumerate(t) for v in t[j + 1:])
+                key = tuple(sorted(t))
+                out[key] = out.get(key, 0) + (-1) ** inversions * row[b]
+    return out
 
 
-def rho_over_the_ambient(rep):
+def _old_action(x, vec):
+    """x . vec on the tensor product of exterior powers, factor by factor."""
+    out = {}
+    for key, coef in vec.items():
+        for f, s in enumerate(key):
+            for t, c in _wedge_move(x, s).items():
+                k = key[:f] + (t,) + key[f + 1:]
+                out[k] = out.get(k, 0) + coef * c
+    return {k: c for k, c in out.items() if c}
+
+
+def old_ambient_module(L, mu):
+    """V^mu inside the tensor product of exterior powers with one factor
+    Lambda^k per unit of mu_k and no symmetry between the factors: the
+    highest-weight vector closed under lowering, echelonized per weight.
+
+    Returns the lowering words, the weights, the sparse tensor vectors and
+    the position of each key in the Kronecker order of the ambient.
+    """
+    factors = [k for k, m in enumerate(mu, 1) for _ in range(m)]
+    keys = product(*(combinations(range(L.n), k) for k in factors))
+    index = {key: i for i, key in enumerate(keys)}
+    vectors = [{tuple(tuple(range(k)) for k in factors): 1}]
+    words, weights = [()], [tuple(mu)]
+    spans = {weights[0]: Echelon()}
+    spans[weights[0]].add(_column(vectors[0], index))
+    lowering = [L.basis[j] for j in L.lowering_index]
+    i = 0
+    while i < len(vectors):
+        for li, x in enumerate(lowering, 1):
+            cand = _old_action(x, vectors[i])
+            w = tuple(a - b for a, b in zip(weights[i], lie.simple_root(L.n, li)))
+            if cand and spans.setdefault(w, Echelon()).add(_column(cand, index)):
+                vectors.append(cand)
+                words.append(words[i] + (li,))
+                weights.append(w)
+        i += 1
+    return words, weights, vectors, index
+
+
+def _column(vec, index):
+    col = [0] * len(index)
+    for key, c in vec.items():
+        col[index[key]] = c
+    return col
+
+
+def _dense(vectors, index):
+    """The sparse tensor vectors as the columns of a QMatrix."""
+    cols = [_column(v, index) for v in vectors]
+    return QMatrix.from_ints([list(row) for row in zip(*cols)], 1, len(vectors))
+
+
+def _run_sorted(key, mu):
+    """The key with each run of equal exterior powers sorted."""
+    out, lo = [], 0
+    for m in mu:
+        out += sorted(key[lo:lo + m])
+        lo += m
+    return tuple(out)
+
+
+def folded(vectors, mu):
+    """Old-ambient tensor vectors in the symmetric ambient: each key's
+    coefficient added to its run-sorted key."""
+    out = []
+    for vec in vectors:
+        fold = {}
+        for key, c in vec.items():
+            k = _run_sorted(key, mu)
+            fold[k] = fold.get(k, 0) + c
+        out.append({k: c for k, c in fold.items() if c})
+    return out
+
+
+def unfolded(rep):
+    """The module's tensor basis in the ambient with one unordered factor per
+    unit of mu, in its Kronecker order: the coefficient of a key is that of
+    its run-sorted key over the number of keys that sort to it."""
+    mu, n = rep.mu, rep.L.n
+    factors = [k for k, m in enumerate(mu, 1) for _ in range(m)]
+    num = []
+    for key in product(*(combinations(range(n), k) for k in factors)):
+        folded_key = _run_sorted(key, mu)
+        orbit, lo = 1, 0  # the number of keys that sort to folded_key
+        for m in mu:
+            counts = Counter(folded_key[lo:lo + m]).values()
+            orbit *= factorial(m) // prod(map(factorial, counts))
+            lo += m
+        num.append([rat(vec.get(folded_key, 0), orbit) for vec in rep.vectors])
+    return QMatrix(num)
+
+
+def rho_over_the_old_ambient(L, mu):
     """Each rho(X_b) from one solve_columns of its images against the whole
-    tensor basis, every tensor row at once."""
-    vectors, index = tensor_vectors(rep)
+    tensor basis of the old ambient (old_ambient_module), every tensor row
+    at once."""
+    _, _, vectors, index = old_ambient_module(L, mu)
+    basis = _dense(vectors, index)
     return [
-        solve_columns(
-            rep.tensor_basis, reps._matrix(list(map(reps._action(x), vectors)), index)
-        )
-        for x in rep.L.basis
+        solve_columns(basis, _dense([_old_action(x, v) for v in vectors], index))
+        for x in L.basis
     ]

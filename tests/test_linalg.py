@@ -12,6 +12,7 @@ from bigalg.linalg import (
     QMatrix,
     charpoly,
     closure,
+    column_solver,
     invert,
     is_squarefree,
     joint_invariant_decomposition,
@@ -330,20 +331,6 @@ def test_column_product_matches_reference(data, n, k):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.data(), _dims, _dims, _dims, _dims)
-def test_kron_matches_reference(data, n1, m1, n2, m2):
-    a = data.draw(_matrices(n1, m1))
-    b = data.draw(_matrices(n2, m2))
-    out = _qm(a, m1).kron(_qm(b, m2))
-    ref = [
-        [Fraction(x) * Fraction(y) for x in r for y in s] for r in a for s in b
-    ]
-    assert out.rows == n1 * n2
-    assert out.a == ref
-    assert _all_fractions(out.a)
-
-
-@settings(max_examples=30, deadline=None)
 @given(st.data(), _dims, st.integers(0, 4))
 def test_power_and_charpoly_match_reference(data, n, k):
     a = data.draw(_matrices(n, n))
@@ -391,12 +378,6 @@ def test_transpose_keeps_shape_of_empty_matrices():
     for n, m in ((3, 0), (0, 3), (0, 0), (2, 3)):
         t = QMatrix.zeros(n, m).transpose()
         assert (t.rows, t.cols) == (m, n)
-
-
-def test_kron_keeps_shape_of_empty_factors():
-    for (n1, m1), (n2, m2) in (((2, 2), (0, 3)), ((0, 3), (2, 2)), ((2, 0), (3, 1))):
-        k = QMatrix.zeros(n1, m1).kron(QMatrix.zeros(n2, m2))
-        assert (k.rows, k.cols) == (n1 * n2, m1 * m2)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +475,34 @@ def test_solve_columns_round_trip(data, k, extra, t):
         doubled = _qm([row + [row[0]] for row in basis], k + 1)
         with pytest.raises(ValueError):
             solve_columns(doubled, _qm(target, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(0, 5), st.integers(0, 3), st.integers(0, 3))
+def test_column_solver_round_trip(data, k, extra, t):
+    square = data.draw(_invertible(k))
+    rows = square + data.draw(_matrices(extra, k))
+    order = data.draw(st.permutations(range(k + extra)))
+    basis = [rows[i] for i in order]
+    n = k + extra
+    solve = column_solver(_qm(basis, k))
+    for _ in range(2):  # one elimination serves every target
+        x = data.draw(_matrices(k, t))
+        sol = solve(_qm(_ref_mul(basis, x, t), t))
+        assert (sol.rows, sol.cols) == (k, t)
+        assert sol.a == [[Fraction(v) for v in row] for row in x]
+    cols = [[row[j] for row in basis] for j in range(k)]
+    for i in range(n):
+        unit = _qm([[int(r == i)] for r in range(n)], 1)
+        if plain_rank(cols + [[Fraction(int(r == i)) for r in range(n)]]) == k:
+            assert _ref_mul(basis, solve(unit).a, 1) == unit.a
+        else:
+            with pytest.raises(ValueError, match="not in span"):
+                solve(unit)
+    if k:
+        doubled = _qm([row + [row[0]] for row in basis], k + 1)
+        with pytest.raises(ValueError, match="dependent"):
+            column_solver(doubled)
 
 
 @settings(max_examples=40, deadline=None)
@@ -629,7 +638,6 @@ def _storage_cases(data, n, k, m):
         ("mul", qa * qc, _ref_mul(a, c, m), m),
         ("scalar", qa * q, [[x * q for x in r] for r in a], k),
         ("rscalar", q * qa, [[q * x for x in r] for r in a], k),
-        ("kron", qa.kron(qc), [[x * y for x in r for y in t] for r in a for t in c], k * m),
         ("power", qs.power(2), _ref_mul(s, s, k), k),
         ("transpose", qa.transpose(), [[r[j] for r in a] for j in range(k)], n),
         ("hstack", qa.hstack(qb), [r + t for r, t in zip(a, b)], 2 * k),
@@ -645,6 +653,7 @@ def _storage_cases(data, n, k, m):
     cases.append(("invert", invert(_qm(square, k)), inverse, k))
     target = _ref_mul(square, c, m)
     cases.append(("solve_columns", solve_columns(_qm(square, k), _qm(target, m)), c, m))
+    cases.append(("column_solver", column_solver(_qm(square, k))(_qm(target, m)), c, m))
     return cases
 
 

@@ -6,17 +6,21 @@ import pytest
 
 from bigalg import lie
 from bigalg.acceptance import BATTERY
+from bigalg.bigalgebra import principal_transport
 from bigalg.kirillov import derivation_chain
 from bigalg.linalg import QMatrix
+from bigalg.multiplicity import h_plus_e_transport, reversal_transport
 from bigalg.multipoly import rat
 from bigalg import reps
 from bigalg.reps import build_irrep, g_e_invariants, load_rep, save_rep
 from oracles import (
     column,
+    folded,
     h_pairing,
-    rho_over_the_ambient,
+    old_ambient_module,
+    rho_over_the_old_ambient,
     structure_constants,
-    tensor_vectors,
+    unfolded,
     weight_spaces,
 )
 
@@ -56,9 +60,11 @@ def test_bracket_fidelity(octet, L2, L3, L4):
 
 
 # First 16 hex digits of the SHA-256 of the sorted-key JSON of to_obj(),
-# of tensor_basis.to_obj() and of the weights.  They were computed by an
+# of the tensor basis and of the weights.  They were computed by an
 # independent construction (dense Kronecker sums of wedge matrices, with the
 # highest-weight vector found as a kernel), so they pin the exact bytes.
+# That construction's ambient has one unordered factor Lambda^k per unit of
+# mu_k, and the tensor basis is read there through `unfolded`.
 MODULE_DIGESTS = [
     ((2, (1,)), ('1057dbde67d56a7b', 'd961a3cc60cff832', 'edf1414eb1fde9d8')),
     ((2, (2,)), ('9e69ab5b23b5e56f', 'e1794ad298dfda91', '77b0f755d888b147')),
@@ -80,6 +86,24 @@ MODULE_DIGESTS = [
 ]
 
 
+# The same digest of tensor_basis.to_obj() in the symmetric ambient, for
+# the modules with a repeated exterior power (the others' equals the one
+# above).  Each was computed from the tensor basis pinned above, folded by
+# adding each key's coefficient to its key with every run of equal exterior
+# powers sorted.
+SYMMETRIC_TENSOR_DIGESTS = {
+    (2, (2,)): 'c16a331ea375bc5f',
+    (2, (3,)): '8cee3b67af089110',
+    (2, (4,)): 'e4f94c71e40a271a',
+    (2, (5,)): '0d24b718f5e086d2',
+    (2, (6,)): '49bb93c64d8b99ba',
+    (3, (2, 0)): 'cf812ab812932895',
+    (3, (3, 0)): 'f8744c6f5f86aee4',
+    (3, (2, 1)): '889e299427cf55e0',
+    (3, (2, 2)): 'bac0441dcfd2b7e3',
+}
+
+
 def _sha(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -93,21 +117,66 @@ def test_module_bytes_are_pinned(key, digests):
     n, mu = key
     rep = build_irrep(lie.TypeA(n), mu)
     assert (
-        _sha(rep.to_obj()), _sha(rep.tensor_basis.to_obj()), _sha(rep.weights)
+        _sha(rep.to_obj()), _sha(unfolded(rep).to_obj()), _sha(rep.weights)
     ) == digests
+    tensor = SYMMETRIC_TENSOR_DIGESTS.get(key, digests[1])
+    assert _sha(rep.tensor_basis.to_obj()) == tensor
     # the principal grading deg e_i = (h(mu) - h(w_i)) / 2, with e_0 in degree 0
     assert rep.grades == [(h_pairing(mu) - h_pairing(w)) / 2 for w in rep.weights]
     assert rep.grades[0] == 0
 
 
 @pytest.mark.parametrize(
-    "n, mu", [(3, (3, 2)), (4, (1, 1, 1)), (5, (1, 0, 0, 1)), (6, (1, 0, 0, 0, 1))]
+    "n, mu",
+    [(3, (3, 2)), (4, (1, 1, 1)), (5, (1, 0, 0, 1)), (6, (1, 0, 0, 0, 1)), (3, (4, 3)),
+     (3, (8, 0))],
 )
 def test_rho_per_weight_equals_the_whole_ambient_solve(n, mu):
     rep = build_irrep(lie.TypeA(n), mu)
-    oracle = rho_over_the_ambient(rep)
+    oracle = rho_over_the_old_ambient(rep.L, mu)
     assert _sha([m.to_obj() for m in rep.rho]) == _sha([m.to_obj() for m in oracle])
     assert rep.rho == oracle
+
+
+@pytest.mark.parametrize(
+    "n, mu",
+    [key for key, _ in MODULE_DIGESTS if max(key[1]) > 1]
+    + [(3, (3, 2)), (3, (4, 3)), (3, (8, 0))],
+    ids=str,
+)
+def test_tensor_basis_is_the_fold_of_the_old_ambient(n, mu):
+    # the ambient with one unordered factor per unit of mu builds the same
+    # words and weights, and its vectors, with each run of equal exterior
+    # powers sorted and equal keys added, are the new ones
+    rep = build_irrep(lie.TypeA(n), mu)
+    words, weights, vectors, index = old_ambient_module(rep.L, mu)
+    assert (rep.words, rep.weights) == (words, weights)
+    fold = folded(vectors, mu)
+    assert rep.vectors == fold
+    keys = sorted(folded([dict.fromkeys(index, 1)], mu)[0])  # every run-sorted key
+    assert list(rep.index) == keys
+    num = [[vec.get(key, 0) for vec in fold] for key in keys]
+    assert rep.tensor_basis == QMatrix.from_ints(num, 1, rep.dim)
+
+
+# First 16 hex digits of the SHA-256 of the sorted-key JSON of to_obj() of
+# the principal, h + e and reversal transports, computed through the dense
+# Kronecker product of the minor matrices over the ambient with one
+# unordered factor per unit of mu.
+TRANSPORT_DIGESTS = [
+    ((2, (6,)), ('be0def7888918b7c', '0e5e0b2b2328efd6', '537f0a8d7b39d9f5')),
+    ((3, (2, 2)), ('1647de568a4fa7aa', 'b03483d03cb70c4b', '0f3c4b9d4812baa1')),
+    ((3, (3, 2)), ('91280d2ed92b898c', '37d75d344991bf61', '89813e6773136ea1')),
+]
+
+
+@pytest.mark.parametrize("key, digests", TRANSPORT_DIGESTS, ids=str)
+def test_transport_bytes_are_pinned(key, digests):
+    n, mu = key
+    rep = build_irrep(lie.TypeA(n), mu)
+    _, principal = principal_transport(rep)
+    transports = (principal, h_plus_e_transport(rep), reversal_transport(rep))
+    assert tuple(_sha(t.to_obj()) for t in transports) == digests
 
 
 @pytest.mark.parametrize("drop", [7, 4], ids=["lowest", "zero-weight"])
@@ -115,11 +184,11 @@ def test_a_family_not_closed_under_the_action_is_refused(L3, octet, drop):
     # without the lowest-weight vector, the images that land on its weight
     # leave the span of the rest; without one of the two weight-0 vectors,
     # those that land on weight 0 do
-    vectors, index = tensor_vectors(octet)
+    vectors = octet.vectors
     keep = [i for i in range(octet.dim) if i != drop]
     with pytest.raises(ValueError, match="not in span"):
         reps._module(
-            L3, (1, 1), octet.factors, index, [vectors[i] for i in keep],
+            L3, (1, 1), octet.runs, octet.index, [vectors[i] for i in keep],
             [octet.weights[i] for i in keep], [octet.words[i] for i in keep],
         )
 
@@ -243,11 +312,11 @@ def test_a_load_replays_each_word_with_one_lowering(tmp_path, monkeypatch, L3, d
     lowerings = []
     lowering = reps._lowering
 
-    def counted(L):
+    def counted(L, runs):
         def count(act):
             return lambda vec: lowerings.append(vec) or act(vec)
 
-        return [count(act) for act in lowering(L)]
+        return [count(act) for act in lowering(L, runs)]
 
     monkeypatch.setattr(reps, "_lowering", counted)
     assert load_rep(L3, (3, 0), str(tmp_path)) is not None
@@ -335,14 +404,27 @@ def test_corrupted_cache_entry_is_refused(tmp_path, L3, octet, corrupt):
     assert load_rep(L3, (1, 1), str(tmp_path)) is None
 
 
-def test_gl_transport_conjugation(octet, L3):
-    # transporting by an invertible rational matrix realizes conjugation
-    s = QMatrix([[1, 2, 0], [0, 1, 0], [1, 0, 1]])
-    t = octet.gl_transport(s)
+def test_gl_transport_conjugation(octet, decuplet, L3):
+    # transporting by an invertible rational matrix realizes conjugation, on
+    # a tensor product of exterior powers and on a symmetric power
+    s = QMatrix([[1, 2, 0], [0, 1, 0], [rat(1, 3), 0, 1]])
     from bigalg.linalg import invert
 
     s_inv = invert(s)
-    t_inv = invert(t)
-    for i, b in enumerate(L3.basis):
-        conj = s * b * s_inv
-        assert t * octet.rho[i] * t_inv == octet.op(L3.coords_of(conj))
+    for rep in (octet, decuplet):
+        t = rep.gl_transport(s)
+        t_inv = invert(t)
+        for i, b in enumerate(L3.basis):
+            conj = s * b * s_inv
+            assert t * rep.rho[i] * t_inv == rep.op(L3.coords_of(conj))
+
+
+def test_transports_share_one_elimination_of_the_tensor_basis(monkeypatch, L3):
+    calls = []
+    solver = reps.column_solver
+    monkeypatch.setattr(reps, "column_solver", lambda m: calls.append(m) or solver(m))
+    rep = build_irrep(L3, (2, 1))
+    principal_transport(rep)
+    h_plus_e_transport(rep)
+    reversal_transport(rep)
+    assert calls == [rep.tensor_basis]
