@@ -11,9 +11,11 @@ rows, and ``Fraction``s are built only when a caller reads entries
 Products skip zero entries.  Every elimination is one fraction-free
 reduced echelon form: ``Echelon`` keeps primitive integer rows, positive at
 their smallest-index pivots and zero at the other pivots, and ``rank``,
-``kernel``, ``joint_kernel``, ``invert``, ``column_solver`` and
-``solve_columns`` read their answers off the rows an ``Echelon`` holds
-after taking in the integer rows of the matrix.  ``charpoly`` runs
+``kernel``, ``joint_kernel`` and ``column_solver`` read their answers off
+the rows an ``Echelon`` holds after taking in the integer rows of the
+matrix.  ``column_solver`` is the one solve: ``solve_columns`` (and
+``restrict_to_block`` through it) is one call of it, and a caller with many
+targets against one basis keeps the solver it returns.  ``charpoly`` runs
 Faddeev-LeVerrier on the integer matrix.  ``closure`` grows an ``Echelon``
 into the span of seeds under a set of generators.
 
@@ -454,50 +456,32 @@ def same_span(a, b):
     return r == rank(b) == rank(a.hstack(b))
 
 
-def _over_pivots(rows, pivots, start, nrows, cols):
-    """The QMatrix whose row i is rows[i][start:] / rows[i][pivots[i]].
-
-    Zero rows pad it to nrows rows of width cols.
-    """
-    divs = [row[p] for row, p in zip(rows, pivots)]
-    den = lcm(*divs)
-    num = [[x * (den // d) for x in row[start:]] for row, d in zip(rows, divs)]
-    num.extend([0] * cols for _ in range(len(divs), nrows))
-    return _reduced(num, den, cols)
-
-
-def invert(m):
-    if m.rows != m.cols:
-        raise ValueError("inverse of non-square matrix")
-    n = m.rows
-    rows, pivots = _reduced_echelon(m.hstack(QMatrix.identity(n)).num)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("singular matrix")
-    return _over_pivots(rows, pivots, n, n, n)
-
-
 def column_solver(basis):
     """The map target -> X with basis * X == target, for a basis of
     independent columns; one elimination serves every target.
 
-    The reduced echelon form of basis^T, each row followed by the unit row
-    that records it, is read off at its pivots: row r is e_r * basis^T, with
-    the entry d_r at the r-th pivot and zero at the others.  So basis is
-    invertible at the pivot rows, with the inverse whose columns are
-    e_r / d_r, and X is that inverse times target at those rows.  basis * X
-    then equals target at the pivot rows, and at the other rows iff target
-    lies in the span; the map raises ValueError when it does not.
+    The reduced echelon form of the integer rows of basis^T, each followed
+    by the unit row that records it, is read off at its pivots: row r is
+    u_r * basis^T followed by u_r, with the entry d_r at the r-th pivot and
+    zero at the others.  So basis is invertible at the pivot rows, with the
+    inverse whose column r is basis.den * u_r / d_r, and X is that inverse
+    times target at those rows.  basis * X then equals target at the pivot
+    rows, and at the other rows iff target lies in the span; the map raises
+    ValueError when it does not, and column_solver when the columns are
+    dependent.
     """
     n, k = basis.rows, basis.cols
     unit = [0] * k
     rows, pivots = _reduced_echelon(
-        [*col, *unit[:i], 1, *unit[i + 1:]] for i, col in enumerate(zip(*basis.num))
+        [*col, *unit[:i], 1, *unit[i + 1:]] for i, col in enumerate(basis.transpose().num)
     )
     if pivots and pivots[-1] >= n:
         raise ValueError("basis columns are dependent")
-    inverse = _over_pivots(rows, pivots, n, k, k).transpose()
-    if basis.den != 1:
-        inverse = basis.den * inverse
+    den = lcm(*(row[p] for row, p in zip(rows, pivots)))
+    scales = [basis.den * (den // row[p]) for row, p in zip(rows, pivots)]
+    inverse = _reduced(
+        [[s * row[n + i] for row, s in zip(rows, scales)] for i in range(k)], den, k
+    )
     rest = sorted(set(range(n)) - set(pivots))
     below = _reduced([basis.num[i] for i in rest], basis.den, k)
 
@@ -506,7 +490,9 @@ def column_solver(basis):
         # the product normalizes what it returns, so the pivot rows of target
         # enter it as they are
         x = inverse * QMatrix._of([num[p] for p in pivots], den, cols)
-        if below * x != _reduced([num[i] for i in rest], den, cols):
+        # exact at the pivot rows by construction; without other rows
+        # there is nothing left to check
+        if rest and below * x != _reduced([num[i] for i in rest], den, cols):
             raise ValueError("target not in span of basis")
         return x
 
@@ -514,20 +500,13 @@ def column_solver(basis):
 
 
 def solve_columns(basis, target):
-    """Solve basis * X = target for a full-column-rank basis, exactly.
+    """Solve basis * X = target for a full-column-rank basis, exactly: one
+    ``column_solver`` of the basis, applied once.
 
-    Raises ValueError when some target column leaves the span.
+    Raises ValueError when the basis columns are dependent or some target
+    column leaves their span.
     """
-    k = basis.cols
-    rows, pivots = _reduced_echelon(basis.hstack(target).num)
-    if len(pivots) > k or any(p >= k for p in pivots):
-        raise ValueError("target not in span of basis")
-    if len(pivots) < k:
-        raise ValueError("basis columns are dependent")
-    x = _over_pivots(rows, pivots, k, k, target.cols)
-    if basis * x != target:
-        raise ValueError("inconsistent solve")
-    return x
+    return column_solver(basis)(target)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ from .bigalgebra import rational_diagonalizer
 from .linalg import (
     QMatrix,
     closure,
+    column_solver,
     flat_columns,
     independent_columns,
     kernel,
     rank,
-    restrict_to_block,
     same_span,
     solve_columns,
 )
@@ -226,10 +226,11 @@ def multiplicity_algebra(rep, gens, lam):
     # the limit span is h-stable, so it admits an h-homogeneous basis
     limit = _h_stabilize_limit(rep, e_limit(rep, lam))
     ops_e = generators_at_e(rep, gens)
+    solve = column_solver(limit)
     restricted = []
     for op, mat in zip(gens, ops_e):
         try:
-            restricted.append((op.label, restrict_to_block(mat, limit)))
+            restricted.append((op.label, solve(mat * limit)))
         except ValueError:
             raise RuntimeError(
                 "limit space is not invariant under %s (bug)" % op.label
@@ -309,11 +310,12 @@ def quotient_chain_check(rep, gens, lam):
     contained = rank(l_min.hstack(l_lam)) == rank(l_min)
     ok_factor = True
     if contained and l_lam.cols:
-        inclusion = solve_columns(l_min, l_lam)
+        on_min, on_lam = column_solver(l_min), column_solver(l_lam)
+        inclusion = on_min(l_lam)
         ops_e = generators_at_e(rep, gens)
         for mat in ops_e:
-            big = restrict_to_block(mat, l_min)
-            small = restrict_to_block(mat, l_lam)
+            big = on_min(mat * l_min)
+            small = on_lam(mat * l_lam)
             if big * inclusion != inclusion * small:
                 ok_factor = False
                 break

@@ -501,7 +501,8 @@ def load_rep(L, mu, cache_dir):
         or len(words) != dim
         or len(rho) != L.dim
         or any((r.rows, r.cols) != (dim, dim) for r in rho)
-        or any(li not in range(1, n) for word in words for li in word)
+        # True and 1.0 pass a range test, so a letter must be an int
+        or any(type(li) is not int or not 0 < li < n for word in words for li in word)
     ):
         return None
     runs, index, hw = _ambient(n, mu)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .bigalgebra import ideal_span, weighted_monomials
 from .multipoly import MultiPoly, VarSet
-from .linalg import QMatrix, flat_columns, invert, restrict_to_block
+from .linalg import QMatrix, flat_columns, restrict_to_block
 from .polymatrix import sum_of_products
 
 
@@ -89,28 +89,30 @@ def _sigma_substitution(L, sg):
     return mapping
 
 
-def sigma_on_element(L, mat, s, s_inv, sg):
-    """(sigma F)(x) = S F(sigma x) S^{-1} for F = mat over L.x_ring.
+def sigma_on_element(L, mat, s, sg):
+    """S F(sigma x) for F = mat over L.x_ring, which is (sigma F)(x) S.
 
-    s is the intertwiner of the module, s_inv its inverse and sg the
-    coordinate map of sigma.
+    (sigma F)(x) = S F(sigma x) S^{-1}; s is the intertwiner of the module
+    and sg the coordinate map of sigma.
     """
     composed = mat.subs(L.x_ring, _sigma_substitution(L, sg))
-    conjugated = sum_of_products(L.x_ring, s.rows, composed.cols, [(1, s, composed)])
-    return conjugated * s_inv
+    return sum_of_products(L.x_ring, s.rows, composed.cols, [(1, s, composed)])
 
 
 def sigma_eigenvalues(rep, gens):
-    """sigma acts on each calibrated generator by a sign; report them."""
+    """sigma acts on each calibrated generator by a sign; report them.
+
+    sigma F = +-F iff S F(sigma x) = +-F S, so S is never inverted.
+    """
     s = intertwiner(rep)
-    s_inv = invert(s)
     sg = sigma_coord_matrix(rep.L)
     out = {}
     for op in gens:
-        image = sigma_on_element(rep.L, op.kirillov, s, s_inv, sg)
-        if image == op.kirillov:
+        image = sigma_on_element(rep.L, op.kirillov, s, sg)
+        fixed = op.kirillov * s
+        if image == fixed:
             out[op.label] = 1
-        elif image == -op.kirillov:
+        elif image == -fixed:
             out[op.label] = -1
         else:
             out[op.label] = None

@@ -10,8 +10,10 @@ identities, the common total degree of polynomial entries, rho of the
 Killing-dual basis as dense matrices, formal derivatives term by term, the
 q-partition function by explicit enumeration, weight spaces by joint
 eigenspace decomposition, the freeness report with the span closure run
-at every point, the companion matrix entry by entry, sl_n's inverse
-Cartan matrix by elimination, with the root coordinates, diagonal
+at every point, the companion matrix entry by entry, the reduced row
+echelon form by textbook Gauss-Jordan over Fractions and the inverse of a
+square matrix read off it, sl_n's inverse Cartan matrix through that
+inverse, with the root coordinates, diagonal
 coordinates and pairings of weights read through it, and a module built
 in the tensor product of exterior powers with one factor per unit of mu
 (the ambient before symmetrization), with its vectors folded into the
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, prod
 from operator import mul
@@ -33,7 +36,6 @@ from bigalg.linalg import (
     QMatrix,
     charpoly,
     closure,
-    invert,
     is_squarefree,
     joint_invariant_decomposition,
     solve_columns,
@@ -41,6 +43,41 @@ from bigalg.linalg import (
 from bigalg.multipoly import ZERO, MultiPoly, VarSet, rat
 from bigalg.polymatrix import PolyMatrix
 from bigalg.qpoly import QPoly
+
+
+def ref_rref(rows):
+    """Textbook Gauss-Jordan over Fractions: (reduced rows, pivot columns)."""
+    a = [[Fraction(int(x.numerator), int(x.denominator)) for x in row] for row in rows]
+    r = 0
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def inverse(m):
+    """The inverse of a square QMatrix, read off ref_rref of [m | I].
+
+    ValueError when m is not square or is singular.
+    """
+    n = m.rows
+    if m.cols != n:
+        raise ValueError("inverse of non-square matrix")
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    red, pivots = ref_rref([row + e for row, e in zip(m.a, ident)])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return QMatrix([row[n:] for row in red])
 
 
 def upoly_eval(p, x):
@@ -322,7 +359,7 @@ def medium_operator(rep, k):
     ck = L.invariant_ck(k)
     partials = [diff(ck, "x%d" % j) for j in range(L.dim)]
     # g = T^{-1} * partials with T the trace-form Gram matrix
-    trace_inv = invert(trace_form(L))
+    trace_inv = inverse(trace_form(L))
     mat = PolyMatrix.zeros(L.x_ring, rep.dim, rep.dim)
     for i, row in enumerate(trace_inv.a):
         gi = MultiPoly.zero(L.x_ring)
@@ -396,7 +433,7 @@ def homogeneity_check(mat, degree, fresh_scale=7):
 def cartan_inv(n):
     """The inverse of sl_n's tridiagonal Cartan matrix, by elimination."""
     r = n - 1
-    return invert(
+    return inverse(
         QMatrix([[2 if i == j else -int(abs(i - j) == 1) for j in range(r)] for i in range(r)])
     )
 

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from bigalg.kirillov import derivation_chain, wei_D
-from bigalg.linalg import QMatrix, invert
+from bigalg.linalg import QMatrix
 from bigalg.multipoly import MultiPoly, rat
 from bigalg.polymatrix import PolyMatrix, sum_of_products
 from bigalg.reps import build_irrep
@@ -16,6 +16,7 @@ from oracles import (
     equivariance_check,
     evaluate,
     homogeneity_check,
+    inverse,
     is_homogeneous,
     mat_diff,
     medium_operator,
@@ -161,7 +162,7 @@ def wei_D_in_basis(rep, mat, t):
                 m = m + rep.rho[i] * t.a[i][j]
         new_rho.append(m)
     kappa = t.transpose() * (trace_form(L) * (2 * L.n)) * t
-    kappa_inv = invert(kappa)
+    kappa_inv = inverse(kappa)
     duals = []
     for j in range(L.dim):
         m = QMatrix.zeros(rep.dim, rep.dim)
@@ -191,7 +192,7 @@ def test_wei_d_basis_independence(n, L2, L3):
             [[rng.randint(-2, 2) for _ in range(L.dim)] for _ in range(L.dim)]
         )
         try:
-            invert(t)
+            inverse(t)
             break
         except ValueError:
             continue

@@ -17,6 +17,7 @@ from oracles import (
     column,
     folded,
     h_pairing,
+    inverse,
     old_ambient_module,
     rho_over_the_old_ambient,
     structure_constants,
@@ -340,6 +341,16 @@ def _bad_letter(obj):
     obj["basis_words"][1] = [3]
 
 
+def _bool_letter(obj):
+    # True == 1 and lies in range(1, n), but is no lowering index
+    assert obj["basis_words"][1] == [1]
+    obj["basis_words"][1] = [True]
+
+
+def _float_letter(obj):
+    obj["basis_words"][1] = [1.0]
+
+
 def _zero_words(obj):
     # every word lowers past the end of its root string: all vectors vanish
     obj["basis_words"] = [[1] * 5 for _ in obj["basis_words"]]
@@ -384,7 +395,7 @@ def _orphan_word(obj):
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_set_rho_entry, _swap_words, _drop_word, _bad_letter, _zero_words,
+    [_set_rho_entry, _swap_words, _drop_word, _bad_letter, _bool_letter, _float_letter, _zero_words,
      _empty, _other_mu, _short_rho, _ragged_rho, _zero_denominator, _infinite_entry,
      _long_word, _orphan_word, None],
     ids=lambda f: "truncated" if f is None else f.__name__.lstrip("_"),
@@ -408,12 +419,10 @@ def test_gl_transport_conjugation(octet, decuplet, L3):
     # transporting by an invertible rational matrix realizes conjugation, on
     # a tensor product of exterior powers and on a symmetric power
     s = QMatrix([[1, 2, 0], [0, 1, 0], [rat(1, 3), 0, 1]])
-    from bigalg.linalg import invert
-
-    s_inv = invert(s)
+    s_inv = inverse(s)
     for rep in (octet, decuplet):
         t = rep.gl_transport(s)
-        t_inv = invert(t)
+        t_inv = inverse(t)
         for i, b in enumerate(L3.basis):
             conj = s * b * s_inv
             assert t * rep.rho[i] * t_inv == rep.op(L3.coords_of(conj))

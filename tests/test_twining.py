@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from bigalg.acceptance import (
@@ -6,7 +8,7 @@ from bigalg.acceptance import (
     sl2_rank1_relation,
 )
 from bigalg.bigalgebra import BigGenerators, relation_ring
-from bigalg.linalg import QMatrix, invert
+from bigalg.linalg import QMatrix
 from bigalg.multipoly import MultiPoly, VarSet, rat
 from bigalg.reps import build_irrep
 from bigalg.twining import (
@@ -20,7 +22,7 @@ from bigalg.twining import (
     sigma_on_invariants,
     sigma_on_matrix,
 )
-from oracles import bracket_coords, column
+from oracles import bracket_coords, column, inverse
 
 
 def test_sigma_fixes_principal_triple(L3):
@@ -64,13 +66,35 @@ def test_sigma_eigenvalues_on_generators(octet, octet_gens):
     assert eigs == {"M1": 1, "M2": -1, "N1": -1}
 
 
+@pytest.mark.parametrize(
+    "n, mu, signs",
+    [
+        (3, (2, 2), {"M1": 1, "M2": -1, "N1": -1}),
+        (4, (1, 1, 1), {"M1": 1, "M2": -1, "M3": 1, "B2_1": -1, "B2_2": 1, "B3_1": 1}),
+    ],
+)
+def test_sigma_eigenvalues_past_the_octet(n, mu, signs, L3, L4):
+    rep = build_irrep(L3 if n == 3 else L4, mu)
+    assert sigma_eigenvalues(rep, BigGenerators(rep).ops) == signs
+
+
+def test_sigma_eigenvalues_report_none_off_both_signs(octet, octet_gens):
+    # sigma fixes M1 and negates M2, so M1 + M2 goes to M1 - M2
+    m1, m2 = (octet_gens.by_label[x].kirillov for x in ("M1", "M2"))
+    mixed = SimpleNamespace(label="M1+M2", kirillov=m1 + m2)
+    assert sigma_eigenvalues(octet, [mixed]) == {"M1+M2": None}
+    s = intertwiner(octet)
+    image = sigma_on_element(octet.L, mixed.kirillov, s, sigma_coord_matrix(octet.L))
+    assert image * inverse(s) == m1 - m2
+
+
 def test_sigma_squares_to_identity_on_generators(octet, octet_gens):
     s = intertwiner(octet)
-    s_inv = invert(s)
+    s_inv = inverse(s)
     sg = sigma_coord_matrix(octet.L)
     for op in octet_gens.ops:
-        once = sigma_on_element(octet.L, op.kirillov, s, s_inv, sg)
-        assert sigma_on_element(octet.L, once, s, s_inv, sg) == op.kirillov
+        once = sigma_on_element(octet.L, op.kirillov, s, sg) * s_inv
+        assert sigma_on_element(octet.L, once, s, sg) * s_inv == op.kirillov
 
 
 def test_sigma_on_invariants_parity(L3, L4):
