@@ -3,7 +3,7 @@
 A ``QMatrix`` stores integer rows ``num`` over one positive denominator
 ``den``, normalized so that gcd(den, every entry) == 1 (the zero matrix has
 den 1); equal matrices have equal storage.  Rationals become integers only
-where a matrix is built from them: the constructor and ``from_obj``.
+where a matrix is built from them, in the constructor.
 Arithmetic, ``hstack`` and every elimination read and write the integer
 rows, and ``Fraction``s are built only when a caller reads entries
 (``m[i, j]``, ``to_obj``, ``str`` and the read-only ``a``).
@@ -264,16 +264,6 @@ class QMatrix:
 
     def to_obj(self):
         return [[str(x) for x in row] for row in self.a]
-
-    @classmethod
-    def from_obj(cls, obj):
-        # serialized matrices repeat few distinct entries ("0" above all):
-        # parse each one once, in first-seen order so errors name the first
-        parsed = {x: rat(x) for x in dict.fromkeys(chain.from_iterable(obj))}
-        den = lcm(*{q.denominator for q in parsed.values()})
-        ints = {x: q.numerator * (den // q.denominator) for x, q in parsed.items()}
-        num = [[ints[x] for x in row] for row in obj]
-        return cls._of(num, den, _width(num))
 
 
 # ---------------------------------------------------------------------------

@@ -123,15 +123,15 @@ def brylinski_filtration(rep, lam, torus="standard"):
     total = basis.cols
     dims = []
     subspaces = []
-    power = e_mat
+    image = e_mat * basis  # e^(p+1) applied to the weight space
     p = 0
     prev_dim = 0
     while prev_dim < total:
-        sub = basis * kernel(power * basis)
+        sub = basis * kernel(image)
         dims.append(sub.cols)
         subspaces.append(sub)
         prev_dim = sub.cols
-        power = power * e_mat
+        image = e_mat * image
         p += 1
         if p > rep.dim + 1:
             raise RuntimeError("filtration failed to stabilize")
@@ -151,10 +151,10 @@ def e_limit_filtration(rep, lam):
     """sum_p e^p F_p for the torus centralizing h + e."""
     images, *rest = brylinski_filtration(rep, lam, torus="h_plus_e")["subspaces"]
     e_mat = rep.rho_e
-    power = QMatrix.identity(rep.dim)
-    for sub in rest:
-        power = power * e_mat
-        images = images.hstack(power * sub)
+    for p, sub in enumerate(rest, 1):
+        for _ in range(p):
+            sub = e_mat * sub
+        images = images.hstack(sub)
     return independent_columns(images)
 
 

@@ -32,7 +32,7 @@ from .linalg import (
 )
 from . import lie
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 DIM_BOUND = 400  # largest module dimension built
 
 
@@ -213,7 +213,8 @@ def _solve_rho(images, vectors, weights):
 
     An image of a weight vector lies in a single weight space w, so it is
     solved against the vectors of weight w alone, restricted to the tensor
-    keys they use.  Raises ValueError when an image leaves their span.
+    keys they use.  Raises ValueError when the vectors of a weight are
+    dependent or an image leaves their span.
     """
     spaces = {}  # weight -> (its vector indices, the (b, j) of its images)
     home = {}  # tensor key -> the weight of the vectors that use it
@@ -245,23 +246,6 @@ def _solve_rho(images, vectors, weights):
             for (b, j), y in zip(targets, row):
                 nums[b][i][j] = f * y
     return [QMatrix.from_ints(num, den, dim) for num in nums]
-
-
-def _carries(r, images, vectors):
-    """True iff sum_i r[i][j] vectors[i] == images[j] for every j.
-
-    Both sides are compared as integer vectors, scaled by r.den.
-    """
-    for col, target in zip(zip(*r.num), images):
-        image = {}
-        for c, v in zip(compress(col, col), compress(vectors, col)):
-            for key, y in v.items():
-                image[key] = image.get(key, 0) + c * y
-        if {k: c for k, c in image.items() if c} != {
-            k: r.den * c for k, c in target.items()
-        }:
-            return False
-    return True
 
 
 class Representation:
@@ -356,7 +340,6 @@ class Representation:
             "mu": list(self.mu),
             "dim": self.dim,
             "basis_words": [list(w) for w in self.words],
-            "rho": [m.to_obj() for m in self.rho],
         }
 
 
@@ -385,18 +368,15 @@ def _lowering(L, runs):
     return [_action(L.basis[i], runs) for i in L.lowering_index]
 
 
-def _module(L, mu, runs, index, vectors, weights, words, rho=None):
-    """The Representation on the span of the sparse tensor vectors.
+def _module(L, mu, runs, index, vectors, weights, words):
+    """The Representation on the span of the sparse tensor vectors, each
+    rho(X_b) solved from the images X_b . vectors.
 
-    Without rho, each rho(X_b) is solved from the images X_b . vectors.  A
-    given rho is checked against those images instead, and None is returned
-    when one of them does not match.
+    Raises ValueError when the vectors are dependent or an image leaves
+    their span.
     """
-    images = (list(map(_action(x, runs), vectors)) for x in L.basis)
-    if rho is None:
-        rho = _solve_rho(list(images), vectors, weights)
-    elif not all(_carries(r, im, vectors) for r, im in zip(rho, images)):
-        return None
+    images = [list(map(_action(x, runs), vectors)) for x in L.basis]
+    rho = _solve_rho(images, vectors, weights)
     return Representation(L, mu, len(vectors), rho, weights, words, vectors, index, runs)
 
 
@@ -474,12 +454,14 @@ def save_rep(rep, cache_dir):
 def load_rep(L, mu, cache_dir):
     """Read a cached module; None when the entry is missing or corrupted.
 
-    The tensor vectors are replayed from the stored lowering words, each word
-    extending the longest of its prefixes replayed before it, and each stored
-    rho(X_b) must carry them to the tensor action X_b . vectors.  Their
-    span is then a nonzero submodule of V^mu, hence all of it, so an entry
-    with Weyl-dimension many nonzero vectors that passes is a basis of V^mu
-    with its exact matrices.
+    An entry holds the lowering words of the basis in the order a build
+    finds them: the first is (), and each later word is an earlier word
+    plus one letter, with the pairs (position of that word, letter)
+    strictly increasing.  Each word is replayed from that earlier word with
+    one lowering, and rho is solved from the vectors as a build solves it,
+    which raises when they are dependent or an image leaves their span.
+    Their span is then a nonzero submodule of V^mu, hence all of it, so an
+    entry of Weyl-dimension many words that passes is a basis of V^mu.
     """
     n = L.n
     mu = tuple(mu)
@@ -489,39 +471,44 @@ def load_rep(L, mu, cache_dir):
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        words = [tuple(w) for w in obj["basis_words"]]
-        rho = [QMatrix.from_obj(o) for o in obj["rho"]]
-        header = (obj["version"], obj["n"], obj["mu"], obj["dim"])
-    except (ValueError, KeyError, TypeError, ZeroDivisionError, OverflowError):
-        # OverflowError: an entry Infinity; ZeroDivisionError: an entry "p/0"
+        words = [tuple(w) for w in obj.pop("basis_words")]
+    except (ValueError, KeyError, TypeError, AttributeError):
+        # AttributeError: a JSON value other than an object
         return None
     dim = lie.weyl_dim(mu)
     if (
-        header != (CACHE_VERSION, n, list(mu), dim)
+        # the header is all that is left: an entry of another version, or
+        # with a field beside the words, is refused
+        obj != {"version": CACHE_VERSION, "n": n, "mu": list(mu), "dim": dim}
         or len(words) != dim
-        or len(rho) != L.dim
-        or any((r.rows, r.cols) != (dim, dim) for r in rho)
+        or words[0] != ()
         # True and 1.0 pass a range test, so a letter must be an int
         or any(type(li) is not int or not 0 < li < n for word in words for li in word)
     ):
         return None
     runs, index, hw = _ambient(n, mu)
     lowering = _lowering(L, runs)
-    replayed = {(): (hw, mu)}  # word -> (vector, weight)
-    for word in words:
-        k = 0
-        while k < len(word) and word[: k + 1] in replayed:
-            k += 1
-        v, w = replayed[word[:k]]
-        for li in word[k:]:
-            v = lowering[li - 1](v)
-            w = tuple(a - b for a, b in zip(w, lie.simple_root(n, li)))
-            if not v:
-                return None
-        replayed[word] = (v, w)
-    vectors = [replayed[word][0] for word in words]
-    weights = [replayed[word][1] for word in words]
-    return _module(L, mu, runs, index, vectors, weights, words, rho)
+    vectors, weights = [hw], [mu]
+    position = {(): 0}  # word -> its position
+    last = (0, 0)
+    for word in words[1:]:
+        if not word or word[:-1] not in position:
+            return None
+        step = (position[word[:-1]], word[-1])
+        if step <= last:
+            return None
+        last = step
+        i, li = step
+        v = lowering[li - 1](vectors[i])
+        if not v:
+            return None
+        position[word] = len(vectors)
+        vectors.append(v)
+        weights.append(tuple(a - b for a, b in zip(weights[i], lie.simple_root(n, li))))
+    try:
+        return _module(L, mu, runs, index, vectors, weights, words)
+    except ValueError:
+        return None
 
 
 def get_rep(L, mu, cache_dir=None):

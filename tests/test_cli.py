@@ -214,7 +214,8 @@ def test_corrupted_cache_entry_is_rebuilt(tmp_path):
     path = tmp_path / name
     good = path.read_text()
     obj = json.loads(good)
-    obj["rho"][0][0][0] = "7"
+    words = obj["basis_words"]
+    words[1], words[2] = words[2], words[1]
     path.write_text(json.dumps(obj, sort_keys=True))
     assert run(*argv).stdout == first
     assert path.read_text() == good
@@ -222,14 +223,15 @@ def test_corrupted_cache_entry_is_rebuilt(tmp_path):
 
 @pytest.mark.parametrize("bad", ["1/0", float("inf")], ids=["zero_denominator", "infinity"])
 def test_unparsable_cache_entry_is_rebuilt(tmp_path, bad):
-    # an entry whose numbers do not parse is refused and written anew
+    # an entry with a letter that is no integer, the string "1/0" or the JSON
+    # extension Infinity, is refused and written anew
     argv = ["rep", "--n", "2", "--mu", "2", "--cache", str(tmp_path)]
     first = run(*argv).stdout
     (name,) = os.listdir(tmp_path)
     path = tmp_path / name
     good = path.read_text()
     obj = json.loads(good)
-    obj["rho"][0][0][0] = bad
+    obj["basis_words"][1][0] = bad
     path.write_text(json.dumps(obj, sort_keys=True))
     assert run(*argv).stdout == first
     assert path.read_text() == good

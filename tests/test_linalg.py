@@ -584,7 +584,6 @@ def _storage_cases(data, n, k, m):
     den = data.draw(st.integers(1, 30))
     cases = [
         ("QMatrix", qa, a, k),
-        ("from_obj", QMatrix.from_obj([[str(x) for x in r] for r in a]) if a else qa, a, k),
         ("from_ints", QMatrix.from_ints([[x.numerator * den for x in r] for r in c], den, m),
          [[Fraction(x.numerator) for x in r] for r in c], m),
         ("zeros", QMatrix.zeros(n, k), [[Fraction(0)] * k for _ in range(n)], k),
@@ -648,8 +647,6 @@ def test_from_ints_rejects_bad_input():
         QMatrix.from_ints([[1]], 0)
     with pytest.raises(ValueError):
         QMatrix([[1, 2], [3]])
-    with pytest.raises(ValueError):
-        QMatrix.from_obj([["1", "2"], ["3"]])
     assert QMatrix.from_ints([[2, 4]], 6) == QMatrix([[rat(1, 3), rat(2, 3)]])
     assert QMatrix.from_ints([], 1, 3) == QMatrix.zeros(0, 3)
 

@@ -204,7 +204,7 @@ def test_multiplicity_algebra_octet(octet, octet_gens):
 def test_algebra_structure_table_octet(octet, octet_gens):
     ma = multiplicity_algebra(octet, octet_gens.ops, (0, 0))
     st = algebra_structure_table(ma["restricted"], ma["dim"])
-    basis = [QMatrix.from_obj(b) for b in st["basis"]]
+    basis = [QMatrix(b) for b in st["basis"]]
     assert len(basis) == ma["algebra_span_dim"] == 2
     assert basis[0] == QMatrix.identity(ma["dim"])
     for i, a in enumerate(basis):

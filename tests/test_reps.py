@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 from itertools import combinations
 
 import pytest
@@ -60,8 +61,9 @@ def test_bracket_fidelity(octet, L2, L3, L4):
             assert lhs == rep.op(column(c[i][j])), (rep.mu, i, j)
 
 
-# First 16 hex digits of the SHA-256 of the sorted-key JSON of to_obj(),
-# of the tensor basis and of the weights.  They were computed by an
+# First 16 hex digits of the SHA-256 of the sorted-key JSON of the record
+# `_words_and_rho` (the cache entry of version 1, which kept each rho(X_b)
+# beside the words), of the tensor basis and of the weights.  They were computed by an
 # independent construction (dense Kronecker sums of wedge matrices, with the
 # highest-weight vector found as a kernel), so they pin the exact bytes.
 # That construction's ambient has one unordered factor Lambda^k per unit of
@@ -109,6 +111,17 @@ def _sha(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
 
 
+def _words_and_rho(rep):
+    return {
+        "version": 1,
+        "n": rep.L.n,
+        "mu": list(rep.mu),
+        "dim": rep.dim,
+        "basis_words": [list(w) for w in rep.words],
+        "rho": [m.to_obj() for m in rep.rho],
+    }
+
+
 def test_module_digests_cover_the_battery():
     assert set(BATTERY) <= {key for key, _ in MODULE_DIGESTS}
 
@@ -118,7 +131,7 @@ def test_module_bytes_are_pinned(key, digests):
     n, mu = key
     rep = build_irrep(lie.TypeA(n), mu)
     assert (
-        _sha(rep.to_obj()), _sha(unfolded(rep).to_obj()), _sha(rep.weights)
+        _sha(_words_and_rho(rep)), _sha(unfolded(rep).to_obj()), _sha(rep.weights)
     ) == digests
     tensor = SYMMETRIC_TENSOR_DIGESTS.get(key, digests[1])
     assert _sha(rep.tensor_basis.to_obj()) == tensor
@@ -205,6 +218,16 @@ def test_an_image_off_the_keys_of_its_weight_is_refused(other):
         reps._solve_rho(images, vectors, weights)
 
 
+def test_dependent_vectors_are_refused(L3, octet):
+    # a second copy of a weight-0 vector, scaled, beside the whole basis
+    extra = {key: 2 * c for key, c in octet.vectors[4].items()}
+    with pytest.raises(ValueError, match="dependent"):
+        reps._module(
+            L3, (1, 1), octet.runs, octet.index, octet.vectors + [extra],
+            octet.weights + [(0, 0)], octet.words + [(2, 1)],
+        )
+
+
 def test_weyl_dimension_agreement(L3):
     for mu in [(1, 0), (2, 0), (1, 1), (2, 1)]:
         assert build_irrep(L3, mu).dim == lie.weyl_dim(mu)
@@ -287,7 +310,12 @@ def test_weight_basis_is_identity_columns(octet):
 
 
 def test_cache_round_trip(tmp_path, L3, octet):
-    save_rep(octet, str(tmp_path))
+    path = save_rep(octet, str(tmp_path))
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh) == {
+            "version": 2, "n": 3, "mu": [1, 1], "dim": 8,
+            "basis_words": [list(w) for w in octet.words],
+        }
     back = load_rep(L3, (1, 1), str(tmp_path))
     assert back is not None
     assert back.dim == octet.dim
@@ -296,6 +324,17 @@ def test_cache_round_trip(tmp_path, L3, octet):
     for a, b in zip(back.rho, octet.rho):
         assert a == b
     assert back.tensor_basis == octet.tensor_basis
+
+
+def test_a_stale_version_1_entry_is_ignored(tmp_path, L3, octet):
+    stale = tmp_path / "sl3_mu1-1_v1.json"
+    text = json.dumps(_words_and_rho(octet), sort_keys=True)
+    stale.write_text(text)
+    assert load_rep(L3, (1, 1), str(tmp_path)) is None
+    rep = reps.get_rep(L3, (1, 1), str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == ["sl3_mu1-1_v1.json", "sl3_mu1-1_v2.json"]
+    assert stale.read_text() == text
+    assert rep.rho == octet.rho
 
 
 def test_a_loaded_module_starts_with_an_empty_memo(tmp_path, L3, octet):
@@ -324,10 +363,6 @@ def test_a_load_replays_each_word_with_one_lowering(tmp_path, monkeypatch, L3, d
     assert len(lowerings) == decuplet.dim - 1
 
 
-def _set_rho_entry(obj):
-    obj["rho"][0][0][0] = "7"
-
-
 def _swap_words(obj):
     words = obj["basis_words"]
     words[1], words[2] = words[2], words[1]
@@ -352,33 +387,45 @@ def _float_letter(obj):
 
 
 def _zero_words(obj):
-    # every word lowers past the end of its root string: all vectors vanish
-    obj["basis_words"] = [[1] * 5 for _ in obj["basis_words"]]
+    # words in build order that lower past the end of the alpha_1 string of
+    # the highest weight: the vector of (1, 1) vanishes
+    obj["basis_words"] = [[1] * k for k in range(len(obj["basis_words"]))]
+
+
+def _first_word(obj):
+    # the highest-weight vector is the one replayed for the first word, so
+    # any word but () would label it wrongly
+    obj["basis_words"][0] = [2]
+
+
+def _duplicate_word(obj):
+    obj["basis_words"][4] = obj["basis_words"][3]
+
+
+def _dependent_words(obj):
+    # (2, 1, 1) extends (2, 1) in build order and lands on the weight
+    # (-2, 1) of (1, 2, 1), a line: the two vectors are dependent, the
+    # weight (1, -2) is left without one, and the solve refuses the images
+    # that land there
+    assert obj["basis_words"][5:7] == [[1, 2, 1], [1, 2, 2]]
+    obj["basis_words"][6] = [2, 1, 1]
+
+
+def _version_1(obj):
+    obj["version"] = 1
+
+
+def _rho_key(obj):
+    # the field that version 1 kept beside the words
+    obj["rho"] = [m.to_obj() for m in build_irrep(lie.TypeA(3), (1, 1)).rho]
 
 
 def _empty(obj):
-    obj.update(dim=0, basis_words=[], rho=[[] for _ in obj["rho"]])
+    obj.update(dim=0, basis_words=[])
 
 
 def _other_mu(obj):
     obj["mu"] = [2, 1]
-
-
-def _short_rho(obj):
-    obj["rho"].pop()
-
-
-def _ragged_rho(obj):
-    obj["rho"][3][2].pop()
-
-
-def _zero_denominator(obj):
-    obj["rho"][0][0][0] = "1/0"
-
-
-def _infinite_entry(obj):
-    # written out as the JSON extension Infinity
-    obj["rho"][0][0][0] = float("inf")
 
 
 def _long_word(obj):
@@ -386,17 +433,17 @@ def _long_word(obj):
 
 
 def _orphan_word(obj):
-    # (2, 1, 1) is not stored, so the replay extends (2, 1); the word lands
-    # on twice the lowest-weight vector (1, 2, 1, 2) that it replaces, which
-    # the stored rho does not carry
+    # (2, 1, 1) is not stored, so the word extends no earlier word by one
+    # letter, although it lands on twice the lowest-weight vector of the
+    # word (1, 2, 1, 2) that it replaces
     assert obj["basis_words"][-1] == [1, 2, 1, 2]
     obj["basis_words"][-1] = [2, 1, 1, 2]
 
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_set_rho_entry, _swap_words, _drop_word, _bad_letter, _bool_letter, _float_letter, _zero_words,
-     _empty, _other_mu, _short_rho, _ragged_rho, _zero_denominator, _infinite_entry,
+    [_swap_words, _drop_word, _bad_letter, _bool_letter, _float_letter, _zero_words,
+     _first_word, _duplicate_word, _dependent_words, _empty, _other_mu, _version_1, _rho_key,
      _long_word, _orphan_word, None],
     ids=lambda f: "truncated" if f is None else f.__name__.lstrip("_"),
 )
