@@ -124,12 +124,31 @@ class BigGenerators:
         generator satisfies M2 = -(1/3)*M1*N1 (checked downstream).  Returns
         None when the quadratic does not close; the operator then keeps
         scalar one.
+
+        The quadratic is first refuted at one point, before any product of
+        polynomial matrices: with G = g_mat and c = (c2, c3) = (2, 3), no
+        rational r may give r * G(c)^2 e_0 == -(3*M1(c)^2 + 12*c2) e_0.  This
+        is sound.  If r * G^2 equals the target as polynomial matrices, then
+        evaluating both at c and applying them to e_0 keeps the equality with
+        the same r; so a refutation at c means that no r closes the
+        quadratic, and the exact path below would return None as well.  The
+        only candidate r is read off the first nonzero coordinate of
+        G(c)^2 e_0; when that vector is zero, only a zero right side fits.
         """
         ring = self.ring
         m1 = self.by_label["M1"].mat
+        point = {"c2": 2, "c3": 3}  # any point is sound; c2 != 0 keeps 12*c2 in play
+        e0 = QMatrix.from_ints([[1]] + [[0]] * (m1.rows - 1), 1, 1)
+        g_at, m1_at = g_mat.evaluate(point), m1.evaluate(point)
+        lhs = g_at * (g_at * e0)
+        rhs = -(m1_at * (m1_at * e0) * 3 + e0 * (12 * point["c2"]))
+        i = next((i for i, (x,) in enumerate(lhs.num) if x), None)
+        if lhs * (0 if i is None else rhs[i, 0] / lhs[i, 0]) != rhs:
+            return None
         c2 = MultiPoly.variable(ring, "c2")
         c3 = MultiPoly.variable(ring, "c3")
-        target = -(m1 * m1 * 3 + PolyMatrix.scalar(ring, m1.rows, c2.scale(12)))
+        m1sq = m1 * m1
+        target = -(m1sq * 3 + PolyMatrix.scalar(ring, m1.rows, c2.scale(12)))
         gsq = g_mat * g_mat
         probe = gsq.first_nonzero()
         if probe is None:
@@ -148,7 +167,7 @@ class BigGenerators:
         if rn is None or rd is None:
             return None
         s = rat(rn, rd)
-        m1cube = m1 * m1 * m1
+        m1cube = m1sq * m1
         for cand in (s, -s):
             n1 = g_mat * cand
             cubic = m1cube * n1 + (m1 * n1) * c2 - (m1 * c3) * 9

@@ -12,7 +12,9 @@ coefficients are built only when a caller reads entries (``m[i, j]``,
 Every product of matrices goes through ``sum_of_products``: output entries
 accumulate Python ints over the product of the operands' denominators.
 ``derivation_sum`` gives sum_a M_a * df/dx_a in one pass over f's terms,
-and ``coefficient_columns`` the coefficients of several matrices as columns.
+reading the constant M_a through a ``SparseColumns`` view of their nonzero
+columns that a caller builds once and keeps; ``coefficient_columns`` gives
+the coefficients of several matrices as columns.
 ``subs`` puts a monomial in place of each variable, finding the image of
 each distinct monomial once; ``evaluate`` is ``subs`` into the constants.
 """
@@ -134,64 +136,83 @@ def sum_of_products(ring, rows, cols, terms):
     return _reduced(ring, out, den, cols)
 
 
-def derivation_sum(mats, f, scale):
+class SparseColumns:
+    """Constant matrices mats[a], one per variable a of ring, read by column.
+
+    ``columns[k][a]`` is a tuple of the nonzero (i, v) of column k of mats[a],
+    each v an int over the common denominator ``den``; the matrices share one
+    shape rows x cols.  Everything is a tuple, so a view kept beside its
+    module is never changed by a reader.  With no variables there are no
+    matrices, rows and cols are None, and the view fits every shape.
+    """
+
+    __slots__ = ("ring", "rows", "cols", "den", "columns")
+
+    def __init__(self, ring, mats):
+        if len(mats) != len(ring):
+            raise ValueError("need %d matrices, one per variable" % len(ring))
+        rows = cols = None
+        if mats:
+            rows, cols = mats[0].rows, mats[0].cols
+            if any(m.rows != rows or m.cols != cols for m in mats):
+                raise ValueError("shape mismatch")
+        den = lcm(*(m.den for m in mats))
+        ks = range(cols or 0)
+        columns = [[[] for _ in mats] for _ in ks]
+        for a, m in enumerate(mats):
+            f = den // m.den
+            # most rows of a rho(X^a) are zero, and any() skips them at C speed
+            for i, r in enumerate(m.num):
+                if any(r):
+                    for k in compress(ks, r):
+                        columns[k][a].append((i, r[k] * f))
+        self.ring = ring
+        self.rows = rows
+        self.cols = cols
+        self.den = den
+        self.columns = tuple(tuple(map(tuple, col)) for col in columns)
+
+
+def derivation_sum(view, f, scale):
     """The PolyMatrix scale * sum_a mats[a] * df/d(variable a), in one pass.
 
-    mats is a list of QMatrix, one per variable of f.ring, all with f.rows
-    columns and one row count (f.rows when f.ring has no variables).  Each
-    term c * x^e of entry (k, j) of f meets column k of mats[a] once for every
-    variable a of x^e: it adds v * c * e_a at key e - u_a to entry (i, j) for
-    each nonzero (i, v) of that column.  No partial derivative is formed as
-    a matrix, and the result is normalized once.
+    view is the ``SparseColumns`` of the mats over f.ring, with f.rows
+    columns.  Each term c * x^e of entry (k, j) of f is read once: for every
+    variable a of x^e whose column k is nonzero, it adds v * c * e_a at key
+    e - u_a to entry (i, j) for each nonzero (i, v) of that column.  The
+    support of each distinct key is read once per call.  No partial
+    derivative is formed, and the result is normalized once.
     """
     ring = f.ring
-    units = ring._units
-    if len(mats) != len(units):
-        raise ValueError("need %d matrices, one per variable" % len(units))
-    rows = mats[0].rows if mats else f.rows
-    if any(m.rows != rows or m.cols != f.rows for m in mats):
+    if view.ring is not ring and view.ring != ring:
+        raise ValueError("variable-set mismatch")
+    if view.rows is None:  # no variables: f is constant
+        return PolyMatrix.zeros(ring, f.rows, f.cols)
+    if view.cols != f.rows:
         raise ValueError("shape mismatch")
     s = _rational(scale)
-    den = lcm(*(m.den for m in mats))
-    # column k of mats[a] as its nonzero (i, s.numerator * den * entry); most
-    # rows of a rho(X^a) are zero, and any() skips them at C speed
-    ks = range(f.rows)
-    columns = []
-    for m in mats:
-        w = s.numerator * (den // m.den)
-        cols = [[] for _ in ks]
-        for i, r in enumerate(m.num):
-            if any(r):
-                for k in compress(ks, r):
-                    cols[k].append((i, r[k] * w))
-        columns.append(cols)
-    supports = {}  # a monomial recurs across entries; walk its key once
-    partials = {}  # id of an entry's terms -> [(a, its d/dx_a)], shared
-    acc = [{} for _ in range(rows)]  # output row i: {j: {key: int}}
-    for k, row in enumerate(f.num):
+    w = s.numerator
+    units = ring._units
+    support_of = ring.support
+    triples = {}  # key -> [(a, e_a, key - u_a)]; a monomial recurs across entries
+    acc = [{} for _ in range(view.rows)]  # output row i: {j: {key: int}}
+    for column, row in zip(view.columns, f.num):
         for j, terms in row:
-            entry = partials.get(id(terms))
-            if entry is None:
-                grads = {}
-                for key, c in terms.items():
-                    support = supports.get(key)
-                    if support is None:
-                        support = supports[key] = ring.support(key)
-                    for a, e in support:
-                        d = grads.get(a)
-                        if d is None:
-                            d = grads[a] = {}
-                        d[key - units[a]] = c * e
-                entry = partials[id(terms)] = list(grads.items())
-            for a, d in entry:
-                for i, v in columns[a][k]:
-                    out = acc[i].get(j)
-                    if out is None:
-                        acc[i][j] = {key: v * c for key, c in d.items()}
-                        continue
-                    get = out.get
-                    for key, c in d.items():
-                        out[key] = get(key, 0) + v * c
+            for key, c in terms.items():
+                lowered = triples.get(key)
+                if lowered is None:
+                    lowered = triples[key] = [(a, e, key - units[a]) for a, e in support_of(key)]
+                c *= w
+                for a, e, low in lowered:
+                    pairs = column[a]
+                    if pairs:
+                        ce = c * e
+                        for i, v in pairs:
+                            out = acc[i].get(j)
+                            if out is None:
+                                acc[i][j] = {low: v * ce}
+                            else:
+                                out[low] = out.get(low, 0) + v * ce
     num = []
     for entries in acc:
         row = []
@@ -202,7 +223,7 @@ def derivation_sum(mats, f, scale):
             if out:
                 row.append((j, out))
         num.append(row)
-    return _reduced(ring, num, f.den * den * s.denominator, f.cols)
+    return _reduced(ring, num, f.den * view.den * s.denominator, f.cols)
 
 
 def coefficient_columns(mats):

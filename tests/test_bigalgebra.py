@@ -1,6 +1,7 @@
 import hashlib
 import json
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product
 from types import SimpleNamespace
 
@@ -207,6 +208,42 @@ def test_generator_bytes_are_pinned(key, digests):
         }
         assert degrees <= {op.degree}, op.label
     assert not gens.by_label["M1"].mat.is_zero()
+
+
+def _raw_n1(gens):
+    """D^2(c_3 Id) of an sl3 module on the section, before any scalar."""
+    L = gens.rep.L
+    cvars = [MultiPoly.variable(gens.ring, nm) for nm in gens.ring.names]
+    section = dict(zip(L.x_ring.names, lie.section_coords(L, cvars)))
+    return derivation_chain(gens.rep, 3, 2)[1].subs(gens.ring, section)
+
+
+def test_octet_normalization_survives_every_rescaling(octet_gens):
+    raw = _raw_n1(octet_gens)
+    assert octet_gens.by_label["N1"].mat == raw * 144
+    for t in (1, -1, 2, Fraction(-3, 5), Fraction(1, 7), 144):
+        assert octet_gens._octet_n1_scalar(raw * t) == Fraction(144) / t
+
+
+def test_octet_normalization_refutes_at_one_point(monkeypatch, octet_gens):
+    # M1, M2 and zero square to no multiple of -(3*M1^2 + 12*c2); the check
+    # at one point says so before any product of polynomial matrices
+    zero = PolyMatrix.zeros(octet_gens.ring, 8, 8)
+
+    def no_product(self, other):
+        raise AssertionError("polynomial product formed")
+
+    monkeypatch.setattr(PolyMatrix, "__mul__", no_product)
+    for g in (octet_gens.by_label["M1"].mat, octet_gens.by_label["M2"].mat, zero):
+        assert octet_gens._octet_n1_scalar(g) is None
+
+
+@pytest.mark.parametrize("mu", [(a, b) for a in range(4) for b in range(3) if a or b])
+def test_n1_is_rescaled_on_the_octet_only(L3, mu):
+    gens = BigGenerators(build_irrep(L3, mu))
+    assert gens.by_label["N1"].scalar == (144 if mu == (1, 1) else 1)
+    if mu != (1, 1):
+        assert gens.by_label["N1"].mat == _raw_n1(gens)
 
 
 def test_evaluate_at_principal_point(octet, octet_gens, L3):

@@ -11,10 +11,17 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bigalg.kirillov import wei_D
+from bigalg import kirillov
+from bigalg.kirillov import derivation_chain, wei_D
 from bigalg.linalg import QMatrix
 from bigalg.multipoly import MultiPoly, VarSet
-from bigalg.polymatrix import PolyMatrix, coefficient_columns, derivation_sum, sum_of_products
+from bigalg.polymatrix import (
+    PolyMatrix,
+    SparseColumns,
+    coefficient_columns,
+    derivation_sum,
+    sum_of_products,
+)
 from oracles import (
     dual_rho,
     entry_evaluate,
@@ -260,8 +267,8 @@ def test_every_operation_keeps_storage_normalized(data, n, c, p, s):
         a + b, a - b, -a, a * b, a * p, a * c, c * a,
         sum_of_products(R, n, n, [(1, q, a)]), a * q, a.commutator(b),
         sum_of_products(R, n, n, [(c, a, q), (1, q, b)]), src.subs(T, mapping),
-        a.transpose(), derivation_sum([q, QMatrix.zeros(n, n), q], a, c),
-        derivation_sum([q] * 3, PolyMatrix.scalar(R, n, p), c),
+        a.transpose(), derivation_sum(SparseColumns(R, [q, QMatrix.zeros(n, n), q]), a, c),
+        derivation_sum(SparseColumns(R, [q] * 3), PolyMatrix.scalar(R, n, p), c),
     ]
     for m in results:
         _assert_normalized(m)
@@ -310,7 +317,8 @@ def test_cancellation_leaves_no_zero_coefficients():
     # d/dx of row 0 minus d/dy of row 1: 1 - 1 in column 0, 1 + t - 1 in column 1
     f = PolyMatrix(R, [[x, x + x * t], [y, y]])
     mats = [QMatrix([[1, 0]]), QMatrix([[0, -1]]), QMatrix.zeros(1, 2)]
-    _check(derivation_sum(mats, f, Fraction(1, 2)), 1, 2, [[MultiPoly.zero(R), t.scale(Fraction(1, 2))]])
+    out = derivation_sum(SparseColumns(R, mats), f, Fraction(1, 2))
+    _check(out, 1, 2, [[MultiPoly.zero(R), t.scale(Fraction(1, 2))]])
 
 
 def test_empty_shapes_keep_columns():
@@ -436,23 +444,70 @@ def test_derivation_sum_matches_diff(data, n, m, r, scale):
         QMatrix.zeros(r, n) if data.draw(st.booleans()) else _qm(data.draw(_entries(r, n, _coeffs)), n)
         for _ in ring.names
     ]
-    _check(derivation_sum(mats, f, scale), r, m, _ref_derivation_sum(mats, f, scale))
+    _check(derivation_sum(SparseColumns(ring, mats), f, scale), r, m, _ref_derivation_sum(mats, f, scale))
+
+
+def test_derivation_on_a_weight_space_of_multiplicity_two(monkeypatch, octet, L3):
+    # the zero weight of the octet has multiplicity 2, so some column of a
+    # rho(X^a) has two nonzeros and one term adds into two output rows
+    duals = dual_rho(octet)
+    assert any(sum(1 for x in col if x) == 2 for m in duals for col in zip(*m.a))
+    ring = L3.x_ring
+    f = PolyMatrix.scalar(ring, octet.dim, L3.invariant_ck(3))
+    ref1 = _ref_derivation_sum(duals, f, Fraction(1, 2))
+    ref2 = _ref_derivation_sum(duals, PolyMatrix(ring, ref1), Fraction(1, 2))
+    views = []
+
+    def recorded(view, mat, scale):
+        views.append(view)
+        return derivation_sum(view, mat, scale)
+
+    monkeypatch.setattr(kirillov, "derivation_sum", recorded)
+    d1, d2 = derivation_chain(octet, 3, 2)
+    _check(d1, octet.dim, octet.dim, ref1)
+    _check(d2, octet.dim, octet.dim, ref2)
+    # every D step on the module reads the one view kept on it
+    wei_D(octet, d1)
+    assert len(views) == 3
+    assert all(v is octet._memo["dual_rho"] for v in views)
 
 
 def test_derivation_sum_refuses_wrong_matrices():
     x = MultiPoly.variable(R, "x")
     f = PolyMatrix(R, [[x, 1], [0, x * x], [1, 0]])  # 3 x 2 over three variables
     good = [QMatrix.identity(3)] * 3
-    assert derivation_sum(good, f, 1) == mat_diff(f, "x")
+    assert derivation_sum(SparseColumns(R, good), f, 1) == mat_diff(f, "x")
+    # the view refuses a wrong count of matrices
     for mats in (good[:2], good + good[:1], []):
-        with pytest.raises(ValueError):
-            derivation_sum(mats, f, 1)
+        with pytest.raises(ValueError, match="one per variable"):
+            SparseColumns(R, mats)
     # a matrix with the wrong column count, or a row count unlike the others
     for odd in (QMatrix.zeros(3, 2), QMatrix.zeros(2, 3)):
-        with pytest.raises(ValueError):
-            derivation_sum([odd] + good[1:], f, 1)
-        with pytest.raises(ValueError):
-            derivation_sum(good[:2] + [odd], f, 1)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            SparseColumns(R, [odd] + good[1:])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            SparseColumns(R, good[:2] + [odd])
+    # the pass refuses a view whose column count is not f's row count, or
+    # one over another ring
+    with pytest.raises(ValueError, match="shape mismatch"):
+        derivation_sum(SparseColumns(R, [QMatrix.zeros(3, 2)] * 3), f, 1)
+    with pytest.raises(ValueError, match="variable-set mismatch"):
+        derivation_sum(SparseColumns(VarSet(["x", "y", "s"]), good), f, 1)
+    # with no variables, f is constant and its derivation is zero
+    empty = VarSet([])
+    one = PolyMatrix.identity(empty, 2)
+    assert derivation_sum(SparseColumns(empty, []), one, 1) == PolyMatrix.zeros(empty, 2, 2)
+
+
+def test_sparse_columns_lists_the_nonzeros_of_each_column():
+    a = QMatrix([[Fraction(1, 2), 0], [3, 0], [0, 0]])
+    b = QMatrix([[0, 0], [0, Fraction(-2, 3)], [5, 0]])
+    view = SparseColumns(S, [a, b, QMatrix.zeros(3, 2)])
+    assert (view.rows, view.cols, view.den) == (3, 2, 6)
+    assert view.columns == (
+        (((0, 3), (1, 18)), ((2, 30),), ()),
+        ((), ((1, -4),), ()),
+    )
 
 
 @settings(max_examples=30, deadline=None)
