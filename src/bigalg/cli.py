@@ -326,7 +326,7 @@ def cmd_multalg(args):
             "hilbert": ma["hilbert"].to_pairs_obj(),
             "nilpotency_index": nilpotency,
             "operators": {lab: m.to_obj() for lab, m in ops.items()},
-            "structure": algebra_structure_table(ops, dim),
+            "structure": algebra_structure_table(ma["algebra_basis"]),
         },
     )
     return 0

@@ -2,8 +2,10 @@
 
 The basis is the elementary matrices E_ij (i != j, row-major) followed by
 H_k = E_kk - E_{k+1,k+1}; every coordinate vector in the package is a
-dim x 1 QMatrix column in this order.  Weights are integer tuples in
-fundamental-weight coordinates.
+dim x 1 QMatrix column in this order.  The inverse Killing form and the
+pinning-fixing outer involution are written down in this basis, the one as
+an integer matrix and the other as a signed permutation.  Weights are
+integer tuples in fundamental-weight coordinates.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from itertools import permutations
 from math import prod
 
 from .multipoly import MultiPoly, VarSet, rat
-from .linalg import QMatrix, charpoly, kernel
+from .linalg import QMatrix, charpoly
 from .polymatrix import PolyMatrix
 
 
@@ -59,7 +61,6 @@ class TypeA:
         h = _from_sparse(n, {(i, i): n - 1 - 2 * i for i in range(n)})
         self.e, self.f, self.h = e, f, h
         self.e_coords = self.coords_of(e)
-        self.h_coords = self.coords_of(h)
 
         # values computed from the structure data, kept per algebra: see cached
         self._memo = {}
@@ -69,6 +70,24 @@ class TypeA:
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
+
+    @property
+    def sigma(self):
+        """The outer involution sigma(X) = -w0 X^T w0^-1 as a signed
+        permutation of the basis: entry i is (j, s) with sigma(X_i) = s X_j.
+
+        w0 is the antidiagonal matrix with entry (-1)^i in row i, so sigma
+        fixes the principal triple and permutes the simple root vectors.
+        """
+        return self.cached("sigma", self._sigma)
+
+    def _sigma(self):
+        # sigma(E_ab) = (-1)^(a+b+1) E_{n-1-b, n-1-a} and sigma(H_k) =
+        # H_{n-2-k}, 0-based
+        n, index = self.n, self._offdiag_index
+        perm = [(index[(n - 1 - b, n - 1 - a)], (-1) ** (a + b + 1)) for a, b in index]
+        base = self.dim - (n - 1)
+        return perm + [(base + n - 2 - k, 1) for k in range(n - 1)]
 
     # ---------- coordinates ----------
 
@@ -118,32 +137,6 @@ class TypeA:
                 for (i, j), v in x.items():
                     num[i][j] += c * v
         return QMatrix.from_ints(num, coords.den)
-
-    def ad_matrix(self, coords):
-        """Matrix of ad(x) acting on coordinate vectors; column j is [x, X_j].
-
-        The columns are integer coordinates over the denominator of x's
-        matrix, each read off the commutator with one sparse basis matrix.
-        """
-        x = self.matrix_of(coords)
-        a, n = x.num, self.n
-        cols = []
-        for basis_map in self._sparse:
-            m = [[0] * n for _ in range(n)]
-            for (r, c), v in basis_map.items():
-                # x X_j adds v * (column r of x) to column c; X_j x
-                # subtracts v * (row c of x) from row r
-                for row_m, row_a in zip(m, a):
-                    row_m[c] += v * row_a[r]
-                target = m[r]
-                for j, w in enumerate(a[c]):
-                    target[j] -= v * w
-            cols.append(self._expand(m))
-        return QMatrix.from_ints([list(row) for row in zip(*cols)], x.den)
-
-    def centralizer(self, coords):
-        """The centralizer of x inside sl_n, its coordinate columns spanning it."""
-        return kernel(self.ad_matrix(coords))
 
     # ---------- the polynomial coordinate ring of sl_n ----------
 

@@ -249,7 +249,7 @@ def multiplicity_algebra(rep, gens, lam):
     hilbert = QPoly({shift - g: d for g, d in graded.items()})
 
     # algebra span of the restricted operators
-    span, _ = closure(
+    _, basis = closure(
         [QMatrix.identity(limit.cols)], [r for _, r in restricted], mul
     )
 
@@ -260,7 +260,8 @@ def multiplicity_algebra(rep, gens, lam):
         "graded": graded,
         "hilbert": hilbert,
         "restricted": dict(restricted),
-        "algebra_span_dim": span.dim,
+        "algebra_span_dim": len(basis),
+        "algebra_basis": basis,
     }
 
 
@@ -286,12 +287,9 @@ def _h_stabilize_limit(rep, limit):
     return out
 
 
-def algebra_structure_table(restricted_ops, dim):
-    """Basis and multiplication table of the unital algebra generated by the
-    restricted operators inside End(limit space)."""
-    _, basis = closure(
-        [QMatrix.identity(dim)], list(restricted_ops.values()), mul
-    )
+def algebra_structure_table(basis):
+    """Basis and multiplication table of the unital algebra with the given
+    basis: the algebra_basis of multiplicity_algebra."""
     products = [a * b for a in basis for b in basis]
     coeffs = solve_columns(flat_columns(basis), flat_columns(products))
     table = {

@@ -298,15 +298,6 @@ class MultiPoly:
 
     __repr__ = __str__
 
-    # ---------- serialization ----------
-
-    def to_obj(self):
-        terms = [[list(e), str(c)] for e, c in sorted(
-            ((self.ring.unpack(k), c) for k, c in self.terms.items()),
-            key=lambda t: t[0],
-        )]
-        return {"variables": list(self.ring.names), "terms": terms}
-
 
 def monomial_values(images, one):
     """A memoized map from a monomial key to its value at images.

@@ -7,7 +7,7 @@ gcd(den, every coefficient) == 1 (the zero matrix has den 1); equal
 matrices have equal storage.  Every operation reads and writes these
 integers, and no other module does.  ``MultiPoly`` entries with ``Fraction``
 coefficients are built only when a caller reads entries (``m[i, j]``,
-``first_nonzero``, ``trace``, ``to_obj`` and the read-only ``a``).
+``first_nonzero``, ``trace`` and the read-only ``a``).
 
 Every product of matrices goes through ``sum_of_products``: output entries
 accumulate Python ints over the product of the operands' denominators.
@@ -547,9 +547,3 @@ class PolyMatrix:
                     out_row.append((j, acc))
             out.append(out_row)
         return out, self.den * scale
-
-    def to_obj(self):
-        return {
-            "variables": list(self.ring.names),
-            "entries": [[p.to_obj()["terms"] for p in row] for row in self.a],
-        }

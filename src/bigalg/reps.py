@@ -428,9 +428,17 @@ def build_irrep(L, mu):
 
 
 def g_e_invariants(rep):
-    """The joint kernel of the centralizer of the principal nilpotent."""
-    cent = rep.L.centralizer(rep.L.e_coords)
-    return joint_kernel([rep.op(x) for x in cent.columns()])
+    """The joint kernel of the centralizer g^e of the principal nilpotent e.
+
+    A regular nilpotent commutes only with the polynomials in itself, so
+    g^e is spanned by e, e^2, ..., e^(n-1) (Kostant, "The principal
+    three-dimensional subgroup...", Amer. J. Math. 81, 1959).
+    """
+    L = rep.L
+    powers = [L.e]
+    for _ in range(L.n - 2):
+        powers.append(powers[-1] * L.e)
+    return joint_kernel([rep.op(L.coords_of(p)) for p in powers])
 
 
 # ---------------------------------------------------------------------------

@@ -2,36 +2,17 @@
 
 sigma(X) = -w0 X^T w0^{-1} with w0 the antidiagonal matrix of alternating
 signs; it fixes the principal triple and permutes the simple root vectors.
-On a self-paired module the induced intertwiner is built by flipping the
-lowering words of the basis.
+Every routine here reads sigma as the signed permutation of the basis that
+``TypeA.sigma`` writes down.  On a self-paired module the induced
+intertwiner is built by flipping the lowering words of the basis.
 """
 
 from __future__ import annotations
 
 from .bigalgebra import ideal_span, weighted_monomials
 from .multipoly import MultiPoly, VarSet
-from .linalg import QMatrix, flat_columns, restrict_to_block
+from .linalg import flat_columns, restrict_to_block
 from .polymatrix import sum_of_products
-
-
-def pinning_w0(n):
-    """Antidiagonal matrix with alternating signs, fixing the pinning."""
-    return QMatrix.from_ints(
-        [[(-1) ** i if j == n - 1 - i else 0 for j in range(n)] for i in range(n)]
-    )
-
-
-def sigma_on_matrix(L, x):
-    w0 = pinning_w0(L.n)
-    # w0 is a signed permutation matrix: its inverse is its transpose
-    return -(w0 * x.transpose() * w0.transpose())
-
-
-def sigma_coord_matrix(L):
-    """The linear map on Lie-algebra coordinates induced by sigma, kept on L."""
-    return L.cached(
-        "sigma", lambda: flat_columns([L.coords_of(sigma_on_matrix(L, b)) for b in L.basis])
-    )
 
 
 def is_sigma_invariant(mu):
@@ -49,53 +30,50 @@ def intertwiner(rep):
         raise ValueError("highest weight is not sigma-invariant")
 
     def compute():
-        n = rep.L.n
-        lower_ops = [rep.rho[i] for i in rep.L.lowering_index]
-        highest = rep.weight_basis(rep.mu)
-        cols = []
-        for word in rep.words:
-            v = highest
-            for li in word:
-                # sigma sends the li-th lowering operator to the (n-li)-th
-                v = lower_ops[n - li - 1] * v
-            cols.append(v)
+        sigma = rep.L.sigma
+        # sigma fixes the pinning: it sends each lowering operator to another
+        # one, with sign 1
+        flipped = [rep.rho[sigma[i][0]] for i in rep.L.lowering_index]
+        position = {word: i for i, word in enumerate(rep.words)}
+        cols = [rep.weight_basis(rep.mu)]  # the word ()
+        for word in rep.words[1:]:
+            # each later word is an earlier word plus one letter, so its
+            # column is one lowering of that word's column
+            cols.append(flipped[word[-1] - 1] * cols[position[word[:-1]]])
         return flat_columns(cols)
 
     return rep.cached("intertwiner", compute)
 
 
 def check_intertwiner(rep, s):
-    """S rho(X) = rho(sigma X) S for every basis element, exactly."""
-    L = rep.L
-    sg = sigma_coord_matrix(L)
-    for i, coords in enumerate(sg.columns()):
-        lhs = s * rep.rho[i]
-        rhs = rep.op(coords) * s
-        if lhs != rhs:
+    """S rho(X_i) = sign rho(X_j) S for each sigma(X_i) = sign X_j, exactly."""
+    for m, (j, sign) in zip(rep.rho, rep.L.sigma):
+        rhs = rep.rho[j] * s
+        if s * m != (rhs if sign == 1 else -rhs):
             return False
     return True
 
 
-def _sigma_substitution(L, sg):
-    """x_j -> (sigma x)_j, the linear forms of the coordinate map sg."""
-    ring = L.x_ring
-    mapping = {}
-    for j, row in enumerate(sg.a):
-        form = MultiPoly.zero(ring)
-        for i, c in enumerate(row):
-            if c:
-                form = form + MultiPoly.variable(ring, "x%d" % i).scale(c)
-        mapping["x%d" % j] = form
-    return mapping
+def _sigma_substitution(L):
+    """x_j -> sign x_i for each sigma(X_i) = sign X_j, kept on L: the
+    coordinates of sigma(x) = sum_i x_i sigma(X_i)."""
+
+    def compute():
+        ring = L.x_ring
+        return {
+            "x%d" % j: MultiPoly.variable(ring, "x%d" % i).scale(sign)
+            for i, (j, sign) in enumerate(L.sigma)
+        }
+
+    return L.cached("sigma_substitution", compute)
 
 
-def sigma_on_element(L, mat, s, sg):
+def sigma_on_element(L, mat, s):
     """S F(sigma x) for F = mat over L.x_ring, which is (sigma F)(x) S.
 
-    (sigma F)(x) = S F(sigma x) S^{-1}; s is the intertwiner of the module
-    and sg the coordinate map of sigma.
+    (sigma F)(x) = S F(sigma x) S^{-1}; s is the intertwiner of the module.
     """
-    composed = mat.subs(L.x_ring, _sigma_substitution(L, sg))
+    composed = mat.subs(L.x_ring, _sigma_substitution(L))
     return sum_of_products(L.x_ring, s.rows, composed.cols, [(1, s, composed)])
 
 
@@ -105,10 +83,9 @@ def sigma_eigenvalues(rep, gens):
     sigma F = +-F iff S F(sigma x) = +-F S, so S is never inverted.
     """
     s = intertwiner(rep)
-    sg = sigma_coord_matrix(rep.L)
     out = {}
     for op in gens:
-        image = sigma_on_element(rep.L, op.kirillov, s, sg)
+        image = sigma_on_element(rep.L, op.kirillov, s)
         fixed = op.kirillov * s
         if image == fixed:
             out[op.label] = 1
@@ -122,7 +99,7 @@ def sigma_eigenvalues(rep, gens):
 def sigma_on_invariants(L):
     """Parity of each c_k under sigma: c_k(sigma x) = (-1)^k c_k(x)."""
     ring = L.x_ring
-    mapping = _sigma_substitution(L, sigma_coord_matrix(L))
+    mapping = _sigma_substitution(L)
     out = {}
     for k in range(2, L.n + 1):
         ck = L.invariant_ck(k)

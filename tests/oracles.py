@@ -1,8 +1,11 @@
 """Independent reference computations that only the tests use.
 
 Each one recomputes, the slow and direct way, something the package
-computes another way: the trace form, the basis names and the structure
-constants of sl_n, polynomial-matrix products, substitutions and values
+computes another way or writes down: the trace form, the basis names and
+the structure constants of sl_n, ad(x) and the centralizer of x as the
+kernel of ad(x), the outer involution by conjugating each basis matrix
+with w0, the JSON of polynomials and polynomial matrices,
+polynomial-matrix products, substitutions and values
 entry by entry with Fraction coefficients, polynomials at commuting
 matrices through cached powers, the small and medium operators from their
 defining formulas, equivariance and homogeneity as exact polynomial
@@ -36,8 +39,10 @@ from bigalg.linalg import (
     QMatrix,
     charpoly,
     closure,
+    flat_columns,
     is_squarefree,
     joint_invariant_decomposition,
+    kernel,
     solve_columns,
 )
 from bigalg.multipoly import ZERO, MultiPoly, VarSet, rat
@@ -219,6 +224,56 @@ def bracket_by_structure(n, x, y):
 def bracket_coords(L, x, y):
     """The coordinate column of the commutator [x, y] of two n x n matrices."""
     return L.coords_of(x * y - y * x)
+
+
+def ad_matrix(L, coords):
+    """ad(x) on coordinate columns: column j is [x, X_j], from matrix
+    commutators."""
+    x = L.matrix_of(coords)
+    return flat_columns([bracket_coords(L, x, b) for b in L.basis])
+
+
+def centralizer(L, coords):
+    """The centralizer of x inside sl_n: the kernel of ad(x)."""
+    return kernel(ad_matrix(L, coords))
+
+
+def pinning_w0(n):
+    """The antidiagonal matrix with entry (-1)^i in row i."""
+    return QMatrix.from_ints(
+        [[(-1) ** i if j == n - 1 - i else 0 for j in range(n)] for i in range(n)]
+    )
+
+
+def sigma_on_matrix(L, x):
+    """sigma(x) = -w0 x^T w0^-1; w0 is a signed permutation matrix, so its
+    inverse is its transpose."""
+    w0 = pinning_w0(L.n)
+    return -(w0 * x.transpose() * w0.transpose())
+
+
+def sigma_coord_matrix(L):
+    """sigma on coordinate columns: column i is sigma(X_i), each basis
+    matrix conjugated by w0 and its coordinates read back."""
+    return flat_columns([L.coords_of(sigma_on_matrix(L, b)) for b in L.basis])
+
+
+def poly_obj(p):
+    """A MultiPoly as JSON: its variables and its (exponents, coefficient)
+    terms in ascending exponent order."""
+    terms = [[list(e), str(c)] for e, c in sorted(
+        ((p.ring.unpack(k), c) for k, c in p.terms.items()),
+        key=lambda t: t[0],
+    )]
+    return {"variables": list(p.ring.names), "terms": terms}
+
+
+def polymatrix_obj(m):
+    """A PolyMatrix as JSON: its variables and the terms of each entry."""
+    return {
+        "variables": list(m.ring.names),
+        "entries": [[poly_obj(p)["terms"] for p in row] for row in m.a],
+    }
 
 
 def is_homogeneous(p):

@@ -44,7 +44,9 @@ from oracles import (
     entry_subs,
     freeness_by_closure,
     h_pairing,
+    poly_obj,
     poly_of_commuting,
+    polymatrix_obj,
     small_operator,
     symbolic_section,
 )
@@ -148,8 +150,8 @@ def test_restriction_accepts_general_coordinates(octet_gens):
 
 
 # First 16 hex digits of the SHA-256 of the sorted-key JSON of the generator
-# family's report(), of every op's mat.to_obj() and of every op's
-# kirillov.to_obj().  They were computed by an independent construction
+# family's report(), of every op's polymatrix_obj(mat) and of every op's
+# polymatrix_obj(kirillov).  They were computed by an independent construction
 # (one PolyMatrix.diff per variable, the generic PolyMatrix.subs restriction,
 # D^1..D^(i-1) recomputed for each i), so they pin the exact bytes.  The sl5
 # rows came from the earlier form of D, which took every partial derivative
@@ -191,8 +193,8 @@ def test_generator_bytes_are_pinned(key, digests):
     gens = BigGenerators(build_irrep(lie.TypeA(n), mu))
     assert (
         _sha(gens.report()),
-        _sha([op.mat.to_obj() for op in gens.ops]),
-        _sha([op.kirillov.to_obj() for op in gens.ops]),
+        _sha([polymatrix_obj(op.mat) for op in gens.ops]),
+        _sha([polymatrix_obj(op.kirillov) for op in gens.ops]),
     ) == digests
     # homogeneity over R = Q[c_2..c_n], deg c_k = k: each term of entry
     # (r, s) carries e_s to e_r and raises the principal degree by op.degree
@@ -758,7 +760,7 @@ def test_determinism_of_derived_relations(octet, octet_gens):
     gens = [octet_gens.by_label["M1"], octet_gens.by_label["N1"]]
     a, _ = derive_relations(octet, gens, 4)
     b, _ = derive_relations(octet, gens, 4)
-    assert [json.dumps(r.to_obj()) for r in a] == [json.dumps(r.to_obj()) for r in b]
+    assert [json.dumps(poly_obj(r)) for r in a] == [json.dumps(poly_obj(r)) for r in b]
 
 
 @pytest.mark.parametrize(

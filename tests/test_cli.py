@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bigalg import cli, twining
+from bigalg import cli, lie, twining
 
 CLI = [sys.executable, "-m", "bigalg.cli"]
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -337,20 +337,20 @@ def _main(argv):
 
 
 def test_twining_builds_each_map_once(monkeypatch):
-    # every build of the intertwiner or of sigma's coordinate map makes one
-    # flat_columns call; sigma's also maps each of sl3's 8 basis matrices
-    calls = {"flat_columns": 0, "sigma_on_matrix": 0}
-    for name in calls:
-        real = getattr(twining, name)
+    # the intertwiner is one flat_columns call, and sigma's signed
+    # permutation is built once per algebra, however often it is read
+    calls = {"flat_columns": 0, "_sigma": 0}
+    for owner, name in ((twining, "flat_columns"), (lie.TypeA, "_sigma")):
+        real = getattr(owner, name)
 
         def counted(*args, name=name, real=real):
             calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(twining, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     code, out = _main(["twining", "--n", "3", "--mu", "1,1"])
     assert code == 0 and json.loads(out)["intertwiner_valid"] is True
-    assert calls == {"flat_columns": 2, "sigma_on_matrix": 8}
+    assert calls == {"flat_columns": 1, "_sigma": 1}
 
 
 def test_main_runs_again_after_a_usage_error():

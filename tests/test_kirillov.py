@@ -37,7 +37,7 @@ def _scalar(rep, poly):
 
 def test_small_operator_evaluations(octet, sl3_standard, L3):
     m1 = small_operator(octet)
-    assert _at(m1, L3.h_coords) == octet.op(L3.h_coords)
+    assert _at(m1, L3.coords_of(L3.h)) == octet.op(L3.coords_of(L3.h))
     assert _at(m1, QMatrix.zeros(L3.dim, 1)).is_zero()
     # the builder reproduces the defining basis for the standard module,
     # so evaluating the small operator at a point returns that very matrix
@@ -61,7 +61,7 @@ def test_invariant_ck_basics(L3):
     zeros = {nm: 0 for nm in L3.x_ring.names}
     assert evaluate(L3.invariant_ck(2), zeros) == 0
     assert evaluate(L3.invariant_ck(3), zeros) == 0
-    values = dict(zip(L3.x_ring.names, column_entries(L3.h_coords)))
+    values = dict(zip(L3.x_ring.names, column_entries(L3.coords_of(L3.h))))
     assert evaluate(L3.invariant_ck(2), values) == -4
     with pytest.raises(ValueError):
         L3.invariant_ck(4)
@@ -81,7 +81,7 @@ def test_medium_k3_is_traceless_adjugate(octet, L3):
     trace_part = adj_h.trace() / 3
     adj_tl = adj_h - QMatrix.identity(3) * trace_part
     expected = octet.op(L3.coords_of(adj_tl)) * rat(-1)
-    assert _at(med, L3.h_coords) == expected
+    assert _at(med, L3.coords_of(L3.h)) == expected
     assert _at(med, QMatrix.zeros(L3.dim, 1)).is_zero()
 
 

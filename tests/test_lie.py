@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bigalg import lie
-from bigalg.linalg import QMatrix, kernel, rank
+from bigalg.linalg import QMatrix, rank
 from bigalg.multipoly import MultiPoly, VarSet, rat
 from bigalg.polymatrix import PolyMatrix
 from oracles import (
+    ad_matrix,
     bracket_by_structure,
     bracket_coords,
     cartan_inv,
+    centralizer,
     column,
     companion,
     eps,
@@ -19,6 +21,7 @@ from oracles import (
     ip,
     killing_by_structure,
     root_coords_rational,
+    sigma_coord_matrix,
     symbolic_section,
     trace_form,
 )
@@ -34,9 +37,9 @@ def test_rank_guard():
 def test_sl2_dimension_and_killing(L2):
     assert L2.dim == 3
     # kappa(h,h) = tr(ad(h)^2), with ad(h) built from matrix commutators
-    ad_h = L2.ad_matrix(L2.h_coords)
+    h = L2.coords_of(L2.h)
+    ad_h = ad_matrix(L2, h)
     assert (ad_h * ad_h).trace() == 8
-    h = L2.h_coords
     killing = trace_form(L2) * 4
     val = sum(
         (
@@ -78,7 +81,7 @@ def test_bracket_matches_structure_constants():
             assert L.coords_of(xm) == column(x)
             expected = column(bracket_by_structure(n, x, y))
             assert bracket_coords(L, xm, ym) == expected
-            assert L.ad_matrix(column(x)) * column(y) == expected
+            assert ad_matrix(L, column(x)) * column(y) == expected
 
 
 def test_jacobi_identity(L3):
@@ -97,13 +100,13 @@ def test_jacobi_identity(L3):
 
 
 def test_principal_triple(L3):
-    e, f, h = L3.e_coords, L3.coords_of(L3.f), L3.h_coords
+    e, f, h = L3.e_coords, L3.coords_of(L3.f), L3.coords_of(L3.h)
     assert bracket_coords(L3, L3.h, L3.e) == e * 2
     assert bracket_coords(L3, L3.h, L3.f) == f * -2
     assert bracket_coords(L3, L3.e, L3.f) == h
     assert [L3.h.a[i][i] for i in range(3)] == [2, 0, -2]
     # e is regular nilpotent: centralizer of minimal dimension n-1
-    assert L3.centralizer(e).cols == 2
+    assert centralizer(L3, e).cols == 2
 
 
 def test_root_data(L3):
@@ -229,25 +232,30 @@ def test_companion_regular_at_random_points(L3):
     for _ in range(4):
         cvals = [rng.choice([x for x in range(-9, 10) if x]) for _ in range(2)]
         coords = column(lie.section_coords(L3, cvals))
-        assert L3.centralizer(coords).cols == 2
+        assert centralizer(L3, coords).cols == 2
 
 
 def test_centralizer_examples(L3):
+    # the oracle centralizer is the kernel of ad(x) from matrix commutators
     # x = h: the diagonal Cartan
-    cent_h = L3.centralizer(L3.h_coords)
-    assert cent_h.cols == 2
-    # x = e: oracle = kernel of ad(e) built from honest matrix brackets
-    mats = L3.basis
-    e_mat = L3.e
-    cols = []
-    for b in mats:
-        cols.append(L3.coords_of(e_mat * b - b * e_mat))
-    ad_e = QMatrix([[c[i, 0] for c in cols] for i in range(L3.dim)])
-    oracle = kernel(ad_e)
-    cent_e = L3.centralizer(L3.e_coords)
-    assert cent_e == oracle and cent_e.cols == 2
+    assert centralizer(L3, L3.coords_of(L3.h)).cols == 2
+    # x = e: the span of e and e^2, written down
+    cent_e = centralizer(L3, L3.e_coords)
+    powers = L3.e_coords.hstack(L3.coords_of(L3.e * L3.e))
+    assert cent_e.cols == 2 and rank(cent_e.hstack(powers)) == 2
     # x = 0: everything
-    assert L3.centralizer(QMatrix.zeros(L3.dim, 1)) == QMatrix.identity(L3.dim)
+    assert centralizer(L3, QMatrix.zeros(L3.dim, 1)) == QMatrix.identity(L3.dim)
+
+
+def test_sigma_permutation_is_the_w0_conjugation():
+    # the written-down signed permutation against conjugating each basis
+    # matrix by w0 and reading its coordinates back
+    for n in range(2, 8):
+        L = lie.TypeA(n)
+        perm = QMatrix.from_ints(
+            [[s if j == i else 0 for j, s in L.sigma] for i in range(L.dim)]
+        )
+        assert perm == sigma_coord_matrix(L), n
 
 
 def test_minuscule_min():

@@ -24,7 +24,7 @@ from bigalg.multiplicity import (
 )
 from bigalg.qpoly import QPoly
 from bigalg.reps import build_irrep, g_e_invariants
-from oracles import diagonal, h_pairing, ip, qkostant_bruteforce
+from oracles import centralizer, diagonal, h_pairing, ip, qkostant_bruteforce
 
 
 def test_qkostant_base_cases():
@@ -203,7 +203,7 @@ def test_multiplicity_algebra_octet(octet, octet_gens):
 
 def test_algebra_structure_table_octet(octet, octet_gens):
     ma = multiplicity_algebra(octet, octet_gens.ops, (0, 0))
-    st = algebra_structure_table(ma["restricted"], ma["dim"])
+    st = algebra_structure_table(ma["algebra_basis"])
     basis = [QMatrix(b) for b in st["basis"]]
     assert len(basis) == ma["algebra_span_dim"] == 2
     assert basis[0] == QMatrix.identity(ma["dim"])
@@ -241,7 +241,7 @@ def test_scaled_weight_space_is_torus_eigenspace(octet, L3):
         # the h+e weight space under the scaling diag(1, z, z^2)
         s = diagonal([Fraction(z) ** i for i in range(3)])
         u = octet.gl_transport(s) * weight_space_basis(octet, (0, 0), torus="h_plus_e")
-        hz = L3.e_coords + L3.h_coords * z
-        cent = L3.centralizer(hz)
+        hz = L3.e_coords + L3.coords_of(L3.h) * z
+        cent = centralizer(L3, hz)
         for x in cent.columns():
             assert rank(u.hstack(octet.op(x) * u)) == rank(u)

@@ -85,8 +85,8 @@ def _uncalled_public_functions(trees):
     """Public functions and methods whose name nothing reads outside their own body.
 
     The check goes by name alone: a method whose name some other object's
-    attribute also reads (``MultiPoly.to_obj`` beside ``QMatrix.to_obj``)
-    counts as read, so such a method escapes it.
+    attribute also reads (one class's ``to_obj`` beside another's) counts as
+    read, so such a method escapes it.
     """
     used = sum(map(_references, trees.values()), Counter())
     return [

@@ -9,12 +9,13 @@ from bigalg import lie
 from bigalg.acceptance import BATTERY
 from bigalg.bigalgebra import principal_transport
 from bigalg.kirillov import derivation_chain
-from bigalg.linalg import QMatrix
+from bigalg.linalg import QMatrix, joint_kernel
 from bigalg.multiplicity import h_plus_e_transport, reversal_transport
 from bigalg.multipoly import rat
 from bigalg import reps
 from bigalg.reps import build_irrep, g_e_invariants, load_rep, save_rep
 from oracles import (
+    centralizer,
     column,
     folded,
     h_pairing,
@@ -249,7 +250,7 @@ def test_coordinates_must_be_a_column_of_length_dim(octet, L3):
         QMatrix([[1], [0]]),
         QMatrix([[1] * L3.dim]),
     ):
-        for use in (octet.op, L3.matrix_of, L3.ad_matrix, L3.centralizer):
+        for use in (octet.op, L3.matrix_of):
             with pytest.raises(ValueError):
                 use(coords)
     first = column([int(i == 0) for i in range(L3.dim)])
@@ -298,6 +299,16 @@ def test_weight_multiplicity_against_q_analogue(decuplet):
 def test_g_e_invariants_dims(octet, decuplet):
     assert g_e_invariants(octet).cols == 2
     assert g_e_invariants(decuplet).cols == 1
+
+
+@pytest.mark.parametrize("n, mu", BATTERY + [(4, (1, 1, 1))])
+def test_g_e_invariants_match_the_oracle_centralizer(n, mu):
+    # g^e written down as the powers of e, against the kernel of ad(e)
+    L = lie.TypeA(n)
+    rep = build_irrep(L, mu)
+    cent = centralizer(L, L.e_coords)
+    assert cent.cols == n - 1
+    assert g_e_invariants(rep) == joint_kernel([rep.op(x) for x in cent.columns()])
 
 
 def test_weight_basis_is_identity_columns(octet):

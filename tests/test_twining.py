@@ -16,13 +16,11 @@ from bigalg.twining import (
     coinvariant_octet_report,
     intertwiner,
     jantzen_trace,
-    sigma_coord_matrix,
     sigma_eigenvalues,
     sigma_on_element,
     sigma_on_invariants,
-    sigma_on_matrix,
 )
-from oracles import bracket_coords, column, inverse
+from oracles import bracket_coords, column, inverse, sigma_coord_matrix, sigma_on_matrix
 
 
 def test_sigma_fixes_principal_triple(L3):
@@ -61,6 +59,18 @@ def test_intertwiner_conjugates(octet):
     assert s * s == QMatrix.identity(octet.dim)
 
 
+def test_check_intertwiner_refuses_wrong_maps(octet):
+    # the identity fails, since sigma moves basis elements and rho is
+    # faithful; so does S with one column negated, since the module is
+    # irreducible and the sign flip is no scalar
+    assert not check_intertwiner(octet, QMatrix.identity(octet.dim))
+    s = intertwiner(octet)
+    flip = QMatrix.from_ints(
+        [[(-1 if i == 1 else 1) * int(i == j) for j in range(octet.dim)] for i in range(octet.dim)]
+    )
+    assert not check_intertwiner(octet, s * flip)
+
+
 def test_sigma_eigenvalues_on_generators(octet, octet_gens):
     eigs = sigma_eigenvalues(octet, octet_gens.ops)
     assert eigs == {"M1": 1, "M2": -1, "N1": -1}
@@ -84,17 +94,16 @@ def test_sigma_eigenvalues_report_none_off_both_signs(octet, octet_gens):
     mixed = SimpleNamespace(label="M1+M2", kirillov=m1 + m2)
     assert sigma_eigenvalues(octet, [mixed]) == {"M1+M2": None}
     s = intertwiner(octet)
-    image = sigma_on_element(octet.L, mixed.kirillov, s, sigma_coord_matrix(octet.L))
+    image = sigma_on_element(octet.L, mixed.kirillov, s)
     assert image * inverse(s) == m1 - m2
 
 
 def test_sigma_squares_to_identity_on_generators(octet, octet_gens):
     s = intertwiner(octet)
     s_inv = inverse(s)
-    sg = sigma_coord_matrix(octet.L)
     for op in octet_gens.ops:
-        once = sigma_on_element(octet.L, op.kirillov, s, sg) * s_inv
-        assert sigma_on_element(octet.L, once, s, sg) * s_inv == op.kirillov
+        once = sigma_on_element(octet.L, op.kirillov, s) * s_inv
+        assert sigma_on_element(octet.L, once, s) * s_inv == op.kirillov
 
 
 def test_sigma_on_invariants_parity(L3, L4):
